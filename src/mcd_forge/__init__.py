@@ -20,10 +20,8 @@ from .bundle import (
     write_bundle,
 )
 from .catalog import (
-    CapacitySummary,
     CatalogRow,
     all_rows,
-    capacity_summary,
     direct_rows,
     materialize,
     subspace_rows,
@@ -55,13 +53,11 @@ from .designs import (
     OrthogonalArray,
     collapse_levels,
     expand_levels,
-    is_cascading_pair,
     method_of_replacement,
 )
 from .errors import (
     BadGridError,
     BadParamsError,
-    LengthMismatchError,
     LevelOutOfRangeError,
     MalformedBundleError,
     MalformedCollapsedDesignError,
@@ -75,7 +71,6 @@ from .errors import (
     StrengthExceedsColumnsError,
     TooLargeError,
     TooManyColumnsError,
-    UnsupportedFieldError,
     UnsupportedOrderError,
     VOutOfRangeError,
     ZeroInverseError,
@@ -94,6 +89,7 @@ from .linalg import (
 from .verify import (
     CheckResult,
     VerificationReport,
+    battery,
     check_grid_stratification,
     check_mcd,
     check_mcd_by_slices,
@@ -106,7 +102,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadGridError",
     "BadParamsError",
-    "CapacitySummary",
     "CatalogRow",
     "CheckResult",
     "CollapsedDesign",
@@ -115,7 +110,6 @@ __all__ = [
     "GaloisField",
     "IDENTITY_SEED",
     "LatinHypercube",
-    "LengthMismatchError",
     "LevelOutOfRangeError",
     "MalformedBundleError",
     "MalformedCollapsedDesignError",
@@ -135,7 +129,6 @@ __all__ = [
     "SubspaceBasis",
     "TooLargeError",
     "TooManyColumnsError",
-    "UnsupportedFieldError",
     "UnsupportedOrderError",
     "VOutOfRangeError",
     "VerificationReport",
@@ -144,8 +137,8 @@ __all__ = [
     "admissible_set",
     "all_rows",
     "anti_mirror_construction",
+    "battery",
     "bundle_from_design",
-    "capacity_summary",
     "check_grid_stratification",
     "check_mcd",
     "check_mcd_by_slices",
@@ -162,7 +155,6 @@ __all__ = [
     "galois_field",
     "general_construction",
     "generate_linear_array",
-    "is_cascading_pair",
     "linear_strength",
     "materialize",
     "max_independent_prefixes",

@@ -21,7 +21,7 @@ from .construct import (
 from .designs import IDENTITY_SEED, Seed
 from .errors import BadParamsError
 from .gf import galois_field
-from .verify import CheckResult, VerificationReport, check_oa_strength
+from .verify import CheckResult, VerificationReport, battery
 
 U_MAX_CAP = 6
 
@@ -98,43 +98,6 @@ def all_rows(s: int, u_max: int) -> list[CatalogRow]:
     return direct_rows(s, u_max) + subspace_rows(s, u_max)
 
 
-@dataclass(frozen=True)
-class CapacitySummary:
-    """How many admissible groups can be traded at once for given (s, u1),
-    and what the trade yields.  ``exact`` is False when only the
-    closed-form upper bound is known a priori (s >= 4 with u1 > 2)."""
-
-    s: int
-    u1: int
-    n_star: int
-    exact: bool
-    g_values: tuple[tuple[int, int], ...]   # (v, g(v))
-    d1_strength: int                        # advertised, before width clamp
-
-
-def capacity_summary(s: int, u1: int, u: int | None = None) -> CapacitySummary:
-    galois_field(s)
-    if u1 < 1 or (u is not None and u1 > u):
-        raise BadParamsError(f"u1={u1} invalid" + (f" for u={u}" if u else ""))
-    if s == 2:
-        n_star, exact = 1, True
-    elif u1 == 1:
-        n_star, exact = 1, True
-    elif u1 == 2:
-        n_star, exact = s - 1, True
-    else:
-        from .construct import independent_prefix_bound
-
-        n_star, exact = independent_prefix_bound(s, u1), s == 3
-        if s == 3:
-            n_star = _cached_prefix_search(s, u1).size
-    g_values = tuple(
-        (v, expected_intersection_size(s, u1, v) // (s - 1))
-        for v in range(1, n_star + 1))
-    return CapacitySummary(s, u1, n_star, exact, g_values,
-                           3 if s == 2 else 2)
-
-
 def materialize(row: CatalogRow, item: str,
                 seed: Seed = IDENTITY_SEED):
     """Construct the design a row advertises under one pairing."""
@@ -147,16 +110,16 @@ def materialize(row: CatalogRow, item: str,
 
 
 def verify_row(row: CatalogRow, seed: Seed = IDENTITY_SEED) -> VerificationReport:
-    """Materialize both pairings of a row and run the full battery:
-    marginal coupling, non-cascading, advertised dimensions, and the
-    advertised D1 strength clamped to the column count."""
+    """Materialize both pairings of a row and run the battery with the
+    advertised D1 strength clamped to the column count, then check the
+    advertised dimensions."""
     checks: list[CheckResult] = []
     for item, d1_adv, d2_adv in (("i", row.d1_i, row.d2_i),
                                  ("ii", row.d1_ii, row.d2_ii)):
         mcd = materialize(row, item, seed)
-        report = mcd.full_verification()
-        checks.extend(report.checks)
         n, m_adv, _, t_adv = d1_adv
+        checks.extend(battery(mcd.d1, mcd.d2, row.s,
+                              strength=min(t_adv, mcd.d1.m)).checks)
         dims_ok = (mcd.d1.data.shape == (n, m_adv)
                    and mcd.d2.data.shape == (d2_adv[0], d2_adv[1]))
         detail = "" if dims_ok else (
@@ -164,6 +127,4 @@ def verify_row(row: CatalogRow, seed: Seed = IDENTITY_SEED) -> VerificationRepor
             f"{mcd.d2.data.shape}, advertised {d1_adv} / {d2_adv}")
         checks.append(CheckResult("advertised-parameters", (item,),
                                   dims_ok, detail))
-        checks.extend(
-            check_oa_strength(mcd.d1, min(t_adv, mcd.d1.m)).checks)
     return VerificationReport(tuple(checks))

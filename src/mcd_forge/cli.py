@@ -9,6 +9,8 @@ Three subcommands:
 * ``catalog`` prints the parameter tables, optionally materializing and
   verifying every row.
 
+All three verify through the one battery, ``verify.battery``.
+
 Exit codes: 0 success, 1 verification failure, 2 parameter/file error,
 3 internal error (a constructed design failed its own verification).
 
@@ -22,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import combinations
 from pathlib import Path
 
 from .bundle import bundle_from_design, read_bundle, write_bundle
@@ -33,17 +34,10 @@ from .construct import (
     general_construction,
     subspace_construction,
 )
-from .designs import IDENTITY_SEED, collapse_levels
+from .designs import IDENTITY_SEED
 from .errors import BadParamsError, McdForgeError
 from .gf import galois_field
-from .verify import (
-    CheckResult,
-    VerificationReport,
-    check_grid_stratification,
-    check_mcd,
-    check_noncascading,
-    check_oa_strength,
-)
+from .verify import battery
 
 SEED_ENV_VAR = "MCD_FORGE_SEED"
 
@@ -163,25 +157,8 @@ def _parse_cells(text: str) -> tuple[int, ...]:
 def cmd_verify(args) -> int:
     b = read_bundle(args.infile)
     d1, d2 = b.design_objects()
-    report = check_mcd(d1, d2, b.s)
-    report = report.merged_with(check_noncascading(collapse_levels(d2, b.s)))
-    if args.strength is not None:
-        report = report.merged_with(check_oa_strength(d1, args.strength))
-    if args.stratify is not None:
-        cells = _parse_cells(args.stratify)
-        _require(len(cells) <= d2.k,
-                 f"grid arity {len(cells)} exceeds the {d2.k} columns")
-        sweep_ok = True
-        for dims in combinations(range(d2.k), len(cells)):
-            sub = check_grid_stratification(d2, dims, cells)
-            if not sub.passed:
-                report = report.merged_with(sub)
-                sweep_ok = False
-                break
-        if sweep_ok:
-            name = "grid-stratification(" + "x".join(map(str, cells)) + ")"
-            report = report.merged_with(VerificationReport((
-                CheckResult(name + " on all column subsets", (), True),)))
+    cells = None if args.stratify is None else _parse_cells(args.stratify)
+    report = battery(d1, d2, b.s, args.strength, cells)
     if args.json:
         payload = {
             "passed": report.passed,

@@ -60,7 +60,6 @@ from .errors import (
     OrthogonalityViolationError,
     ProportionalVectorsError,
     TooManyColumnsError,
-    UnsupportedFieldError,
     VOutOfRangeError,
     ZeroVectorError,
 )
@@ -80,6 +79,7 @@ from .linalg import (
     rank,
     unit_vector,
 )
+from .verify import battery
 
 # ---------------------------------------------------------------------------
 # vector families
@@ -256,22 +256,6 @@ def common_nonorthogonal(part: AdmissiblePartition,
 # ---------------------------------------------------------------------------
 # prefix capacity: how many groups can be traded at once
 # ---------------------------------------------------------------------------
-
-
-def prefix_matrix(field: GaloisField, u1: int) -> np.ndarray:
-    """The u1 x 2^(u1-1) matrix whose columns are the candidate prefixes
-    over {1, 2}: column j is (1, binary digits of j, most significant
-    first, each digit + 1).  Defined for order-3 fields only."""
-    if field.s != 3:
-        raise UnsupportedFieldError(
-            f"prefix matrix is defined for GF(3), got GF({field.s})")
-    if u1 < 1:
-        raise BadParamsError(f"u1 must be at least 1, got {u1}")
-    cols = []
-    for j in range(2 ** (u1 - 1)):
-        bits = [(j >> (u1 - 2 - i)) & 1 for i in range(u1 - 1)]
-        cols.append([1] + [b + 1 for b in bits])
-    return np.array(cols, dtype=np.int64).T
 
 
 def independent_prefix_bound(s: int, u1: int) -> int:
@@ -460,10 +444,7 @@ class MarginallyCoupledDesign:
     provenance: Provenance
 
     def full_verification(self):
-        from .verify import check_mcd, check_noncascading
-
-        report = check_mcd(self.d1, self.d2, self.params.s)
-        return report.merged_with(check_noncascading(self.collapsed))
+        return battery(self.d1, self.d2, self.params.s)
 
 
 def _check_u_u1(field: GaloisField, u: int, u1: int) -> None:

@@ -21,8 +21,6 @@ Level operations:
 * ``method_of_replacement`` encodes the rows of an n x (u-1) s-level array
   as single base-s integers (ordinary positional notation, no field
   arithmetic): column j carries weight s^(u-2-j).
-* ``is_cascading_pair`` detects columns equal up to a relabeling of levels
-  -- the redundancy the constructions must avoid.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    LengthMismatchError,
     LevelOutOfRangeError,
     MalformedCollapsedDesignError,
     NotDivisibleError,
@@ -180,22 +177,3 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
                               else rng.permutation(s))
             out[rows, j] = values
     return LatinHypercube(out)
-
-
-def _relabel_by_first_occurrence(col: np.ndarray) -> tuple[int, ...]:
-    """Canonical form of a column under level bijections."""
-    mapping: dict[int, int] = {}
-    return tuple(mapping.setdefault(int(v), len(mapping)) for v in col)
-
-
-def is_cascading_pair(c1, c2) -> bool:
-    """True iff the two columns are equal up to a bijective relabeling of
-    levels, i.e. they induce the same partition of rows.  Cascading columns
-    carry duplicated information and disqualify a quantitative design."""
-    a = np.asarray(c1).ravel()
-    b = np.asarray(c2).ravel()
-    if len(a) != len(b):
-        raise LengthMismatchError(
-            f"columns have different lengths {len(a)} and {len(b)}")
-    return (_relabel_by_first_occurrence(a)
-            == _relabel_by_first_occurrence(b))

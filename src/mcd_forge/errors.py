@@ -42,10 +42,6 @@ class MalformedCollapsedDesignError(McdForgeError, ValueError):
     """A collapsed design column does not take each level exactly s times."""
 
 
-class LengthMismatchError(McdForgeError, ValueError):
-    """Two columns that must have equal length do not."""
-
-
 class StrengthExceedsColumnsError(McdForgeError, ValueError):
     """Requested strength t exceeds the number of columns."""
 
@@ -60,10 +56,6 @@ class BadGridError(McdForgeError, ValueError):
 
 class BadParamsError(McdForgeError, ValueError):
     """Construction parameters outside the valid domain."""
-
-
-class UnsupportedFieldError(McdForgeError, ValueError):
-    """Operation defined only for specific field orders."""
 
 
 class VOutOfRangeError(McdForgeError, ValueError):

@@ -7,13 +7,24 @@ be loaded and diagnosed.  Counterexamples are deterministic: subsets are
 scanned in lexicographic order and the first violation is reported.
 All counting is integer-exact; nothing here produces a float.
 
+``battery`` is the one battery that construct, verify and the catalog
+run: ``check_mcd``, ``check_noncascading``, and optionally a declared
+D1 strength and a grid-stratification sweep.
+
+``check_oa_strength``, the pair-balance step of ``check_mcd`` and
+``check_grid_stratification`` all count through one kernel,
+``_combo_counter``.  It range-checks every column once before encoding, so
+an entry outside its declared level range fails the check instead of
+aliasing into a valid level combination.
+
 ``check_mcd`` tests the marginal-coupling property through the collapsed
 pair condition: every (D1 column, collapsed D2 column) pair must be a
 strength-2 mixed orthogonal array.  ``check_mcd_by_slices`` is the
 independent definitional oracle: within each level-slice of each D1
 column, every D2 column must put exactly one point into each of the n/s
-consecutive length-s value windows.  The two must agree on any input;
-the acceptance suite holds them to that on random and constructed designs.
+consecutive length-s value windows.  It does not use the kernel.  The two
+must agree on any input; the acceptance suite holds them to that on
+random and constructed designs.
 """
 
 from __future__ import annotations
@@ -24,9 +35,15 @@ from math import prod
 
 import numpy as np
 
-from .designs import CollapsedDesign, LatinHypercube, OrthogonalArray
+from .designs import (
+    CollapsedDesign,
+    LatinHypercube,
+    OrthogonalArray,
+    collapse_levels,
+)
 from .errors import (
     BadGridError,
+    BadParamsError,
     NotDivisibleError,
     RunCountMismatchError,
     StrengthExceedsColumnsError,
@@ -65,24 +82,33 @@ class VerificationReport:
         return VerificationReport(self.checks + other.checks)
 
 
-def _combo_counts(data: np.ndarray, cols: tuple[int, ...],
-                  levels: tuple[int, ...]) -> np.ndarray:
-    """Occurrence count of every level combination on the given columns.
+def _combo_counter(columns, levels):
+    """The counting kernel.  Returns ``count(cols)``: the occurrence count
+    of every level combination on the columns ``cols`` of ``columns``, a
+    sequence of equal-length 1-D arrays (``data.T`` for a design matrix).
 
     Combinations are encoded big-endian (first column most significant),
-    so index order == lexicographic order.  Values outside 0..level-1
-    land past the declared range and show up as nonzero tail counts.
+    so index order == lexicographic order.  Every column is range-checked
+    against 0..levels[j]-1 once, here, before any encoding; ``count``
+    returns None for a subset holding a column with an out-of-range entry,
+    so no such entry can alias into a valid combination.
     """
-    radix = np.ones(len(cols), dtype=np.int64)
-    for i in range(len(cols) - 2, -1, -1):
-        radix[i] = radix[i + 1] * levels[i + 1]
-    sub = data[:, list(cols)]
-    if sub.min() < 0:
-        # negative entries cannot be bincounted; remap them to a sentinel row
-        sub = sub.copy()
-        sub[sub < 0] = levels[0]  # guaranteed out of range
-    codes = sub @ radix
-    return np.bincount(codes, minlength=int(prod(levels)))
+    columns = list(columns)
+    levels = tuple(int(v) for v in levels)
+    bad = [col.min(initial=0) < 0 or col.max(initial=0) >= lev
+           for col, lev in zip(columns, levels)]
+    any_bad = any(bad)
+
+    def count(cols: tuple[int, ...]) -> np.ndarray | None:
+        if any_bad and any(bad[c] for c in cols):
+            return None
+        codes, full = columns[cols[0]], levels[cols[0]]
+        for c in cols[1:]:
+            codes = codes * levels[c] + columns[c]
+            full *= levels[c]
+        return np.bincount(codes, minlength=full)
+
+    return count
 
 
 def _decode(code: int, levels: tuple[int, ...]) -> tuple[int, ...]:
@@ -99,36 +125,30 @@ def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
     times.  Reports the lexicographically first violating subset and
     combination."""
     if t < 1:
-        raise ValueError("strength must be at least 1")
+        raise BadParamsError("strength must be at least 1")
     if t > a.m:
         raise StrengthExceedsColumnsError(
             f"strength {t} exceeds column count {a.m}")
+    name = f"oa-strength({t})"
+    count = _combo_counter(a.data.T, a.levels)
     for cols in combinations(range(a.m), t):
         levels = tuple(a.levels[c] for c in cols)
         full = int(prod(levels))
         if a.n % full != 0:
-            result = CheckResult(
-                f"oa-strength({t})", cols, False,
-                f"run count {a.n} not divisible by {full} level combinations")
-            return VerificationReport((result,))
-        expected = a.n // full
-        counts = _combo_counts(a.data, cols, levels)
-        bad = np.flatnonzero(counts != expected)
-        over = counts[full:]
-        if over.any():
-            result = CheckResult(
-                f"oa-strength({t})", cols, False,
-                "entries outside the declared level range")
-            return VerificationReport((result,))
-        if bad.size:
+            detail = (f"run count {a.n} not divisible by {full} level "
+                      "combinations")
+        elif (counts := count(cols)) is None:
+            detail = "entries outside the declared level range"
+        else:
+            expected = a.n // full
+            bad = np.flatnonzero(counts != expected)
+            if not bad.size:
+                continue
             code = int(bad[0])
-            combo = _decode(code, levels)
-            result = CheckResult(
-                f"oa-strength({t})", cols, False,
-                f"combination {combo} appears {int(counts[code])} times, "
-                f"expected {expected}")
-            return VerificationReport((result,))
-    return VerificationReport((CheckResult(f"oa-strength({t})", (), True),))
+            detail = (f"combination {_decode(code, levels)} appears "
+                      f"{int(counts[code])} times, expected {expected}")
+        return VerificationReport((CheckResult(name, cols, False, detail),))
+    return VerificationReport((CheckResult(name, (), True),))
 
 
 def _latin_check(d2: LatinHypercube) -> CheckResult:
@@ -148,17 +168,16 @@ def _latin_check(d2: LatinHypercube) -> CheckResult:
 def _pair_balance(d1: OrthogonalArray, tilde: np.ndarray, s: int) -> CheckResult:
     """Every (D1 column, collapsed column) pair must hit each (level, level)
     combination exactly once -- the collapsed form of marginal coupling."""
-    n = d1.n
-    nlev = n // s
-    for i in range(d1.m):
-        for j in range(tilde.shape[1]):
-            codes = d1.data[:, i] * nlev + tilde[:, j]
-            if codes.min() < 0 or codes.max() >= s * nlev:
+    m, k, nlev = d1.m, tilde.shape[1], d1.n // s
+    count = _combo_counter([*d1.data.T, *tilde.T], (s,) * m + (nlev,) * k)
+    for i in range(m):
+        for j in range(k):
+            counts = count((i, m + j))
+            if counts is None:
                 return CheckResult(
                     "pair-balance", (i, j), False,
                     f"levels out of range for D1 column {i} / "
                     f"collapsed D2 column {j}")
-            counts = np.bincount(codes, minlength=s * nlev)
             bad = np.flatnonzero(counts != 1)
             if bad.size:
                 code = int(bad[0])
@@ -229,10 +248,14 @@ def check_mcd_by_slices(d1: OrthogonalArray, d2: LatinHypercube,
     return VerificationReport(tuple(checks))
 
 
+def _relabel_by_first_occurrence(col: np.ndarray) -> tuple[int, ...]:
+    """Canonical form of a column under level bijections."""
+    mapping: dict[int, int] = {}
+    return tuple(mapping.setdefault(int(v), len(mapping)) for v in col)
+
+
 def check_noncascading(collapsed: CollapsedDesign) -> VerificationReport:
     """No two collapsed columns may be equal up to level relabeling."""
-    from .designs import _relabel_by_first_occurrence
-
     canon = [_relabel_by_first_occurrence(collapsed.data[:, j])
              for j in range(collapsed.k)]
     for i, j in combinations(range(collapsed.k), 2):
@@ -244,10 +267,14 @@ def check_noncascading(collapsed: CollapsedDesign) -> VerificationReport:
     return VerificationReport((CheckResult("non-cascading", (), True),))
 
 
+def _grid_name(cells: tuple[int, ...]) -> str:
+    return "grid-stratification(" + "x".join(str(c) for c in cells) + ")"
+
+
 def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
                               cells: tuple[int, ...]) -> VerificationReport:
     """Do the selected columns spread evenly over a cells[0] x cells[1] x ...
-    grid?  Column c maps to cell floor(value * cells / n); every cell must
+    grid?  Column c maps to cell floor(value / (n / cells)); every cell must
     hold exactly n / prod(cells) points."""
     n = d2.n
     if len(dims) != len(cells) or not dims:
@@ -261,20 +288,46 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
         raise BadGridError(
             f"grid of {full} cells does not divide n={n}")
     expected = n // full
-    cell_cols = np.stack(
-        [d2.data[:, d] * c // n for d, c in zip(dims, cells)], axis=1)
-    radix = np.ones(len(cells), dtype=np.int64)
-    for i in range(len(cells) - 2, -1, -1):
-        radix[i] = radix[i + 1] * cells[i + 1]
-    codes = cell_cols @ radix
-    counts = np.bincount(codes, minlength=full)
-    name = "grid-stratification(" + "x".join(str(c) for c in cells) + ")"
-    bad = np.flatnonzero(counts != expected)
-    if bad.size:
+    cell_cols = [d2.data[:, d] // (n // c) for d, c in zip(dims, cells)]
+    counts = _combo_counter(cell_cols, cells)(tuple(range(len(cells))))
+    name = _grid_name(cells)
+    if counts is None:
+        detail = "entries outside the declared level range"
+    else:
+        bad = np.flatnonzero(counts != expected)
+        if not bad.size:
+            return VerificationReport((CheckResult(name, tuple(dims), True),))
         cell = _decode(int(bad[0]), tuple(cells))
-        result = CheckResult(
-            name, tuple(dims), False,
-            f"cell {cell} holds {int(counts[bad[0]])} points, "
-            f"expected {expected}")
-        return VerificationReport((result,))
-    return VerificationReport((CheckResult(name, tuple(dims), True),))
+        detail = (f"cell {cell} holds {int(counts[bad[0]])} points, "
+                  f"expected {expected}")
+    return VerificationReport((CheckResult(name, tuple(dims), False, detail),))
+
+
+def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
+            strength: int | None = None,
+            stratify: tuple[int, ...] | None = None) -> VerificationReport:
+    """The one verification battery behind construct, verify and the
+    catalog: check_mcd, check_noncascading on floor(D2 / s), then
+    optionally D1 at ``strength`` and a grid-stratification sweep over
+    every D2 column subset of the grid's arity, stopping at the first
+    failing subset."""
+    report = check_mcd(d1, d2, s)
+    report = report.merged_with(check_noncascading(collapse_levels(d2, s)))
+    if strength is not None:
+        if strength == min(2, d1.m):
+            # check_mcd opens with this very check: list it again, not rerun
+            extra = VerificationReport(report.checks[:1])
+        else:
+            extra = check_oa_strength(d1, strength)
+        report = report.merged_with(extra)
+    if stratify is not None:
+        if len(stratify) > d2.k:
+            raise BadParamsError(
+                f"grid arity {len(stratify)} exceeds the {d2.k} columns")
+        sweep = (check_grid_stratification(d2, dims, stratify)
+                 for dims in combinations(range(d2.k), len(stratify)))
+        failed = next((r for r in sweep if not r.passed), None)
+        report = report.merged_with(failed or VerificationReport((
+            CheckResult(_grid_name(stratify) + " on all column subsets",
+                        (), True),)))
+    return report

@@ -5,7 +5,6 @@ import pytest
 from mcd_forge.catalog import (
     U_MAX_CAP,
     all_rows,
-    capacity_summary,
     direct_rows,
     materialize,
     subspace_rows,
@@ -80,30 +79,6 @@ def test_sweep_param_validation():
         subspace_rows(3, U_MAX_CAP + 1)
     with pytest.raises(NotPrimePowerError):
         all_rows(6, 3)
-
-
-def test_capacity_summary():
-    cs = capacity_summary(3, 3)
-    assert cs.n_star == 4
-    assert cs.exact
-    assert cs.g_values == ((1, 9), (2, 6), (3, 4), (4, 3))
-    assert cs.d1_strength == 2
-
-    two = capacity_summary(2, 4)
-    assert two.n_star == 1 and two.exact
-    assert two.d1_strength == 3
-
-    q2 = capacity_summary(5, 2)
-    assert q2.n_star == 4 and q2.exact
-
-    # beyond GF(3) only the a-priori bound is available for u1 > 2
-    q3 = capacity_summary(4, 3)
-    assert q3.n_star == 6 and not q3.exact
-
-    with pytest.raises(BadParamsError):
-        capacity_summary(3, 0)
-    with pytest.raises(BadParamsError):
-        capacity_summary(3, 4, u=3)
 
 
 def test_materialize_both_items():

@@ -170,6 +170,16 @@ def test_verify_strength_flag(tmp_path, capsys):
         == EXIT_PARAM_ERROR
 
 
+def test_verify_strength_zero_is_param_error(tmp_path, capsys):
+    out = _write_good_bundle(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--strength", "0"]) \
+        == EXIT_PARAM_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: strength must be at least 1\n"
+    assert captured.out == ""
+
+
 def test_verify_stratify_flag(tmp_path, capsys):
     out = tmp_path / "strat.json"
     assert main(["construct", "--method", "anti-mirror",

@@ -17,7 +17,6 @@ from mcd_forge.construct import (
     nonorthogonal_combos,
     orthogonal_witness,
     partition_admissible,
-    prefix_matrix,
     stratified_generator_choice,
     subspace_construction,
     unit_combinations,
@@ -28,7 +27,6 @@ from mcd_forge.errors import (
     OrthogonalityViolationError,
     ProportionalVectorsError,
     TooManyColumnsError,
-    UnsupportedFieldError,
     VOutOfRangeError,
     ZeroVectorError,
 )
@@ -187,16 +185,6 @@ def test_expected_intersection_size():
 # ---------------------------------------------------------------------------
 # prefix capacity and the maximum-search
 # ---------------------------------------------------------------------------
-
-
-def test_prefix_matrix():
-    mat = prefix_matrix(F3, 3)
-    assert mat.shape == (3, 4)
-    assert [tuple(col) for col in mat.T] == list(PARTITION_PREFIXES)
-    with pytest.raises(UnsupportedFieldError):
-        prefix_matrix(galois_field(4), 3)
-    with pytest.raises(BadParamsError):
-        prefix_matrix(F3, 0)
 
 
 def test_independent_prefix_bound():

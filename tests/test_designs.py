@@ -10,11 +10,9 @@ from mcd_forge.designs import (
     OrthogonalArray,
     collapse_levels,
     expand_levels,
-    is_cascading_pair,
     method_of_replacement,
 )
 from mcd_forge.errors import (
-    LengthMismatchError,
     LevelOutOfRangeError,
     MalformedCollapsedDesignError,
     NotDivisibleError,
@@ -148,22 +146,3 @@ def test_expand_levels_rejects_malformed_columns():
         expand_levels(cd_big, 3)
     with pytest.raises(NotDivisibleError):
         expand_levels(CollapsedDesign(4, [[0], [0], [1]]), 4)
-
-
-def test_is_cascading_pair():
-    assert is_cascading_pair([0, 1, 2, 0], [5, 3, 1, 5])
-    assert is_cascading_pair([0, 0, 1], [1, 1, 0])
-    assert not is_cascading_pair([0, 1, 2, 0], [0, 1, 2, 2])
-    # same multiset of levels, different row partition
-    assert not is_cascading_pair([0, 0, 1, 1], [0, 1, 0, 1])
-    with pytest.raises(LengthMismatchError):
-        is_cascading_pair([0, 1], [0, 1, 2])
-
-
-def test_is_cascading_pair_under_random_relabelings():
-    rng = np.random.default_rng(31337)
-    for _ in range(20):
-        nlev = int(rng.integers(2, 6))
-        col = rng.integers(0, nlev, size=30)
-        relabel = rng.permutation(nlev)
-        assert is_cascading_pair(col, relabel[col])

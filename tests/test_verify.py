@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mcd_forge.verify as verify
+from mcd_forge.construct import anti_mirror_construction
 from mcd_forge.designs import (
     CollapsedDesign,
     LatinHypercube,
@@ -11,12 +13,14 @@ from mcd_forge.designs import (
 )
 from mcd_forge.errors import (
     BadGridError,
+    BadParamsError,
     NotDivisibleError,
     RunCountMismatchError,
     StrengthExceedsColumnsError,
 )
 from mcd_forge.verify import (
     CheckResult,
+    battery,
     check_grid_stratification,
     check_mcd,
     check_mcd_by_slices,
@@ -92,6 +96,8 @@ def test_oa_strength_parameter_validation():
     oa = OrthogonalArray(OA_4_3_2, (2, 2, 2))
     with pytest.raises(ValueError):
         check_oa_strength(oa, 0)
+    with pytest.raises(BadParamsError, match="strength must be at least 1"):
+        check_oa_strength(oa, -1)
     with pytest.raises(StrengthExceedsColumnsError):
         check_oa_strength(oa, 4)
 
@@ -221,3 +227,112 @@ def test_grid_stratification_parameter_validation():
     two = LatinHypercube(np.stack([np.arange(8), np.arange(8)], axis=1))
     with pytest.raises(BadGridError):
         check_grid_stratification(two, (0, 1), (4, 4))
+
+
+def test_noncascading_detects_relabelings():
+    # equal up to a level bijection: the pair cascades
+    for c1, c2 in (([0, 1, 2, 0], [5, 3, 1, 5]), ([0, 0, 1], [1, 1, 0])):
+        report = check_noncascading(CollapsedDesign(2, np.stack([c1, c2], 1)))
+        assert report.failures()[0].subject == (0, 1)
+    # different row partitions, even with the same multiset of levels
+    for c1, c2 in (([0, 1, 2, 0], [0, 1, 2, 2]), ([0, 0, 1, 1], [0, 1, 0, 1])):
+        assert check_noncascading(
+            CollapsedDesign(2, np.stack([c1, c2], 1))).passed
+    rng = np.random.default_rng(31337)
+    for _ in range(20):
+        nlev = int(rng.integers(2, 6))
+        col = rng.integers(0, nlev, size=30)
+        relabel = rng.permutation(nlev)
+        report = check_noncascading(
+            CollapsedDesign(2, np.stack([col, relabel[col]], 1)))
+        assert not report.passed
+        assert report.failures()[0].subject == (0, 1)
+
+
+def test_oa_strength_out_of_range_in_later_column():
+    # a 3 in column 1 must not alias into a valid (level, level) cell
+    data = [[0, 3], [0, 1], [0, 2], [0, 0], [1, 1], [1, 2],
+            [2, 0], [2, 1], [2, 2]]
+    report = check_oa_strength(OrthogonalArray(data, (3, 3)), 2)
+    assert not report.passed
+    failure = report.failures()[0]
+    assert failure.subject == (0, 1)
+    assert failure.detail == "entries outside the declared level range"
+
+
+def test_oa_strength_reports_first_subset_with_bad_column():
+    # column 2 is out of range, but subset (0, 1) is unbalanced first
+    data = [[0, 0, 0], [0, 0, 1], [1, 0, 1], [1, 1, 5]]
+    report = check_oa_strength(OrthogonalArray(data, (2, 2, 2)), 2)
+    assert report.failures()[0].subject == (0, 1)
+    assert "appears" in report.failures()[0].detail
+    report = check_oa_strength(OrthogonalArray(data, (2, 2, 2)), 1)
+    assert report.failures()[0].subject == (1,)
+
+
+def test_grid_stratification_out_of_range_values():
+    data = [[0, 0], [1, 1], [2, 4], [3, 8], [4, 2], [5, 5], [6, 6], [7, -1]]
+    report = check_grid_stratification(LatinHypercube(data), (0, 1), (2, 2))
+    assert not report.passed
+    failure = report.failures()[0]
+    assert failure.subject == (0, 1)
+    assert failure.detail == "entries outside the declared level range"
+    # 2**62 * 4 wraps to 0 in int64, the cell the missing 0 left short:
+    # the cell index must not be formed by multiplying first
+    huge = LatinHypercube([[2 ** 62]] + [[v] for v in range(1, 16)])
+    report = check_grid_stratification(huge, (0,), (4,))
+    assert report.failures()[0].detail == (
+        "entries outside the declared level range")
+
+
+def test_pair_balance_out_of_range_collapsed_levels():
+    # D2 // 2 is [0, 2, -1, 1]: without the range check the codes
+    # D1 * 2 + collapsed land on every valid cell exactly once
+    d1 = OrthogonalArray([[0], [0], [1], [1]], (2,))
+    d2 = LatinHypercube([[0], [4], [-2], [2]])
+    report = check_mcd(d1, d2, 2)
+    pair = next(c for c in report.checks if c.name == "pair-balance")
+    assert not pair.passed
+    assert pair.subject == (0, 0)
+    assert "levels out of range" in pair.detail
+    assert not check_mcd_by_slices(d1, d2, 2).passed
+
+
+def _anti_mirror(u=4):
+    return anti_mirror_construction(u, 2, "identity")
+
+
+def test_battery_runs_each_strength_once(monkeypatch):
+    calls = []
+    real = verify.check_oa_strength
+
+    def counting(a, t):
+        calls.append(t)
+        return real(a, t)
+
+    monkeypatch.setattr(verify, "check_oa_strength", counting)
+    mcd = _anti_mirror()
+    report = battery(mcd.d1, mcd.d2, 2, strength=2)
+    assert calls == [2]
+    assert [c.name for c in report.checks] == [
+        "oa-strength(2)", "latin-hypercube", "pair-balance",
+        "non-cascading", "oa-strength(2)"]
+    calls.clear()
+    report = battery(mcd.d1, mcd.d2, 2, strength=1)
+    assert calls == [2, 1]
+    assert report.checks[-1].name == "oa-strength(1)"
+
+
+def test_battery_stratify_sweep():
+    mcd = _anti_mirror(5)
+    report = battery(mcd.d1, mcd.d2, 2, stratify=(2, 2, 2))
+    assert report.passed
+    assert report.lines()[-1] == (
+        "[pass] grid-stratification(2x2x2) on all column subsets")
+    # identical columns clump on the diagonal of every 2x2 grid
+    twin = LatinHypercube(np.repeat(mcd.d2.data[:, :1], 2, axis=1))
+    report = battery(mcd.d1, twin, 2, stratify=(2, 2))
+    assert report.checks[-1].subject == (0, 1)
+    assert not report.checks[-1].passed
+    with pytest.raises(BadParamsError, match="grid arity 3 exceeds"):
+        battery(mcd.d1, twin, 2, stratify=(2, 2, 2))
