@@ -17,6 +17,7 @@ from mcd_forge.errors import (
     MalformedCollapsedDesignError,
     NotDivisibleError,
 )
+from mcd_forge.verify import check_noncascading
 from golden_data import EXAMPLE1_COLLAPSED
 
 
@@ -146,3 +147,29 @@ def test_expand_levels_rejects_malformed_columns():
         expand_levels(cd_big, 3)
     with pytest.raises(NotDivisibleError):
         expand_levels(CollapsedDesign(4, [[0], [0], [1]]), 4)
+
+
+def _pair_cascades(c1, c2):
+    report = check_noncascading(CollapsedDesign(2, np.stack([c1, c2], 1)))
+    if report.passed:
+        return False
+    assert report.failures()[0].subject == (0, 1)
+    return True
+
+
+def test_is_cascading_pair():
+    # equal up to a level bijection: the pair cascades
+    assert _pair_cascades([0, 1, 2, 0], [5, 3, 1, 5])
+    assert _pair_cascades([0, 0, 1], [1, 1, 0])
+    assert not _pair_cascades([0, 1, 2, 0], [0, 1, 2, 2])
+    # same multiset of levels, different row partition
+    assert not _pair_cascades([0, 0, 1, 1], [0, 1, 0, 1])
+
+
+def test_is_cascading_pair_under_random_relabelings():
+    rng = np.random.default_rng(31337)
+    for _ in range(20):
+        nlev = int(rng.integers(2, 6))
+        col = rng.integers(0, nlev, size=30)
+        relabel = rng.permutation(nlev)
+        assert _pair_cascades(col, relabel[col])

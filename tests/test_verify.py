@@ -229,26 +229,6 @@ def test_grid_stratification_parameter_validation():
         check_grid_stratification(two, (0, 1), (4, 4))
 
 
-def test_noncascading_detects_relabelings():
-    # equal up to a level bijection: the pair cascades
-    for c1, c2 in (([0, 1, 2, 0], [5, 3, 1, 5]), ([0, 0, 1], [1, 1, 0])):
-        report = check_noncascading(CollapsedDesign(2, np.stack([c1, c2], 1)))
-        assert report.failures()[0].subject == (0, 1)
-    # different row partitions, even with the same multiset of levels
-    for c1, c2 in (([0, 1, 2, 0], [0, 1, 2, 2]), ([0, 0, 1, 1], [0, 1, 0, 1])):
-        assert check_noncascading(
-            CollapsedDesign(2, np.stack([c1, c2], 1))).passed
-    rng = np.random.default_rng(31337)
-    for _ in range(20):
-        nlev = int(rng.integers(2, 6))
-        col = rng.integers(0, nlev, size=30)
-        relabel = rng.permutation(nlev)
-        report = check_noncascading(
-            CollapsedDesign(2, np.stack([col, relabel[col]], 1)))
-        assert not report.passed
-        assert report.failures()[0].subject == (0, 1)
-
-
 def test_oa_strength_out_of_range_in_later_column():
     # a 3 in column 1 must not alias into a valid (level, level) cell
     data = [[0, 3], [0, 1], [0, 2], [0, 0], [1, 1], [1, 2],
