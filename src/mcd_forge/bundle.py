@@ -127,6 +127,18 @@ def _require(cond: bool, msg: str) -> None:
         raise MalformedBundleError(msg)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int64_array(rows, what: str) -> np.ndarray:
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise MalformedBundleError(
+            f"{what} has an entry outside int64") from None
+
+
 def _as_int_matrix(rows, what: str) -> np.ndarray:
     _require(isinstance(rows, list) and rows, f"{what} must be a nonempty list")
     _require(all(isinstance(r, list) for r in rows),
@@ -134,10 +146,9 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
     width = len(rows[0])
     _require(width > 0 and all(len(r) == width for r in rows),
              f"{what} rows must be nonempty and equal length")
-    _require(all(isinstance(x, int) and not isinstance(x, bool)
-                 for r in rows for x in r),
+    _require(all(_is_int(x) for r in rows for x in r),
              f"{what} entries must be integers")
-    return np.array(rows, dtype=np.int64)
+    return _int64_array(rows, what)
 
 
 def _bundle_from_meta(meta: dict, d1: np.ndarray, d2: np.ndarray) -> DesignBundle:
@@ -145,10 +156,12 @@ def _bundle_from_meta(meta: dict, d1: np.ndarray, d2: np.ndarray) -> DesignBundl
         _require(key in meta, f"missing key {key!r}")
     _require(meta["format_version"] == FORMAT_VERSION,
              f"unsupported format_version {meta['format_version']!r}")
-    _require(isinstance(meta["s"], int) and meta["s"] >= 2, "bad s")
-    _require(isinstance(meta["u"], int) and meta["u"] >= 1, "bad u")
+    _require(_is_int(meta["s"]) and meta["s"] >= 2, "bad s")
+    _require(_is_int(meta["u"]) and meta["u"] >= 1, "bad u")
+    for key in ("u1", "v"):
+        _require(meta.get(key) is None or _is_int(meta[key]), f"bad {key}")
     seed = meta["seed"]
-    _require(isinstance(seed, int) or seed == "identity",
+    _require(_is_int(seed) or seed == "identity",
              "seed must be an integer or \"identity\"")
     _require(d1.shape[0] == d2.shape[0],
              f"D1 has {d1.shape[0]} rows but D2 has {d2.shape[0]}")
@@ -209,5 +222,5 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
                 raise MalformedBundleError(
                     f"line {lineno}: non-integer entry") from None
     _require(bool(rows), "CSV has no data rows")
-    data = np.array(rows, dtype=np.int64)
+    data = _int64_array(rows, "CSV data")
     return _bundle_from_meta(meta, data[:, :m], data[:, m:])

@@ -71,7 +71,6 @@ from .linalg import (
     enumerate_tuples,
     extend_to_basis,
     generate_linear_array,
-    is_proportional,
     is_zero,
     linear_strength,
     normalize_direction,
@@ -79,7 +78,7 @@ from .linalg import (
     rank,
     unit_vector,
 )
-from .verify import battery
+from .verify import battery, first_equal_pair
 
 # ---------------------------------------------------------------------------
 # vector families
@@ -147,33 +146,15 @@ def partition_admissible(aset: AdmissibleSet) -> AdmissiblePartition:
     return AdmissiblePartition(aset.field, aset.u, aset.u1, prefixes, groups)
 
 
-@dataclass(frozen=True)
-class NonorthogonalSet:
-    """The E members not orthogonal to one partition prefix."""
-
-    prefix_index: int
-    vectors: tuple[Vector, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.vectors)
-
-
 def _extended_prefix(part: AdmissiblePartition, index: int) -> Vector:
     return part.prefixes[index] + (0,) * (part.u - part.u1)
 
 
-def nonorthogonal_combos(part: AdmissiblePartition, index: int) -> NonorthogonalSet:
+def nonorthogonal_combos(part: AdmissiblePartition,
+                         index: int) -> NonorthogonalIntersection:
     """Ebar_i: the members of E with nonzero dot product against prefix i.
     Always (s-1) * s^(u1-1) of them."""
-    if not 0 <= index < part.group_count:
-        raise BadParamsError(
-            f"prefix index {index} outside 0..{part.group_count - 1}")
-    b = _extended_prefix(part, index)
-    f = part.field
-    vecs = tuple(z for z in unit_combinations(f, part.u, part.u1)
-                 if dot(f, z, b) != 0)
-    return NonorthogonalSet(index, vecs)
+    return common_nonorthogonal(part, (index,))
 
 
 @dataclass(frozen=True)
@@ -215,16 +196,6 @@ def expected_intersection_size(s: int, u1: int, v: int) -> int:
     return head + tail
 
 
-def _prefixes_u1_wise_independent(field: GaloisField,
-                                  prefixes: list[Vector], u1: int) -> bool:
-    v = len(prefixes)
-    if v <= u1:
-        return rank(field, prefixes) == v
-    # early-exits on the first dependent u1-subset (lex order)
-    return all(rank(field, [prefixes[i] for i in sub]) == u1
-               for sub in combinations(range(v), u1))
-
-
 def common_nonorthogonal(part: AdmissiblePartition,
                          prefix_indices) -> NonorthogonalIntersection:
     """Intersection of Ebar_i over the chosen prefixes, with its
@@ -245,8 +216,9 @@ def common_nonorthogonal(part: AdmissiblePartition,
         if all(dot(f, z, b) != 0 for b in extended))
     normalized = tuple(z for z in members
                        if normalize_direction(f, z) == z)
-    independent = _prefixes_u1_wise_independent(
-        f, [part.prefixes[i] for i in indices], part.u1)
+    prefixes = [part.prefixes[i] for i in indices]
+    independent = (linear_strength(f, prefixes)
+                   == min(len(prefixes), part.u1))
     expected = (expected_intersection_size(f.s, part.u1, len(indices))
                 if independent else None)
     return NonorthogonalIntersection(indices, members, normalized,
@@ -260,7 +232,9 @@ def common_nonorthogonal(part: AdmissiblePartition,
 
 def independent_prefix_bound(s: int, u1: int) -> int:
     """Upper bound on the number of prefixes with every u1 of them
-    linearly independent.  Exact for u1 = 1, s = 2, and u1 = 2."""
+    linearly independent.  Exact for u1 = 1, s = 2, and u1 = 2.  For prime
+    s and u1 <= s it is the MDS bound s + 1 (S. Ball, JEMS 14, 2012), which
+    the searches attain at (5, 4) and (7, 4)."""
     if u1 < 1:
         raise BadParamsError(f"u1 must be at least 1, got {u1}")
     if u1 == 1 or s == 2:
@@ -269,6 +243,8 @@ def independent_prefix_bound(s: int, u1: int) -> int:
         return s - 1
     if s <= u1:
         return u1 + 1
+    if all(s % p for p in range(2, s)):
+        return s + 1
     if s % 2 == 1:
         return s + u1 - 2
     return s + u1 - 1
@@ -454,6 +430,18 @@ def _check_u_u1(field: GaloisField, u: int, u1: int) -> None:
         raise BadParamsError(f"u1 must lie in 1..{u}, got {u1}")
 
 
+def _check_directions(field: GaloisField, vecs: list[Vector],
+                      label: str) -> None:
+    """Reject the first zero vector, then the first proportional pair."""
+    for i, v in enumerate(vecs):
+        if is_zero(v):
+            raise ZeroVectorError(f"{label} vector {i} is zero")
+    pair = first_equal_pair(normalize_direction(field, v) for v in vecs)
+    if pair:
+        raise ProportionalVectorsError(
+            f"{label} vectors {pair[0]} and {pair[1]} are proportional")
+
+
 def _as_vectors(field: GaloisField, vecs, label: str) -> list[Vector]:
     out = []
     for i, v in enumerate(vecs):
@@ -489,14 +477,8 @@ def general_construction(field: GaloisField, z_list, x_list,
         raise BadParamsError("all z and x vectors must share one dimension")
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
-    for label, vecs in (("z", zs), ("x", xs)):
-        for i, v in enumerate(vecs):
-            if is_zero(v):
-                raise ZeroVectorError(f"{label} vector {i} is zero")
-        for i, j in combinations(range(len(vecs)), 2):
-            if is_proportional(field, vecs[i], vecs[j]):
-                raise ProportionalVectorsError(
-                    f"{label} vectors {i} and {j} are proportional")
+    _check_directions(field, zs, "z")
+    _check_directions(field, xs, "x")
     clashes = [(i, j) for i, z in enumerate(zs) for j, x in enumerate(xs)
                if dot(field, z, x) == 0]
     if clashes:
@@ -645,13 +627,7 @@ def stratified_generator_choice(field: GaloisField,
         raise BadParamsError("all x vectors must share one dimension")
     if u < 2:
         raise BadParamsError("needs u >= 2")
-    for i, x in enumerate(xs):
-        if is_zero(x):
-            raise ZeroVectorError(f"x vector {i} is zero")
-    for i, j in combinations(range(len(xs)), 2):
-        if is_proportional(field, xs[i], xs[j]):
-            raise ProportionalVectorsError(
-                f"x vectors {i} and {j} are proportional")
+    _check_directions(field, xs, "x")
     s = field.s
     capacity = (s ** (u - 1) - 1) // (s - 1)
     if len(xs) > capacity:

@@ -183,22 +183,13 @@ def orthogonal_complement_basis(field: GaloisField, x: Sequence[int]) -> Subspac
 
 
 def enumerate_span(basis: SubspaceBasis) -> list[Vector]:
-    """All s^dim vectors of the span, coefficients in base-s order."""
-    f = basis.field
-    d = basis.dim
-    u = basis.ambient_dim
-    if f.s ** d > ENUMERATION_CAP:
-        raise TooLargeError(f"span of dimension {d} over GF({f.s}) too large")
-    if d == 0:
-        return [tuple([0] * u)]
-    out = []
-    for lam in enumerate_tuples(f, d):
-        acc = [0] * u
-        for c, b in zip(lam, basis.vectors):
-            if c:
-                acc = [f.add(a, f.mul(c, e)) for a, e in zip(acc, b)]
-        out.append(tuple(acc))
-    return out
+    """All s^dim vectors of the span, coefficients in base-s order: the
+    linear array generated by the transposed basis."""
+    if basis.dim == 0:
+        return [(0,) * basis.ambient_dim]
+    columns = list(zip(*basis.vectors))
+    return [tuple(row) for row in
+            generate_linear_array(basis.field, columns).tolist()]
 
 
 def extend_to_basis(field: GaloisField, x: Sequence[int],

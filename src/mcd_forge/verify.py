@@ -248,22 +248,34 @@ def check_mcd_by_slices(d1: OrthogonalArray, d2: LatinHypercube,
     return VerificationReport(tuple(checks))
 
 
+def first_equal_pair(keys) -> tuple[int, int] | None:
+    """The lexicographically first pair (i, j), i < j, of equal keys, or
+    None when all keys differ.  One dict pass over hashable keys."""
+    first: dict = {}
+    pair = None
+    for j, key in enumerate(keys):
+        i = first.setdefault(key, j)
+        if i != j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    return pair
+
+
 def _relabel_by_first_occurrence(col: np.ndarray) -> tuple[int, ...]:
     """Canonical form of a column under level bijections."""
     mapping: dict[int, int] = {}
-    return tuple(mapping.setdefault(int(v), len(mapping)) for v in col)
+    return tuple(mapping.setdefault(v, len(mapping)) for v in col.tolist())
 
 
 def check_noncascading(collapsed: CollapsedDesign) -> VerificationReport:
     """No two collapsed columns may be equal up to level relabeling."""
-    canon = [_relabel_by_first_occurrence(collapsed.data[:, j])
-             for j in range(collapsed.k)]
-    for i, j in combinations(range(collapsed.k), 2):
-        if canon[i] == canon[j]:
-            result = CheckResult(
-                "non-cascading", (i, j), False,
-                f"columns {i} and {j} are level-relabelings of each other")
-            return VerificationReport((result,))
+    pair = first_equal_pair(_relabel_by_first_occurrence(col)
+                            for col in collapsed.data.T)
+    if pair:
+        i, j = pair
+        result = CheckResult(
+            "non-cascading", pair, False,
+            f"columns {i} and {j} are level-relabelings of each other")
+        return VerificationReport((result,))
     return VerificationReport((CheckResult("non-cascading", (), True),))
 
 

@@ -121,7 +121,8 @@ def test_read_bundle_rejects_malformed_json(tmp_path):
 def test_read_bundle_rejects_bad_matrices(tmp_path):
     base = json.loads(to_json_text(_bundle()))
 
-    for d1 in ([], [[0, 1], [0]], [[0, "1"]], [[0, True]], [[0.5, 1]], [[]]):
+    for d1 in ([], [[0, 1], [0]], [[0, "1"]], [[0, True]], [[0.5, 1]], [[]],
+               [[0, 2 ** 70]], [[-(2 ** 70), 0]]):
         obj = dict(base, d1=d1)
         with pytest.raises(MalformedBundleError):
             read_bundle(_write_obj(tmp_path, obj))
@@ -135,7 +136,9 @@ def test_read_bundle_rejects_bad_matrices(tmp_path):
 def test_read_bundle_rejects_bad_metadata(tmp_path):
     base = json.loads(to_json_text(_bundle()))
     for key, value in (("format_version", 2), ("s", 1), ("s", "3"),
-                       ("u", 0), ("seed", 1.5), ("seed", "later")):
+                       ("u", 0), ("seed", 1.5), ("seed", "later"),
+                       ("s", True), ("u", True), ("u1", True), ("v", True),
+                       ("seed", True)):
         obj = dict(base, **{key: value})
         with pytest.raises(MalformedBundleError):
             read_bundle(_write_obj(tmp_path, obj))
@@ -181,6 +184,15 @@ def test_read_csv_bundle_malformed(tmp_path):
     sidecar_path(noninteger).write_text(sidecar_path(path).read_text())
     with pytest.raises(MalformedBundleError, match="non-integer"):
         read_bundle(noninteger)
+
+    # entry outside int64
+    huge = tmp_path / "big.csv"
+    lines = good_lines[:]
+    lines[1] = lines[1].rsplit(",", 1)[0] + f",{2 ** 70}"
+    huge.write_text("\n".join(lines) + "\n")
+    sidecar_path(huge).write_text(sidecar_path(path).read_text())
+    with pytest.raises(MalformedBundleError, match="int64"):
+        read_bundle(huge)
 
     # no data rows
     headless = tmp_path / "e.csv"

@@ -212,6 +212,12 @@ def test_verify_missing_and_malformed_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["verify", "--in", str(bad)]) == EXIT_PARAM_ERROR
+    # an entry outside int64 is a malformed file, not an internal error
+    huge = _write_good_bundle(tmp_path, "huge.json")
+    b = json.loads(huge.read_text())
+    b["d2"][0][0] = 2 ** 70
+    huge.write_text(json.dumps(b))
+    assert main(["verify", "--in", str(huge)]) == EXIT_PARAM_ERROR
 
 
 def test_catalog_markdown(capsys):

@@ -119,7 +119,7 @@ def test_nonorthogonal_combos_golden():
     part = partition_admissible(admissible_set(F3, 4, 3))
     for i in range(4):
         ebar = nonorthogonal_combos(part, i)
-        assert ebar.prefix_index == i
+        assert ebar.prefix_indices == (i,)
         assert ebar.size == 18
         assert frozenset(ebar.vectors) == NONORTHOGONAL_SETS[i]
     with pytest.raises(BadParamsError):
@@ -196,6 +196,10 @@ def test_independent_prefix_bound():
     assert independent_prefix_bound(3, 5) == 6
     assert independent_prefix_bound(5, 3) == 6   # odd order: s + u1 - 2
     assert independent_prefix_bound(4, 3) == 6   # even order: s + u1 - 1
+    # prime s, u1 <= s: the MDS bound s + 1 (Ball 2012)
+    assert independent_prefix_bound(5, 4) == 6
+    assert independent_prefix_bound(7, 4) == 8
+    assert independent_prefix_bound(5, 5) == 6
     with pytest.raises(BadParamsError):
         independent_prefix_bound(3, 0)
 
@@ -210,6 +214,16 @@ def test_max_independent_prefixes_golden():
         k = min(search.size, u1)
         for sub in combinations(search.prefixes, k):
             assert rank(F3, sub) == k
+
+
+def test_max_independent_prefixes_prime_cells_certified_by_mds_bound():
+    for s, size in ((5, 6), (7, 8)):
+        field = galois_field(s)
+        search = max_independent_prefixes(field, 4)
+        assert search.size == size
+        assert search.certified == "provably-maximal"
+        for sub in combinations(search.prefixes, 4):
+            assert rank(field, sub) == 4
 
 
 def test_max_independent_prefixes_degenerate():
@@ -304,6 +318,10 @@ def test_general_construction_rejects_orthogonal_pairs():
     assert "(0, 0)" in str(err.value)
 
 
+#: a, b, 2b, 2a over GF(3)
+ABBA_X = [(1, 0, 0), (0, 1, 0), (0, 2, 0), (2, 0, 0)]
+
+
 def test_general_construction_input_validation():
     with pytest.raises(BadParamsError):
         general_construction(F3, [], [(1, 2, 0)])
@@ -315,6 +333,9 @@ def test_general_construction_input_validation():
         general_construction(F3, [(0, 0, 0)], [(1, 2, 0)])
     with pytest.raises(ProportionalVectorsError):
         general_construction(F3, [(1, 2, 0), (2, 1, 0)], [(1, 1, 1)])
+    # x = a, b, 2b, 2a: the first pair in index order is (0, 3)
+    with pytest.raises(ProportionalVectorsError, match="x vectors 0 and 3"):
+        general_construction(F3, [(1, 1, 0)], ABBA_X)
     with pytest.raises(BadParamsError):
         general_construction(F3, [(1, 2, 0)], [(1, 2, 0)],
                              generator_overrides={3: ((0, 0, 1), (1, 1, 0))})
@@ -476,6 +497,8 @@ def test_stratified_generator_choice_validation():
         stratified_generator_choice(F3, [(0, 0, 0)])
     with pytest.raises(ProportionalVectorsError):
         stratified_generator_choice(F3, [(1, 1, 0), (2, 2, 0)])
+    with pytest.raises(ProportionalVectorsError, match="x vectors 0 and 3"):
+        stratified_generator_choice(F3, ABBA_X)
     with pytest.raises(BadParamsError):
         stratified_generator_choice(F3, [(1, 0, 0), (1, 0)])
     with pytest.raises(BadParamsError):

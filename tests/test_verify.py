@@ -189,6 +189,11 @@ def test_noncascading_check():
     report = check_noncascading(dup)
     assert not report.passed
     assert report.failures()[0].subject == (0, 1)
+    # columns A, B, B', A': the lexicographically first pair is (0, 3),
+    # not the first duplicate met in column order, (1, 2)
+    abba = CollapsedDesign(2, [[0, 0, 1, 1], [0, 1, 0, 1],
+                               [1, 0, 1, 0], [1, 1, 0, 0]])
+    assert check_noncascading(abba).failures()[0].subject == (0, 3)
     # a single column never cascades
     assert check_noncascading(CollapsedDesign(2, [[0], [0], [1], [1]])).passed
 
