@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from typing import TypeVar
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .errors import (
     NotApplicableError,
     OrthogonalityViolationError,
     ProportionalVectorsError,
+    TooLargeError,
     TooManyColumnsError,
     VOutOfRangeError,
     ZeroVectorError,
@@ -423,6 +425,35 @@ class MarginallyCoupledDesign:
         return battery(self.d1, self.d2, self.params.s)
 
 
+#: largest design a construction builds, in cells n * (m + k).  A build
+#: written as JSON peaked at 150-190 bytes of RSS per cell (46 as CSV) for
+#: 0.26M-4.2M cells, so the largest accepted design stays under 1 GiB.
+MAX_DESIGN_CELLS = 5_000_000
+
+#: largest verification a construction may need, in n * (column pairs):
+#: pair balance counts n rows for each of the m * k (D1, D2) pairs, and
+#: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  Measured
+#: at 14-42 ns per unit, so one check_mcd takes at most about 5-12 s.
+MAX_PAIR_WORK = 300_000_000
+
+
+def _check_size(s: int, u: int, m: int, k: int) -> None:
+    """Fail closed, before anything is enumerated, on a design with s^u
+    runs, m qualitative and k quantitative columns that is too large to
+    build or to verify."""
+    n = s ** u
+    cells = n * (m + k)
+    if cells > MAX_DESIGN_CELLS:
+        raise TooLargeError(
+            f"{n} runs x {m} + {k} columns is {cells} cells, over the "
+            f"cap of {MAX_DESIGN_CELLS}")
+    work = n * (m * k + m * (m - 1) // 2)
+    if work > MAX_PAIR_WORK:
+        raise TooLargeError(
+            f"verifying {n} runs x {m} + {k} columns counts {work} "
+            f"run-pair cells, over the cap of {MAX_PAIR_WORK}")
+
+
 def _check_u_u1(field: GaloisField, u: int, u1: int) -> None:
     if u < 1:
         raise BadParamsError(f"u must be at least 1, got {u}")
@@ -477,6 +508,7 @@ def general_construction(field: GaloisField, z_list, x_list,
         raise BadParamsError("all z and x vectors must share one dimension")
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
+    _check_size(field.s, u, len(zs), len(xs))
     _check_directions(field, zs, "z")
     _check_directions(field, xs, "x")
     clashes = [(i, j) for i, z in enumerate(zs) for j, x in enumerate(xs)
@@ -524,8 +556,10 @@ def general_construction(field: GaloisField, z_list, x_list,
         Provenance(method, tuple(zs), tuple(xs), tuple(gens)))
 
 
-def _item_sides(item: str, primary: list[Vector],
-                secondary: list[Vector]) -> tuple[list[Vector], list[Vector]]:
+T = TypeVar("T")
+
+
+def _item_sides(item: str, primary: T, secondary: T) -> tuple[T, T]:
     if item == "i":
         return primary, secondary
     if item == "ii":
@@ -543,6 +577,9 @@ def direct_construction(field: GaloisField, u: int, u1: int, item: str = "i",
     _check_u_u1(field, u, u1)
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
+    s = field.s
+    _check_size(s, u, *_item_sides(item, u1,
+                                   (s - 1) ** (u1 - 1) * s ** (u - u1)))
     units = [unit_vector(u, i) for i in range(u1)]
     avecs = list(admissible_set(field, u, u1).vectors)
     zs, xs = _item_sides(item, units, avecs)
@@ -569,6 +606,10 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
     if not 1 <= v <= search.size:
         raise VOutOfRangeError(
             f"v={v} outside 1..{search.size} for s={field.s}, u1={u1}")
+    s = field.s
+    _check_size(s, u, *_item_sides(
+        item, expected_intersection_size(s, u1, v) // (s - 1),
+        v * s ** (u - u1)))
     part = partition_admissible(admissible_set(field, u, u1))
     chosen = search.labels[:v]
     inter = common_nonorthogonal(part, chosen)
@@ -593,6 +634,7 @@ def anti_mirror_construction(u: int, u1: int,
         raise BadParamsError(
             f"anti-mirror arrangement needs 2 <= u1 < u-1, "
             f"got u1={u1}, u={u}")
+    _check_size(2, u, 2 ** (u1 - 1), 2 ** (u - u1))
     tails = list(product(range(2), repeat=u - u1))
     xs = [(1,) * u1 + tail for tail in tails]
     overrides: dict[int, tuple] = {}

@@ -15,7 +15,9 @@ Level operations:
   s values vs..vs+s-1, assigned to the s rows holding v.  With the
   "identity" pseudo-seed the values are assigned in row order; with an
   integer seed each column gets an independent PCG64 stream
-  (SeedSequence([seed, column_index])) and the values are permuted.
+  (SeedSequence([seed, column_index])) and the values are permuted, one
+  permutation of 0..s-1 per level, drawn in level order.  Each column
+  costs one stable argsort and one batched draw.
   Identical seeds give identical designs; per-column streams mean a
   parallel implementation could not change the output.
 * ``method_of_replacement`` encodes the rows of an n x (u-1) s-level array
@@ -154,6 +156,14 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
     seed="identity": values assigned in row order (pure function of input).
     integer seed: values permuted per (column, level) by the column's
     PCG64 stream.
+
+    One stable argsort per column groups the rows: row v of the
+    (n/s, s) reshape holds the rows carrying level v, in row order.  The
+    seeded offsets come from one ``permuted(..., axis=1)`` call over n/s
+    copies of 0..s-1, which shuffles the rows in order and draws from the
+    stream exactly as n/s successive ``permutation(s)`` calls would.  So
+    the stream is still consumed level by level in level order, and that
+    order must be kept for seeded designs to stay byte-identical.
     """
     n, k = collapsed.n, collapsed.k
     if n % s != 0:
@@ -170,10 +180,9 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
             raise MalformedCollapsedDesignError(
                 f"column {j} does not take each level 0..{nlev - 1} "
                 f"exactly {s} times")
-        rng = None if seed == IDENTITY_SEED else _column_rng(seed, j)
-        for v in range(nlev):
-            rows = np.flatnonzero(col == v)
-            values = v * s + (np.arange(s) if rng is None
-                              else rng.permutation(s))
-            out[rows, j] = values
+        rows = np.argsort(col, kind="stable").reshape(nlev, s)
+        offsets = (np.arange(s) if seed == IDENTITY_SEED
+                   else _column_rng(seed, j).permuted(
+                       np.tile(np.arange(s), (nlev, 1)), axis=1))
+        out[rows, j] = np.arange(0, n, s)[:, None] + offsets
     return LatinHypercube(out)

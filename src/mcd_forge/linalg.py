@@ -15,9 +15,11 @@ The two enumeration orders used everywhere downstream:
 
 ``generate_linear_array`` turns u-dimensional generator columns into the
 s^u-run array whose row r is lambda_r^T G, with lambda_r drawn from
-``enumerate_tuples``.  Any m generator columns that are t-wise linearly
-independent make the result an orthogonal array of strength t; see
-``linear_strength``.
+``enumerate_tuples``.  It grows the array one coordinate at a time, each
+step expanding every row into s rows with one add-table gather, which
+gives the base-s row order for prime and extension fields alike.  Any m
+generator columns that are t-wise linearly independent make the result an
+orthogonal array of strength t; see ``linear_strength``.
 """
 
 from __future__ import annotations
@@ -44,13 +46,18 @@ def unit_vector(u: int, position: int) -> Vector:
     return tuple(1 if i == position else 0 for i in range(u))
 
 
-def _coefficient_grid(field: GaloisField, u: int) -> np.ndarray:
-    """All s^u coefficient vectors as an (s^u, u) int64 array, base-s order."""
-    s = field.s
+def _enumeration_size(s: int, u: int) -> int:
+    """s^u, or TooLargeError when it exceeds the enumeration cap."""
     n = s ** u
     if n > ENUMERATION_CAP:
         raise TooLargeError(f"s^u = {n} exceeds the enumeration cap")
-    r = np.arange(n, dtype=np.int64)
+    return n
+
+
+def _coefficient_grid(field: GaloisField, u: int) -> np.ndarray:
+    """All s^u coefficient vectors as an (s^u, u) int64 array, base-s order."""
+    s = field.s
+    r = np.arange(_enumeration_size(s, u), dtype=np.int64)
     return np.stack([(r // s ** (u - 1 - i)) % s for i in range(u)], axis=1)
 
 
@@ -214,18 +221,28 @@ def generate_linear_array(field: GaloisField, columns: Sequence[Vector]) -> np.n
     """The (s^u, m) array whose row r is lambda_r^T G, where G has the given
     generator columns and lambda_r runs over ``enumerate_tuples(field, u)``.
 
-    All arithmetic is table-driven, so extension fields work identically to
-    prime fields.
+    The array grows one coordinate at a time from a single zero row:
+    step i replaces each row r by the s rows r + c * g_i, c = 0..s-1, so
+    after step i the rows are the s^(i+1) prefixes in base-s order.  The
+    s * u * m scaled generator entries c * g_i are looked up once, and
+    each step makes one add-table gather.  All arithmetic is
+    table-driven, so extension fields take the same path as prime
+    fields.
     """
     if not columns:
         raise ValueError("need at least one generator column")
     u = len(columns[0])
     if any(len(c) != u for c in columns):
         raise ValueError("generator columns must share one dimension")
-    lam = _coefficient_grid(field, u)
+    if u < 1:
+        raise ValueError("dimension must be at least 1")
+    s = field.s
+    _enumeration_size(s, u)
     gen = np.array(columns, dtype=np.int64).T  # u x m
-    out = np.zeros((lam.shape[0], gen.shape[1]), dtype=np.int64)
+    m = gen.shape[1]
     add, mul = field.add_table, field.mul_table
+    scaled = mul[np.arange(s)[:, None, None], gen[None, :, :]]  # s x u x m
+    out = np.zeros((1, m), dtype=np.int64)
     for i in range(u):
-        out = add[out, mul[lam[:, i][:, None], gen[i][None, :]]]
+        out = add[out[:, None, :], scaled[:, i][None]].reshape(-1, m)
     return out

@@ -1,6 +1,11 @@
 """End-to-end CLI behavior: construct, verify, catalog, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,3 +277,28 @@ def test_internal_exit_code_distinct():
     # the codes form the documented ladder
     assert (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_PARAM_ERROR, EXIT_INTERNAL) \
         == (0, 1, 2, 3)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oversize_construct_fails_closed_before_enumerating(tmp_path):
+    # each request passes the 10^7 enumeration cap on s^u runs; without a
+    # size check first, the admissible set alone is an 8.4M x 23 grid
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    for params in (["--method", "theorem1", "--s", "2", "--u", "23",
+                    "--u1", "1"],
+                   ["--method", "theorem2", "--s", "2", "--u", "23",
+                    "--u1", "1", "--v", "1"],
+                   ["--method", "anti-mirror", "--u", "23", "--u1", "2"]):
+        out = tmp_path / "big.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcd_forge.cli", "construct", *params,
+             "--out", str(out)],
+            env=env, preexec_fn=_limit_address_space, capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == EXIT_PARAM_ERROR, proc.stderr
+        assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+        assert not out.exists()

@@ -5,7 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mcd_forge import construct
 from mcd_forge.construct import (
+    MAX_DESIGN_CELLS,
+    MAX_PAIR_WORK,
     admissible_set,
     anti_mirror_construction,
     common_nonorthogonal,
@@ -26,6 +29,7 @@ from mcd_forge.errors import (
     NotApplicableError,
     OrthogonalityViolationError,
     ProportionalVectorsError,
+    TooLargeError,
     TooManyColumnsError,
     VOutOfRangeError,
     ZeroVectorError,
@@ -446,6 +450,51 @@ def test_anti_mirror_larger_case():
     assert mcd.full_verification().passed
     for dims in combinations(range(mcd.d2.k), 3):
         assert check_grid_stratification(mcd.d2, dims, (2, 2, 2)).passed
+
+
+def test_size_caps_reject_before_building():
+    f2 = galois_field(2)
+    # 8192 runs x (1 + 4096) columns: over the cell cap
+    with pytest.raises(TooLargeError, match="cells"):
+        direct_construction(f2, 13, 1)
+    # 4096 runs x 1024 qualitative columns: only 4.2M cells, but the
+    # strength-2 check alone counts 523,776 D1 column pairs
+    with pytest.raises(TooLargeError, match="run-pair"):
+        direct_construction(f2, 12, 2, "ii")
+    with pytest.raises(TooLargeError):
+        subspace_construction(f2, 23, 1, 1)
+    with pytest.raises(TooLargeError):
+        anti_mirror_construction(23, 2)
+    with pytest.raises(TooLargeError):
+        general_construction(f2, [(1,) * 23], [(1,) + (0,) * 22])
+    # the largest theorem1 s=2 u=12 design still fits both caps
+    assert 4096 * (2 + 1024) <= MAX_DESIGN_CELLS
+    assert 4096 * (2 * 1024 + 1) <= MAX_PAIR_WORK
+    construct._check_size(2, 12, 2, 1024)
+
+
+def test_size_precheck_closed_forms_match_built_designs(monkeypatch):
+    # the early check on closed-form sizes sees the same (s, u, m, k) as
+    # the check general_construction makes on the vectors it is given
+    seen = []
+    monkeypatch.setattr(construct, "_check_size",
+                        lambda *args: seen.append(args))
+    builds = [(anti_mirror_construction, (u, u1))
+              for u in (4, 5, 6) for u1 in range(2, u - 1)]
+    for s in (2, 3, 4, 5):
+        f = galois_field(s)
+        for u in (2, 3, 4):
+            for u1 in range(1, u + 1):
+                for item in ("i", "ii"):
+                    builds.append((direct_construction, (f, u, u1, item)))
+                    nstar = max_independent_prefixes(f, u1).size
+                    builds.extend((subspace_construction, (f, u, u1, v, item))
+                                  for v in range(1, nstar + 1))
+    for build, args in builds:
+        seen.clear()
+        mcd = build(*args)
+        assert seen[0] == seen[1] == (mcd.params.s, mcd.params.u,
+                                      mcd.d1.m, mcd.d2.k), args
 
 
 def test_anti_mirror_param_validation():

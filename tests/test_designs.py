@@ -97,19 +97,39 @@ def test_expand_levels_worked_example_round_trip():
     assert (back.data == cd.data).all()
 
 
+def _expand_levels_per_level(cd, s, seed):
+    """Reference expansion: one row scan and one permutation(s) draw per
+    level, levels in order, on the column's own PCG64 stream."""
+    n, k = cd.data.shape
+    out = np.empty((n, k), dtype=np.int64)
+    for j in range(k):
+        col = cd.data[:, j]
+        rng = None if seed == IDENTITY_SEED else np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([int(seed), j])))
+        for v in range(n // s):
+            rows = np.flatnonzero(col == v)
+            out[rows, j] = v * s + (np.arange(s) if rng is None
+                                    else rng.permutation(s))
+    return out
+
+
 def test_expand_inverts_collapse_for_any_seed():
     rng = np.random.default_rng(60601)
-    for s, nlev, k in [(2, 4, 3), (3, 9, 2), (5, 5, 2)]:
+    for s, nlev, k in [(2, 4, 3), (3, 9, 2), (5, 5, 2), (2, 64, 3),
+                       (4, 16, 2), (9, 9, 2)]:
         n = s * nlev
         lh = _random_latin_hypercube(rng, n, k)
         cd = collapse_levels(lh, s)
-        for seed in (IDENTITY_SEED, 0, 1, 12345):
+        for seed in (IDENTITY_SEED, 0, 1, 7, 12345, 2 ** 31 - 1):
             expanded = expand_levels(cd, s, seed)
             # still a Latin hypercube
             for j in range(k):
                 assert sorted(expanded.data[:, j]) == list(range(n))
             # and collapsing recovers the input exactly
             assert (collapse_levels(expanded, s).data == cd.data).all()
+            # the same values as the per-level scan, draw for draw
+            assert (expanded.data
+                    == _expand_levels_per_level(cd, s, seed)).all()
 
 
 def test_expand_levels_seed_determinism():

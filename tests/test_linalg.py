@@ -308,6 +308,20 @@ def test_generate_linear_array_worked_example_column():
     assert tuple(int(v) for v in arr[:, 0]) == EXAMPLE1_QUALITATIVE
 
 
+def _linear_array_by_grid(f, columns):
+    """Reference build: the full (s^u, u) coefficient grid by the digit
+    formula, then one multiply and one add gather per coordinate."""
+    s, u = f.s, len(columns[0])
+    r = np.arange(s ** u)
+    lam = np.stack([(r // s ** (u - 1 - i)) % s for i in range(u)], axis=1)
+    gen = np.array(columns, dtype=np.int64).T
+    out = np.zeros((s ** u, gen.shape[1]), dtype=np.int64)
+    for i in range(u):
+        out = f.add_table[out, f.mul_table[lam[:, i][:, None],
+                                           gen[i][None, :]]]
+    return out
+
+
 def test_generate_linear_array_rows_are_dot_products():
     f4 = galois_field(4)
     cols = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3)]
@@ -319,6 +333,20 @@ def test_generate_linear_array_rows_are_dot_products():
             assert arr[r, j] == dot(f4, lams[r], c)
     # five pairwise-independent columns: a strength-2 array
     assert _array_strength(arr, 4) == 2
+    # the coordinate-at-a-time build equals the grid-and-gather reference
+    # for every supported field and every u with s^u <= 4096
+    rng = np.random.default_rng(4096)
+    for s in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
+              31, 32):
+        f = galois_field(s)
+        u = 1
+        while s ** u <= 4096:
+            cols = [tuple(int(v) for v in rng.integers(0, s, u))
+                    for _ in range(3)]
+            got = generate_linear_array(f, cols)
+            assert got.dtype == np.int64
+            assert (got == _linear_array_by_grid(f, cols)).all(), (s, u)
+            u += 1
 
 
 def test_generate_linear_array_balanced_columns():
@@ -341,3 +369,11 @@ def test_generate_linear_array_input_validation():
         generate_linear_array(f3, [])
     with pytest.raises(ValueError):
         generate_linear_array(f3, [(1, 0, 0), (1, 0)])
+    with pytest.raises(ValueError):
+        generate_linear_array(f3, [()])
+    # over the enumeration cap: raised before anything is built
+    assert 2 ** 24 > ENUMERATION_CAP and 32 ** 5 > ENUMERATION_CAP
+    with pytest.raises(TooLargeError):
+        generate_linear_array(galois_field(2), [(1,) * 24])
+    with pytest.raises(TooLargeError):
+        generate_linear_array(galois_field(32), [(1, 0, 0, 0, 0)])

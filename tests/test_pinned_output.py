@@ -2,8 +2,11 @@
 
 These pin the report lines, their order and the JSON layout byte for byte,
 so a refactor of the verification battery cannot change what a user sees.
+The sha256 of seeded ``construct`` output pins the written bytes, so a
+faster level expansion or linear-array build cannot change a design.
 """
 
+import hashlib
 import json
 
 from mcd_forge.catalog import all_rows, verify_row
@@ -153,3 +156,30 @@ def test_verify_row_lines_pinned():
         got = [line for line in verify_row(row).lines()
                if "advertised-parameters" not in line]
         assert got == lines, (s, method, u, u1)
+
+
+SEEDED_DIGESTS = (
+    (["--method", "theorem1", "--s", "2", "--u", "10", "--u1", "2"],
+     "a.json",
+     "63d429b5b5c0cdbc50340eca9bf710e7505606918258c80877cd4c752387bc50"),
+    (["--method", "theorem1", "--s", "4", "--u", "5", "--u1", "3",
+      "--item", "ii"],
+     "b.csv",
+     "b573722eb208b9ccdfb1df24830bc8e1f856fbb5c361949009ac035288b611de"),
+    (["--method", "anti-mirror", "--u", "8", "--u1", "2"],
+     "c.json",
+     "5c1b98e9e115bde0f8403f067a24f8a75fedfec5b0e4683fa9fbbdfd8858c88d"),
+    (["--method", "theorem2", "--s", "9", "--u", "3", "--u1", "3",
+      "--v", "4"],
+     "d.json",
+     "4f3fc6ba5a9ddcddbf5f0a3719b5a9c53c9da67d997caf833c2fc99a38271ffb"),
+)
+
+
+def test_seeded_construct_bytes_pinned(tmp_path, capsys):
+    for flags, name, digest in SEEDED_DIGESTS:
+        out = tmp_path / name
+        assert main(["construct", *flags, "--seed", "7",
+                     "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, flags
