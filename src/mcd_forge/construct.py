@@ -602,14 +602,21 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
     _check_u_u1(field, u, u1)
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
-    search = _cached_prefix_search(field.s, u1)
-    if not 1 <= v <= search.size:
-        raise VOutOfRangeError(
-            f"v={v} outside 1..{search.size} for s={field.s}, u1={u1}")
     s = field.s
+    # n* never exceeds the bound, and the closed form below costs O(v)
+    # big-integer terms, so a larger v is refused before either runs
+    bound = independent_prefix_bound(s, u1)
+    if v > bound:
+        raise VOutOfRangeError(
+            f"v={v} exceeds the bound {bound} on n* for s={s}, u1={u1}")
+    # the closed forms reject v < 1 and size the design before the search
     _check_size(s, u, *_item_sides(
         item, expected_intersection_size(s, u1, v) // (s - 1),
         v * s ** (u - u1)))
+    search = _cached_prefix_search(s, u1)
+    if v > search.size:
+        raise VOutOfRangeError(
+            f"v={v} outside 1..{search.size} for s={s}, u1={u1}")
     part = partition_admissible(admissible_set(field, u, u1))
     chosen = search.labels[:v]
     inter = common_nonorthogonal(part, chosen)

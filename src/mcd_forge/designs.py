@@ -116,10 +116,6 @@ class CollapsedDesign:
     def k(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def level_count(self) -> int:
-        return self.n // self.s
-
 
 def method_of_replacement(a0, s: int) -> np.ndarray:
     """Encode each row of the n x c s-level array ``a0`` as one integer in

@@ -165,12 +165,6 @@ class GaloisField:
             raise ZeroInverseError("zero has no multiplicative inverse")
         return int(self.inv_table[a])
 
-    def elements(self) -> range:
-        return range(self.s)
-
-    def nonzero(self) -> range:
-        return range(1, self.s)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"GaloisField({self.s})"
 

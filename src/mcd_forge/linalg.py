@@ -25,7 +25,7 @@ orthogonal array of strength t; see ``linear_strength``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,19 +54,13 @@ def _enumeration_size(s: int, u: int) -> int:
     return n
 
 
-def _coefficient_grid(field: GaloisField, u: int) -> np.ndarray:
-    """All s^u coefficient vectors as an (s^u, u) int64 array, base-s order."""
-    s = field.s
-    r = np.arange(_enumeration_size(s, u), dtype=np.int64)
-    return np.stack([(r // s ** (u - 1 - i)) % s for i in range(u)], axis=1)
-
-
 def enumerate_tuples(field: GaloisField, u: int) -> list[Vector]:
     """All s^u vectors of GF(s)^u in base-s order (first coordinate most
     significant, last coordinate fastest)."""
     if u < 1:
         raise ValueError("dimension must be at least 1")
-    return [tuple(int(x) for x in row) for row in _coefficient_grid(field, u)]
+    _enumeration_size(field.s, u)
+    return list(product(range(field.s), repeat=u))
 
 
 def dot(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> int:

@@ -15,22 +15,24 @@ D1 strength and a grid-stratification sweep.
 ``check_grid_stratification`` all count through one kernel,
 ``_combo_counter``.  It range-checks every column once before encoding, so
 an entry outside its declared level range fails the check instead of
-aliasing into a valid level combination.
+aliasing into a valid level combination, and it returns the first
+off-count combination, decoded, so each check only words its detail.
 
 ``check_mcd`` tests the marginal-coupling property through the collapsed
 pair condition: every (D1 column, collapsed D2 column) pair must be a
 strength-2 mixed orthogonal array.  ``check_mcd_by_slices`` is the
 independent definitional oracle: within each level-slice of each D1
 column, every D2 column must put exactly one point into each of the n/s
-consecutive length-s value windows.  It does not use the kernel.  The two
-must agree on any input; the acceptance suite holds them to that on
-random and constructed designs.
+consecutive length-s value windows.  It counts each (column, level) slice
+once, with one bincount over every D2 column's windows, and uses neither
+the kernel nor the collapse.  The two must agree on any input; the
+acceptance suite holds them to that on random and constructed designs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import numpy as np
@@ -83,15 +85,18 @@ class VerificationReport:
 
 
 def _combo_counter(columns, levels):
-    """The counting kernel.  Returns ``count(cols)``: the occurrence count
-    of every level combination on the columns ``cols`` of ``columns``, a
-    sequence of equal-length 1-D arrays (``data.T`` for a design matrix).
+    """The counting kernel.  Returns ``first_unbalanced(cols)`` over the
+    columns ``cols`` of ``columns``, a sequence of equal-length 1-D arrays
+    (``data.T`` for a design matrix): None when every level combination
+    occurs n / (product of the levels) times, ``()`` when one of the
+    columns holds an entry outside its level range, and otherwise
+    ``(combination, count, expected)`` for the first off-count combination
+    in lexicographic order.
 
-    Combinations are encoded big-endian (first column most significant),
-    so index order == lexicographic order.  Every column is range-checked
-    against 0..levels[j]-1 once, here, before any encoding; ``count``
-    returns None for a subset holding a column with an out-of-range entry,
-    so no such entry can alias into a valid combination.
+    Every column is range-checked against 0..levels[j]-1 once, here,
+    before any encoding, so no out-of-range entry can alias into a valid
+    combination.  Combinations are encoded big-endian (first column most
+    significant), so code order is lexicographic order.
     """
     columns = list(columns)
     levels = tuple(int(v) for v in levels)
@@ -99,24 +104,23 @@ def _combo_counter(columns, levels):
            for col, lev in zip(columns, levels)]
     any_bad = any(bad)
 
-    def count(cols: tuple[int, ...]) -> np.ndarray | None:
+    def first_unbalanced(cols: tuple[int, ...]) -> tuple | None:
         if any_bad and any(bad[c] for c in cols):
-            return None
+            return ()
         codes, full = columns[cols[0]], levels[cols[0]]
         for c in cols[1:]:
             codes = codes * levels[c] + columns[c]
             full *= levels[c]
-        return np.bincount(codes, minlength=full)
+        expected = len(codes) // full
+        counts = np.bincount(codes, minlength=full)
+        off = np.flatnonzero(counts != expected)
+        if not off.size:
+            return None
+        code = int(off[0])
+        combo = np.unravel_index(code, tuple(levels[c] for c in cols))
+        return tuple(int(x) for x in combo), int(counts[code]), expected
 
-    return count
-
-
-def _decode(code: int, levels: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for lev in reversed(levels):
-        out.append(code % lev)
-        code //= lev
-    return tuple(reversed(out))
+    return first_unbalanced
 
 
 def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
@@ -130,23 +134,20 @@ def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
         raise StrengthExceedsColumnsError(
             f"strength {t} exceeds column count {a.m}")
     name = f"oa-strength({t})"
-    count = _combo_counter(a.data.T, a.levels)
+    first_unbalanced = _combo_counter(a.data.T, a.levels)
     for cols in combinations(range(a.m), t):
-        levels = tuple(a.levels[c] for c in cols)
-        full = int(prod(levels))
+        full = int(prod(a.levels[c] for c in cols))
         if a.n % full != 0:
             detail = (f"run count {a.n} not divisible by {full} level "
                       "combinations")
-        elif (counts := count(cols)) is None:
+        elif (found := first_unbalanced(cols)) is None:
+            continue
+        elif not found:
             detail = "entries outside the declared level range"
         else:
-            expected = a.n // full
-            bad = np.flatnonzero(counts != expected)
-            if not bad.size:
-                continue
-            code = int(bad[0])
-            detail = (f"combination {_decode(code, levels)} appears "
-                      f"{int(counts[code])} times, expected {expected}")
+            combo, count, expected = found
+            detail = (f"combination {combo} appears {count} times, "
+                      f"expected {expected}")
         return VerificationReport((CheckResult(name, cols, False, detail),))
     return VerificationReport((CheckResult(name, (), True),))
 
@@ -169,23 +170,20 @@ def _pair_balance(d1: OrthogonalArray, tilde: np.ndarray, s: int) -> CheckResult
     """Every (D1 column, collapsed column) pair must hit each (level, level)
     combination exactly once -- the collapsed form of marginal coupling."""
     m, k, nlev = d1.m, tilde.shape[1], d1.n // s
-    count = _combo_counter([*d1.data.T, *tilde.T], (s,) * m + (nlev,) * k)
-    for i in range(m):
-        for j in range(k):
-            counts = count((i, m + j))
-            if counts is None:
-                return CheckResult(
-                    "pair-balance", (i, j), False,
-                    f"levels out of range for D1 column {i} / "
-                    f"collapsed D2 column {j}")
-            bad = np.flatnonzero(counts != 1)
-            if bad.size:
-                code = int(bad[0])
-                return CheckResult(
-                    "pair-balance", (i, j), False,
-                    f"(D1 column {i} = {code // nlev}, collapsed D2 column "
-                    f"{j} = {code % nlev}) occurs {int(counts[code])} times, "
-                    f"expected 1")
+    first_unbalanced = _combo_counter([*d1.data.T, *tilde.T],
+                                      (s,) * m + (nlev,) * k)
+    for i, j in product(range(m), range(k)):
+        found = first_unbalanced((i, m + j))
+        if found is None:
+            continue
+        if not found:
+            detail = (f"levels out of range for D1 column {i} / "
+                      f"collapsed D2 column {j}")
+        else:
+            (a, b), count, _ = found
+            detail = (f"(D1 column {i} = {a}, collapsed D2 column {j} = {b}) "
+                      f"occurs {count} times, expected 1")
+        return CheckResult("pair-balance", (i, j), False, detail)
     return CheckResult("pair-balance", (), True)
 
 
@@ -217,34 +215,27 @@ def check_mcd_by_slices(d1: OrthogonalArray, d2: LatinHypercube,
     must place every D2 column's values one-per-window into the n/s
     consecutive windows [vs, vs+s).  Agrees with check_mcd on any input."""
     checks = _structural_checks(d1, d2, s)
-    n = d1.n
+    n, k = d1.n, d2.k
     nlev = n // s
-    verdict: CheckResult | None = None
+    # cell j * nlev + v counts column j's points in window v; a value
+    # outside 0..n-1 goes to the spare last cell, which is no window
+    cells = d2.data // s + np.arange(k) * nlev
+    cells[(d2.data < 0) | (d2.data >= n)] = k * nlev
     for i in range(d1.m):
-        if verdict:
-            break
         col = d1.data[:, i]
-        for level in sorted(set(col.tolist())):
-            rows = np.flatnonzero(col == level)
-            stop = False
-            for j in range(d2.k):
-                values = d2.data[rows, j]
-                for v in range(nlev):
-                    window = [x for x in values.tolist()
-                              if v * s <= x < (v + 1) * s]
-                    if len(window) != 1:
-                        verdict = CheckResult(
-                            "slice-coverage", (i, j), False,
-                            f"D1 column {i} level {level}: D2 column {j} has "
-                            f"{len(window)} points in window "
-                            f"[{v * s}, {(v + 1) * s - 1}], expected 1")
-                        stop = True
-                        break
-                if stop:
-                    break
-            if stop:
-                break
-    checks.append(verdict or CheckResult("slice-coverage", (), True))
+        for level in np.unique(col).tolist():
+            counts = np.bincount(cells[col == level].ravel(),
+                                 minlength=k * nlev + 1)[:-1]
+            off = np.flatnonzero(counts != 1)
+            if off.size:
+                j, v = divmod(int(off[0]), nlev)
+                checks.append(CheckResult(
+                    "slice-coverage", (i, j), False,
+                    f"D1 column {i} level {level}: D2 column {j} has "
+                    f"{int(counts[off[0]])} points in window "
+                    f"[{v * s}, {(v + 1) * s - 1}], expected 1"))
+                return VerificationReport(tuple(checks))
+    checks.append(CheckResult("slice-coverage", (), True))
     return VerificationReport(tuple(checks))
 
 
@@ -299,19 +290,16 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
     if n % full != 0:
         raise BadGridError(
             f"grid of {full} cells does not divide n={n}")
-    expected = n // full
     cell_cols = [d2.data[:, d] // (n // c) for d, c in zip(dims, cells)]
-    counts = _combo_counter(cell_cols, cells)(tuple(range(len(cells))))
+    found = _combo_counter(cell_cols, cells)(tuple(range(len(cells))))
     name = _grid_name(cells)
-    if counts is None:
+    if found is None:
+        return VerificationReport((CheckResult(name, tuple(dims), True),))
+    if not found:
         detail = "entries outside the declared level range"
     else:
-        bad = np.flatnonzero(counts != expected)
-        if not bad.size:
-            return VerificationReport((CheckResult(name, tuple(dims), True),))
-        cell = _decode(int(bad[0]), tuple(cells))
-        detail = (f"cell {cell} holds {int(counts[bad[0]])} points, "
-                  f"expected {expected}")
+        cell, count, expected = found
+        detail = f"cell {cell} holds {count} points, expected {expected}"
     return VerificationReport((CheckResult(name, tuple(dims), False, detail),))
 
 

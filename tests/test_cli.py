@@ -292,7 +292,10 @@ def test_oversize_construct_fails_closed_before_enumerating(tmp_path):
                     "--u1", "1"],
                    ["--method", "theorem2", "--s", "2", "--u", "23",
                     "--u1", "1", "--v", "1"],
-                   ["--method", "anti-mirror", "--u", "23", "--u1", "2"]):
+                   ["--method", "anti-mirror", "--u", "23", "--u1", "2"],
+                   # capped long before the (8, 4) prefix search ends
+                   ["--method", "theorem2", "--s", "8", "--u", "30",
+                    "--u1", "4", "--v", "1"]):
         out = tmp_path / "big.json"
         proc = subprocess.run(
             [sys.executable, "-m", "mcd_forge.cli", "construct", *params,

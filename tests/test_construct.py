@@ -422,6 +422,9 @@ def test_subspace_construction_v_range():
         subspace_construction(F3, 4, 3, 0)
     with pytest.raises(VOutOfRangeError):
         subspace_construction(F3, 4, 3, 5)   # search size for u1=3 is 4
+    # refused before the closed form, which sums O(v) big-integer terms
+    with pytest.raises(VOutOfRangeError):
+        subspace_construction(F3, 4, 3, 10 ** 9)
 
 
 def test_anti_mirror_construction():

@@ -36,7 +36,7 @@ def test_container_shapes():
     assert lh.n == 2 and lh.k == 2
 
     cd = CollapsedDesign(2, [[0, 1], [0, 1], [1, 0], [1, 0]])
-    assert cd.n == 4 and cd.k == 2 and cd.level_count == 2
+    assert cd.n == 4 and cd.k == 2
 
 
 def test_container_validation():

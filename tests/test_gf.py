@@ -106,12 +106,6 @@ def test_tables_are_read_only():
         field.add_table[0, 0] = 1
 
 
-def test_elements_and_nonzero():
-    field = galois_field(5)
-    assert list(field.elements()) == [0, 1, 2, 3, 4]
-    assert list(field.nonzero()) == [1, 2, 3, 4]
-
-
 def test_direct_construction_matches_cache():
     a = GaloisField(8)
     b = galois_field(8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mcd_forge.verify as verify
-from mcd_forge.construct import anti_mirror_construction
+from mcd_forge.construct import anti_mirror_construction, direct_construction
 from mcd_forge.designs import (
     CollapsedDesign,
     LatinHypercube,
@@ -18,6 +18,7 @@ from mcd_forge.errors import (
     RunCountMismatchError,
     StrengthExceedsColumnsError,
 )
+from mcd_forge.gf import galois_field
 from mcd_forge.verify import (
     CheckResult,
     battery,
@@ -63,6 +64,11 @@ def test_oa_strength_mixed_levels():
     rows = [(a, b) for a in range(2) for b in range(4)]
     oa = OrthogonalArray(rows, (2, 4))
     assert check_oa_strength(oa, 2).passed
+    # the first off-count code decodes digit by digit over levels (2, 4)
+    rows[5] = (1, 2)
+    failure = check_oa_strength(OrthogonalArray(rows, (2, 4)), 2).checks[0]
+    assert failure.subject == (0, 1)
+    assert failure.detail == "combination (1, 1) appears 0 times, expected 1"
 
 
 def test_oa_strength_detects_imbalance():
@@ -136,6 +142,10 @@ def test_mcd_checks_fail_on_tampered_design():
     assert "pair-balance" in names
     names2 = [c.name for c in r2.failures()]
     assert "slice-coverage" in names2
+    assert r2.failures()[-1] == CheckResult(
+        "slice-coverage", (0, 0), False,
+        "D1 column 0 level 0: D2 column 0 has 0 points in window [0, 2], "
+        "expected 1")
 
 
 def test_mcd_detects_unbalanced_qualitative_part():
@@ -179,6 +189,82 @@ def test_mcd_oracles_agree_on_random_inputs():
                 [rng.permutation(n) for _ in range(k)], axis=1))
             assert (check_mcd(d1, d2, s).passed
                     == check_mcd_by_slices(d1, d2, s).passed)
+
+
+def _loop_slice_coverage(d1, d2, s):
+    """The per-window loop form of the by-slices oracle, kept as the
+    reference its one-count-per-slice form must reproduce exactly."""
+    nlev = d1.n // s
+    for i in range(d1.m):
+        col = d1.data[:, i]
+        for level in sorted(set(col.tolist())):
+            rows = np.flatnonzero(col == level)
+            for j in range(d2.k):
+                values = d2.data[rows, j].tolist()
+                for v in range(nlev):
+                    window = [x for x in values if v * s <= x < (v + 1) * s]
+                    if len(window) != 1:
+                        return CheckResult(
+                            "slice-coverage", (i, j), False,
+                            f"D1 column {i} level {level}: D2 column {j} has "
+                            f"{len(window)} points in window "
+                            f"[{v * s}, {(v + 1) * s - 1}], expected 1")
+    return CheckResult("slice-coverage", (), True)
+
+
+def _tampered_copies(d1, d2, s, rng):
+    """The design itself, then copies with one D2 swap, one D2 entry out of
+    0..n-1, one D1 entry out of 0..s-1, or one column replaced."""
+    n, m, k = d1.n, d1.m, d2.k
+    yield d1, d2
+    int64 = np.iinfo(np.int64)
+    for value in (-5, n, n + 44, 2 ** 62, int(int64.min), int(int64.max)):
+        data = d2.data.copy()
+        data[rng.integers(n), rng.integers(k)] = value
+        yield d1, LatinHypercube(data)
+    for _ in range(3):
+        data = d2.data.copy()
+        j, (a, b) = rng.integers(k), rng.choice(n, 2, replace=False)
+        data[[a, b], j] = data[[b, a], j]
+        yield d1, LatinHypercube(data)
+    for value in (-1, s):
+        data = d1.data.copy()
+        data[rng.integers(n), rng.integers(m)] = value
+        yield OrthogonalArray(data, d1.levels), d2
+    if k > 1:
+        data = d2.data.copy()
+        data[:, k - 1] = data[:, 0]
+        yield d1, LatinHypercube(data)
+    if m > 1:
+        data = d1.data.copy()
+        data[:, 0] = data[:, m - 1]
+        yield OrthogonalArray(data, d1.levels), d2
+
+
+def test_mcd_by_slices_matches_the_per_window_loop():
+    rng = np.random.default_rng(20261018)
+    designs = [(mcd.d1, mcd.d2, mcd.params.s) for mcd in (
+        direct_construction(galois_field(2), 4, 2),
+        direct_construction(galois_field(3), 3, 2),
+        direct_construction(galois_field(4), 3, 2, "ii", seed=7),
+        anti_mirror_construction(5, 2, seed=11),
+    )]
+    for s, n in [(2, 8), (3, 9), (3, 27), (4, 16)]:
+        for _ in range(8):
+            m, k = (int(x) for x in rng.integers(1, 4, size=2))
+            designs.append((
+                OrthogonalArray(rng.integers(0, s, size=(n, m)), (s,) * m),
+                LatinHypercube(np.stack(
+                    [rng.permutation(n) for _ in range(k)], axis=1)),
+                s))
+    verdicts = []
+    for d1, d2, s in designs:
+        for t1, t2 in _tampered_copies(d1, d2, s, rng):
+            report = check_mcd_by_slices(t1, t2, s)
+            assert len(report.checks) == 3
+            assert report.checks[-1] == _loop_slice_coverage(t1, t2, s)
+            verdicts.append(report.checks[-1].passed)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_noncascading_check():
