@@ -177,12 +177,14 @@ def read_bundle(path) -> DesignBundle:
     path = Path(path)
     if not path.exists():
         raise MalformedBundleError(f"no such file: {path}")
-    if path.suffix == ".csv":
-        return _read_csv_bundle(path)
     try:
+        if path.suffix == ".csv":
+            return _read_csv_bundle(path)
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedBundleError(f"not UTF-8 text: {exc}") from exc
     _require(isinstance(obj, dict), "top level must be an object")
     unknown = set(obj) - _SCHEMA_KEYS
     _require(not unknown, f"unknown keys {sorted(unknown)}")

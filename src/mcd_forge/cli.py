@@ -51,11 +51,14 @@ def _parse_seed(text: str):
     if text == IDENTITY_SEED:
         return text
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
+        seed = None
+    if seed is None or seed < 0:
         raise BadParamsError(
-            f"seed must be an integer or {IDENTITY_SEED!r}, got {text!r}"
-        ) from None
+            f"seed must be a non-negative integer or {IDENTITY_SEED!r}, "
+            f"got {text!r}")
+    return seed
 
 
 def _resolve_seed(args) -> int | str:
@@ -298,7 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except McdForgeError as exc:
+    except (McdForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM_ERROR
 

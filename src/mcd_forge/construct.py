@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
 from typing import TypeVar
 
@@ -68,6 +68,7 @@ from .errors import (
 from .gf import GaloisField, galois_field
 from .linalg import (
     Vector,
+    _enumeration_size,
     dot,
     enumerate_span,
     enumerate_tuples,
@@ -148,10 +149,6 @@ def partition_admissible(aset: AdmissibleSet) -> AdmissiblePartition:
     return AdmissiblePartition(aset.field, aset.u, aset.u1, prefixes, groups)
 
 
-def _extended_prefix(part: AdmissiblePartition, index: int) -> Vector:
-    return part.prefixes[index] + (0,) * (part.u - part.u1)
-
-
 def nonorthogonal_combos(part: AdmissiblePartition,
                          index: int) -> NonorthogonalIntersection:
     """Ebar_i: the members of E with nonzero dot product against prefix i.
@@ -212,13 +209,12 @@ def common_nonorthogonal(part: AdmissiblePartition,
             raise BadParamsError(
                 f"prefix index {i} outside 0..{part.group_count - 1}")
     f = part.field
-    extended = [_extended_prefix(part, i) for i in indices]
-    members = tuple(
-        z for z in unit_combinations(f, part.u, part.u1)
-        if all(dot(f, z, b) != 0 for b in extended))
-    normalized = tuple(z for z in members
-                       if normalize_direction(f, z) == z)
     prefixes = [part.prefixes[i] for i in indices]
+    # row r holds z_r^T b for every chosen prefix b, z_r in E's order
+    hits = generate_linear_array(f, prefixes).all(axis=1)
+    members = tuple(compress(unit_combinations(f, part.u, part.u1),
+                             hits.tolist()))
+    normalized = tuple(z for z in members if next(filter(None, z)) == 1)
     independent = (linear_strength(f, prefixes)
                    == min(len(prefixes), part.u1))
     expected = (expected_intersection_size(f.s, part.u1, len(indices))
@@ -284,24 +280,38 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
     Candidates are scanned in label order, so the returned label set is
     the first maximum found and is stable across runs.  The search prunes
     with the closed-form bound and stops as soon as the bound is attained.
+
+    A candidate may join exactly when it lies in the span of no set of at
+    most u1-1 selected prefixes.  Such sets are independent, so this is
+    the rank test: with fewer than u1 selected the whole selection is one,
+    beyond that each (u1-1)-subset plus the candidate needs rank u1.
+    ``blocked`` counts the spans holding each candidate: c joining adds
+    the span of c with each set of at most u1-2 selected prefixes, and
+    popping c takes it off.
     """
     s = field.s
     if u1 < 1:
         raise BadParamsError(f"u1 must be at least 1, got {u1}")
+    _enumeration_size(s - 1, u1 - 1)
     cands: list[Vector] = [(1,) + tail for tail in
                            product(range(1, s), repeat=u1 - 1)]
+    place = (s - 1) ** np.arange(u1 - 2, -1, -1)
+    blocked = np.zeros(len(cands), dtype=np.int64)
     bound = independent_prefix_bound(s, u1)
     best: list[int] = []
     nodes = 0
     exhausted = True
 
-    def can_add(sel: list[int], c: int) -> bool:
-        new = cands[c]
-        if len(sel) + 1 <= u1:
-            return rank(field, [cands[i] for i in sel] + [new]) == len(sel) + 1
-        return all(
-            rank(field, [cands[i] for i in sub] + [new]) == u1
-            for sub in combinations(sel, u1 - 1))
+    def spans_with(sel: list[int], c: int) -> np.ndarray:
+        counts = np.zeros(len(cands), dtype=np.int64)
+        for size in range(min(len(sel), u1 - 2) + 1):
+            for sub in combinations(sel, size):
+                span = generate_linear_array(
+                    field, list(zip(*(cands[i] for i in sub + (c,)))))
+                # each candidate in the span, once: leading 1, tail in base s-1
+                inside = (span[:, 0] == 1) & (span[:, 1:] != 0).all(axis=1)
+                counts[(span[inside, 1:] - 1) @ place] += 1
+        return counts
 
     def dfs(start: int, sel: list[int]) -> bool:
         nonlocal best, nodes, exhausted
@@ -316,10 +326,13 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
                 return True
             if len(sel) + (len(cands) - c) <= len(best):
                 break
-            if can_add(sel, c):
+            if not blocked[c]:
+                counts = spans_with(sel, c)
+                blocked[:] += counts
                 sel.append(c)
                 done = dfs(c + 1, sel)
                 sel.pop()
+                blocked[:] -= counts
                 if done:
                     return True
         return False

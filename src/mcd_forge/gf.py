@@ -7,8 +7,10 @@ of x^k is the k-th base-p digit of i (constant term least significant).
 The index -> element mapping is therefore a pure function of s: stable
 across runs, platforms, and versions.
 
-For prime s the index IS the residue, so add/mul agree with integer
-arithmetic mod s.
+Both tables come from the base-p digits of the indices: addition is
+digitwise mod p; a * x^k is a's digits shifted up k places, each x^t
+replaced by minus the reduction polynomial's lower terms, and a * b sums
+b's digits times those rows, mod p.  For prime s that is integers mod s.
 
 Extension fields use the fixed monic reduction polynomials below
 (coefficients listed constant term first):
@@ -69,36 +71,6 @@ def _factor_prime_power(s: int) -> tuple[int, int]:
     return p, t
 
 
-def _digits(i: int, p: int, t: int) -> tuple[int, ...]:
-    """Base-p digits of i, least significant (= constant term) first."""
-    out = []
-    for _ in range(t):
-        out.append(i % p)
-        i //= p
-    return tuple(out)
-
-
-def _poly_mul_reduce(a: tuple[int, ...], b: tuple[int, ...],
-                     reduction: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """(a * b) mod reduction over GF(p), coefficients constant-first."""
-    t = len(reduction) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    # long division by the monic reduction polynomial
-    for k in range(len(prod) - 1, t - 1, -1):
-        c = prod[k]
-        if c == 0:
-            continue
-        prod[k] = 0
-        for j in range(t):
-            prod[k - t + j] = (prod[k - t + j] - c * reduction[j]) % p
-    return tuple(prod[:t]) + (0,) * (t - len(prod))
-
-
 class GaloisField:
     """GF(s) with full add/mul lookup tables and an inverse table.
 
@@ -117,23 +89,18 @@ class GaloisField:
         self.reduction_polynomial: tuple[int, ...] = (
             REDUCTION_POLYNOMIALS[s] if t > 1 else ())
 
-        digits = np.array([_digits(i, p, t) for i in range(s)], dtype=np.int64)
         powers = p ** np.arange(t, dtype=np.int64)
+        digits = np.arange(s)[:, None] // powers % p  # s x t
 
-        # addition is digitwise mod p
         add = ((digits[:, None, :] + digits[None, :, :]) % p) @ powers
-
-        if t == 1:
-            mul = (np.arange(s)[:, None] * np.arange(s)[None, :]) % p
-        else:
-            red = self.reduction_polynomial
-            mul = np.zeros((s, s), dtype=np.int64)
-            for a in range(s):
-                da = _digits(a, p, t)
-                for b in range(a, s):
-                    c = _poly_mul_reduce(da, _digits(b, p, t), red, p)
-                    val = sum(ci * p ** k for k, ci in enumerate(c))
-                    mul[a, b] = mul[b, a] = val
+        # shifted[k] holds the digits of a * x^k for every element a
+        low = np.array(self.reduction_polynomial[:t], dtype=np.int64)
+        shifted = [digits]
+        for _ in range(1, t):
+            d = shifted[-1]
+            shifted.append(
+                (np.pad(d[:, :-1], ((0, 0), (1, 0))) - d[:, -1:] * low) % p)
+        mul = (np.einsum("bk,kat->abt", digits, np.array(shifted)) % p) @ powers
 
         self.add_table = add.astype(np.int64)
         self.mul_table = mul.astype(np.int64)

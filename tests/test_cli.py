@@ -134,6 +134,32 @@ def test_seed_resolution_env_and_flag(tmp_path, monkeypatch):
     assert (from_flag.d2 == expected.d2.data).all()
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_negative_seed_flag_is_param_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    out = tmp_path / "neg.json"
+    assert main(["construct", "--method", "theorem1", "--s", "3",
+                 "--u", "3", "--u1", "2", "--seed", "-5",
+                 "--out", str(out)]) == EXIT_PARAM_ERROR
+    assert "'-5'" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_negative_seed_env_is_param_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "-5")
+    out = tmp_path / "neg.json"
+    assert main(["construct", "--method", "theorem1", "--s", "3",
+                 "--u", "3", "--u1", "2", "--out", str(out)]) \
+        == EXIT_PARAM_ERROR
+    assert "'-5'" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def _write_good_bundle(tmp_path, name="good.json"):
     out = tmp_path / name
     assert main(["construct", "--method", "theorem2", "--s", "3",
@@ -223,6 +249,44 @@ def test_verify_missing_and_malformed_files(tmp_path, capsys):
     b["d2"][0][0] = 2 ** 70
     huge.write_text(json.dumps(b))
     assert main(["verify", "--in", str(huge)]) == EXIT_PARAM_ERROR
+
+
+def test_construct_into_missing_directory_is_file_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "design.json"
+    assert main(["construct", "--method", "theorem1", "--s", "3",
+                 "--u", "3", "--u1", "2", "--out", str(out)]) \
+        == EXIT_PARAM_ERROR
+    assert "missing" in _one_error_line(capsys)
+
+
+def test_verify_on_directory_is_file_error(tmp_path, capsys):
+    assert main(["verify", "--in", str(tmp_path)]) == EXIT_PARAM_ERROR
+    _one_error_line(capsys)
+
+
+def test_verify_non_utf8_json_is_malformed(tmp_path, capsys):
+    bad = _write_good_bundle(tmp_path, "latin.json")
+    bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+    capsys.readouterr()
+    assert main(["verify", "--in", str(bad)]) == EXIT_PARAM_ERROR
+    assert "UTF-8" in _one_error_line(capsys)
+
+
+def test_verify_non_utf8_csv_sidecar_is_malformed(tmp_path, capsys):
+    bad = _write_good_bundle(tmp_path, "latin.csv")
+    side = sidecar_path(bad)
+    side.write_bytes(side.read_bytes().replace(b"theorem2", b"theorem\xff"))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(bad)]) == EXIT_PARAM_ERROR
+    assert "UTF-8" in _one_error_line(capsys)
+
+
+def test_verify_non_utf8_csv_data_is_malformed(tmp_path, capsys):
+    bad = _write_good_bundle(tmp_path, "latin.csv")
+    bad.write_bytes(bad.read_bytes().replace(b"q1", b"q\xff", 1))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(bad)]) == EXIT_PARAM_ERROR
+    assert "UTF-8" in _one_error_line(capsys)
 
 
 def test_catalog_markdown(capsys):

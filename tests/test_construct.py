@@ -155,6 +155,32 @@ def test_common_nonorthogonal_golden_sizes():
                 assert dot(F3, z, b) != 0
 
 
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 9])
+def test_common_nonorthogonal_matches_per_vector_definition(s):
+    field = galois_field(s)
+    for u1 in (1, 2, 3):
+        u = u1 + 1
+        part = partition_admissible(admissible_set(field, u, u1))
+        combos = unit_combinations(field, u, u1)
+        clashes = np.array([[dot(field, z, b + (0,) * (u - u1)) != 0
+                             for z in combos] for b in part.prefixes])
+        leading = {z: normalize_direction(field, z) == z
+                   for z in combos if not is_zero(z)}
+        count = part.group_count
+        subsets = [sub for size in (1, 2)
+                   for sub in combinations(range(count), size)]
+        # every triple at s = 8 or 9 would take about 20 s, so from s = 7
+        # on the triples run over every fourth prefix
+        subsets += combinations(range(0, count, 1 if s <= 5 else 4), 3)
+        for sub in subsets:
+            members = tuple(combos[j] for j in
+                            np.flatnonzero(clashes[list(sub)].all(axis=0)))
+            inter = common_nonorthogonal(part, sub)
+            assert inter.vectors == members, (u1, sub)
+            assert inter.normalized == tuple(z for z in members
+                                             if leading[z]), (u1, sub)
+
+
 def test_common_nonorthogonal_dependent_prefixes():
     # at u1 = 4 the first four label prefixes are linearly dependent,
     # so no closed-form prediction applies
@@ -228,6 +254,37 @@ def test_max_independent_prefixes_prime_cells_certified_by_mds_bound():
         assert search.certified == "provably-maximal"
         for sub in combinations(search.prefixes, 4):
             assert rank(field, sub) == 4
+
+
+#: (labels, bound, certified) per (s, u1), as the rank-test search gave them
+PINNED_PREFIX_SEARCHES = {
+    (7, 3): ((0, 1, 6, 8, 19, 21, 26, 27), 8, "provably-maximal"),
+    (8, 3): ((0, 1, 7, 8, 17, 18, 23, 25, 30, 31), 10, "provably-maximal"),
+    (9, 3): ((0, 1, 8, 11, 22, 23, 36, 39, 57, 62), 10, "provably-maximal"),
+    (5, 4): ((0, 1, 4, 16, 22, 31), 6, "provably-maximal"),
+    (7, 4): ((0, 1, 6, 36, 43, 51, 95, 189), 8, "provably-maximal"),
+    (4, 5): ((0, 1, 3, 9, 27, 40), 6, "provably-maximal"),
+    (5, 5): ((0, 1, 4, 16, 64, 85), 6, "provably-maximal"),
+    (7, 5): ((0, 1, 6, 36, 216, 259, 317, 502), 8, "provably-maximal"),
+    (11, 3): ((0, 1, 10, 11, 35, 37, 56, 64, 68, 76, 95, 97), 12,
+              "provably-maximal"),
+}
+
+
+@pytest.mark.parametrize("s, u1", sorted(PINNED_PREFIX_SEARCHES))
+def test_max_independent_prefixes_pinned(s, u1):
+    search = max_independent_prefixes(galois_field(s), u1)
+    assert (search.labels, search.bound, search.certified) \
+        == PINNED_PREFIX_SEARCHES[s, u1]
+
+
+def test_max_independent_prefixes_caps_candidates(monkeypatch):
+    # the candidate list is sized before it is built: (32, 6) would list
+    # 31^5 tuples
+    monkeypatch.setattr("mcd_forge.linalg.ENUMERATION_CAP", 80)
+    with pytest.raises(TooLargeError):
+        max_independent_prefixes(galois_field(4), 5)  # 81 candidates
+    assert max_independent_prefixes(galois_field(4), 4).size == 5
 
 
 def test_max_independent_prefixes_degenerate():

@@ -12,7 +12,12 @@ from mcd_forge.errors import (
     UnsupportedOrderError,
     ZeroInverseError,
 )
-from mcd_forge.gf import MAX_ORDER, GaloisField, galois_field
+from mcd_forge.gf import (
+    MAX_ORDER,
+    REDUCTION_POLYNOMIALS,
+    GaloisField,
+    galois_field,
+)
 
 from golden_data import GF4_ADD, GF4_MUL, GF9_MUL
 
@@ -42,6 +47,32 @@ def test_gf4_tables_match_hand_computation():
 def test_gf9_table_matches_hand_computation():
     field = galois_field(9)
     assert field.mul_table.tolist() == [list(r) for r in GF9_MUL]
+
+
+def _schoolbook_product(a: int, b: int, p: int,
+                        reduction: tuple[int, ...]) -> int:
+    """a * b as base-p digit polynomials, long-divided by the monic
+    reduction polynomial, read back as an index."""
+    t = len(reduction) - 1
+    da = [a // p ** k % p for k in range(t)]
+    db = [b // p ** k % p for k in range(t)]
+    prod = [0] * (2 * t - 1)
+    for i, ai in enumerate(da):
+        for j, bj in enumerate(db):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for k in range(len(prod) - 1, t - 1, -1):
+        c, prod[k] = prod[k], 0
+        for j in range(t):
+            prod[k - t + j] = (prod[k - t + j] - c * reduction[j]) % p
+    return sum(c * p ** k for k, c in enumerate(prod[:t]))
+
+
+@pytest.mark.parametrize("s", sorted(REDUCTION_POLYNOMIALS))
+def test_extension_mul_table_matches_schoolbook_product(s):
+    field = galois_field(s)
+    expected = [[_schoolbook_product(a, b, field.p, REDUCTION_POLYNOMIALS[s])
+                 for b in range(s)] for a in range(s)]
+    assert field.mul_table.tolist() == expected
 
 
 def test_extension_field_spot_values():
