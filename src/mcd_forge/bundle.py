@@ -91,11 +91,18 @@ def _canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _matrix_json(matrix: np.ndarray) -> str:
+    """A matrix laid out as json.dumps(indent=2) lays out a top-level value."""
+    rows = ["    [\n      " + ",\n      ".join(map(str, r)) + "\n    ]"
+            if r else "    []" for r in matrix.tolist()]
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
 def to_json_text(b: DesignBundle) -> str:
-    obj = _meta_dict(b)
-    obj["d1"] = b.d1.tolist()
-    obj["d2"] = b.d2.tolist()
-    return _canonical_json(obj)
+    """_canonical_json of the whole bundle, with d1 and d2 (which sort
+    first) laid out by hand: json's indenting encoder is pure Python."""
+    return ('{\n  "d1": ' + _matrix_json(b.d1) + ',\n  "d2": '
+            + _matrix_json(b.d2) + ",\n" + _canonical_json(_meta_dict(b))[2:])
 
 
 def sidecar_path(path: Path) -> Path:
@@ -113,11 +120,7 @@ def write_bundle(path, b: DesignBundle, fmt: str = "json") -> Path:
     header = ([f"q{i + 1}" for i in range(b.m)]
               + [f"x{j + 1}" for j in range(b.k)])
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(b.d1.shape[0]):
-            writer.writerow([int(x) for x in b.d1[r]]
-                            + [int(x) for x in b.d2[r]])
+        csv.writer(fh).writerows([header, *np.hstack([b.d1, b.d2]).tolist()])
     sidecar_path(path).write_text(_canonical_json(_meta_dict(b)))
     return path
 
@@ -146,7 +149,7 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
     width = len(rows[0])
     _require(width > 0 and all(len(r) == width for r in rows),
              f"{what} rows must be nonempty and equal length")
-    _require(all(_is_int(x) for r in rows for x in r),
+    _require(all(set(map(type, r)) <= {int} for r in rows),
              f"{what} entries must be integers")
     return _int64_array(rows, what)
 
@@ -209,9 +212,7 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
             raise MalformedBundleError("empty CSV") from None
         m = sum(1 for h in header if h.startswith("q"))
         k = sum(1 for h in header if h.startswith("x"))
-        _require(m + k == len(header) and m > 0 and k > 0,
-                 "header must be q1..qm followed by x1..xk")
-        _require(header == [f"q{i + 1}" for i in range(m)]
+        _require(m > 0 and k > 0 and header == [f"q{i + 1}" for i in range(m)]
                  + [f"x{j + 1}" for j in range(k)],
                  "header must be q1..qm followed by x1..xk")
         rows = []
@@ -219,7 +220,7 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
             _require(len(row) == m + k,
                      f"line {lineno}: expected {m + k} fields, got {len(row)}")
             try:
-                rows.append([int(x) for x in row])
+                rows.append(list(map(int, row)))
             except ValueError:
                 raise MalformedBundleError(
                     f"line {lineno}: non-integer entry") from None

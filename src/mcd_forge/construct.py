@@ -81,7 +81,7 @@ from .linalg import (
     rank,
     unit_vector,
 )
-from .verify import battery, first_equal_pair
+from .verify import MAX_PAIR_WORK, battery, first_equal_pair
 
 # ---------------------------------------------------------------------------
 # vector families
@@ -438,16 +438,10 @@ class MarginallyCoupledDesign:
         return battery(self.d1, self.d2, self.params.s)
 
 
-#: largest design a construction builds, in cells n * (m + k).  A build
-#: written as JSON peaked at 150-190 bytes of RSS per cell (46 as CSV) for
-#: 0.26M-4.2M cells, so the largest accepted design stays under 1 GiB.
+#: largest design a construction builds, in cells n * (m + k).  A whole
+#: construct run peaked at 80-110 bytes of RSS per cell for 1M-4.2M cells,
+#: as JSON or CSV, so the largest accepted design stays under 1 GiB.
 MAX_DESIGN_CELLS = 5_000_000
-
-#: largest verification a construction may need, in n * (column pairs):
-#: pair balance counts n rows for each of the m * k (D1, D2) pairs, and
-#: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  Measured
-#: at 14-42 ns per unit, so one check_mcd takes at most about 5-12 s.
-MAX_PAIR_WORK = 300_000_000
 
 
 def _check_size(s: int, u: int, m: int, k: int) -> None:

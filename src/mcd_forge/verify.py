@@ -13,10 +13,12 @@ D1 strength and a grid-stratification sweep.
 
 ``check_oa_strength``, the pair-balance step of ``check_mcd`` and
 ``check_grid_stratification`` all count through one kernel,
-``_combo_counter``.  It range-checks every column once before encoding, so
-an entry outside its declared level range fails the check instead of
-aliasing into a valid level combination, and it returns the first
-off-count combination, decoded, so each check only words its detail.
+``_combo_counter``.  It counts the t-subsets that share their first t-1
+columns (the head) as one batch: each last column (tail) is coded into a
+block of its own, in place in one buffer, and one bincount counts a chunk
+of up to 2^16 codes.  Each column is range-checked once, and a tail that
+is out of range or does not divide n ends the batch unencoded, so no entry
+can alias into a valid combination or another subset's block.
 
 ``check_mcd`` tests the marginal-coupling property through the collapsed
 pair condition: every (D1 column, collapsed D2 column) pair must be a
@@ -32,8 +34,8 @@ acceptance suite holds them to that on random and constructed designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import prod
+from itertools import combinations
+from math import comb, prod
 
 import numpy as np
 
@@ -49,7 +51,15 @@ from .errors import (
     NotDivisibleError,
     RunCountMismatchError,
     StrengthExceedsColumnsError,
+    TooLargeError,
 )
+
+#: largest verification a construction may need, in n * (column pairs):
+#: pair balance counts n rows for each of the m * k (D1, D2) pairs, and
+#: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  At 4.5-20
+#: ns per unit one check_mcd takes at most about 1.4-6 s.  A --stratify
+#: sweep, n * C(k, arity) cells at 110-180 ns each, has the same cap.
+MAX_PAIR_WORK = 300_000_000
 
 
 @dataclass(frozen=True)
@@ -85,40 +95,55 @@ class VerificationReport:
 
 
 def _combo_counter(columns, levels):
-    """The counting kernel.  Returns ``first_unbalanced(cols)`` over the
-    columns ``cols`` of ``columns``, a sequence of equal-length 1-D arrays
-    (``data.T`` for a design matrix): None when every level combination
-    occurs n / (product of the levels) times, ``()`` when one of the
-    columns holds an entry outside its level range, and otherwise
-    ``(combination, count, expected)`` for the first off-count combination
-    in lexicographic order.
+    """The counting kernel over equal-length 1-D ``columns`` (``data.T`` for
+    a design matrix) with level counts ``levels``.  first_unbalanced(head,
+    lo, hi) is None when each subset head + (j,), lo <= j < hi, holds every
+    level combination n / (product of its levels) times, else (subset,
+    found) for the first that does not: found is None when its level count
+    does not divide n, () when a column leaves its level range, else
+    (combination, count, expected) for its first off-count combination."""
+    cols = np.ascontiguousarray(columns, dtype=np.int64)
+    c, n = cols.shape
+    levels = tuple(map(int, levels))
+    # a negative entry reads as a huge unsigned one: one max per column
+    bad = [top >= lev for top, lev in zip(
+        cols.view(np.uint64).max(axis=1, initial=0).tolist(), levels)]
+    run_end = list(range(1, c + 1))  # end of j's chunk: level change or bad
+    for j in range(c - 2, -1, -1):
+        if levels[j + 1] == levels[j] and not bad[j + 1]:
+            run_end[j] = run_end[j + 1]
+    width = max(1, (1 << 16) // max(n, 1))  # tails per chunk
+    buf = np.empty((min(width, c), n), dtype=np.int64)
 
-    Every column is range-checked against 0..levels[j]-1 once, here,
-    before any encoding, so no out-of-range entry can alias into a valid
-    combination.  Combinations are encoded big-endian (first column most
-    significant), so code order is lexicographic order.
-    """
-    columns = list(columns)
-    levels = tuple(int(v) for v in levels)
-    bad = [col.min(initial=0) < 0 or col.max(initial=0) >= lev
-           for col, lev in zip(columns, levels)]
-    any_bad = any(bad)
-
-    def first_unbalanced(cols: tuple[int, ...]) -> tuple | None:
-        if any_bad and any(bad[c] for c in cols):
-            return ()
-        codes, full = columns[cols[0]], levels[cols[0]]
-        for c in cols[1:]:
-            codes = codes * levels[c] + columns[c]
-            full *= levels[c]
-        expected = len(codes) // full
-        counts = np.bincount(codes, minlength=full)
-        off = np.flatnonzero(counts != expected)
-        if not off.size:
-            return None
-        code = int(off[0])
-        combo = np.unravel_index(code, tuple(levels[c] for c in cols))
-        return tuple(int(x) for x in combo), int(counts[code]), expected
+    def first_unbalanced(head: tuple[int, ...], lo: int, hi: int):
+        full = prod(levels[j] for j in head)
+        a = lo
+        while a < hi:
+            size = full * levels[a]
+            if not size or n % size:
+                return head + (a,), None
+            if bad[a] or any(bad[j] for j in head):
+                return head + (a,), ()
+            b = min(hi, a + width, run_end[a])
+            # little-endian codes: the first column varies fastest
+            codes, weight = buf[:b - a], 1
+            np.multiply(cols[a:b], full, out=codes)
+            for j in head:
+                codes += cols[j] * weight if weight > 1 else cols[j]
+                weight *= levels[j]
+            if b - a > 1:
+                codes += np.arange(0, (b - a) * size, size)[:, None]
+            counts = np.bincount(codes.ravel(), minlength=(b - a) * size)
+            off = np.flatnonzero(counts != n // size)
+            if off.size:
+                i = int(off[0]) // size
+                block = counts[i * size:(i + 1) * size].reshape(
+                    [levels[j] for j in (a + i, *head[::-1])]).T
+                hit = int(np.flatnonzero(block.ravel() != n // size)[0])
+                combo = tuple(map(int, np.unravel_index(hit, block.shape)))
+                return head + (a + i,), (combo, int(block.flat[hit]), n // size)
+            a = b
+        return None
 
     return first_unbalanced
 
@@ -135,56 +160,61 @@ def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
             f"strength {t} exceeds column count {a.m}")
     name = f"oa-strength({t})"
     first_unbalanced = _combo_counter(a.data.T, a.levels)
-    for cols in combinations(range(a.m), t):
-        full = int(prod(a.levels[c] for c in cols))
-        if a.n % full != 0:
-            detail = (f"run count {a.n} not divisible by {full} level "
-                      "combinations")
-        elif (found := first_unbalanced(cols)) is None:
-            continue
-        elif not found:
-            detail = "entries outside the declared level range"
-        else:
-            combo, count, expected = found
-            detail = (f"combination {combo} appears {count} times, "
-                      f"expected {expected}")
-        return VerificationReport((CheckResult(name, cols, False, detail),))
-    return VerificationReport((CheckResult(name, (), True),))
+    hit = next(filter(None, (first_unbalanced(h, h[-1] + 1 if h else 0, a.m)
+                             for h in combinations(range(a.m - 1), t - 1))),
+               None)
+    if hit is None:
+        return VerificationReport((CheckResult(name, (), True),))
+    cols, found = hit
+    if found is None:
+        detail = (f"run count {a.n} not divisible by "
+                  f"{prod(a.levels[c] for c in cols)} level combinations")
+    elif not found:
+        detail = "entries outside the declared level range"
+    else:
+        combo, count, expected = found
+        detail = (f"combination {combo} appears {count} times, "
+                  f"expected {expected}")
+    return VerificationReport((CheckResult(name, cols, False, detail),))
 
 
 def _latin_check(d2: LatinHypercube) -> CheckResult:
-    n = d2.n
-    for j in range(d2.k):
-        col = np.sort(d2.data[:, j])
-        if not (col == np.arange(n)).all():
-            missing = sorted(set(range(n)) - set(d2.data[:, j].tolist()))
-            what = (f"value {missing[0]} missing" if missing
-                    else "duplicate values")
-            return CheckResult("latin-hypercube", (j,), False,
-                               f"column {j} is not a permutation of 0..{n - 1}"
-                               f" ({what})")
-    return CheckResult("latin-hypercube", (), True)
+    ranked = np.array(d2.data.T, order="C")  # rows sort in contiguous memory
+    ranked.sort(axis=1)
+    wrong = (ranked != np.arange(d2.n)).any(axis=1)
+    if not wrong.any():
+        return CheckResult("latin-hypercube", (), True)
+    j = int(wrong.argmax())
+    missing = sorted(set(range(d2.n)) - set(d2.data[:, j].tolist()))
+    what = f"value {missing[0]} missing" if missing else "duplicate values"
+    return CheckResult("latin-hypercube", (j,), False,
+                       f"column {j} is not a permutation of 0..{d2.n - 1} "
+                       f"({what})")
 
 
-def _pair_balance(d1: OrthogonalArray, tilde: np.ndarray, s: int) -> CheckResult:
-    """Every (D1 column, collapsed column) pair must hit each (level, level)
-    combination exactly once -- the collapsed form of marginal coupling."""
-    m, k, nlev = d1.m, tilde.shape[1], d1.n // s
-    first_unbalanced = _combo_counter([*d1.data.T, *tilde.T],
-                                      (s,) * m + (nlev,) * k)
-    for i, j in product(range(m), range(k)):
-        found = first_unbalanced((i, m + j))
-        if found is None:
-            continue
-        if not found:
-            detail = (f"levels out of range for D1 column {i} / "
-                      f"collapsed D2 column {j}")
-        else:
-            (a, b), count, _ = found
-            detail = (f"(D1 column {i} = {a}, collapsed D2 column {j} = {b}) "
-                      f"occurs {count} times, expected 1")
-        return CheckResult("pair-balance", (i, j), False, detail)
-    return CheckResult("pair-balance", (), True)
+def _pair_balance(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> CheckResult:
+    """Every (D1 column, collapsed D2 column) pair must hit each (level,
+    level) combination exactly once -- the collapsed form of marginal
+    coupling."""
+    m, k, n = d1.m, d2.k, d1.n
+    cols = np.empty((m + k, n), dtype=np.int64)
+    cols[:m] = d1.data.T
+    np.floor_divide(d2.data.T, s, out=cols[m:])
+    first_unbalanced = _combo_counter(cols, (s,) * m + (n // s,) * k)
+    hit = next(filter(None, (first_unbalanced((i,), m, m + k)
+                             for i in range(m))), None)
+    if hit is None:
+        return CheckResult("pair-balance", (), True)
+    (i, j), found = hit
+    j -= m
+    if not found:
+        detail = (f"levels out of range for D1 column {i} / "
+                  f"collapsed D2 column {j}")
+    else:
+        (a, b), count, _ = found
+        detail = (f"(D1 column {i} = {a}, collapsed D2 column {j} = {b}) "
+                  f"occurs {count} times, expected 1")
+    return CheckResult("pair-balance", (i, j), False, detail)
 
 
 def _structural_checks(d1: OrthogonalArray, d2: LatinHypercube,
@@ -204,7 +234,7 @@ def check_mcd(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> VerificationRe
     prerequisites: D1 a strength-2 orthogonal array (strength 1 when it has
     a single column) and D2 a Latin hypercube."""
     checks = _structural_checks(d1, d2, s)
-    checks.append(_pair_balance(d1, d2.data // s, s))
+    checks.append(_pair_balance(d1, d2, s))
     return VerificationReport(tuple(checks))
 
 
@@ -251,16 +281,27 @@ def first_equal_pair(keys) -> tuple[int, int] | None:
     return pair
 
 
-def _relabel_by_first_occurrence(col: np.ndarray) -> tuple[int, ...]:
-    """Canonical form of a column under level bijections."""
-    mapping: dict[int, int] = {}
-    return tuple(mapping.setdefault(v, len(mapping)) for v in col.tolist())
-
-
 def check_noncascading(collapsed: CollapsedDesign) -> VerificationReport:
-    """No two collapsed columns may be equal up to level relabeling."""
-    pair = first_equal_pair(_relabel_by_first_occurrence(col)
-                            for col in collapsed.data.T)
+    """No two collapsed columns may be equal up to level relabeling, that
+    is, replacing each entry by the row where its value first appears in
+    its column must give two different columns.  One stable argsort per
+    block of columns finds those rows."""
+    n, k = collapsed.data.shape
+    step, keys = max(1, (1 << 16) // max(n, 1)), []
+    for a in range(0, k, step):
+        block = np.ascontiguousarray(collapsed.data[:, a:a + step].T)
+        order = np.argsort(block, axis=1, kind="stable").astype(np.int32)
+        ranked = np.take_along_axis(block, order, axis=1)
+        # sorted position of each run of equal values, holding its first row
+        start = np.zeros_like(order)
+        start[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1],
+                                np.arange(1, n), 0)
+        np.maximum.accumulate(start, axis=1, out=start)
+        rows = np.empty_like(order)
+        np.put_along_axis(rows, order,
+                          np.take_along_axis(order, start, axis=1), axis=1)
+        keys += map(np.ndarray.tobytes, rows)
+    pair = first_equal_pair(keys)
     if pair:
         i, j = pair
         result = CheckResult(
@@ -288,14 +329,14 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
         raise BadGridError(f"cell counts {cells} must divide n={n}")
     full = int(prod(cells))
     if n % full != 0:
-        raise BadGridError(
-            f"grid of {full} cells does not divide n={n}")
+        raise BadGridError(f"grid of {full} cells does not divide n={n}")
     cell_cols = [d2.data[:, d] // (n // c) for d, c in zip(dims, cells)]
-    found = _combo_counter(cell_cols, cells)(tuple(range(len(cells))))
+    last = len(cells) - 1
+    hit = _combo_counter(cell_cols, cells)(tuple(range(last)), last, last + 1)
     name = _grid_name(cells)
-    if found is None:
+    if hit is None:
         return VerificationReport((CheckResult(name, tuple(dims), True),))
-    if not found:
+    if not (found := hit[1]):
         detail = "entries outside the declared level range"
     else:
         cell, count, expected = found
@@ -311,6 +352,13 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
     optionally D1 at ``strength`` and a grid-stratification sweep over
     every D2 column subset of the grid's arity, stopping at the first
     failing subset."""
+    if stratify is not None:
+        if len(stratify) > d2.k:
+            raise BadParamsError(
+                f"grid arity {len(stratify)} exceeds the {d2.k} columns")
+        if (work := d2.n * comb(d2.k, len(stratify))) > MAX_PAIR_WORK:
+            raise TooLargeError(f"{_grid_name(stratify)} sweep: {work} run-"
+                                f"subset cells, over the cap of {MAX_PAIR_WORK}")
     report = check_mcd(d1, d2, s)
     report = report.merged_with(check_noncascading(collapse_levels(d2, s)))
     if strength is not None:
@@ -321,9 +369,6 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
             extra = check_oa_strength(d1, strength)
         report = report.merged_with(extra)
     if stratify is not None:
-        if len(stratify) > d2.k:
-            raise BadParamsError(
-                f"grid arity {len(stratify)} exceeds the {d2.k} columns")
         sweep = (check_grid_stratification(d2, dims, stratify)
                  for dims in combinations(range(d2.k), len(stratify)))
         failed = next((r for r in sweep if not r.passed), None)

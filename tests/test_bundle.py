@@ -1,10 +1,14 @@
 """File formats: canonical JSON, CSV + sidecar, and malformed inputs."""
 
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from mcd_forge.bundle import (
+    _meta_dict,
     bundle_from_design,
     read_bundle,
     sidecar_path,
@@ -207,3 +211,59 @@ def test_read_csv_bundle_malformed(tmp_path):
     sidecar_path(empty).write_text(sidecar_path(path).read_text())
     with pytest.raises(MalformedBundleError, match="empty CSV"):
         read_bundle(empty)
+
+
+def _shaped_bundle(d1, d2):
+    b = _bundle(seed=5)
+    b.d1, b.d2 = np.array(d1, dtype=np.int64), np.array(d2, dtype=np.int64)
+    return b
+
+
+def _reference_json_text(b):
+    obj = _meta_dict(b)
+    obj["d1"], obj["d2"] = b.d1.tolist(), b.d2.tolist()
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_equals_json_dumps_on_random_shapes():
+    rng = np.random.default_rng(3)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    shapes = [((1, 1), (1, 3)), ((4, 0), (4, 2)), ((3, 2), (3, 0)),
+              ((0, 2), (0, 3)), ((0, 0), (0, 0))]
+    shapes += [((int(rng.integers(1, 6)), int(rng.integers(0, 5))),
+                (int(rng.integers(1, 6)), int(rng.integers(0, 5))))
+               for _ in range(30)]
+    for shape1, shape2 in shapes:
+        d1 = rng.integers(-50, 50, size=shape1)
+        d2 = rng.integers(lo, hi, size=shape2, endpoint=True)
+        if d2.size:
+            d2.flat[0], d2.flat[-1] = lo, hi
+        b = _shaped_bundle(d1, d2)
+        assert to_json_text(b) == _reference_json_text(b)
+
+
+def test_csv_bytes_equal_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    for rows in (1, 2, 9):
+        b = _shaped_bundle(rng.integers(-3, 3, size=(rows, 2)),
+                           rng.integers(lo, hi, size=(rows, 3)))
+        path = tmp_path / f"d{rows}.csv"
+        write_bundle(path, b, "csv")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["q1", "q2", "x1", "x2", "x3"])
+        for r in range(rows):
+            writer.writerow([int(x) for x in b.d1[r]]
+                            + [int(x) for x in b.d2[r]])
+        assert path.read_bytes() == expected.getvalue().encode()
+        again = read_bundle(path)
+        assert (again.d1 == b.d1).all() and (again.d2 == b.d2).all()
+
+
+def test_read_bundle_rejects_non_integer_entries_by_type(tmp_path):
+    base = json.loads(to_json_text(_bundle()))
+    for d1 in ([[0, 1], [0, True]], [[0, None]], [[0, 1.0]]):
+        with pytest.raises(MalformedBundleError,
+                           match="^d1 entries must be integers$"):
+            read_bundle(_write_obj(tmp_path, dict(base, d1=d1)))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mcd_forge.verify as verify
 from mcd_forge.bundle import read_bundle, sidecar_path, write_bundle
 from mcd_forge.cli import (
     EXIT_INTERNAL,
@@ -224,6 +225,26 @@ def test_verify_stratify_flag(tmp_path, capsys):
                  "2x2x2x2x2"]) == EXIT_PARAM_ERROR
     assert main(["verify", "--in", str(out), "--stratify",
                  "2xtwo"]) == EXIT_PARAM_ERROR
+
+
+def test_verify_refuses_an_oversize_stratify_sweep(tmp_path, capsys,
+                                                   monkeypatch):
+    out = tmp_path / "strat.json"
+    assert main(["construct", "--method", "anti-mirror",
+                 "--u", "4", "--u1", "2", "--out", str(out)]) == EXIT_OK
+    b = read_bundle(out)
+    sweep = b.d2.shape[0] * b.k * (b.k - 1) // 2
+    monkeypatch.setattr(verify, "MAX_PAIR_WORK", sweep - 1)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--stratify",
+                 "2x2"]) == EXIT_PARAM_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: grid-stratification(2x2) sweep: {sweep} run-subset cells, "
+        f"over the cap of {sweep - 1}\n")
+    monkeypatch.setattr(verify, "MAX_PAIR_WORK", sweep)
+    assert main(["verify", "--in", str(out), "--stratify", "2x2"]) == EXIT_OK
 
 
 def test_verify_json_report(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Brute-force checks: strength, coupling, cascading, grid stratification."""
 
+from collections import Counter
+from itertools import combinations, product
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from mcd_forge.errors import (
     NotDivisibleError,
     RunCountMismatchError,
     StrengthExceedsColumnsError,
+    TooLargeError,
 )
 from mcd_forge.gf import galois_field
 from mcd_forge.verify import (
@@ -407,3 +412,177 @@ def test_battery_stratify_sweep():
     assert not report.checks[-1].passed
     with pytest.raises(BadParamsError, match="grid arity 3 exceeds"):
         battery(mcd.d1, twin, 2, stratify=(2, 2, 2))
+
+
+def _reference_first_failure(data, levels, subsets):
+    """Per-subset reference for the counting kernel: divisibility, then the
+    range of each column, then a Counter of row tuples, subset by subset."""
+    n = len(data)
+    for cols in subsets:
+        full = prod(levels[c] for c in cols)
+        if n % full:
+            return cols, (f"run count {n} not divisible by {full} level "
+                          "combinations")
+        if any(not 0 <= row[c] < levels[c] for row in data for c in cols):
+            return cols, "entries outside the declared level range"
+        counts = Counter(tuple(row[c] for c in cols) for row in data)
+        for combo in product(*(range(levels[c]) for c in cols)):
+            if counts[combo] != n // full:
+                return cols, (f"combination {combo} appears {counts[combo]} "
+                              f"times, expected {n // full}")
+    return None
+
+
+def _mixed_level_array(rng):
+    """Columns of levels 2, 3, 4 and 6, each balanced over a replicated
+    2 x 3 x 4 factorial; some have their rows shuffled, so higher strengths
+    fail at varied subsets."""
+    grid = np.array(list(product(range(2), range(3), range(4))))
+    grid = np.tile(grid, (int(rng.integers(1, 3)), 1))
+    pool = {2: [grid[:, 0], grid[:, 2] % 2, (grid[:, 0] + grid[:, 2]) % 2],
+            3: [grid[:, 1], (grid[:, 1] + grid[:, 2]) % 3],
+            4: [grid[:, 2], (grid[:, 2] + 2 * grid[:, 0]) % 4],
+            6: [grid[:, 0] * 3 + grid[:, 1], grid[:, 1] * 2 + grid[:, 2] % 2]}
+    cols, levels = [], []
+    for _ in range(int(rng.integers(1, 7))):
+        lev = int(rng.choice([2, 3, 4, 6]))
+        options = pool[lev]
+        col = options[int(rng.integers(len(options)))].copy()
+        if rng.random() < 0.3:
+            rng.shuffle(col)
+        cols.append(col)
+        levels.append(lev)
+    return np.column_stack(cols), levels
+
+
+def test_counting_kernel_matches_per_subset_reference():
+    rng = np.random.default_rng(20240607)
+    seen = set()
+    for trial in range(400):
+        data, levels = _mixed_level_array(rng)
+        n, m = data.shape
+        fault = trial % 4
+        col = int(rng.integers(m))
+        if fault == 1 and m > 1:
+            # a negative entry in a later column must not alias into the
+            # block of the column before it
+            data[int(rng.integers(n)), max(col, 1)] = -1
+        elif fault == 2:
+            data[int(rng.integers(n)), col] = levels[col]
+        elif fault == 3:
+            levels[col] = 5  # 5 divides no run count here
+            data[:, col] %= 5
+        for t in range(1, min(3, m) + 1):
+            report = check_oa_strength(OrthogonalArray(data, levels), t)
+            expected = _reference_first_failure(
+                data.tolist(), levels, combinations(range(m), t))
+            got = report.checks[0]
+            if expected is None:
+                assert got.passed and got.subject == ()
+            else:
+                assert not got.passed
+                assert (got.subject, got.detail) == expected
+                seen.add(expected[1].split()[0])
+    # every kind of failure came up
+    assert seen == {"run", "entries", "combination"}
+
+
+def test_pair_balance_batch_stops_at_an_out_of_range_tail():
+    mcd = _anti_mirror()
+    n, k = mcd.d2.n, mcd.d2.k
+    for j in (1, k - 1):
+        for value in (-2, n):
+            d2 = mcd.d2.data.copy()
+            d2[3, j] = value
+            report = check_mcd(mcd.d1, LatinHypercube(d2), 2)
+            pair = next(c for c in report.checks if c.name == "pair-balance")
+            tilde = np.hstack([mcd.d1.data, d2 // 2]).tolist()
+            subsets = [(i, mcd.d1.m + jj) for i in range(mcd.d1.m)
+                       for jj in range(k)]
+            cols, _ = _reference_first_failure(
+                tilde, [2] * mcd.d1.m + [n // 2] * k, subsets)
+            assert pair.subject == (cols[0], cols[1] - mcd.d1.m) == (0, j)
+            assert pair.detail == (f"levels out of range for D1 column 0 / "
+                                   f"collapsed D2 column {j}")
+
+
+def test_pair_balance_fails_closed_on_a_design_without_runs():
+    d1 = OrthogonalArray(np.zeros((0, 2), dtype=np.int64), (2, 2))
+    d2 = LatinHypercube(np.zeros((0, 3), dtype=np.int64))
+    assert check_mcd(d1, d2, 2).lines()[-1] == (
+        "[FAIL] pair-balance (0, 0) -- levels out of range for D1 column 0 / "
+        "collapsed D2 column 0")
+
+
+def test_grid_stratification_matches_per_subset_reference():
+    rng = np.random.default_rng(7)
+    mcd = _anti_mirror(5)
+    data = mcd.d2.data.copy()
+    data[:, 3] = rng.permutation(data[:, 3])
+    n = mcd.d2.n
+    for cells in ((2,), (2, 4), (4, 2), (2, 2, 2), (4, 2, 2)):
+        for dims in combinations(range(6), len(cells)):
+            report = check_grid_stratification(LatinHypercube(data), dims,
+                                               cells)
+            cell_rows = [[row[d] // (n // c) for d, c in zip(dims, cells)]
+                         for row in data.tolist()]
+            found = _reference_first_failure(
+                cell_rows, list(cells), [tuple(range(len(cells)))])
+            got = report.checks[0]
+            if found is None:
+                assert got.passed
+            else:
+                detail = found[1].replace("combination", "cell").replace(
+                    "appears", "holds").replace(" times", " points")
+                assert got.detail == detail
+
+
+def _reference_noncascading_pair(data):
+    keys = []
+    for col in data.T.tolist():
+        mapping = {}
+        keys.append(tuple(mapping.setdefault(v, len(mapping)) for v in col))
+    pairs = [(i, j) for i in range(len(keys)) for j in range(i + 1, len(keys))
+             if keys[i] == keys[j]]
+    return pairs[0] if pairs else None
+
+
+def test_noncascading_matches_dict_relabel_reference():
+    rng = np.random.default_rng(11)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    for trial in range(300):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+        values = np.array([lo, hi, -3, -1, 0, 2])[:int(rng.integers(1, 7))]
+        data = rng.choice(values, size=(n, k))
+        if k > 1 and trial % 2:
+            # a relabeled copy of one column in another
+            i, j = sorted(rng.choice(k, 2, replace=False).tolist())
+            relabel = dict(zip(values.tolist(),
+                               rng.permutation(values).tolist()))
+            data[:, j] = [relabel[v] for v in data[:, i].tolist()]
+        report = check_noncascading(CollapsedDesign(2, data))
+        expected = _reference_noncascading_pair(data)
+        got = report.checks[0]
+        assert got.subject == (expected or ())
+        assert got.passed == (expected is None)
+
+
+def test_noncascading_reports_the_first_pair():
+    data = [[5, 0, 9, -1, 0], [5, 1, 9, 7, 1], [6, 0, 8, -1, 0]]
+    report = check_noncascading(CollapsedDesign(2, data))
+    failure = report.failures()[0]
+    # columns 0, 2 and 3 are relabelings of one another, and so are 1 and 4
+    assert failure.subject == (0, 2)
+    assert failure.detail == ("columns 0 and 2 are level-relabelings of "
+                              "each other")
+    assert check_noncascading(CollapsedDesign(2, [[3], [-3]])).passed
+
+
+def test_stratify_sweep_is_sized_before_it_runs(monkeypatch):
+    mcd = _anti_mirror()
+    n, k = mcd.d2.n, mcd.d2.k
+    monkeypatch.setattr(verify, "MAX_PAIR_WORK", n * (k * (k - 1) // 2) - 1)
+    with pytest.raises(TooLargeError, match="sweep"):
+        battery(mcd.d1, mcd.d2, 2, stratify=(2, 2))
+    # a one-column grid scans only k subsets, well under the cap
+    assert battery(mcd.d1, mcd.d2, 2, stratify=(2,)).passed

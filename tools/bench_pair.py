@@ -1,0 +1,134 @@
+"""Benchmark a change against its parent commit in alternating pairs.
+
+    python3 tools/bench_pair.py --label kernel --workloads construct-large \
+        verify-sweep --seeds 73 74 75 --base HEAD
+
+Exports ``--base`` with ``git archive`` into a temporary directory, then for
+each seed and workload runs ``perfbench/run.py`` once on that export and
+once on the working tree, one after the other, swapping which goes first
+from seed to seed so that a drift in machine speed favours neither side.
+Each side runs its own ``perfbench/`` and ``src/``.  The end-to-end metrics of
+every run, their medians and interquartile ranges, and the number of pairs
+the change wins are written to ``BENCH_<label>.json`` at the root of the
+working tree.
+
+Run it with no other benchmark running: ``perfbench/run.py`` pins itself and
+its children to one CPU.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(rev: str, dest: Path) -> str:
+    """Unpack ``git archive rev`` into ``dest``; returns the full hash."""
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = dest / "base.tar"
+    with archive.open("wb") as fh:
+        subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                       stdout=fh)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    archive.unlink()
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its result and details."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: run in {tree} failed:\n{proc.stderr}")
+    details, result = (json.loads(line)
+                       for line in proc.stdout.strip().splitlines()[-2:])
+    return {"metrics": {name: m["value"]
+                        for name, m in result["metrics"].items()},
+            "correct": result["correct"], "fail_ratio": details["fail_ratio"],
+            "speed_factor": details["speed_factor"],
+            "environment": details["environment"]}
+
+
+def spread(values: list[float]) -> dict:
+    """Median, quartiles and interquartile range."""
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "iqr": q3 - q1}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    summary = {}
+    for name, direction in better.items():
+        base = [r["base"]["metrics"][name] for r in runs]
+        change = [r["change"]["metrics"][name] for r in runs]
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        summary[name] = {"better": direction, "base": spread(base),
+                         "change": spread(change),
+                         "change_wins": f"{wins}/{len(runs)}"}
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, default=26.0)
+    parser.add_argument("--base", default="HEAD",
+                        help="commit to compare the working tree against")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs: dict[str, list] = {w: [] for w in args.workloads}
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        sha = export(args.base, Path(tmp))
+        trees = {"base": Path(tmp) / "tree", "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+            for workload in args.workloads:
+                pair = {"seed": seed, "order": order}
+                for side in order:
+                    pair[side] = run_once(trees[side], workload, seed,
+                                          args.seconds)
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{pair[side]['metrics']}", file=sys.stderr)
+                runs[workload].append(pair)
+    first = runs[args.workloads[0]][0]["change"]["environment"]
+    bench = {
+        "label": args.label, "seconds": args.seconds, "base": sha,
+        "change": "working tree on top of the base",
+        "environment": {"python": platform.python_version(),
+                        "numpy": numpy.__version__, "nproc": os.cpu_count(),
+                        "cpu": first["cpu"]},
+        "workloads": {w: {"summary": summarize(r, better), "runs": r}
+                      for w, r in runs.items()},
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(bench, indent=1) + "\n")
+    print(json.dumps({w: b["summary"] for w, b in bench["workloads"].items()},
+                     indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
