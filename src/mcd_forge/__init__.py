@@ -73,7 +73,6 @@ from .errors import (
     TooManyColumnsError,
     UnsupportedOrderError,
     VOutOfRangeError,
-    ZeroInverseError,
     ZeroVectorError,
 )
 from .gf import GaloisField, galois_field
@@ -132,7 +131,6 @@ __all__ = [
     "UnsupportedOrderError",
     "VOutOfRangeError",
     "VerificationReport",
-    "ZeroInverseError",
     "ZeroVectorError",
     "admissible_set",
     "all_rows",

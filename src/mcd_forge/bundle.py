@@ -23,6 +23,9 @@ from .errors import MalformedBundleError
 
 FORMAT_VERSION = 1
 
+#: matrix cells a CSV write holds as Python ints at a time
+_CSV_BLOCK_CELLS = 1 << 14
+
 _SCHEMA_KEYS = {
     "format_version", "method", "s", "u", "u1", "v", "item", "seed",
     "d1", "d2", "provenance",
@@ -119,9 +122,16 @@ def write_bundle(path, b: DesignBundle, fmt: str = "json") -> Path:
         raise MalformedBundleError(f"unknown format {fmt!r}")
     header = ([f"q{i + 1}" for i in range(b.m)]
               + [f"x{j + 1}" for j in range(b.k)])
+    step = max(1, _CSV_BLOCK_CELLS // len(header))
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows([header, *np.hstack([b.d1, b.d2]).tolist()])
-    sidecar_path(path).write_text(_canonical_json(_meta_dict(b)))
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, len(b.d1), step):
+            writer.writerows(np.hstack([b.d1[lo:lo + step],
+                                        b.d2[lo:lo + step]]).tolist())
+    with sidecar_path(path).open("w") as fh:  # _canonical_json, streamed
+        json.dump(_meta_dict(b), fh, sort_keys=True, indent=2)
+        fh.write("\n")
     return path
 
 

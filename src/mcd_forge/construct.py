@@ -69,14 +69,13 @@ from .gf import GaloisField, galois_field
 from .linalg import (
     Vector,
     _enumeration_size,
+    _leading_one,
     dot,
     enumerate_span,
     enumerate_tuples,
     extend_to_basis,
     generate_linear_array,
-    is_zero,
     linear_strength,
-    normalize_direction,
     orthogonal_complement_basis,
     rank,
     unit_vector,
@@ -112,9 +111,11 @@ class AdmissibleSet:
 
 def admissible_set(field: GaloisField, u: int, u1: int) -> AdmissibleSet:
     _check_u_u1(field, u, u1)
-    vecs = tuple(
-        v for v in enumerate_tuples(field, u)
-        if v[0] == 1 and all(v[i] != 0 for i in range(1, u1)))
+    s = field.s
+    _enumeration_size(s, u)
+    # digit by digit (1, then u1-1 nonzero, then u-u1 free): base-s order
+    vecs = tuple(product((1,), *[range(1, s)] * (u1 - 1),
+                         *[range(s)] * (u - u1)))
     return AdmissibleSet(field, u, u1, vecs)
 
 
@@ -379,20 +380,14 @@ def orthogonal_witness(field: GaloisField, u: int, u1: int, z) -> Vector:
     if len(nz) < 2:
         raise NotApplicableError(
             "z needs at least two nonzero coefficients")
-    last = nz[-1]
-    lam_star = 0
-    for i in nz[:-1]:
-        lam_star = field.add(lam_star, z[i])
+    last, alpha2 = nz[-1], 2
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     x = [1] * u
-    if lam_star != 0:
-        x[last] = field.neg(field.mul(field.inv(z[last]), lam_star))
-    else:
-        second = nz[-2]
-        alpha2 = 2
-        x[second] = alpha2
-        x[last] = field.neg(field.mul(
-            field.inv(z[last]),
-            field.mul(z[second], field.sub(alpha2, 1))))
+    lam = dot(field, z[:last], (1,) * last)  # lam*
+    if lam == 0:
+        x[nz[-2]] = alpha2
+        lam = mul[z[nz[-2]], add[alpha2, neg[1]]]
+    x[last] = int(mul[neg[field.inv_table[z[last]]], lam])
     witness = tuple(x)
     assert dot(field, z, witness) == 0
     return witness
@@ -471,10 +466,11 @@ def _check_u_u1(field: GaloisField, u: int, u1: int) -> None:
 def _check_directions(field: GaloisField, vecs: list[Vector],
                       label: str) -> None:
     """Reject the first zero vector, then the first proportional pair."""
-    for i, v in enumerate(vecs):
-        if is_zero(v):
-            raise ZeroVectorError(f"{label} vector {i} is zero")
-    pair = first_equal_pair(normalize_direction(field, v) for v in vecs)
+    rows = np.array(vecs, dtype=np.int64)
+    zero = np.flatnonzero(~rows.any(axis=1))
+    if zero.size:
+        raise ZeroVectorError(f"{label} vector {zero[0]} is zero")
+    pair = first_equal_pair(map(tuple, _leading_one(field, rows).tolist()))
     if pair:
         raise ProportionalVectorsError(
             f"{label} vectors {pair[0]} and {pair[1]} are proportional")
@@ -518,17 +514,17 @@ def general_construction(field: GaloisField, z_list, x_list,
     _check_size(field.s, u, len(zs), len(xs))
     _check_directions(field, zs, "z")
     _check_directions(field, xs, "x")
-    clashes = [(i, j) for i, z in enumerate(zs) for j, x in enumerate(xs)
-               if dot(field, z, x) == 0]
+    s = field.s
+    d1 = generate_linear_array(field, zs)
+    # row x of D1 (x read as a base-s number) holds x^T z for every z
+    dots = d1[np.array(xs) @ s ** np.arange(u - 1, -1, -1)]
+    clashes = [(int(i), int(j)) for i, j in np.argwhere(dots.T == 0)]
     if clashes:
         raise OrthogonalityViolationError(
             "z^T x = 0 for (z index, x index) pairs: "
             + ", ".join(map(str, clashes)))
-
-    s = field.s
-    d1 = OrthogonalArray(
-        generate_linear_array(field, zs), (s,) * len(zs),
-        certified_strength=linear_strength(field, zs))
+    d1 = OrthogonalArray(d1, (s,) * len(zs),
+                         certified_strength=linear_strength(field, zs))
 
     overrides = generator_overrides or {}
     for j in overrides:
@@ -694,11 +690,11 @@ def stratified_generator_choice(field: GaloisField,
     used: set[Vector] = set()
     result: list[tuple[Vector, ...]] = []
     for x in xs:
-        members = enumerate_span(orthogonal_complement_basis(field, x))
-        lead = next(w for w in members
-                    if not is_zero(w)
-                    and normalize_direction(field, w) == w
-                    and w not in used)
+        span = np.array(enumerate_span(orthogonal_complement_basis(field, x)))
+        canonical = (span.any(axis=1)
+                     & (_leading_one(field, span) == span).all(axis=1))
+        lead = next(w for w in map(tuple, span[canonical].tolist())
+                    if w not in used)
         used.add(lead)
         result.append(extend_to_basis(field, x, [lead]))
     return result

@@ -18,10 +18,6 @@ class UnsupportedOrderError(McdForgeError, ValueError):
     """Field order is a prime power but larger than the supported cap."""
 
 
-class ZeroInverseError(McdForgeError, ZeroDivisionError):
-    """Multiplicative inverse of the zero element was requested."""
-
-
 class TooLargeError(McdForgeError, ValueError):
     """An enumeration would exceed the hard size cap."""
 

@@ -7,21 +7,21 @@ of x^k is the k-th base-p digit of i (constant term least significant).
 The index -> element mapping is therefore a pure function of s: stable
 across runs, platforms, and versions.
 
-Both tables come from the base-p digits of the indices: addition is
-digitwise mod p; a * x^k is a's digits shifted up k places, each x^t
-replaced by minus the reduction polynomial's lower terms, and a * b sums
-b's digits times those rows, mod p.  For prime s that is integers mod s.
+A field is four read-only int64 tables: ``add_table[a, b]``,
+``mul_table[a, b]``, ``neg_table[a]`` and ``inv_table[a]`` (with
+``inv_table[0]`` = 0, so scaling by the inverse of a lead entry maps the
+zero vector to itself).  There are no per-element methods: callers do all
+GF(s) arithmetic by indexing these tables with whole int64 arrays, one
+gather per operation, for prime and extension fields alike.
 
-Extension fields use the fixed monic reduction polynomials below
-(coefficients listed constant term first):
+The add and mul tables come from the base-p digits of the indices:
+addition is digitwise mod p; a * x^k is a's digits shifted up k places,
+each x^t replaced by minus the reduction polynomial's lower terms, and
+a * b sums b's digits times those rows, mod p.  For prime s that is
+integers mod s.
 
-    GF(4)  : x^2 + x + 1
-    GF(8)  : x^3 + x + 1
-    GF(9)  : x^2 + 1
-    GF(16) : x^4 + x + 1
-    GF(25) : x^2 + 2
-    GF(27) : x^3 + 2x + 1
-    GF(32) : x^5 + x^2 + 1
+Extension fields use the fixed monic reduction polynomials of
+``REDUCTION_POLYNOMIALS``.
 
 Every constructed field is verified exhaustively against the field axioms
 (commutativity, associativity, identities, inverses, distributivity).
@@ -34,20 +34,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotPrimePowerError, UnsupportedOrderError, ZeroInverseError
+from .errors import NotPrimePowerError, UnsupportedOrderError
 
 MAX_ORDER = 32
 
 #: reduction polynomial per extension-field order, constant term first,
 #: monic (trailing coefficient 1), degree t.
 REDUCTION_POLYNOMIALS: dict[int, tuple[int, ...]] = {
-    4: (1, 1, 1),
-    8: (1, 1, 0, 1),
-    9: (1, 0, 1),
-    16: (1, 1, 0, 0, 1),
-    25: (2, 0, 1),
-    27: (1, 2, 0, 1),
-    32: (1, 0, 1, 0, 0, 1),
+    4: (1, 1, 1),              # x^2 + x + 1
+    8: (1, 1, 0, 1),           # x^3 + x + 1
+    9: (1, 0, 1),              # x^2 + 1
+    16: (1, 1, 0, 0, 1),       # x^4 + x + 1
+    25: (2, 0, 1),             # x^2 + 2
+    27: (1, 2, 0, 1),          # x^3 + 2x + 1
+    32: (1, 0, 1, 0, 0, 1),    # x^5 + x^2 + 1
 }
 
 
@@ -55,24 +55,17 @@ def _factor_prime_power(s: int) -> tuple[int, int]:
     """Return (p, t) with s = p^t, or raise NotPrimePowerError."""
     if s < 2:
         raise NotPrimePowerError(f"field order must be at least 2, got {s}")
-    p = None
-    for cand in range(2, s + 1):
-        if s % cand == 0:
-            p = cand
-            break
-    assert p is not None
-    t = 0
-    rest = s
-    while rest % p == 0:
-        rest //= p
+    p = next(c for c in range(2, s + 1) if s % c == 0)  # a prime
+    t = 1
+    while p ** t < s:
         t += 1
-    if rest != 1:
+    if p ** t != s:
         raise NotPrimePowerError(f"{s} is not a prime power")
     return p, t
 
 
 class GaloisField:
-    """GF(s) with full add/mul lookup tables and an inverse table.
+    """GF(s) as its add, mul, neg and inv lookup tables.
 
     Not constructed directly in normal use -- call :func:`galois_field`,
     which validates the order and caches instances.
@@ -83,9 +76,7 @@ class GaloisField:
             raise UnsupportedOrderError(
                 f"field order {s} exceeds the supported cap {MAX_ORDER}")
         p, t = _factor_prime_power(s)
-        self.s = s
-        self.p = p
-        self.t = t
+        self.s, self.p, self.t = s, p, t
         self.reduction_polynomial: tuple[int, ...] = (
             REDUCTION_POLYNOMIALS[s] if t > 1 else ())
 
@@ -104,33 +95,13 @@ class GaloisField:
 
         self.add_table = add.astype(np.int64)
         self.mul_table = mul.astype(np.int64)
-        self.neg_table = np.argwhere(self.add_table == 0)[:, 1].astype(np.int64)
-        inv = np.zeros(s, dtype=np.int64)
-        inv[1:] = np.argwhere(self.mul_table[1:] == 1)[:, 1]
-        self.inv_table = inv
+        # the column of each row's 0 (1); mul's row 0 has no 1, so inv(0) = 0
+        self.neg_table = np.argmax(add == 0, axis=1).astype(np.int64)
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(np.int64)
         for table in (self.add_table, self.mul_table,
                       self.neg_table, self.inv_table):
             table.setflags(write=False)
         self._check_axioms()
-
-    # -- scalar operations ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add_table[a, self.neg_table[b]])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInverseError("zero has no multiplicative inverse")
-        return int(self.inv_table[a])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GaloisField({self.s})"

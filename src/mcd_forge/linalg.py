@@ -1,8 +1,9 @@
 """Vectors, bases, and linear arrays over GF(s).
 
-Vectors are plain tuples of element indices (hashable, cheap to compare);
-the field travels alongside as an explicit argument.  Dense run matrices
-are numpy int64 arrays.
+At the API, vectors are plain tuples of element indices and the field
+travels alongside as an explicit argument.  Inside, a vector set is one
+(count, u) int64 array and all arithmetic is gathers from the field's
+add, mul, neg and inv tables, for prime and extension fields alike.
 
 The two enumeration orders used everywhere downstream:
 
@@ -25,8 +26,10 @@ orthogonal array of strength t; see ``linear_strength``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import combinations, islice, product
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +41,9 @@ Vector = tuple[int, ...]
 #: hard cap on any enumeration (number of vectors)
 ENUMERATION_CAP = 10_000_000
 
+#: entries (combinations x coordinates) per chunk in ``linear_strength``
+_CHUNK_CELLS = 1 << 16
+
 
 def unit_vector(u: int, position: int) -> Vector:
     """The u-dimensional unit vector with a 1 at ``position`` (0-based)."""
@@ -46,9 +52,9 @@ def unit_vector(u: int, position: int) -> Vector:
     return tuple(1 if i == position else 0 for i in range(u))
 
 
-def _enumeration_size(s: int, u: int) -> int:
-    """s^u, or TooLargeError when it exceeds the enumeration cap."""
-    n = s ** u
+def _enumeration_size(s: int, u: int, count: int = 1) -> int:
+    """count * s^u, or TooLargeError when it exceeds the enumeration cap."""
+    n = count * s ** u
     if n > ENUMERATION_CAP:
         raise TooLargeError(f"s^u = {n} exceeds the enumeration cap")
     return n
@@ -63,14 +69,18 @@ def enumerate_tuples(field: GaloisField, u: int) -> list[Vector]:
     return list(product(range(field.s), repeat=u))
 
 
+def _leading_one(field: GaloisField, rows: np.ndarray) -> np.ndarray:
+    """Rows of a (count, u) array scaled to a leading 1; zero rows stay 0."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return field.mul_table[field.inv_table[lead][:, None], rows]
+
+
 def dot(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> int:
     """x^T y over GF(s)."""
     if len(x) != len(y):
         raise ValueError("dot of vectors with different lengths")
-    acc = 0
-    for a, b in zip(x, y):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
+    terms = field.mul_table[list(x), list(y)].tolist()
+    return reduce(lambda a, b: int(field.add_table[a, b]), terms, 0)
 
 
 def is_zero(x: Sequence[int]) -> bool:
@@ -80,71 +90,97 @@ def is_zero(x: Sequence[int]) -> bool:
 def normalize_direction(field: GaloisField, x: Sequence[int]) -> Vector:
     """Scale x so its first nonzero entry is 1 (the canonical representative
     of the direction {c*x : c != 0}).  Zero vector is rejected."""
-    for v in x:
-        if v != 0:
-            c = field.inv(v)
-            return tuple(field.mul(c, e) for e in x)
-    raise ZeroVectorError("cannot normalize the zero vector")
+    row = np.asarray(x, dtype=np.int64)[None]
+    if not row.any():
+        raise ZeroVectorError("cannot normalize the zero vector")
+    return tuple(_leading_one(field, row)[0].tolist())
 
 
 def is_proportional(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> bool:
     """True iff y = c*x for some nonzero scalar c (zero ~ zero only)."""
-    xz, yz = is_zero(x), is_zero(y)
-    if xz or yz:
-        return xz and yz
-    return normalize_direction(field, x) == normalize_direction(field, y)
+    rows = _leading_one(field, np.array([x, y], dtype=np.int64))
+    return bool((rows[0] == rows[1]).all())
 
 
 def rank(field: GaloisField, vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of the given vectors over GF(s) (Gaussian elimination)."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank of the given vectors over GF(s): Gaussian elimination on one
+    (count, u) array.  Each pivot row clears its column from every row,
+    itself included, in one step; the rank is the number of pivots."""
+    rows = np.array([tuple(v) for v in vectors], dtype=np.int64)
+    add, mul = field.add_table, field.mul_table
+    pivots = 0
+    for c in range(rows.shape[1] if rows.ndim == 2 else 0):
+        nonzero = np.flatnonzero(rows[:, c])
+        if nonzero.size:
+            pivot = rows[nonzero[0]]
+            factor = mul[field.neg_table[rows[:, c]],
+                         field.inv_table[pivot[c]]]
+            rows = add[rows, mul[factor[:, None], pivot]]
+            pivots += 1
+    return pivots
 
 
 def linear_strength(field: GaloisField, columns: Sequence[Vector]) -> int:
     """Largest t such that every t of the generator columns are linearly
-    independent.  This equals the strength of the linear orthogonal array
-    the columns generate.  Zero if some column is the zero vector.
+    independent: the strength of the linear orthogonal array they
+    generate.  Zero if some column is the zero vector.
 
-    Early-exits on the first dependent subset, so in practice the cost is
-    dominated by the t=2 pass (a set-of-normalized-directions check).
+    A level loop over t that meets in the middle.  A combination is
+    sum c_i g_i over a set of columns with every c_i nonzero.  When every
+    t-1 columns are independent, some t columns are dependent exactly
+    when two different combinations collide: for odd t one of (t+1)/2
+    columns and one of (t-1)/2, for even t two of t/2.  A dependency
+    among t columns has no zero coefficient, so splitting its terms gives
+    a collision; two colliding combinations differ in set or coefficients,
+    so their difference is a nontrivial relation among at most t columns,
+    which only t columns can carry.
+
+    Level 1 finds a zero column, level 2 a proportional pair.  An even
+    level builds the set of t/2-combinations: they are nonzero, so more
+    than s^u - 1 of them collide, else the set is sized against the
+    enumeration cap first.  The next odd level streams the
+    (t+1)/2-combinations, leading coefficient 1 (both sides of a collision
+    scale together), against it and stops at the first collision.
     """
-    m = len(columns)
-    u = len(columns[0])
-    if any(is_zero(c) for c in columns):
-        return 0
-    cap = min(m, u)
-    if cap == 1:
-        return 1
-    directions = {normalize_direction(field, c) for c in columns}
-    if len(directions) < m:
-        return 1
-    t = 2
-    while t < cap:
-        for combo in combinations(range(m), t + 1):
-            if rank(field, [columns[i] for i in combo]) <= t:
-                return t
-        t += 1
-    return cap
+    s = field.s
+    cols = np.array(columns, dtype=np.int64)
+    m, u = cols.shape
+    scaled = field.mul_table[np.arange(s)[:, None, None], cols[None]]
+    # base-s place values; Python ints once the keys (< s^u) outgrow int64
+    powers = np.array([s ** i for i in range(u - 1, -1, -1)],
+                      dtype=np.int64 if s ** u <= 2 ** 63 else object)
+
+    def keys(coefs: np.ndarray) -> Iterator[np.ndarray]:
+        """Keys of sum c_i g_(S_i) for every row c of ``coefs`` and every
+        subset S of len(c) columns, in lexicographic chunks of subsets
+        that start at 8 and double up to ``_CHUNK_CELLS`` entries."""
+        subsets = combinations(range(m), coefs.shape[1])
+        step, most = 8, max(1, _CHUNK_CELLS // (len(coefs) * u))
+        while batch := list(islice(subsets, min(step, most))):
+            sub = np.array(batch)
+            acc = np.zeros((len(sub), len(coefs), u), dtype=np.int64)
+            for i, c in enumerate(coefs.T):
+                acc = field.add_table[acc, scaled[c, sub[:, i, None]]]
+            yield (acc @ powers).ravel()
+            step *= 2
+
+    seen = np.zeros(1, dtype=np.int64)
+    for t in range(1, min(m, u) + 1):
+        half, nonzero = t // 2, [range(1, s)] * (t // 2)
+        if t % 2:
+            for chunk in keys(np.array(list(product((1,), *nonzero)))):
+                at = np.searchsorted(seen, chunk).clip(max=len(seen) - 1)
+                if (seen[at] == chunk).any():
+                    return t - 1
+        elif comb(m, half) * (s - 1) ** half >= s ** u:
+            return t - 1
+        else:
+            _enumeration_size(s - 1, half, comb(m, half))
+            coefs = np.array(list(product(*nonzero)))
+            seen = np.sort(np.concatenate(list(keys(coefs))))
+            if (seen[1:] == seen[:-1]).any():
+                return t - 1
+    return min(m, u)
 
 
 @dataclass(frozen=True)
@@ -169,18 +205,12 @@ def orthogonal_complement_basis(field: GaloisField, x: Sequence[int]) -> Subspac
     non-pivot coordinate j contributes the vector with 1 at j and -x_j at p.
     Vectors are ordered by j ascending, so the result is deterministic.
     """
-    u = len(x)
     xn = normalize_direction(field, x)  # raises ZeroVectorError on 0
-    p = next(i for i, v in enumerate(xn) if v != 0)
-    basis = []
-    for j in range(u):
-        if j == p:
-            continue
-        vec = [0] * u
-        vec[j] = 1
-        vec[p] = field.neg(xn[j])
-        basis.append(tuple(vec))
-    return SubspaceBasis(field, u, tuple(basis))
+    u, p = len(xn), next(i for i, v in enumerate(xn) if v)
+    minus = field.neg_table[list(xn)].tolist()
+    vectors = tuple(tuple(minus[j] if i == p else int(i == j)
+                          for i in range(u)) for j in range(u) if j != p)
+    return SubspaceBasis(field, u, vectors)
 
 
 def enumerate_span(basis: SubspaceBasis) -> list[Vector]:
@@ -219,9 +249,7 @@ def generate_linear_array(field: GaloisField, columns: Sequence[Vector]) -> np.n
     step i replaces each row r by the s rows r + c * g_i, c = 0..s-1, so
     after step i the rows are the s^(i+1) prefixes in base-s order.  The
     s * u * m scaled generator entries c * g_i are looked up once, and
-    each step makes one add-table gather.  All arithmetic is
-    table-driven, so extension fields take the same path as prime
-    fields.
+    each step makes one add-table gather.
     """
     if not columns:
         raise ValueError("need at least one generator column")

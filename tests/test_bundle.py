@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mcd_forge.bundle import (
+    _CSV_BLOCK_CELLS,
     _meta_dict,
     bundle_from_design,
     read_bundle,
@@ -245,7 +247,8 @@ def test_json_text_equals_json_dumps_on_random_shapes():
 def test_csv_bytes_equal_row_by_row_writer(tmp_path):
     rng = np.random.default_rng(4)
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    for rows in (1, 2, 9):
+    # the last shape spans two whole blocks of rows and part of a third
+    for rows in (1, 2, 9, 2 * _CSV_BLOCK_CELLS // 5 + 7):
         b = _shaped_bundle(rng.integers(-3, 3, size=(rows, 2)),
                            rng.integers(lo, hi, size=(rows, 3)))
         path = tmp_path / f"d{rows}.csv"
@@ -259,6 +262,25 @@ def test_csv_bytes_equal_row_by_row_writer(tmp_path):
         assert path.read_bytes() == expected.getvalue().encode()
         again = read_bundle(path)
         assert (again.d1 == b.d1).all() and (again.d2 == b.d2).all()
+
+
+def test_csv_write_holds_one_block_of_rows(tmp_path):
+    # 1024 x 258 cells and a 380 KB sidecar; converting the whole matrix to
+    # Python lists at once, and indenting the sidecar in memory, peaked at
+    # 10 MiB
+    b = bundle_from_design(
+        direct_construction(galois_field(2), 10, 2, "i", 7))
+    tracemalloc.start()
+    try:
+        write_bundle(tmp_path / "d.csv", b, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    again = read_bundle(tmp_path / "d.csv")
+    assert (again.d1 == b.d1).all() and (again.d2 == b.d2).all()
+    assert sidecar_path(tmp_path / "d.csv").read_text() \
+        == json.dumps(_meta_dict(b), sort_keys=True, indent=2) + "\n"
 
 
 def test_read_bundle_rejects_non_integer_entries_by_type(tmp_path):

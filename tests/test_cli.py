@@ -390,3 +390,24 @@ def test_oversize_construct_fails_closed_before_enumerating(tmp_path):
         assert proc.returncode == EXIT_PARAM_ERROR, proc.stderr
         assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
         assert not out.exists()
+
+
+def test_wide_admissible_d1_builds_and_verifies_in_seconds(tmp_path):
+    # a D1 of 256 admissible columns has C(256, 3) triples; scanning them
+    # one rank call at a time ran for minutes before the strength was
+    # certified
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    for params in (["--method", "theorem1", "--s", "2", "--u", "10",
+                    "--u1", "2", "--item", "ii"],
+                   ["--method", "theorem2", "--s", "2", "--u", "10",
+                    "--u1", "2", "--v", "1", "--item", "ii"]):
+        out = tmp_path / "wide.json"
+        for command in (["construct", *params, "--out", str(out)],
+                        ["verify", "--in", str(out)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mcd_forge.cli", *command],
+                env=env, capture_output=True, text=True, timeout=30)
+            assert proc.returncode == EXIT_OK, (command, proc.stderr)
+        assert proc.stdout.endswith("PASS\n")
+        assert read_bundle(out).d1.shape == (1024, 256)

@@ -5,6 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mcd_forge.construct import (
+    admissible_set,
+    common_nonorthogonal,
+    partition_admissible,
+)
 from mcd_forge.errors import TooLargeError, ZeroVectorError
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import (
@@ -121,7 +126,7 @@ def test_normalize_direction_extension_field():
     assert normalize_direction(f4, (2, 3)) == (1, 2)
     # every nonzero scaling lands on the same representative
     for c in range(1, f4.s):
-        scaled = tuple(f4.mul(c, e) for e in (1, 3, 0, 2))
+        scaled = tuple(int(f4.mul_table[c, e]) for e in (1, 3, 0, 2))
         assert normalize_direction(f4, scaled) == (1, 3, 0, 2)
 
 
@@ -161,7 +166,7 @@ def test_rank_is_invariant_under_row_operations():
             coeffs = rng.integers(0, s, m)
             combo = [0] * u
             for c, row in zip(coeffs, rows):
-                combo = [f.add(a, f.mul(int(c), b))
+                combo = [int(f.add_table[a, f.mul_table[c, b]])
                          for a, b in zip(combo, row)]
             assert rank(f, rows + [tuple(combo)]) == r
             # permuting the rows changes nothing
@@ -245,7 +250,7 @@ def test_orthogonal_complement_basis_properties():
                 assert dot(f, b, x) == 0
             # scaling x leaves the canonical basis unchanged
             c = int(rng.integers(1, s))
-            scaled = tuple(f.mul(c, e) for e in x)
+            scaled = tuple(int(f.mul_table[c, e]) for e in x)
             assert orthogonal_complement_basis(f, scaled).vectors == basis.vectors
 
 
@@ -377,3 +382,111 @@ def test_generate_linear_array_input_validation():
         generate_linear_array(galois_field(2), [(1,) * 24])
     with pytest.raises(TooLargeError):
         generate_linear_array(galois_field(32), [(1, 0, 0, 0, 0)])
+
+
+def _reference_rank(f, vectors):
+    """The scalar Gaussian elimination ``rank`` replaced: one table lookup
+    per entry, row by row."""
+    add, mul, neg, inv = (t.tolist() for t in (
+        f.add_table, f.mul_table, f.neg_table, f.inv_table))
+    rows = [list(v) for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [mul[inv[rows[r][c]]][v] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                g = rows[i][c]
+                rows[i] = [add[a][neg[mul[g][b]]]
+                           for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def _reference_strength(f, columns):
+    """The per-subset scan ``linear_strength`` replaced: zero columns, then
+    proportional pairs, then every (t+1)-subset by rank."""
+    m, u = len(columns), len(columns[0])
+    if any(not any(c) for c in columns):
+        return 0
+    if min(m, u) == 1:
+        return 1
+    inv, mul = f.inv_table.tolist(), f.mul_table.tolist()
+    directions = {tuple(mul[inv[next(filter(None, c))]][e] for e in c)
+                  for c in columns}
+    if len(directions) < m:
+        return 1
+    for t in range(2, min(m, u)):
+        if any(_reference_rank(f, [columns[i] for i in combo]) <= t
+               for combo in combinations(range(m), t + 1)):
+            return t
+    return min(m, u)
+
+
+def test_rank_matches_scalar_elimination():
+    rng = np.random.default_rng(31337)
+    for s in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
+        f = galois_field(s)
+        for _ in range(25):
+            count, u = (int(v) for v in rng.integers(1, 7, 2))
+            rows = rng.integers(0, s, (count, u))
+            # zero entries and repeated rows make low ranks likely
+            rows[rng.random((count, u)) < 0.3] = 0
+            if count > 1 and rng.random() < 0.3:
+                rows[-1] = f.mul_table[int(rng.integers(0, s)), rows[0]]
+            vectors = [tuple(int(v) for v in row) for row in rows]
+            assert rank(f, vectors) == _reference_rank(f, vectors), vectors
+
+
+def test_linear_strength_matches_per_subset_scan():
+    cases = []
+    rng = np.random.default_rng(8128)
+    for s in (2, 3, 4, 5, 7, 8, 9, 16):
+        f = galois_field(s)
+        for _ in range(40):
+            u, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            cols = rng.integers(0, s, (m, u))
+            # sparse columns reach every strength; dense ones stay low
+            cols[rng.random((m, u)) < rng.random() * 0.6] = 0
+            cases.append((f, [tuple(int(v) for v in c) for c in cols]))
+        # unit vectors, alone and with their sum: strength m, then u
+        for u in range(1, 7):
+            units = [unit_vector(u, i) for i in range(u)]
+            cases.append((f, units[:max(1, u - 1)]))
+            cases.append((f, units + [(1,) * u]))
+        # zero and proportional columns, a single column, dimension 1
+        cases.append((f, [(1, 2 % s, 0), (0, 0, 0)]))
+        scaled = tuple(int(f.mul_table[s - 1, e]) for e in (0, 1, 1))
+        cases.append((f, [(0, 1, 1), (1, 0, 1), scaled]))
+        cases.append((f, [(0, 0, 1)]))
+        cases.append((f, [(1,), (s - 1,)]))
+    for s, u, u1 in [(2, 5, 2), (2, 4, 4), (3, 3, 2), (3, 4, 3), (4, 3, 2),
+                     (5, 2, 2), (5, 3, 3), (7, 2, 2), (9, 2, 2)]:
+        f = galois_field(s)
+        aset = admissible_set(f, u, u1)
+        cases.append((f, list(aset.vectors)))
+        part = partition_admissible(aset)
+        for v in range(1, min(3, part.group_count) + 1):
+            estar = common_nonorthogonal(part, range(v)).normalized
+            if estar:
+                cases.append((f, list(estar)))
+    seen = set()
+    for f, cols in cases:
+        expected = _reference_strength(f, cols)
+        assert linear_strength(f, cols) == expected, (f.s, cols)
+        seen.add(expected)
+    assert seen >= set(range(7))
+
+
+def test_linear_strength_past_int64_keys():
+    # 32^13 = 2^65 vectors: the combination keys are Python ints
+    f = galois_field(32)
+    units = [unit_vector(13, i) for i in range(4)]
+    for cols in (units, units + [tuple(7 * (i == 2) for i in range(13))],
+                 units + [(1,) * 4 + (0,) * 9]):
+        assert linear_strength(f, cols) == _reference_strength(f, cols)
