@@ -52,9 +52,9 @@ def unit_vector(u: int, position: int) -> Vector:
     return tuple(1 if i == position else 0 for i in range(u))
 
 
-def _enumeration_size(s: int, u: int, count: int = 1) -> int:
-    """count * s^u, or TooLargeError when it exceeds the enumeration cap."""
-    n = count * s ** u
+def _enumeration_size(s: int, u: int) -> int:
+    """s^u, or TooLargeError when it exceeds the enumeration cap."""
+    n = s ** u
     if n > ENUMERATION_CAP:
         raise TooLargeError(f"s^u = {n} exceeds the enumeration cap")
     return n
@@ -102,22 +102,27 @@ def is_proportional(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> b
     return bool((rows[0] == rows[1]).all())
 
 
-def rank(field: GaloisField, vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of the given vectors over GF(s): Gaussian elimination on one
-    (count, u) array.  Each pivot row clears its column from every row,
-    itself included, in one step; the rank is the number of pivots."""
-    rows = np.array([tuple(v) for v in vectors], dtype=np.int64)
+def _pivot_rows(field: GaloisField, rows: np.ndarray) -> np.ndarray:
+    """A basis of the row space of a (count, u) array, in echelon form:
+    Gaussian elimination where each pivot row clears its column from every
+    row, itself included, in one step, and is kept."""
     add, mul = field.add_table, field.mul_table
-    pivots = 0
-    for c in range(rows.shape[1] if rows.ndim == 2 else 0):
+    pivots = []
+    for c in range(rows.shape[1]):
         nonzero = np.flatnonzero(rows[:, c])
         if nonzero.size:
-            pivot = rows[nonzero[0]]
+            pivots.append(pivot := rows[nonzero[0]])
             factor = mul[field.neg_table[rows[:, c]],
                          field.inv_table[pivot[c]]]
             rows = add[rows, mul[factor[:, None], pivot]]
-            pivots += 1
-    return pivots
+    return np.array(pivots, dtype=np.int64).reshape(len(pivots), rows.shape[1])
+
+
+def rank(field: GaloisField, vectors: Iterable[Sequence[int]]) -> int:
+    """Rank of the given vectors over GF(s): the number of pivots of one
+    elimination over their (count, u) array."""
+    rows = np.array([tuple(v) for v in vectors], dtype=np.int64)
+    return len(_pivot_rows(field, rows)) if rows.ndim == 2 else 0
 
 
 def linear_strength(field: GaloisField, columns: Sequence[Vector]) -> int:
@@ -135,16 +140,24 @@ def linear_strength(field: GaloisField, columns: Sequence[Vector]) -> int:
     so their difference is a nontrivial relation among at most t columns,
     which only t columns can carry.
 
+    The columns are first written in the r coordinates of an echelon
+    basis of their span, r the rank of all m columns: G = A B with A of
+    full column rank, so B has the dependencies of G.  No r + 1 columns
+    are independent, so the strength is at most r, and it is m when r = m.
     Level 1 finds a zero column, level 2 a proportional pair.  An even
     level builds the set of t/2-combinations: they are nonzero, so more
-    than s^u - 1 of them collide, else the set is sized against the
+    than s^r - 1 of them collide, else the set is sized against the
     enumeration cap first.  The next odd level streams the
     (t+1)/2-combinations, leading coefficient 1 (both sides of a collision
     scale together), against it and stops at the first collision.
     """
     s = field.s
     cols = np.array(columns, dtype=np.int64)
-    m, u = cols.shape
+    m = len(cols)
+    cols = _pivot_rows(field, cols.T).T
+    u = cols.shape[1]
+    if u == m:
+        return m
     scaled = field.mul_table[np.arange(s)[:, None, None], cols[None]]
     # base-s place values; Python ints once the keys (< s^u) outgrow int64
     powers = np.array([s ** i for i in range(u - 1, -1, -1)],
@@ -165,22 +178,25 @@ def linear_strength(field: GaloisField, columns: Sequence[Vector]) -> int:
             step *= 2
 
     seen = np.zeros(1, dtype=np.int64)
-    for t in range(1, min(m, u) + 1):
+    for t in range(1, u + 1):
         half, nonzero = t // 2, [range(1, s)] * (t // 2)
         if t % 2:
             for chunk in keys(np.array(list(product((1,), *nonzero)))):
                 at = np.searchsorted(seen, chunk).clip(max=len(seen) - 1)
                 if (seen[at] == chunk).any():
                     return t - 1
-        elif comb(m, half) * (s - 1) ** half >= s ** u:
+        elif (size := comb(m, half) * (s - 1) ** half) >= s ** u:
             return t - 1
         else:
-            _enumeration_size(s - 1, half, comb(m, half))
+            if size > ENUMERATION_CAP:
+                raise TooLargeError(
+                    f"C({m},{half})·{s - 1}^{half} = {size} combinations "
+                    "exceed the enumeration cap")
             coefs = np.array(list(product(*nonzero)))
             seen = np.sort(np.concatenate(list(keys(coefs))))
             if (seen[1:] == seen[:-1]).any():
                 return t - 1
-    return min(m, u)
+    return u
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,16 @@ All counting is integer-exact; nothing here produces a float.
 run: ``check_mcd``, ``check_noncascading``, and optionally a declared
 D1 strength and a grid-stratification sweep.
 
-``check_oa_strength``, the pair-balance step of ``check_mcd`` and
-``check_grid_stratification`` all count through one kernel,
+``check_oa_strength``, the pair-balance step of ``check_mcd`` and the
+``check_grid_stratification`` sweep all count through one kernel,
 ``_combo_counter``.  It counts the t-subsets that share their first t-1
 columns (the head) as one batch: each last column (tail) is coded into a
-block of its own, in place in one buffer, and one bincount counts a chunk
-of up to 2^16 codes.  Each column is range-checked once, and a tail that
-is out of range or does not divide n ends the batch unencoded, so no entry
-can alias into a valid combination or another subset's block.
+block of its own, in place in one int64 buffer, and one bincount counts a
+chunk of up to 2^16 codes.  Each column is range-checked once, on the
+caller's array, before the kernel copies it into the smallest unsigned
+type that holds its levels; a tail that is out of range or does not
+divide n ends the batch unencoded, so no entry can alias into a valid
+combination or another subset's block.
 
 ``check_mcd`` tests the marginal-coupling property through the collapsed
 pair condition: every (D1 column, collapsed D2 column) pair must be a
@@ -58,7 +60,7 @@ from .errors import (
 #: pair balance counts n rows for each of the m * k (D1, D2) pairs, and
 #: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  At 4.5-20
 #: ns per unit one check_mcd takes at most about 1.4-6 s.  A --stratify
-#: sweep, n * C(k, arity) cells at 110-180 ns each, has the same cap.
+#: sweep, n * C(k, arity) cells at 5-8 ns each, has the same cap.
 MAX_PAIR_WORK = 300_000_000
 
 
@@ -94,20 +96,31 @@ class VerificationReport:
         return VerificationReport(self.checks + other.checks)
 
 
-def _combo_counter(columns, levels):
-    """The counting kernel over equal-length 1-D ``columns`` (``data.T`` for
-    a design matrix) with level counts ``levels``.  first_unbalanced(head,
-    lo, hi) is None when each subset head + (j,), lo <= j < hi, holds every
-    level combination n / (product of its levels) times, else (subset,
-    found) for the first that does not: found is None when its level count
-    does not divide n, () when a column leaves its level range, else
-    (combination, count, expected) for its first off-count combination."""
-    cols = np.ascontiguousarray(columns, dtype=np.int64)
-    c, n = cols.shape
+def _combo_counter(blocks, levels):
+    """The counting kernel over the rows of the integer 2-D ``blocks``,
+    stacked in order (``data.T`` for a design matrix), with level counts
+    ``levels``.  first_unbalanced(head, lo, hi) is None when each subset
+    head + (j,), lo <= j < hi, holds every level combination n / (product
+    of its levels) times, else (subset, found) for the first that does
+    not: found is None when its level count does not divide n, () when a
+    column leaves its level range, else (combination, count, expected)
+    for its first off-count combination."""
     levels = tuple(map(int, levels))
-    # a negative entry reads as a huge unsigned one: one max per column
-    bad = [top >= lev for top, lev in zip(
-        cols.view(np.uint64).max(axis=1, initial=0).tolist(), levels)]
+    # range-check the caller's arrays before the narrowing copy below, so
+    # that no entry can wrap into range; a negative entry reads as a huge
+    # unsigned one: one max per column
+    tops = []
+    for block in blocks:
+        block = np.asarray(block, dtype=np.int64)
+        tops += block.view(np.uint64).max(axis=1, initial=0).tolist()
+    bad = [top >= lev for top, lev in zip(tops, levels)]
+    # one row per column, codes formed in int64; a copy larger than the
+    # chunk buffer is held in the smallest type that holds every level
+    # (below that, the mixed-type arithmetic costs more than it saves)
+    c, n = len(levels), np.shape(blocks[0])[1]
+    cols = np.empty((c, n), dtype=np.min_scalar_type(max(levels) - 1)
+                    if c * n > 1 << 16 else np.int64)
+    np.concatenate(blocks, out=cols, casting="unsafe")
     run_end = list(range(1, c + 1))  # end of j's chunk: level change or bad
     for j in range(c - 2, -1, -1):
         if levels[j + 1] == levels[j] and not bad[j + 1]:
@@ -117,20 +130,25 @@ def _combo_counter(columns, levels):
 
     def first_unbalanced(head: tuple[int, ...], lo: int, hi: int):
         full = prod(levels[j] for j in head)
-        a = lo
+        a, base = lo, None
         while a < hi:
             size = full * levels[a]
             if not size or n % size:
                 return head + (a,), None
             if bad[a] or any(bad[j] for j in head):
                 return head + (a,), ()
+            if base is None:
+                # little-endian codes: the first column varies fastest, at
+                # weight 1; the others are weighed in int64
+                base, weight = ((cols[head[0]], levels[head[0]]) if head
+                                else (0, 1))
+                for j in head[1:]:
+                    base = np.multiply(cols[j], weight, dtype=np.int64) + base
+                    weight *= levels[j]
             b = min(hi, a + width, run_end[a])
-            # little-endian codes: the first column varies fastest
-            codes, weight = buf[:b - a], 1
-            np.multiply(cols[a:b], full, out=codes)
-            for j in head:
-                codes += cols[j] * weight if weight > 1 else cols[j]
-                weight *= levels[j]
+            codes = buf[:b - a]
+            np.multiply(cols[a:b], full, out=codes, dtype=np.int64)
+            codes += base
             if b - a > 1:
                 codes += np.arange(0, (b - a) * size, size)[:, None]
             counts = np.bincount(codes.ravel(), minlength=(b - a) * size)
@@ -159,7 +177,7 @@ def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
         raise StrengthExceedsColumnsError(
             f"strength {t} exceeds column count {a.m}")
     name = f"oa-strength({t})"
-    first_unbalanced = _combo_counter(a.data.T, a.levels)
+    first_unbalanced = _combo_counter((a.data.T,), a.levels)
     hit = next(filter(None, (first_unbalanced(h, h[-1] + 1 if h else 0, a.m)
                              for h in combinations(range(a.m - 1), t - 1))),
                None)
@@ -197,10 +215,8 @@ def _pair_balance(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> CheckResul
     level) combination exactly once -- the collapsed form of marginal
     coupling."""
     m, k, n = d1.m, d2.k, d1.n
-    cols = np.empty((m + k, n), dtype=np.int64)
-    cols[:m] = d1.data.T
-    np.floor_divide(d2.data.T, s, out=cols[m:])
-    first_unbalanced = _combo_counter(cols, (s,) * m + (n // s,) * k)
+    first_unbalanced = _combo_counter((d1.data.T, d2.data.T // s),
+                                      (s,) * m + (n // s,) * k)
     hit = next(filter(None, (first_unbalanced((i,), m, m + k)
                              for i in range(m))), None)
     if hit is None:
@@ -317,12 +333,21 @@ def _grid_name(cells: tuple[int, ...]) -> str:
 
 def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
                               cells: tuple[int, ...]) -> VerificationReport:
-    """Do the selected columns spread evenly over a cells[0] x cells[1] x ...
-    grid?  Column c maps to cell floor(value / (n / cells)); every cell must
-    hold exactly n / prod(cells) points."""
-    n = d2.n
-    if len(dims) != len(cells) or not dims:
-        raise BadGridError("need one cell count per selected column")
+    """Does every len(cells)-subset of the columns ``dims`` spread evenly
+    over a cells[0] x cells[1] x ... grid?  Subsets are taken by position
+    in ``dims``, in lexicographic order, and the column at a subset's i-th
+    place maps to cell floor(value / (n / cells[i])); every cell must hold
+    exactly n / prod(cells) points.  Reports the first subset that does
+    not; with len(dims) == len(cells) that is the one subset ``dims``.
+
+    One block of cell columns per distinct cell count is built once, and
+    the counting kernel counts each head (the first len(cells) - 1 places)
+    against all of its tails in one batch.  The sweep is sized before any
+    of that: n * C(len(dims), len(cells)) run-subset cells at most."""
+    n, r, places = d2.n, len(cells), len(dims)
+    if not cells or places < r:
+        raise BadGridError("need a cell count per grid axis and at least "
+                           "one selected column per cell count")
     if any(not 0 <= d < d2.k for d in dims):
         raise BadGridError(f"column selection {dims} outside 0..{d2.k - 1}")
     if any(c < 1 or n % c != 0 for c in cells):
@@ -330,18 +355,32 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
     full = int(prod(cells))
     if n % full != 0:
         raise BadGridError(f"grid of {full} cells does not divide n={n}")
-    cell_cols = [d2.data[:, d] // (n // c) for d, c in zip(dims, cells)]
-    last = len(cells) - 1
-    hit = _combo_counter(cell_cols, cells)(tuple(range(last)), last, last + 1)
+    if (work := n * comb(places, r)) > MAX_PAIR_WORK:
+        raise TooLargeError(f"{_grid_name(cells)} sweep: {work} run-subset "
+                            f"cells, over the cap of {MAX_PAIR_WORK}")
+    # row offset[c] + p of the stack holds column dims[p] in c cells
+    sizes = sorted(set(cells))
+    offset = {c: i * places for i, c in enumerate(sizes)}
+    selected = d2.data.T[list(dims)]
+    first_unbalanced = _combo_counter(
+        [selected // (n // c) for c in sizes],
+        [c for c in sizes for _ in dims])
+    tails = offset[cells[-1]]
+    hit = next(filter(None, (
+        first_unbalanced(tuple(offset[c] + p for c, p in zip(cells, h)),
+                         tails + (h[-1] + 1 if h else 0), tails + places)
+        for h in combinations(range(places - 1), r - 1))), None)
     name = _grid_name(cells)
     if hit is None:
         return VerificationReport((CheckResult(name, tuple(dims), True),))
-    if not (found := hit[1]):
+    subset, found = hit
+    if not found:
         detail = "entries outside the declared level range"
     else:
         cell, count, expected = found
         detail = f"cell {cell} holds {count} points, expected {expected}"
-    return VerificationReport((CheckResult(name, tuple(dims), False, detail),))
+    subject = tuple(dims[j % places] for j in subset)
+    return VerificationReport((CheckResult(name, subject, False, detail),))
 
 
 def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
@@ -351,14 +390,13 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
     catalog: check_mcd, check_noncascading on floor(D2 / s), then
     optionally D1 at ``strength`` and a grid-stratification sweep over
     every D2 column subset of the grid's arity, stopping at the first
-    failing subset."""
+    failing subset.  The sweep runs first, so that an oversize one is
+    refused before any other work, and is reported last."""
     if stratify is not None:
         if len(stratify) > d2.k:
             raise BadParamsError(
                 f"grid arity {len(stratify)} exceeds the {d2.k} columns")
-        if (work := d2.n * comb(d2.k, len(stratify))) > MAX_PAIR_WORK:
-            raise TooLargeError(f"{_grid_name(stratify)} sweep: {work} run-"
-                                f"subset cells, over the cap of {MAX_PAIR_WORK}")
+        sweep = check_grid_stratification(d2, tuple(range(d2.k)), stratify)
     report = check_mcd(d1, d2, s)
     report = report.merged_with(check_noncascading(collapse_levels(d2, s)))
     if strength is not None:
@@ -369,10 +407,7 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
             extra = check_oa_strength(d1, strength)
         report = report.merged_with(extra)
     if stratify is not None:
-        sweep = (check_grid_stratification(d2, dims, stratify)
-                 for dims in combinations(range(d2.k), len(stratify)))
-        failed = next((r for r in sweep if not r.passed), None)
-        report = report.merged_with(failed or VerificationReport((
-            CheckResult(_grid_name(stratify) + " on all column subsets",
-                        (), True),)))
+        report = report.merged_with(sweep if not sweep.passed else (
+            VerificationReport((CheckResult(
+                _grid_name(stratify) + " on all column subsets", (), True),))))
     return report

@@ -206,6 +206,28 @@ def test_linear_strength_golden_cases():
     assert linear_strength(f3, [(1, 0), (0, 1), (1, 1), (1, 2)]) == 2
 
 
+
+def test_linear_strength_is_bounded_by_the_rank():
+    f = galois_field(32)
+    units = [unit_vector(13, i) for i in range(13)]
+    # strength 7: no 8 columns span GF(32)^13, so level 8 is never built
+    assert linear_strength(f, units[:7] + [(1,) * 7 + (0,) * 6]) == 7
+    # all independent: as many as there are columns
+    assert linear_strength(f, units) == 13
+    # Vandermonde columns (1, a, ..., a^5): every 6 independent, and
+    # level 6 would need C(14,3) * 31^3 combinations
+    mul = f.mul_table.tolist()
+    cols = []
+    for a in range(14):
+        col = [1]
+        for _ in range(5):
+            col.append(mul[col[-1]][a])
+        cols.append(tuple(col))
+    with pytest.raises(TooLargeError, match=(
+            r"^C\(14,3\)·31\^3 = 10843924 combinations exceed the "
+            r"enumeration cap$")):
+        linear_strength(f, cols)
+
 def test_linear_strength_matches_counting_oracle():
     # rank-based answer must agree with brute-force equireplication
     # counts on the generated array

@@ -537,6 +537,123 @@ def test_grid_stratification_matches_per_subset_reference():
                 assert got.detail == detail
 
 
+
+def _grid_reference(data, dims, cells):
+    """The per-subset definition of the grid sweep: each len(cells)-subset
+    of places in ``dims``, in lexicographic order, mapped to cell units
+    and counted by ``_reference_first_failure``."""
+    n = len(data)
+    for places in combinations(range(len(dims)), len(cells)):
+        cols = tuple(dims[p] for p in places)
+        cell_rows = [[row[d] // (n // c) for d, c in zip(cols, cells)]
+                     for row in data]
+        found = _reference_first_failure(cell_rows, list(cells),
+                                         [tuple(range(len(cells)))])
+        if found:
+            return cols, found[1].replace("combination", "cell").replace(
+                "appears", "holds").replace(" times", " points")
+    return None
+
+
+def test_grid_sweep_matches_per_subset_definition():
+    rng = np.random.default_rng(2718)
+    mcd = _anti_mirror(5)
+    seen = set()
+    for trial in range(48):
+        if trial % 2:
+            n, k = 16, int(rng.integers(3, 6))
+            data = np.column_stack([rng.permutation(n) for _ in range(k)])
+        else:
+            data = mcd.d2.data.copy()
+            n, k = data.shape
+            col = int(rng.integers(k))
+            if trial % 4:
+                data[:, col] = rng.permutation(data[:, col])
+            else:
+                # two swapped entries break a few cells of one column
+                i, j = rng.choice(n, 2, replace=False)
+                data[[i, j], col] = data[[j, i], col]
+        if trial % 3 == 0:
+            # an entry past either end of 0..n-1, negative ones included
+            data[int(rng.integers(n)), int(rng.integers(k))] = int(
+                rng.choice([-1, -n - 3, n, 2 * n + 1]))
+        d2 = LatinHypercube(data)
+        for cells in ((2,), (2, 4), (4, 2), (2, 2, 2), (4, 2, 2)):
+            # unsorted, and with repeats
+            dims = tuple(int(d) for d in rng.choice(
+                k, int(rng.integers(len(cells), len(cells) + 3))))
+            got = check_grid_stratification(d2, dims, cells).checks[0]
+            expected = _grid_reference(data.tolist(), dims, cells)
+            one_by_one = next((r.checks[0] for r in (
+                check_grid_stratification(d2, tuple(dims[p] for p in places),
+                                          cells)
+                for places in combinations(range(len(dims)), len(cells)))
+                if not r.passed), None)
+            if expected is None:
+                assert got.passed and got.subject == dims
+                assert one_by_one is None
+            else:
+                assert not got.passed
+                assert (got.subject, got.detail) == expected
+                assert (one_by_one.subject, one_by_one.detail) == expected
+                seen.add(expected[1].split()[0])
+    assert seen == {"cell", "entries"}
+
+
+def test_counting_kernel_keeps_wide_levels_and_wrapping_entries():
+    # wide levels are multiplied past the narrow copy's type: codes must be
+    # formed in int64; entries that wrap onto a valid level in that type
+    # must still read as out of range.  Every input here has more than
+    # 2^16 cells, so the kernel holds a narrow copy
+    for wide in (200, 40000):
+        n = 4 * wide * -(-(1 << 15) // (4 * wide))
+        rows = np.arange(n)
+        data = np.column_stack([rows % 2, rows // 2 % wide,
+                                rows // (2 * wide) % 2])
+        levels = (2, wide, 2)
+        for row, col, value in ((n - 1, 1, wide - 2), (n - 1, 1, None),
+                                (3, 0, 2 ** 32 + 1), (3, 2, -255),
+                                (5, 1, -(2 ** 16) + 1)):
+            tampered = data.copy()
+            if value is not None:
+                tampered[row, col] = value
+            # one subset: the head (0, 1) weighs column 1 by 2, and the
+            # tail is weighed by 2 * wide
+            report = check_oa_strength(OrthogonalArray(tampered, levels), 3)
+            expected = _reference_first_failure(tampered.tolist(), levels,
+                                                [(0, 1, 2)])
+            got = report.checks[0]
+            if expected is None:
+                assert got.passed
+            else:
+                assert (got.subject, got.detail) == expected
+    # pair balance stacks D1 with collapsed D2 (levels n / 2) in one copy
+    n = 1 << 15
+    rows = np.arange(n)
+    d2 = LatinHypercube(np.column_stack([rows, n - 1 - rows]))
+    for value in (None, 2 ** 32 + 1, -(2 ** 16) + 1):
+        d1 = np.column_stack([rows % 2, 1 - rows % 2])
+        if value is not None:
+            d1[2, 1] = value
+        pair = check_mcd(OrthogonalArray(d1, (2, 2)), d2, 2).checks[2]
+        if value is None:
+            assert pair.passed
+        else:
+            assert (pair.subject, pair.detail) == (
+                (1, 0), "levels out of range for D1 column 1 / collapsed D2 "
+                        "column 0")
+
+
+def test_grid_stratification_call_is_sized_before_it_runs(monkeypatch):
+    mcd = _anti_mirror()
+    n, k = mcd.d2.n, mcd.d2.k
+    monkeypatch.setattr(verify, "MAX_PAIR_WORK", n * k * (k - 1) // 2 - 1)
+    with pytest.raises(TooLargeError, match=r"grid-stratification\(2x2\) "
+                                            "sweep"):
+        check_grid_stratification(mcd.d2, tuple(range(k)), (2, 2))
+    assert check_grid_stratification(mcd.d2, tuple(range(k - 1)),
+                                     (2, 2)).passed
+
 def _reference_noncascading_pair(data):
     keys = []
     for col in data.T.tolist():
