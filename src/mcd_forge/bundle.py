@@ -5,7 +5,7 @@ matrices, no floats anywhere -- so write -> read -> write is byte-identical.
 
 CSV: header q1..qm,x1..xk, one row per run, plus a .meta.json sidecar next
 to the file carrying everything except the matrices (same canonical JSON
-conventions).
+conventions).  A .csv path is CSV both ways, any other path JSON.
 """
 
 from __future__ import annotations
@@ -112,14 +112,19 @@ def sidecar_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 
 
-def write_bundle(path, b: DesignBundle, fmt: str = "json") -> Path:
-    """Write the bundle as canonical JSON or as CSV + sidecar."""
+def write_bundle(path, b: DesignBundle, fmt: str | None = None) -> Path:
+    """Write the bundle as CSV + sidecar to a .csv path, else as canonical
+    JSON: the suffix rule read_bundle reads by.  A ``fmt`` that names the
+    other format raises before anything is written."""
     path = Path(path)
-    if fmt == "json":
+    is_csv = path.suffix == ".csv"
+    if fmt is not None and fmt != ("csv" if is_csv else "json"):
+        raise MalformedBundleError(
+            f"format {fmt!r} does not match {path.name}: a .csv path is "
+            "written as CSV, any other path as JSON")
+    if not is_csv:
         path.write_text(to_json_text(b))
         return path
-    if fmt != "csv":
-        raise MalformedBundleError(f"unknown format {fmt!r}")
     header = ([f"q{i + 1}" for i in range(b.m)]
               + [f"x{j + 1}" for j in range(b.k)])
     step = max(1, _CSV_BLOCK_CELLS // len(header))

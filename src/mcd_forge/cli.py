@@ -14,8 +14,10 @@ All three verify through the one battery, ``verify.battery``.
 Exit codes: 0 success, 1 verification failure, 2 parameter/file error,
 3 internal error (a constructed design failed its own verification).
 
-Seed resolution: --seed flag, else the MCD_FORGE_SEED environment
-variable, else "identity" (in-order level expansion).
+Seed resolution for ``construct``: --seed flag, else the MCD_FORGE_SEED
+environment variable, else "identity" (in-order level expansion).
+``catalog --materialize`` always uses "identity": its checks are
+seed-invariant.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .bundle import bundle_from_design, read_bundle, write_bundle
 from .catalog import all_rows, verify_row
@@ -138,9 +139,7 @@ def cmd_construct(args) -> int:
             print(line, file=sys.stderr)
         return EXIT_INTERNAL
 
-    out = Path(args.out)
-    fmt = args.format or ("csv" if out.suffix == ".csv" else "json")
-    write_bundle(out, bundle_from_design(mcd), fmt)
+    out = write_bundle(args.out, bundle_from_design(mcd))
     print(f"wrote {out} ({mcd.d1.n} runs, {mcd.d1.m} qualitative + "
           f"{mcd.d2.k} quantitative columns, method {mcd.provenance.method})")
     return EXIT_OK
@@ -224,10 +223,9 @@ def cmd_catalog(args) -> int:
                   f"{_design_str(r.d1_ii)} | {_lhd_str(r.d2_ii)} |")
 
     if args.materialize:
-        seed = _resolve_seed(args)
         failures = 0
         for r in rows:
-            report = verify_row(r, seed)
+            report = verify_row(r)
             tag = (f"{r.method} u={r.u} u1={r.u1}"
                    + (f" v={r.v}" if r.v is not None else ""))
             if report.passed:
@@ -271,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--generator", action="append", metavar="J=C1|C2|...",
                    help="explicit null-space columns for x index J "
                         "(general; repeatable)")
-    c.add_argument("--out", required=True, help="output path")
-    c.add_argument("--format", choices=["json", "csv"],
-                   help="default: by --out suffix, else json")
+    c.add_argument("--out", required=True,
+                   help="output path (.csv: CSV + sidecar, else JSON)")
     c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="re-check a written design file")
@@ -292,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--format", choices=["md", "csv", "json"], default="md")
     k.add_argument("--materialize", action="store_true",
                    help="construct and verify every row")
-    k.add_argument("--seed", help=argparse.SUPPRESS)
     k.set_defaults(func=cmd_catalog)
     return parser
 

@@ -50,6 +50,7 @@ import numpy as np
 from .designs import (
     IDENTITY_SEED,
     CollapsedDesign,
+    LatinHypercube,
     OrthogonalArray,
     Seed,
     expand_levels,
@@ -90,7 +91,7 @@ from .verify import MAX_PAIR_WORK, battery, first_equal_pair
 def unit_combinations(field: GaloisField, u: int, u1: int) -> list[Vector]:
     """E: all s^u1 linear combinations of e_1..e_u1, as length-u vectors,
     coefficients in base-s order."""
-    _check_u_u1(field, u, u1)
+    _check_u_u1(u, u1)
     return [lam + (0,) * (u - u1) for lam in enumerate_tuples(field, u1)]
 
 
@@ -110,7 +111,7 @@ class AdmissibleSet:
 
 
 def admissible_set(field: GaloisField, u: int, u1: int) -> AdmissibleSet:
-    _check_u_u1(field, u, u1)
+    _check_u_u1(u, u1)
     s = field.s
     _enumeration_size(s, u)
     # digit by digit (1, then u1-1 nonzero, then u-u1 free): base-s order
@@ -163,24 +164,19 @@ class NonorthogonalIntersection:
 
     ``vectors`` is the full intersection of the Ebar_i (size f),
     ``normalized`` keeps only members whose first nonzero entry is 1 --
-    one per direction (size g = f / (s-1)).  ``expected_size`` carries the
-    closed-form prediction when the chosen prefixes satisfy its
-    independence hypothesis, else None.
+    one per direction (size g = f / (s-1)).  ``prefixes_independent``
+    tells whether the chosen prefixes are min(v, u1)-wise independent,
+    the hypothesis of ``expected_intersection_size``.
     """
 
     prefix_indices: tuple[int, ...]
     vectors: tuple[Vector, ...]
     normalized: tuple[Vector, ...]
-    expected_size: int | None
     prefixes_independent: bool
 
     @property
     def size(self) -> int:
         return len(self.vectors)
-
-    @property
-    def normalized_size(self) -> int:
-        return len(self.normalized)
 
 
 def expected_intersection_size(s: int, u1: int, v: int) -> int:
@@ -199,7 +195,8 @@ def expected_intersection_size(s: int, u1: int, v: int) -> int:
 def common_nonorthogonal(part: AdmissiblePartition,
                          prefix_indices) -> NonorthogonalIntersection:
     """Intersection of Ebar_i over the chosen prefixes, with its
-    leading-1 (normalized) members and the closed-form prediction."""
+    leading-1 (normalized) members and whether the prefixes are
+    independent enough for the closed-form size."""
     indices = tuple(int(i) for i in prefix_indices)
     if not indices:
         raise BadParamsError("need at least one prefix index")
@@ -218,10 +215,8 @@ def common_nonorthogonal(part: AdmissiblePartition,
     normalized = tuple(z for z in members if next(filter(None, z)) == 1)
     independent = (linear_strength(f, prefixes)
                    == min(len(prefixes), part.u1))
-    expected = (expected_intersection_size(f.s, part.u1, len(indices))
-                if independent else None)
     return NonorthogonalIntersection(indices, members, normalized,
-                                     expected, independent)
+                                     independent)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +362,7 @@ def orthogonal_witness(field: GaloisField, u: int, u1: int, z) -> Vector:
     nonzero entries) set x[second-last] to the element of index 2 and
     x[last] = -z[last]^(-1) z[second-last] (alpha2 - 1).
     """
-    _check_u_u1(field, u, u1)
+    _check_u_u1(u, u1)
     if field.s < 3:
         raise NotApplicableError("witness construction needs s >= 3")
     z = tuple(int(c) for c in z)
@@ -456,7 +451,7 @@ def _check_size(s: int, u: int, m: int, k: int) -> None:
             f"run-pair cells, over the cap of {MAX_PAIR_WORK}")
 
 
-def _check_u_u1(field: GaloisField, u: int, u1: int) -> None:
+def _check_u_u1(u: int, u1: int) -> None:
     if u < 1:
         raise BadParamsError(f"u must be at least 1, got {u}")
     if not 1 <= u1 <= u:
@@ -523,8 +518,7 @@ def general_construction(field: GaloisField, z_list, x_list,
         raise OrthogonalityViolationError(
             "z^T x = 0 for (z index, x index) pairs: "
             + ", ".join(map(str, clashes)))
-    d1 = OrthogonalArray(d1, (s,) * len(zs),
-                         certified_strength=linear_strength(field, zs))
+    d1 = OrthogonalArray(d1, (s,) * len(zs))
 
     overrides = generator_overrides or {}
     for j in overrides:
@@ -577,7 +571,7 @@ def direct_construction(field: GaloisField, u: int, u1: int, item: str = "i",
     item "i":  D1 from e_1..e_u1 (strength u1), D2 with |A| columns.
     item "ii": D1 from A (strength 2), D2 with u1 columns.
     """
-    _check_u_u1(field, u, u1)
+    _check_u_u1(u, u1)
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
     s = field.s
@@ -602,7 +596,7 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
                v * s^(u-u1) columns.
     item "ii": the swap.
     """
-    _check_u_u1(field, u, u1)
+    _check_u_u1(u, u1)
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
     s = field.s

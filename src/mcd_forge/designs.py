@@ -52,16 +52,11 @@ def _as_matrix(data) -> np.ndarray:
 
 @dataclass(eq=False)
 class OrthogonalArray:
-    """n x m integer array with declared per-column level counts.
-
-    ``certified_strength`` is set by constructions that can prove a strength
-    from their generators; it is advisory and independently checkable with
-    verify.check_oa_strength.
-    """
+    """n x m integer array with declared per-column level counts; its
+    strength is counted by verify.check_oa_strength."""
 
     data: np.ndarray
     levels: tuple[int, ...]
-    certified_strength: int | None = None
 
     def __post_init__(self):
         self.data = _as_matrix(self.data)

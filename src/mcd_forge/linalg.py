@@ -83,10 +83,6 @@ def dot(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> int:
     return reduce(lambda a, b: int(field.add_table[a, b]), terms, 0)
 
 
-def is_zero(x: Sequence[int]) -> bool:
-    return all(v == 0 for v in x)
-
-
 def normalize_direction(field: GaloisField, x: Sequence[int]) -> Vector:
     """Scale x so its first nonzero entry is 1 (the canonical representative
     of the direction {c*x : c != 0}).  Zero vector is rejected."""

@@ -90,6 +90,11 @@ def test_csv_round_trip(tmp_path):
 def test_write_bundle_rejects_unknown_format(tmp_path):
     with pytest.raises(MalformedBundleError):
         write_bundle(tmp_path / "x.bin", _bundle(), "parquet")
+    # the suffix picks the format; a contradicting one writes nothing
+    for name, fmt in (("x.json", "csv"), ("y.csv", "json")):
+        with pytest.raises(MalformedBundleError, match="does not match"):
+            write_bundle(tmp_path / name, _bundle(), fmt)
+    assert not any(tmp_path.iterdir())
 
 
 def test_read_bundle_missing_file(tmp_path):

@@ -105,8 +105,3 @@ def test_verify_row_passes_for_small_sweep():
 def test_verify_row_covers_two_level_family():
     for row in all_rows(2, 4):
         assert verify_row(row).passed
-
-
-def test_verify_row_seeded():
-    row = direct_rows(3, 2)[1]
-    assert verify_row(row, seed=7).passed

@@ -48,6 +48,23 @@ def test_construct_csv_format_inferred_from_suffix(tmp_path):
     assert b.v == 2
 
 
+@pytest.mark.parametrize("name", ["d.json", "d.csv", "d"])
+def test_every_file_construct_writes_reads_back(tmp_path, name):
+    out = tmp_path / name
+    argv = ["construct", "--method", "theorem1", "--s", "3",
+            "--u", "3", "--u1", "2", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert main(["verify", "--in", str(out)]) == EXIT_OK
+    # the suffix alone picks the format; no flag can contradict it
+    for path in tmp_path.iterdir():
+        path.unlink()
+    for fmt in ("json", "csv"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", fmt])
+        assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_construct_general_reproduces_worked_example(tmp_path):
     out = tmp_path / "e1.json"
     code = main(["construct", "--method", "general", "--s", "3",
@@ -345,6 +362,21 @@ def test_catalog_materialize(capsys):
     text = capsys.readouterr().out
     assert "materialized 5 rows, 0 failure(s)" in text
     assert text.count("verified ") == 5
+
+
+def test_catalog_materialize_ignores_the_seed_environment(capsys,
+                                                         monkeypatch):
+    argv = ["catalog", "--s", "3", "--u-max", "3", "--materialize"]
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(argv) == EXIT_OK
+    unset = capsys.readouterr().out
+    # not even a seed that construct would refuse changes a byte
+    monkeypatch.setenv(SEED_ENV_VAR, "-5")
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == unset
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "7"])
+    assert exc.value.code == 2
 
 
 def test_catalog_param_errors(capsys):

@@ -37,7 +37,6 @@ from mcd_forge.errors import (
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import (
     dot,
-    is_zero,
     normalize_direction,
     rank,
     unit_vector,
@@ -146,8 +145,8 @@ def test_common_nonorthogonal_golden_sizes():
         inter = common_nonorthogonal(part, labels[:v])
         assert inter.prefixes_independent
         assert inter.size == INTERSECTION_SIZES_S3_U13[v - 1]
-        assert inter.expected_size == inter.size
-        assert inter.normalized_size * 2 == inter.size
+        assert inter.size == expected_intersection_size(3, 3, v)
+        assert len(inter.normalized) * 2 == inter.size
         # members really do clash with every chosen prefix
         for z in inter.vectors:
             for i in labels[:v]:
@@ -165,7 +164,7 @@ def test_common_nonorthogonal_matches_per_vector_definition(s):
         clashes = np.array([[dot(field, z, b + (0,) * (u - u1)) != 0
                              for z in combos] for b in part.prefixes])
         leading = {z: normalize_direction(field, z) == z
-                   for z in combos if not is_zero(z)}
+                   for z in combos if any(z)}
         count = part.group_count
         subsets = [sub for size in (1, 2)
                    for sub in combinations(range(count), size)]
@@ -187,7 +186,6 @@ def test_common_nonorthogonal_dependent_prefixes():
     part = partition_admissible(admissible_set(F3, 5, 4))
     inter = common_nonorthogonal(part, (0, 1, 2, 3))
     assert not inter.prefixes_independent
-    assert inter.expected_size is None
     assert inter.size == len(inter.vectors)
 
 
@@ -369,7 +367,6 @@ def test_general_construction_canonical_generators():
 def test_general_construction_certifies_strength():
     e = [unit_vector(3, i) for i in range(3)]
     mcd = general_construction(F3, e, [(1, 1, 1)])
-    assert mcd.d1.certified_strength == 3
     assert check_oa_strength(mcd.d1, 3).passed
 
 
@@ -444,7 +441,7 @@ def test_direct_construction_column_counts_match_table():
         assert mcd.d1.m == u1
         assert mcd.d2.k == n_a
         assert mcd.d1.n == 3 ** u
-        assert mcd.d1.certified_strength == min(u1, u)
+        assert check_oa_strength(mcd.d1, min(u1, u)).passed
 
 
 def test_direct_construction_verifies_up_to_u4():
@@ -464,7 +461,7 @@ def test_subspace_construction_golden_params():
             mcd = subspace_construction(F3, 4, 3, v, item)
             assert mcd.d1.n == n and mcd.d1.m == m
             assert mcd.d2.k == k
-            assert mcd.d1.certified_strength >= t
+            assert check_oa_strength(mcd.d1, t).passed
             assert mcd.full_verification().passed
             assert mcd.provenance.method == "theorem2"
 

@@ -1,8 +1,12 @@
 """Design containers, level collapse/expansion, and base-s row encoding."""
 
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 
+import mcd_forge
 from mcd_forge.designs import (
     IDENTITY_SEED,
     CollapsedDesign,
@@ -26,10 +30,19 @@ def _random_latin_hypercube(rng, n, k):
         [rng.permutation(n) for _ in range(k)], axis=1))
 
 
+def test_public_dataclass_annotations_resolve():
+    checked = []
+    for name in mcd_forge.__all__:
+        obj = getattr(mcd_forge, name)
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+            typing.get_type_hints(obj)
+            checked.append(name)
+    assert {"MarginallyCoupledDesign", "OrthogonalArray"} <= set(checked)
+
+
 def test_container_shapes():
     oa = OrthogonalArray([[0, 1], [1, 0]], levels=(2, 2))
     assert oa.n == 2 and oa.m == 2
-    assert oa.certified_strength is None
     assert oa.data.dtype == np.int64
 
     lh = LatinHypercube([[0, 1], [1, 0]])
