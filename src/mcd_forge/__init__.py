@@ -81,7 +81,6 @@ from .linalg import (
     enumerate_span,
     enumerate_tuples,
     generate_linear_array,
-    linear_strength,
     orthogonal_complement_basis,
     rank,
 )
@@ -153,7 +152,6 @@ __all__ = [
     "galois_field",
     "general_construction",
     "generate_linear_array",
-    "linear_strength",
     "materialize",
     "max_independent_prefixes",
     "method_of_replacement",

@@ -169,10 +169,21 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
     return _int64_array(rows, what)
 
 
-def _bundle_from_meta(meta: dict, d1: np.ndarray, d2: np.ndarray) -> DesignBundle:
+def _bundle_from_meta(meta, d1: np.ndarray | None = None,
+                      d2: np.ndarray | None = None) -> DesignBundle:
+    """The bundle a JSON file or a CSV sidecar describes.  A JSON bundle
+    carries its matrices; a sidecar gets them from its CSV."""
+    _require(isinstance(meta, dict), "top level must be an object")
+    if d1 is None:
+        unknown = set(meta) - _SCHEMA_KEYS
+        _require(not unknown, f"unknown keys {sorted(unknown)}")
+        _require("d1" in meta and "d2" in meta, "missing d1/d2 matrices")
+        d1 = _as_int_matrix(meta["d1"], "d1")
+        d2 = _as_int_matrix(meta["d2"], "d2")
     for key in ("format_version", "method", "s", "seed", "u"):
         _require(key in meta, f"missing key {key!r}")
-    _require(meta["format_version"] == FORMAT_VERSION,
+    _require(_is_int(meta["format_version"])
+             and meta["format_version"] == FORMAT_VERSION,
              f"unsupported format_version {meta['format_version']!r}")
     _require(_is_int(meta["s"]) and meta["s"] >= 2, "bad s")
     _require(_is_int(meta["u"]) and meta["u"] >= 1, "bad u")
@@ -203,13 +214,7 @@ def read_bundle(path) -> DesignBundle:
         raise MalformedBundleError(f"not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedBundleError(f"not UTF-8 text: {exc}") from exc
-    _require(isinstance(obj, dict), "top level must be an object")
-    unknown = set(obj) - _SCHEMA_KEYS
-    _require(not unknown, f"unknown keys {sorted(unknown)}")
-    _require("d1" in obj and "d2" in obj, "missing d1/d2 matrices")
-    d1 = _as_int_matrix(obj["d1"], "d1")
-    d2 = _as_int_matrix(obj["d2"], "d2")
-    return _bundle_from_meta(obj, d1, d2)
+    return _bundle_from_meta(obj)
 
 
 def _read_csv_bundle(path: Path) -> DesignBundle:

@@ -76,7 +76,6 @@ from .linalg import (
     enumerate_tuples,
     extend_to_basis,
     generate_linear_array,
-    linear_strength,
     orthogonal_complement_basis,
     rank,
     unit_vector,
@@ -213,8 +212,8 @@ def common_nonorthogonal(part: AdmissiblePartition,
     members = tuple(compress(unit_combinations(f, part.u, part.u1),
                              hits.tolist()))
     normalized = tuple(z for z in members if next(filter(None, z)) == 1)
-    independent = (linear_strength(f, prefixes)
-                   == min(len(prefixes), part.u1))
+    k = min(len(prefixes), part.u1)
+    independent = all(rank(f, sub) == k for sub in combinations(prefixes, k))
     return NonorthogonalIntersection(indices, members, normalized,
                                      independent)
 

@@ -20,16 +20,15 @@ s^u-run array whose row r is lambda_r^T G, with lambda_r drawn from
 step expanding every row into s rows with one add-table gather, which
 gives the base-s row order for prime and extension fields alike.  Any m
 generator columns that are t-wise linearly independent make the result an
-orthogonal array of strength t; see ``linear_strength``.
+orthogonal array of strength t; ``verify.check_oa_strength`` counts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, islice, product
-from math import comb
-from typing import Iterable, Iterator, Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,9 +40,6 @@ Vector = tuple[int, ...]
 #: hard cap on any enumeration (number of vectors)
 ENUMERATION_CAP = 10_000_000
 
-#: entries (combinations x coordinates) per chunk in ``linear_strength``
-_CHUNK_CELLS = 1 << 16
-
 
 def unit_vector(u: int, position: int) -> Vector:
     """The u-dimensional unit vector with a 1 at ``position`` (0-based)."""
@@ -53,10 +49,12 @@ def unit_vector(u: int, position: int) -> Vector:
 
 
 def _enumeration_size(s: int, u: int) -> int:
-    """s^u, or TooLargeError when it exceeds the enumeration cap."""
+    """s^u, or TooLargeError naming s, u and the cap when it exceeds the
+    enumeration cap."""
     n = s ** u
     if n > ENUMERATION_CAP:
-        raise TooLargeError(f"s^u = {n} exceeds the enumeration cap")
+        raise TooLargeError(
+            f"{s}^{u} = {n} exceeds the enumeration cap of {ENUMERATION_CAP}")
     return n
 
 
@@ -119,80 +117,6 @@ def rank(field: GaloisField, vectors: Iterable[Sequence[int]]) -> int:
     elimination over their (count, u) array."""
     rows = np.array([tuple(v) for v in vectors], dtype=np.int64)
     return len(_pivot_rows(field, rows)) if rows.ndim == 2 else 0
-
-
-def linear_strength(field: GaloisField, columns: Sequence[Vector]) -> int:
-    """Largest t such that every t of the generator columns are linearly
-    independent: the strength of the linear orthogonal array they
-    generate.  Zero if some column is the zero vector.
-
-    A level loop over t that meets in the middle.  A combination is
-    sum c_i g_i over a set of columns with every c_i nonzero.  When every
-    t-1 columns are independent, some t columns are dependent exactly
-    when two different combinations collide: for odd t one of (t+1)/2
-    columns and one of (t-1)/2, for even t two of t/2.  A dependency
-    among t columns has no zero coefficient, so splitting its terms gives
-    a collision; two colliding combinations differ in set or coefficients,
-    so their difference is a nontrivial relation among at most t columns,
-    which only t columns can carry.
-
-    The columns are first written in the r coordinates of an echelon
-    basis of their span, r the rank of all m columns: G = A B with A of
-    full column rank, so B has the dependencies of G.  No r + 1 columns
-    are independent, so the strength is at most r, and it is m when r = m.
-    Level 1 finds a zero column, level 2 a proportional pair.  An even
-    level builds the set of t/2-combinations: they are nonzero, so more
-    than s^r - 1 of them collide, else the set is sized against the
-    enumeration cap first.  The next odd level streams the
-    (t+1)/2-combinations, leading coefficient 1 (both sides of a collision
-    scale together), against it and stops at the first collision.
-    """
-    s = field.s
-    cols = np.array(columns, dtype=np.int64)
-    m = len(cols)
-    cols = _pivot_rows(field, cols.T).T
-    u = cols.shape[1]
-    if u == m:
-        return m
-    scaled = field.mul_table[np.arange(s)[:, None, None], cols[None]]
-    # base-s place values; Python ints once the keys (< s^u) outgrow int64
-    powers = np.array([s ** i for i in range(u - 1, -1, -1)],
-                      dtype=np.int64 if s ** u <= 2 ** 63 else object)
-
-    def keys(coefs: np.ndarray) -> Iterator[np.ndarray]:
-        """Keys of sum c_i g_(S_i) for every row c of ``coefs`` and every
-        subset S of len(c) columns, in lexicographic chunks of subsets
-        that start at 8 and double up to ``_CHUNK_CELLS`` entries."""
-        subsets = combinations(range(m), coefs.shape[1])
-        step, most = 8, max(1, _CHUNK_CELLS // (len(coefs) * u))
-        while batch := list(islice(subsets, min(step, most))):
-            sub = np.array(batch)
-            acc = np.zeros((len(sub), len(coefs), u), dtype=np.int64)
-            for i, c in enumerate(coefs.T):
-                acc = field.add_table[acc, scaled[c, sub[:, i, None]]]
-            yield (acc @ powers).ravel()
-            step *= 2
-
-    seen = np.zeros(1, dtype=np.int64)
-    for t in range(1, u + 1):
-        half, nonzero = t // 2, [range(1, s)] * (t // 2)
-        if t % 2:
-            for chunk in keys(np.array(list(product((1,), *nonzero)))):
-                at = np.searchsorted(seen, chunk).clip(max=len(seen) - 1)
-                if (seen[at] == chunk).any():
-                    return t - 1
-        elif (size := comb(m, half) * (s - 1) ** half) >= s ** u:
-            return t - 1
-        else:
-            if size > ENUMERATION_CAP:
-                raise TooLargeError(
-                    f"C({m},{half})·{s - 1}^{half} = {size} combinations "
-                    "exceed the enumeration cap")
-            coefs = np.array(list(product(*nonzero)))
-            seen = np.sort(np.concatenate(list(keys(coefs))))
-            if (seen[1:] == seen[:-1]).any():
-                return t - 1
-    return u
 
 
 @dataclass(frozen=True)

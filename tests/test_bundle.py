@@ -146,7 +146,8 @@ def test_read_bundle_rejects_bad_matrices(tmp_path):
 
 def test_read_bundle_rejects_bad_metadata(tmp_path):
     base = json.loads(to_json_text(_bundle()))
-    for key, value in (("format_version", 2), ("s", 1), ("s", "3"),
+    for key, value in (("format_version", 2), ("format_version", True),
+                       ("format_version", 1.0), ("s", 1), ("s", "3"),
                        ("u", 0), ("seed", 1.5), ("seed", "later"),
                        ("s", True), ("u", True), ("u1", True), ("v", True),
                        ("seed", True)):

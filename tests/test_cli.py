@@ -319,6 +319,25 @@ def test_verify_non_utf8_csv_sidecar_is_malformed(tmp_path, capsys):
     assert "UTF-8" in _one_error_line(capsys)
 
 
+def test_verify_rejects_metadata_that_is_not_an_object(tmp_path, capsys):
+    # a sidecar that parses to a number or null, and a JSON bool where
+    # the format version goes, are malformed files, not a traceback or a
+    # pass
+    csv_path = _write_good_bundle(tmp_path, "meta.csv")
+    for text in ("5", "null"):
+        sidecar_path(csv_path).write_text(text + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(csv_path)]) == EXIT_PARAM_ERROR
+        assert "top level must be an object" in _one_error_line(capsys)
+    json_path = _write_good_bundle(tmp_path, "meta.json")
+    b = json.loads(json_path.read_text())
+    b["format_version"] = True
+    json_path.write_text(json.dumps(b))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(json_path)]) == EXIT_PARAM_ERROR
+    assert "format_version True" in _one_error_line(capsys)
+
+
 def test_verify_non_utf8_csv_data_is_malformed(tmp_path, capsys):
     bad = _write_good_bundle(tmp_path, "latin.csv")
     bad.write_bytes(bad.read_bytes().replace(b"q1", b"q\xff", 1))

@@ -278,9 +278,13 @@ def test_max_independent_prefixes_pinned(s, u1):
 
 def test_max_independent_prefixes_caps_candidates(monkeypatch):
     # the candidate list is sized before it is built: (32, 6) would list
-    # 31^5 tuples
+    # 31^5 tuples, and the message names that count, not s^u
+    with pytest.raises(TooLargeError, match=(
+            r"^31\^5 = 28629151 exceeds the enumeration cap of 10000000$")):
+        max_independent_prefixes(galois_field(32), 6)
     monkeypatch.setattr("mcd_forge.linalg.ENUMERATION_CAP", 80)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError,
+                       match=r"^3\^4 = 81 exceeds the enumeration cap of 80$"):
         max_independent_prefixes(galois_field(4), 5)  # 81 candidates
     assert max_independent_prefixes(galois_field(4), 4).size == 5
 

@@ -8,6 +8,7 @@ import pytest
 from mcd_forge.construct import (
     admissible_set,
     common_nonorthogonal,
+    max_independent_prefixes,
     partition_admissible,
 )
 from mcd_forge.errors import TooLargeError, ZeroVectorError
@@ -21,7 +22,6 @@ from mcd_forge.linalg import (
     extend_to_basis,
     generate_linear_array,
     is_proportional,
-    linear_strength,
     normalize_direction,
     orthogonal_complement_basis,
     rank,
@@ -186,53 +186,33 @@ def _array_strength(arr: np.ndarray, s: int) -> int:
     return best
 
 
-def test_linear_strength_golden_cases():
-    f3 = galois_field(3)
-    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert linear_strength(f3, [e1, (0, 0, 0)]) == 0
-    assert linear_strength(f3, [e1]) == 1
-    assert linear_strength(f3, [e1, (2, 0, 0)]) == 1
-    assert linear_strength(f3, [e1, e2, e3, (1, 1, 1)]) == 3
-    assert linear_strength(f3, [e1, e2, e3, (1, 1, 0)]) == 2
-    # the four distinct directions of GF(3)^2 give the classical
-    # 9-run, 4-column, strength-2 array
-    assert linear_strength(f3, [(1, 0), (0, 1), (1, 1), (1, 2)]) == 2
-
-
-
-def test_linear_strength_is_bounded_by_the_rank():
-    f = galois_field(32)
-    units = [unit_vector(13, i) for i in range(13)]
-    # strength 7: no 8 columns span GF(32)^13, so level 8 is never built
-    assert linear_strength(f, units[:7] + [(1,) * 7 + (0,) * 6]) == 7
-    # all independent: as many as there are columns
-    assert linear_strength(f, units) == 13
-    # Vandermonde columns (1, a, ..., a^5): every 6 independent, and
-    # level 6 would need C(14,3) * 31^3 combinations
-    mul = f.mul_table.tolist()
-    cols = []
-    for a in range(14):
-        col = [1]
-        for _ in range(5):
-            col.append(mul[col[-1]][a])
-        cols.append(tuple(col))
-    with pytest.raises(TooLargeError, match=(
-            r"^C\(14,3\)·31\^3 = 10843924 combinations exceed the "
-            r"enumeration cap$")):
-        linear_strength(f, cols)
-
-def test_linear_strength_matches_counting_oracle():
-    # rank-based answer must agree with brute-force equireplication
-    # counts on the generated array
-    rng = np.random.default_rng(987123)
-    for s, u, m in [(2, 3, 4), (3, 3, 4), (4, 2, 4), (5, 2, 3)]:
+def test_prefixes_independent_matches_counting_oracle():
+    # every min(v, u1) of the prefixes are independent exactly when the
+    # array they generate has strength min(v, u1), which counting shows
+    # without a rank call
+    rng = np.random.default_rng(1111)
+    seen = set()
+    for s, u1 in [(3, 3), (3, 4), (4, 3), (5, 3), (5, 4), (7, 3)]:
         f = galois_field(s)
-        for _ in range(10):
-            cols = [tuple(int(v) for v in rng.integers(0, s, u))
-                    for _ in range(m)]
-            t_rank = linear_strength(f, cols)
-            arr = generate_linear_array(f, cols)
-            assert _array_strength(arr, s) == t_rank
+        part = partition_admissible(admissible_set(f, u1, u1))
+        count = part.group_count
+        best = max_independent_prefixes(f, u1).labels
+        # the maximum set, then one label more where one is left:
+        # independent, then not
+        subsets = [best] + [best + (i,) for i in range(count)
+                            if i not in best][:1]
+        for _ in range(12):
+            v = int(rng.integers(1, min(count, u1 + 3) + 1))
+            subsets.append(tuple(int(i) for i in
+                                 rng.choice(count, v, replace=False)))
+        for sub in subsets:
+            prefixes = [part.prefixes[i] for i in sub]
+            strength = _array_strength(generate_linear_array(f, prefixes), s)
+            independent = common_nonorthogonal(part, sub).prefixes_independent
+            assert independent == (strength == min(len(sub), u1)), (s, sub)
+            seen.add((len(sub) > u1, independent))
+    assert seen == {(False, False), (False, True), (True, False),
+                    (True, True)}
 
 
 def test_orthogonal_complement_basis_golden():
@@ -423,26 +403,6 @@ def _reference_rank(f, vectors):
     return r
 
 
-def _reference_strength(f, columns):
-    """The per-subset scan ``linear_strength`` replaced: zero columns, then
-    proportional pairs, then every (t+1)-subset by rank."""
-    m, u = len(columns), len(columns[0])
-    if any(not any(c) for c in columns):
-        return 0
-    if min(m, u) == 1:
-        return 1
-    inv, mul = f.inv_table.tolist(), f.mul_table.tolist()
-    directions = {tuple(mul[inv[next(filter(None, c))]][e] for e in c)
-                  for c in columns}
-    if len(directions) < m:
-        return 1
-    for t in range(2, min(m, u)):
-        if any(_reference_rank(f, [columns[i] for i in combo]) <= t
-               for combo in combinations(range(m), t + 1)):
-            return t
-    return min(m, u)
-
-
 def test_rank_matches_scalar_elimination():
     rng = np.random.default_rng(31337)
     for s in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
@@ -456,52 +416,3 @@ def test_rank_matches_scalar_elimination():
                 rows[-1] = f.mul_table[int(rng.integers(0, s)), rows[0]]
             vectors = [tuple(int(v) for v in row) for row in rows]
             assert rank(f, vectors) == _reference_rank(f, vectors), vectors
-
-
-def test_linear_strength_matches_per_subset_scan():
-    cases = []
-    rng = np.random.default_rng(8128)
-    for s in (2, 3, 4, 5, 7, 8, 9, 16):
-        f = galois_field(s)
-        for _ in range(40):
-            u, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
-            cols = rng.integers(0, s, (m, u))
-            # sparse columns reach every strength; dense ones stay low
-            cols[rng.random((m, u)) < rng.random() * 0.6] = 0
-            cases.append((f, [tuple(int(v) for v in c) for c in cols]))
-        # unit vectors, alone and with their sum: strength m, then u
-        for u in range(1, 7):
-            units = [unit_vector(u, i) for i in range(u)]
-            cases.append((f, units[:max(1, u - 1)]))
-            cases.append((f, units + [(1,) * u]))
-        # zero and proportional columns, a single column, dimension 1
-        cases.append((f, [(1, 2 % s, 0), (0, 0, 0)]))
-        scaled = tuple(int(f.mul_table[s - 1, e]) for e in (0, 1, 1))
-        cases.append((f, [(0, 1, 1), (1, 0, 1), scaled]))
-        cases.append((f, [(0, 0, 1)]))
-        cases.append((f, [(1,), (s - 1,)]))
-    for s, u, u1 in [(2, 5, 2), (2, 4, 4), (3, 3, 2), (3, 4, 3), (4, 3, 2),
-                     (5, 2, 2), (5, 3, 3), (7, 2, 2), (9, 2, 2)]:
-        f = galois_field(s)
-        aset = admissible_set(f, u, u1)
-        cases.append((f, list(aset.vectors)))
-        part = partition_admissible(aset)
-        for v in range(1, min(3, part.group_count) + 1):
-            estar = common_nonorthogonal(part, range(v)).normalized
-            if estar:
-                cases.append((f, list(estar)))
-    seen = set()
-    for f, cols in cases:
-        expected = _reference_strength(f, cols)
-        assert linear_strength(f, cols) == expected, (f.s, cols)
-        seen.add(expected)
-    assert seen >= set(range(7))
-
-
-def test_linear_strength_past_int64_keys():
-    # 32^13 = 2^65 vectors: the combination keys are Python ints
-    f = galois_field(32)
-    units = [unit_vector(13, i) for i in range(4)]
-    for cols in (units, units + [tuple(7 * (i == 2) for i in range(13))],
-                 units + [(1,) * 4 + (0,) * 9]):
-        assert linear_strength(f, cols) == _reference_strength(f, cols)
