@@ -172,11 +172,13 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
 def _bundle_from_meta(meta, d1: np.ndarray | None = None,
                       d2: np.ndarray | None = None) -> DesignBundle:
     """The bundle a JSON file or a CSV sidecar describes.  A JSON bundle
-    carries its matrices; a sidecar gets them from its CSV."""
+    carries its matrices; a sidecar gets them from its CSV and may not
+    carry any."""
     _require(isinstance(meta, dict), "top level must be an object")
+    unknown = set(meta) - (_SCHEMA_KEYS if d1 is None
+                           else _SCHEMA_KEYS - {"d1", "d2"})
+    _require(not unknown, f"unknown keys {sorted(unknown)}")
     if d1 is None:
-        unknown = set(meta) - _SCHEMA_KEYS
-        _require(not unknown, f"unknown keys {sorted(unknown)}")
         _require("d1" in meta and "d2" in meta, "missing d1/d2 matrices")
         d1 = _as_int_matrix(meta["d1"], "d1")
         d2 = _as_int_matrix(meta["d2"], "d2")

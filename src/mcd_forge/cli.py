@@ -30,6 +30,7 @@ import sys
 from .bundle import bundle_from_design, read_bundle, write_bundle
 from .catalog import all_rows, verify_row
 from .construct import (
+    _cached_prefix_search,
     anti_mirror_construction,
     direct_construction,
     general_construction,
@@ -217,7 +218,10 @@ def cmd_catalog(args) -> int:
         print("| u | u1 | v | g | u-u1 | k | D1 (i) | D2 (i) | D1 (ii) | D2 (ii) |")
         print("|---|----|---|---|------|---|--------|--------|---------|---------|")
         for r in t2:
-            vtxt = f"{r.v}*" if r.star else f"{r.v}"
+            # v* is n*; v+ is an arc's size, n* is at least that
+            proven = (_cached_prefix_search(r.s, r.u1).certified
+                      == "provably-maximal")
+            vtxt = f"{r.v}{'*' if proven else '+'}" if r.star else f"{r.v}"
             print(f"| {r.u} | {r.u1} | {vtxt} | {r.g} | {r.free_coords} | "
                   f"{r.k} | {_design_str(r.d1_i)} | {_lhd_str(r.d2_i)} | "
                   f"{_design_str(r.d1_ii)} | {_lhd_str(r.d2_ii)} |")

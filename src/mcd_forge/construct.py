@@ -225,9 +225,21 @@ def common_nonorthogonal(part: AdmissiblePartition,
 
 def independent_prefix_bound(s: int, u1: int) -> int:
     """Upper bound on the number of prefixes with every u1 of them
-    linearly independent.  Exact for u1 = 1, s = 2, and u1 = 2.  For prime
-    s and u1 <= s it is the MDS bound s + 1 (S. Ball, JEMS 14, 2012), which
-    the searches attain at (5, 4) and (7, 4)."""
+    linearly independent.  These prefixes are points of an arc in
+    PG(u1-1, s), so the bounds on arcs apply:
+
+    * u1 = 1 or s = 2: 1; u1 = 2: s - 1.  Both exact.
+    * s <= u1: u1 + 1 (Bush 1952).
+    * u1 = 3: s + 1 for odd s, s + 2 for even s (Bose 1947; Segre 1955).
+    * s + 1, the MDS bound, for u1 < s when s is prime (S. Ball, JEMS 14,
+      2012); when u1 = 4 and s > 4 (Segre 1955 for odd s, L. R. A. Casse
+      1979 for even s); when s = p^h and u1 <= 2p - 2 (S. Ball and
+      J. De Beule, Des. Codes Cryptogr. 65, 2012).
+    * (8, 6): 9.  An n-arc in PG(k-1, s) gives one in PG(n-k-1, s), the
+      dual MDS code, so a 10-arc in PG(5, 8) would give a 10-arc in
+      PG(3, 8), past the u1 = 4 bound of 9.
+    * otherwise s + u1 - 2 for odd s and s + u1 - 1 for even s.
+    """
     if u1 < 1:
         raise BadParamsError(f"u1 must be at least 1, got {u1}")
     if u1 == 1 or s == 2:
@@ -236,7 +248,8 @@ def independent_prefix_bound(s: int, u1: int) -> int:
         return s - 1
     if s <= u1:
         return u1 + 1
-    if all(s % p for p in range(2, s)):
+    p = next(c for c in range(2, s + 1) if s % c == 0)
+    if p == s or u1 == 4 or u1 <= 2 * p - 2 or (s, u1) == (8, 6):
         return s + 1
     if s % 2 == 1:
         return s + u1 - 2
@@ -245,12 +258,14 @@ def independent_prefix_bound(s: int, u1: int) -> int:
 
 @dataclass(frozen=True)
 class PrefixSearch:
-    """Result of the maximum independent-prefix search.
+    """A set of prefixes with every min(size, u1) of them independent.
 
     ``labels`` index the partition prefixes (base-s order over the
-    nonzero tail digits); ``certified`` is "provably-maximal" when the
-    search either reached the closed-form bound or exhausted the whole
-    candidate space, else "maximal-within-search".
+    nonzero tail digits), ascending.  ``certified`` is
+    "provably-maximal" when the size equals ``bound`` or the search
+    exhausted the whole candidate space; "maximal-within-search" when
+    the search ran out of budget; "arc-lower-bound" for an arc below
+    the bound, so that n* is at least its size.
     """
 
     s: int
@@ -342,7 +357,13 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
 
 @lru_cache(maxsize=None)
 def _cached_prefix_search(s: int, u1: int) -> PrefixSearch:
-    return max_independent_prefixes(galois_field(s), u1)
+    """The n* prefix set that constructions and the catalog use: the
+    search for s <= 7, u1 <= 2 and u1 > 6, ``nstar.prefix_set`` (a table
+    or an arc) for every other cell."""
+    if s <= 7 or not 3 <= u1 <= 6:
+        return max_independent_prefixes(galois_field(s), u1)
+    from .nstar import prefix_set  # off the import path of the other cells
+    return prefix_set(s, u1)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +609,8 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
                           item: str = "i",
                           seed: Seed = IDENTITY_SEED) -> MarginallyCoupledDesign:
     """Trade v admissible groups against the common non-orthogonal subset
-    of E.  Uses the first v labels of the deterministic maximum prefix
-    search; v must lie in 1..n* (the search size).
+    of E.  Uses the first v labels of the n* prefix set of
+    ``_cached_prefix_search``; v must lie in 1..n* (its size).
 
     item "i":  D1 from the g(v) normalized common members, D2 with
                v * s^(u-u1) columns.

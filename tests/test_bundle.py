@@ -221,6 +221,23 @@ def test_read_csv_bundle_malformed(tmp_path):
         read_bundle(empty)
 
 
+def test_read_csv_bundle_rejects_unknown_sidecar_keys(tmp_path):
+    # a sidecar holds the schema minus the matrices, which the CSV carries;
+    # an extra key, or a matrix beside the CSV, fails as it does in JSON
+    path = tmp_path / "d.csv"
+    write_bundle(path, _bundle())
+    meta = json.loads(sidecar_path(path).read_text())
+    for extra, names in (({"surprise": 1}, "'surprise'"),
+                         ({"d1": [[9]]}, "'d1'"),
+                         ({"d2": [[0]], "surprise": 1}, "'d2', 'surprise'")):
+        sidecar_path(path).write_text(json.dumps(dict(meta, **extra)))
+        with pytest.raises(MalformedBundleError,
+                           match=rf"^unknown keys \[{names}\]$"):
+            read_bundle(path)
+    sidecar_path(path).write_text(json.dumps(meta))
+    assert read_bundle(path).method == "theorem1"
+
+
 def _shaped_bundle(d1, d2):
     b = _bundle(seed=5)
     b.d1, b.d2 = np.array(d1, dtype=np.int64), np.array(d2, dtype=np.int64)

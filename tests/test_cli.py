@@ -356,6 +356,42 @@ def test_catalog_markdown(capsys):
     assert "OA(81, 4, 3, 2)" in text
 
 
+def test_catalog_marks_an_unproven_nstar_apart(capsys):
+    # (8,5) has a 9-arc under a bound of 12: "9+", where (8,4) and (8,6)
+    # reach their bound of 9 and (8,3) its 10
+    assert main(["catalog", "--s", "8", "--u-max", "6"]) == EXIT_OK
+    marked = [line.split(" | ")[:3] for line
+              in capsys.readouterr().out.splitlines()
+              if line.split(" | ")[2:3] and line.split(" | ")[2][-1] in "*+"]
+    assert ["| 6", "3", "10*"] in marked
+    assert ["| 6", "4", "9*"] in marked
+    assert ["| 6", "5", "9+"] in marked
+    assert ["| 6", "6", "9*"] in marked
+    assert sum(cell[-1] == "+" for _, _, cell in marked) == 2  # u = 5, 6
+    # the CSV and JSON rows keep the one star flag
+    assert main(["catalog", "--s", "8", "--u-max", "5",
+                 "--format", "csv"]) == EXIT_OK
+    assert "8,5,5,theorem2,9,1," in capsys.readouterr().out
+    assert main(["catalog", "--s", "8", "--u-max", "5",
+                 "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["star"] for r in rows if (r["u1"], r["v"]) == (5, 9)] == [True]
+
+
+def test_theorem2_reaches_the_arc(tmp_path, capsys):
+    # the search stopped at 12 of a bound of 14; the conic has 14 points
+    out = tmp_path / "d.json"
+    argv = ["construct", "--method", "theorem2", "--s", "13", "--u", "3",
+            "--u1", "3", "--v", "14", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert main(["verify", "--in", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("PASS\n")
+    assert read_bundle(out).d2.shape == (2197, 14)
+    argv[argv.index("14")] = "15"
+    assert main(argv) == EXIT_PARAM_ERROR
+    assert "v=15 exceeds the bound 14" in capsys.readouterr().err
+
+
 def test_catalog_csv(capsys):
     assert main(["catalog", "--s", "3", "--u-max", "3",
                  "--format", "csv"]) == EXIT_OK

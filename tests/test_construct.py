@@ -1,6 +1,6 @@
 """Construction machinery: vector families, prefix search, constructions."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -41,6 +41,7 @@ from mcd_forge.linalg import (
     rank,
     unit_vector,
 )
+from mcd_forge.nstar import PREFIX_TABLE
 from mcd_forge.verify import check_grid_stratification, check_oa_strength
 from golden_data import (
     DIRECT_TABLE_S3,
@@ -232,6 +233,27 @@ def test_independent_prefix_bound():
         independent_prefix_bound(3, 0)
 
 
+def test_independent_prefix_bound_from_arc_theorems():
+    # u1 = 4 with s > 4: s + 1 (Segre for odd s, Casse for even s)
+    for s in (8, 9, 16, 25, 27, 32):
+        assert independent_prefix_bound(s, 4) == s + 1
+    # s = p^h with u1 <= 2p - 2: s + 1 (Ball and De Beule)
+    assert independent_prefix_bound(25, 5) == 26
+    assert independent_prefix_bound(25, 6) == 26
+    # duality with the u1 = 4 bound
+    assert independent_prefix_bound(8, 6) == 9
+    # no theorem reaches these: s + u1 - 2 for odd s, s + u1 - 1 for even
+    for s, u1, bound in ((8, 5, 12), (9, 5, 12), (9, 6, 13), (16, 5, 20),
+                         (16, 6, 21), (27, 5, 30), (27, 6, 31), (32, 5, 36),
+                         (32, 6, 37)):
+        assert independent_prefix_bound(s, u1) == bound
+    # u1 = 3 and the small orders keep theirs
+    assert independent_prefix_bound(8, 3) == 10
+    assert independent_prefix_bound(27, 3) == 28
+    assert independent_prefix_bound(4, 4) == 5
+    assert independent_prefix_bound(4, 3) == 6
+
+
 def test_max_independent_prefixes_golden():
     for u1, labels in MAX_PREFIX_LABELS_S3.items():
         search = max_independent_prefixes(F3, u1)
@@ -266,6 +288,11 @@ PINNED_PREFIX_SEARCHES = {
     (7, 5): ((0, 1, 6, 36, 216, 259, 317, 502), 8, "provably-maximal"),
     (11, 3): ((0, 1, 10, 11, 35, 37, 56, 64, 68, 76, 95, 97), 12,
               "provably-maximal"),
+    (16, 3): ((0, 1, 15, 16, 33, 34, 77, 88, 127, 134, 137, 148, 168, 169,
+               205, 209, 217, 220), 18, "provably-maximal"),
+    # the first 9-set, as before the bound of 9; then the 2^20-node budget
+    # ran out at "maximal-within-search"
+    (8, 4): ((0, 1, 7, 49, 58, 67, 130, 186, 314), 9, "provably-maximal"),
 }
 
 
@@ -274,6 +301,18 @@ def test_max_independent_prefixes_pinned(s, u1):
     search = max_independent_prefixes(galois_field(s), u1)
     assert (search.labels, search.bound, search.certified) \
         == PINNED_PREFIX_SEARCHES[s, u1]
+
+
+@pytest.mark.parametrize("s, u1", sorted(PREFIX_TABLE))
+def test_prefix_table_holds_what_the_search_gives(s, u1):
+    # the search's side is test_max_independent_prefixes_pinned
+    search = construct._cached_prefix_search(s, u1)
+    assert PREFIX_TABLE[s, u1] == search.labels
+    assert (search.labels, search.bound, search.certified) \
+        == PINNED_PREFIX_SEARCHES[s, u1]
+    cands = [(1,) + tail for tail in
+             product(range(1, s), repeat=u1 - 1)]
+    assert search.prefixes == tuple(cands[i] for i in search.labels)
 
 
 def test_max_independent_prefixes_caps_candidates(monkeypatch):
