@@ -1,18 +1,18 @@
 """Design file formats.
 
-JSON (canonical): one object with sorted keys, two-space indent, integer
-matrices, no floats anywhere -- so write -> read -> write is byte-identical.
+JSON (canonical): one object, sorted keys, two-space indent, int matrices,
+no floats, streamed a row at a time: write -> read -> write is byte-identical.
 
 CSV: header q1..qm,x1..xk, one row per run, plus a .meta.json sidecar next
 to the file carrying everything except the matrices (same canonical JSON
-conventions).  A .csv path is CSV both ways, any other path JSON.
+text).  A .csv path is CSV both ways, any other path JSON.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +25,6 @@ FORMAT_VERSION = 1
 
 #: matrix cells a CSV write holds as Python ints at a time
 _CSV_BLOCK_CELLS = 1 << 14
-
-_SCHEMA_KEYS = {
-    "format_version", "method", "s", "u", "u1", "v", "item", "seed",
-    "d1", "d2", "provenance",
-}
 
 
 @dataclass(eq=False)
@@ -62,8 +57,7 @@ class DesignBundle:
 
 
 def bundle_from_design(mcd: MarginallyCoupledDesign) -> DesignBundle:
-    p = mcd.params
-    prov = mcd.provenance
+    p, prov = mcd.params, mcd.provenance
     return DesignBundle(
         method=prov.method,
         s=p.s, u=p.u, u1=p.u1, v=p.v, item=p.item, seed=p.seed,
@@ -76,36 +70,44 @@ def bundle_from_design(mcd: MarginallyCoupledDesign) -> DesignBundle:
         })
 
 
-def _meta_dict(b: DesignBundle) -> dict:
-    return {
-        "format_version": b.format_version,
-        "method": b.method,
-        "s": int(b.s),
-        "u": int(b.u),
-        "u1": None if b.u1 is None else int(b.u1),
-        "v": None if b.v is None else int(b.v),
-        "item": b.item,
-        "seed": b.seed,
-        "provenance": b.provenance,
-    }
+_SCHEMA_KEYS = {f.name for f in fields(DesignBundle)}
+_MATRIX_KEYS = {f.name for f in fields(DesignBundle) if f.type == "np.ndarray"}
 
 
-def _canonical_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _meta_dict(b: DesignBundle, matrices: bool = False) -> dict:
+    """The schema's values, ints through int(); the matrices if asked."""
+    return {f.name: int(x) if (x := getattr(b, f.name)) is not None
+            and f.type in ("int", "int | None") else x
+            for f in fields(b) if matrices or f.name not in _MATRIX_KEYS}
 
 
-def _matrix_json(matrix: np.ndarray) -> str:
-    """A matrix laid out as json.dumps(indent=2) lays out a top-level value."""
-    rows = ["    [\n      " + ",\n      ".join(map(str, r)) + "\n    ]"
-            if r else "    []" for r in matrix.tolist()]
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+def _json_pieces(obj, level: int = 0):
+    """json.dumps(obj, sort_keys=True, indent=2), piece by piece, for dicts,
+    lists, tuples, 2-D int arrays (a row a piece), ints, strings, None."""
+    if isinstance(obj, np.ndarray) and (obj.ndim < 2 or not obj.size):
+        obj = obj.tolist()
+    pad = "\n" + "  " * (level + 1)
+    if not isinstance(obj, (dict, list, tuple, np.ndarray)) or not len(obj):
+        yield json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "") + pad + json.dumps(key) + ": "
+            yield from _json_pieces(obj[key], level + 1)
+        yield pad[:-2] + "}"
+    elif set(map(type, obj)) <= {int}:  # a list of ints is one join
+        yield "[" + pad + ("," + pad).join(map(str, obj)) + pad[:-2] + "]"
+    else:
+        yield "["
+        for i, item in enumerate(obj):
+            yield ("," if i else "") + pad
+            yield from _json_pieces(item, level + 1)
+        yield pad[:-2] + "]"
 
 
 def to_json_text(b: DesignBundle) -> str:
-    """_canonical_json of the whole bundle, with d1 and d2 (which sort
-    first) laid out by hand: json's indenting encoder is pure Python."""
-    return ('{\n  "d1": ' + _matrix_json(b.d1) + ',\n  "d2": '
-            + _matrix_json(b.d2) + ",\n" + _canonical_json(_meta_dict(b))[2:])
+    """The canonical JSON text of the whole bundle."""
+    return "".join(_json_pieces(_meta_dict(b, matrices=True))) + "\n"
 
 
 def sidecar_path(path: Path) -> Path:
@@ -122,21 +124,23 @@ def write_bundle(path, b: DesignBundle, fmt: str | None = None) -> Path:
         raise MalformedBundleError(
             f"format {fmt!r} does not match {path.name}: a .csv path is "
             "written as CSV, any other path as JSON")
-    if not is_csv:
-        path.write_text(to_json_text(b))
-        return path
-    header = ([f"q{i + 1}" for i in range(b.m)]
-              + [f"x{j + 1}" for j in range(b.k)])
-    step = max(1, _CSV_BLOCK_CELLS // len(header))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for lo in range(0, len(b.d1), step):
-            writer.writerows(np.hstack([b.d1[lo:lo + step],
-                                        b.d2[lo:lo + step]]).tolist())
-    with sidecar_path(path).open("w") as fh:  # _canonical_json, streamed
-        json.dump(_meta_dict(b), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    if is_csv:
+        step = max(1, _CSV_BLOCK_CELLS // (b.m + b.k))
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"q{i + 1}" for i in range(b.m)]
+                            + [f"x{j + 1}" for j in range(b.k)])
+            for lo in range(0, len(b.d1), step):
+                writer.writerows(np.hstack([b.d1[lo:lo + step],
+                                            b.d2[lo:lo + step]]).tolist())
+    json_path = sidecar_path(path) if is_csv else path
+    try:  # the text is streamed; a value json cannot encode leaves no file
+        with json_path.open("w") as fh:
+            fh.writelines(_json_pieces(_meta_dict(b, matrices=not is_csv)))
+            fh.write("\n")
+    except (TypeError, ValueError):
+        json_path.unlink()
+        raise
     return path
 
 
@@ -176,7 +180,7 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
     carry any."""
     _require(isinstance(meta, dict), "top level must be an object")
     unknown = set(meta) - (_SCHEMA_KEYS if d1 is None
-                           else _SCHEMA_KEYS - {"d1", "d2"})
+                           else _SCHEMA_KEYS - _MATRIX_KEYS)
     _require(not unknown, f"unknown keys {sorted(unknown)}")
     if d1 is None:
         _require("d1" in meta and "d2" in meta, "missing d1/d2 matrices")

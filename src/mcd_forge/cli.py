@@ -7,7 +7,7 @@ Three subcommands:
   Construction never emits an unverified design.
 * ``verify`` re-checks a written file by brute force.
 * ``catalog`` prints the parameter tables, optionally materializing and
-  verifying every row.
+  verifying every row; a row over a size cap is reported as skipped.
 
 All three verify through the one battery, ``verify.battery``.
 
@@ -37,7 +37,7 @@ from .construct import (
     subspace_construction,
 )
 from .designs import IDENTITY_SEED
-from .errors import BadParamsError, McdForgeError
+from .errors import BadParamsError, McdForgeError, TooLargeError
 from .gf import galois_field
 from .verify import battery
 
@@ -227,11 +227,16 @@ def cmd_catalog(args) -> int:
                   f"{_design_str(r.d1_ii)} | {_lhd_str(r.d2_ii)} |")
 
     if args.materialize:
-        failures = 0
+        failures = skipped = 0
         for r in rows:
-            report = verify_row(r)
             tag = (f"{r.method} u={r.u} u1={r.u1}"
                    + (f" v={r.v}" if r.v is not None else ""))
+            try:
+                report = verify_row(r)
+            except TooLargeError as exc:  # a row over a cap is not built
+                skipped += 1
+                print(f"skipped {tag}: {exc}")
+                continue
             if report.passed:
                 print(f"verified {tag}")
             else:
@@ -239,7 +244,8 @@ def cmd_catalog(args) -> int:
                 print(f"FAILED {tag}")
                 for line in report.lines():
                     print(f"  {line}")
-        print(f"materialized {len(rows)} rows, {failures} failure(s)")
+        print(f"materialized {len(rows) - skipped} rows, {failures} failure(s)"
+              + (f", {skipped} skipped over a cap" if skipped else ""))
         if failures:
             return EXIT_VERIFY_FAILED
     return EXIT_OK

@@ -449,15 +449,25 @@ class MarginallyCoupledDesign:
 
 
 #: largest design a construction builds, in cells n * (m + k).  A whole
-#: construct run peaked at 80-110 bytes of RSS per cell for 1M-4.2M cells,
-#: as JSON or CSV, so the largest accepted design stays under 1 GiB.
+#: construct run peaked at 38 bytes of RSS per cell at 4.2M cells and 68 at
+#: 1.05M, as JSON or CSV alike, so the largest accepted design stays well
+#: under 1 GiB.
 MAX_DESIGN_CELLS = 5_000_000
+
+
+def _check_runs(s: int, u: int) -> None:
+    """Fail closed on s^u runs alone over the cell cap without computing
+    s^u, which for u = 20000 has more digits than Python will print."""
+    if s ** min(u, 64) > MAX_DESIGN_CELLS:
+        raise TooLargeError(
+            f"{s}^{u} runs is over the cap of {MAX_DESIGN_CELLS} cells")
 
 
 def _check_size(s: int, u: int, m: int, k: int) -> None:
     """Fail closed, before anything is enumerated, on a design with s^u
     runs, m qualitative and k quantitative columns that is too large to
     build or to verify."""
+    _check_runs(s, u)
     n = s ** u
     cells = n * (m + k)
     if cells > MAX_DESIGN_CELLS:
@@ -595,6 +605,7 @@ def direct_construction(field: GaloisField, u: int, u1: int, item: str = "i",
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
     s = field.s
+    _check_runs(s, u)  # before the closed forms in s^u below
     _check_size(s, u, *_item_sides(item, u1,
                                    (s - 1) ** (u1 - 1) * s ** (u - u1)))
     units = [unit_vector(u, i) for i in range(u1)]
@@ -620,6 +631,7 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
     s = field.s
+    _check_runs(s, u)  # before the closed forms in s^u below
     # n* never exceeds the bound, and the closed form below costs O(v)
     # big-integer terms, so a larger v is refused before either runs
     bound = independent_prefix_bound(s, u1)
@@ -658,6 +670,7 @@ def anti_mirror_construction(u: int, u1: int,
         raise BadParamsError(
             f"anti-mirror arrangement needs 2 <= u1 < u-1, "
             f"got u1={u1}, u={u}")
+    _check_runs(2, u)  # before the closed forms in 2^u
     _check_size(2, u, 2 ** (u1 - 1), 2 ** (u - u1))
     tails = list(product(range(2), repeat=u - u1))
     xs = [(1,) * u1 + tail for tail in tails]

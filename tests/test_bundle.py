@@ -250,7 +250,7 @@ def _reference_json_text(b):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def test_json_text_equals_json_dumps_on_random_shapes():
+def test_json_text_equals_json_dumps_on_random_shapes(tmp_path):
     rng = np.random.default_rng(3)
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     shapes = [((1, 1), (1, 3)), ((4, 0), (4, 2)), ((3, 2), (3, 0)),
@@ -258,13 +258,25 @@ def test_json_text_equals_json_dumps_on_random_shapes():
     shapes += [((int(rng.integers(1, 6)), int(rng.integers(0, 5))),
                 (int(rng.integers(1, 6)), int(rng.integers(0, 5))))
                for _ in range(30)]
+    # metadata as construct writes it, and the other values a bundle holds
+    metas = [{}, {"seed": "identity"}, {"u1": None, "v": None, "item": None},
+             {"s": np.int64(3), "u": np.int32(4), "seed": 0},
+             {"provenance": {}},
+             {"provenance": {"z_vectors": [], "x_vectors": [[]]}}]
     for shape1, shape2 in shapes:
         d1 = rng.integers(-50, 50, size=shape1)
         d2 = rng.integers(lo, hi, size=shape2, endpoint=True)
         if d2.size:
             d2.flat[0], d2.flat[-1] = lo, hi
-        b = _shaped_bundle(d1, d2)
-        assert to_json_text(b) == _reference_json_text(b)
+        for meta in metas:
+            b = _shaped_bundle(d1, d2)
+            for key, value in meta.items():
+                setattr(b, key, value)
+            assert to_json_text(b) == _reference_json_text(b)
+            if len(b.d1) == len(b.d2) and b.m + b.k:
+                write_bundle(tmp_path / "d.csv", b)
+                assert sidecar_path(tmp_path / "d.csv").read_text() == \
+                    json.dumps(_meta_dict(b), sort_keys=True, indent=2) + "\n"
 
 
 def test_csv_bytes_equal_row_by_row_writer(tmp_path):
@@ -304,6 +316,32 @@ def test_csv_write_holds_one_block_of_rows(tmp_path):
     assert (again.d1 == b.d1).all() and (again.d2 == b.d2).all()
     assert sidecar_path(tmp_path / "d.csv").read_text() \
         == json.dumps(_meta_dict(b), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_write_holds_one_row_at_a_time(tmp_path):
+    # 1024 x 258 cells, 3.3 MB of text: building the whole text, and a
+    # tolist() of each whole matrix, peaked at 10.9 MiB
+    b = bundle_from_design(
+        direct_construction(galois_field(2), 10, 2, "i", 7))
+    tracemalloc.start()
+    try:
+        write_bundle(tmp_path / "d.json", b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert (tmp_path / "d.json").read_text() == _reference_json_text(b)
+
+
+def test_json_write_that_raises_leaves_no_file(tmp_path):
+    # the matrices are streamed before the metadata, which sorts after
+    # them; a value json cannot encode must not leave a partial file
+    b = _bundle()
+    for bad, error in (({1, 2}, TypeError), (10 ** 5000, ValueError)):
+        b.provenance = {"z_vectors": bad}
+        with pytest.raises(error):
+            write_bundle(tmp_path / "d.json", b)
+        assert not (tmp_path / "d.json").exists()
 
 
 def test_read_bundle_rejects_non_integer_entries_by_type(tmp_path):

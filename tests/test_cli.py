@@ -6,9 +6,11 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
+import mcd_forge.construct as construct
 import mcd_forge.verify as verify
 from mcd_forge.bundle import read_bundle, sidecar_path, write_bundle
 from mcd_forge.cli import (
@@ -19,7 +21,7 @@ from mcd_forge.cli import (
     SEED_ENV_VAR,
     main,
 )
-from mcd_forge.construct import direct_construction
+from mcd_forge.construct import MAX_DESIGN_CELLS, direct_construction
 from mcd_forge.gf import galois_field
 from golden_data import EXAMPLE1_COLLAPSED, EXAMPLE1_QUALITATIVE
 
@@ -419,6 +421,27 @@ def test_catalog_materialize(capsys):
     assert text.count("verified ") == 5
 
 
+def test_catalog_materialize_skips_rows_over_a_cap(capsys, monkeypatch):
+    # a row over a cap stopped the whole run with exit 2: no later row was
+    # built and no summary printed
+    monkeypatch.setattr(construct, "MAX_DESIGN_CELLS", 100)
+    assert main(["catalog", "--s", "2", "--u-max", "4", "--format", "csv",
+                 "--materialize"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [line for line in lines if line.startswith("skipped ")]
+    assert skipped == [
+        "skipped theorem1 u=4 u1=1: 16 runs x 1 + 8 columns is 144 cells, "
+        "over the cap of 100",
+        "skipped theorem2 u=4 u1=1 v=1: 16 runs x 1 + 8 columns is 144 "
+        "cells, over the cap of 100",
+        "skipped theorem2 u=4 u1=4 v=1: 16 runs x 8 + 1 columns is 144 "
+        "cells, over the cap of 100"]
+    # the run goes on past a skipped row
+    assert lines[lines.index(skipped[0]) + 1] == "verified theorem1 u=4 u1=2"
+    assert lines[-1] == \
+        "materialized 15 rows, 0 failure(s), 3 skipped over a cap"
+
+
 def test_catalog_materialize_ignores_the_seed_environment(capsys,
                                                          monkeypatch):
     argv = ["catalog", "--s", "3", "--u-max", "3", "--materialize"]
@@ -476,6 +499,25 @@ def test_oversize_construct_fails_closed_before_enumerating(tmp_path):
             text=True, timeout=60)
         assert proc.returncode == EXIT_PARAM_ERROR, proc.stderr
         assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+        assert not out.exists()
+
+
+def test_absurd_u_fails_closed_without_printing_s_to_the_u(tmp_path,
+                                                          capsys):
+    # 2^20000 has 6,021 digits: formatting it into the size error raised
+    # ValueError, a traceback and exit 1, the verification-failure code
+    out = tmp_path / "x.json"
+    for params in (["--method", "theorem1", "--s", "2", "--u1", "1"],
+                   ["--method", "theorem2", "--s", "2", "--u1", "2",
+                    "--v", "1"],
+                   ["--method", "anti-mirror", "--u1", "2"]):
+        start = perf_counter()
+        code = main(["construct", *params, "--u", "20000", "--out", str(out)])
+        assert perf_counter() - start < 1
+        assert code == EXIT_PARAM_ERROR
+        assert capsys.readouterr().err == (
+            f"error: 2^20000 runs is over the cap of {MAX_DESIGN_CELLS} "
+            "cells\n")
         assert not out.exists()
 
 
