@@ -1,17 +1,19 @@
 """Design file formats.
 
 JSON (canonical): one object, sorted keys, two-space indent, int matrices,
-no floats, streamed a row at a time: write -> read -> write is byte-identical.
+no floats, streamed in blocks of rows: write -> read -> write is byte-identical.
 
 CSV: header q1..qm,x1..xk, one row per run, plus a .meta.json sidecar next
 to the file carrying everything except the matrices (same canonical JSON
-text).  A .csv path is CSV both ways, any other path JSON.
+text).  A .csv path is CSV both ways, any other path JSON.  Its fields are
+ASCII integers, [+-]?[0-9]+, with optional spaces around them.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import re
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -23,8 +25,12 @@ from .errors import MalformedBundleError
 
 FORMAT_VERSION = 1
 
-#: matrix cells a CSV write holds as Python ints at a time
-_CSV_BLOCK_CELLS = 1 << 14
+#: matrix cells a write turns into text at a time
+_BLOCK_CELLS = 1 << 12
+
+#: a CSV data line's characters, and (seven times slower) its whole syntax
+_CSV_CHARS = re.compile(r"[ 0-9+,-]*")
+_CSV_LINE = re.compile(r" *[+-]?[0-9]+ *(?:, *[+-]?[0-9]+ *)*")
 
 
 @dataclass(eq=False)
@@ -81,10 +87,22 @@ def _meta_dict(b: DesignBundle, matrices: bool = False) -> dict:
             for f in fields(b) if matrices or f.name not in _MATRIX_KEYS}
 
 
+def _row_texts(parts, sep: str):
+    """The rows of the int matrices ``parts`` side by side, as text joined
+    by ``sep``: a list per block of about _BLOCK_CELLS cells, made with one
+    str() per distinct value in the block."""
+    step = max(1, _BLOCK_CELLS // max(1, sum(p.shape[1] for p in parts)))
+    for lo in range(0, len(parts[0]), step):
+        block = np.hstack([p[lo:lo + step] for p in parts])
+        values, codes = np.unique(block, return_inverse=True)
+        texts = np.array(list(map(str, values.tolist())), dtype=object)
+        yield list(map(sep.join, texts[codes.reshape(block.shape)].tolist()))
+
+
 def _json_pieces(obj, level: int = 0):
     """json.dumps(obj, sort_keys=True, indent=2), piece by piece, for dicts,
-    lists, tuples, 2-D int arrays (a row a piece), ints, strings, None."""
-    if isinstance(obj, np.ndarray) and (obj.ndim < 2 or not obj.size):
+    lists, tuples, 2-D int arrays (blocks of rows), ints, strings, None."""
+    if isinstance(obj, np.ndarray) and (obj.ndim != 2 or not obj.size):
         obj = obj.tolist()
     pad = "\n" + "  " * (level + 1)
     if not isinstance(obj, (dict, list, tuple, np.ndarray)) or not len(obj):
@@ -97,6 +115,13 @@ def _json_pieces(obj, level: int = 0):
         yield pad[:-2] + "}"
     elif set(map(type, obj)) <= {int}:  # a list of ints is one join
         yield "[" + pad + ("," + pad).join(map(str, obj)) + pad[:-2] + "]"
+    elif isinstance(obj, np.ndarray):
+        inner = pad + "  "
+        yield "["
+        for i, rows in enumerate(_row_texts((obj,), "," + inner)):
+            yield ("," if i else "") + pad + ("," + pad).join(
+                "[" + inner + row + pad + "]" for row in rows)
+        yield pad[:-2] + "]"
     else:
         yield "["
         for i, item in enumerate(obj):
@@ -124,15 +149,12 @@ def write_bundle(path, b: DesignBundle, fmt: str | None = None) -> Path:
         raise MalformedBundleError(
             f"format {fmt!r} does not match {path.name}: a .csv path is "
             "written as CSV, any other path as JSON")
-    if is_csv:
-        step = max(1, _CSV_BLOCK_CELLS // (b.m + b.k))
+    if is_csv:  # the csv module's default dialect: \r\n, nothing quoted
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"q{i + 1}" for i in range(b.m)]
-                            + [f"x{j + 1}" for j in range(b.k)])
-            for lo in range(0, len(b.d1), step):
-                writer.writerows(np.hstack([b.d1[lo:lo + step],
-                                            b.d2[lo:lo + step]]).tolist())
+            fh.write(",".join([f"q{i + 1}" for i in range(b.m)]
+                              + [f"x{j + 1}" for j in range(b.k)]) + "\r\n")
+            for rows in _row_texts((b.d1, b.d2), ","):
+                fh.write("\r\n".join(rows) + "\r\n")
     json_path = sidecar_path(path) if is_csv else path
     try:  # the text is streamed; a value json cannot encode leaves no file
         with json_path.open("w") as fh:
@@ -153,14 +175,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _int64_array(rows, what: str) -> np.ndarray:
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        raise MalformedBundleError(
-            f"{what} has an entry outside int64") from None
-
-
 def _as_int_matrix(rows, what: str) -> np.ndarray:
     _require(isinstance(rows, list) and rows, f"{what} must be a nonempty list")
     _require(all(isinstance(r, list) for r in rows),
@@ -170,7 +184,11 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
              f"{what} rows must be nonempty and equal length")
     _require(all(set(map(type, r)) <= {int} for r in rows),
              f"{what} entries must be integers")
-    return _int64_array(rows, what)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise MalformedBundleError(
+            f"{what} has an entry outside int64") from None
 
 
 def _bundle_from_meta(meta, d1: np.ndarray | None = None,
@@ -195,15 +213,17 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
     _require(_is_int(meta["u"]) and meta["u"] >= 1, "bad u")
     for key in ("u1", "v"):
         _require(meta.get(key) is None or _is_int(meta[key]), f"bad {key}")
-    seed = meta["seed"]
+    s, u, u1, seed = meta["s"], meta["u"], meta.get("u1"), meta["seed"]
+    _require(u1 is None or 1 <= u1 <= u, f"u1 = {u1} outside 1..u = {u}")
     _require(_is_int(seed) or seed == "identity",
              "seed must be an integer or \"identity\"")
-    _require(d1.shape[0] == d2.shape[0],
-             f"D1 has {d1.shape[0]} rows but D2 has {d2.shape[0]}")
+    n = d1.shape[0]
+    _require(n == d2.shape[0], f"D1 has {n} rows but D2 has {d2.shape[0]}")
+    # s^u >= 2^u > n from u = n.bit_length() on: never a huge power
+    _require(u < n.bit_length() and s ** u == n, f"{n} runs, not {s}^{u}")
     return DesignBundle(
-        method=str(meta["method"]), s=meta["s"], u=meta["u"],
-        u1=meta.get("u1"), v=meta.get("v"), item=meta.get("item"),
-        seed=seed, d1=d1, d2=d2,
+        method=str(meta["method"]), s=s, u=u, u1=u1, v=meta.get("v"),
+        item=meta.get("item"), seed=seed, d1=d1, d2=d2,
         provenance=meta.get("provenance") or {})
 
 
@@ -223,6 +243,21 @@ def read_bundle(path) -> DesignBundle:
     return _bundle_from_meta(obj)
 
 
+def _csv_lines(fh, width: int, pattern: re.Pattern = _CSV_CHARS):
+    """The data lines of an open CSV after its header, each checked for
+    ``width`` fields that match ``pattern`` on the way to the parser."""
+    lineno = 1
+    for lineno, line in enumerate(fh, start=2):
+        text = line.rstrip("\n")
+        got = text.count(",") + 1 if text else 0
+        _require(got == width,
+                 f"line {lineno}: expected {width} fields, got {got}")
+        _require(pattern.fullmatch(text) is not None,
+                 f"line {lineno}: non-integer entry")
+        yield line
+    _require(lineno > 1, "CSV has no data rows")
+
+
 def _read_csv_bundle(path: Path) -> DesignBundle:
     side = sidecar_path(path)
     _require(side.exists(), f"missing sidecar {side.name}")
@@ -230,26 +265,25 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
         meta = json.loads(side.read_text())
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"sidecar not valid JSON: {exc}") from exc
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedBundleError("empty CSV") from None
+    with path.open() as fh:
+        header, start = fh.readline(), fh.tell()
+        _require(bool(header), "empty CSV")
+        header = header.rstrip("\n").split(",")
         m = sum(1 for h in header if h.startswith("q"))
         k = sum(1 for h in header if h.startswith("x"))
         _require(m > 0 and k > 0 and header == [f"q{i + 1}" for i in range(m)]
                  + [f"x{j + 1}" for j in range(k)],
                  "header must be q1..qm followed by x1..xk")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            _require(len(row) == m + k,
-                     f"line {lineno}: expected {m + k} fields, got {len(row)}")
-            try:
-                rows.append(list(map(int, row)))
-            except ValueError:
-                raise MalformedBundleError(
-                    f"line {lineno}: non-integer entry") from None
-    _require(bool(rows), "CSV has no data rows")
-    data = _int64_array(rows, "CSV data")
+        try:  # numpy < 2 parses an int64 overflow as a float, with a warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                data = np.loadtxt(_csv_lines(fh, m + k), dtype=np.int64,
+                                  delimiter=",", ndmin=2)
+        except (MalformedBundleError, UnicodeDecodeError):
+            raise
+        except (ValueError, DeprecationWarning):
+            fh.seek(start)  # a misshapen field, like "1-2", fails this pass
+            all(_csv_lines(fh, m + k, _CSV_LINE))
+            raise MalformedBundleError(
+                "CSV data has an entry outside int64") from None
     return _bundle_from_meta(meta, data[:, :m], data[:, m:])

@@ -80,7 +80,7 @@ from .linalg import (
     rank,
     unit_vector,
 )
-from .verify import MAX_PAIR_WORK, battery, first_equal_pair
+from .verify import battery, first_equal_pair, require_mcd_work
 
 # ---------------------------------------------------------------------------
 # vector families
@@ -474,11 +474,7 @@ def _check_size(s: int, u: int, m: int, k: int) -> None:
         raise TooLargeError(
             f"{n} runs x {m} + {k} columns is {cells} cells, over the "
             f"cap of {MAX_DESIGN_CELLS}")
-    work = n * (m * k + m * (m - 1) // 2)
-    if work > MAX_PAIR_WORK:
-        raise TooLargeError(
-            f"verifying {n} runs x {m} + {k} columns counts {work} "
-            f"run-pair cells, over the cap of {MAX_PAIR_WORK}")
+    require_mcd_work(n, m, k)
 
 
 def _check_u_u1(u: int, u1: int) -> None:

@@ -59,9 +59,25 @@ from .errors import (
 #: largest verification a construction may need, in n * (column pairs):
 #: pair balance counts n rows for each of the m * k (D1, D2) pairs, and
 #: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  At 4.5-20
-#: ns per unit one check_mcd takes at most about 1.4-6 s.  A --stratify
-#: sweep, n * C(k, arity) cells at 5-8 ns each, has the same cap.
+#: ns per unit one check_mcd takes at most about 1.4-6 s.  A strength-t
+#: check, n * C(m, t) cells, and a --stratify sweep, n * C(k, arity) cells
+#: at 5-8 ns each, have the same cap.
 MAX_PAIR_WORK = 300_000_000
+
+
+def _require_work(work: int, what: str, unit: str) -> None:
+    """Refuse, before it counts anything, a check of ``work`` cells over
+    MAX_PAIR_WORK: TooLargeError naming ``what`` and the count."""
+    if work > MAX_PAIR_WORK:
+        raise TooLargeError(f"{what} {work} {unit} cells, over the cap of "
+                            f"{MAX_PAIR_WORK}")
+
+
+def require_mcd_work(n: int, m: int, k: int) -> None:
+    """Refuse a check_mcd of n runs, m D1 and k D2 columns that counts over
+    the cap: n * (m * k + m(m-1)/2) run-pair cells."""
+    _require_work(n * (m * k + m * (m - 1) // 2),
+                  f"verifying {n} runs x {m} + {k} columns counts", "run-pair")
 
 
 @dataclass(frozen=True)
@@ -355,9 +371,8 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
     full = int(prod(cells))
     if n % full != 0:
         raise BadGridError(f"grid of {full} cells does not divide n={n}")
-    if (work := n * comb(places, r)) > MAX_PAIR_WORK:
-        raise TooLargeError(f"{_grid_name(cells)} sweep: {work} run-subset "
-                            f"cells, over the cap of {MAX_PAIR_WORK}")
+    _require_work(n * comb(places, r), f"{_grid_name(cells)} sweep:",
+                  "run-subset")
     # row offset[c] + p of the stack holds column dims[p] in c cells
     sizes = sorted(set(cells))
     offset = {c: i * places for i, c in enumerate(sizes)}
@@ -390,8 +405,13 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
     catalog: check_mcd, check_noncascading on floor(D2 / s), then
     optionally D1 at ``strength`` and a grid-stratification sweep over
     every D2 column subset of the grid's arity, stopping at the first
-    failing subset.  The sweep runs first, so that an oversize one is
-    refused before any other work, and is reported last."""
+    failing subset.  Each check is sized first, so that an oversize one is
+    refused (TooLargeError) before any counting; the sweep, reported last,
+    runs first."""
+    require_mcd_work(d1.n, d1.m, d2.k)
+    if strength is not None and strength > 0:
+        _require_work(d1.n * comb(d1.m, strength),
+                      f"oa-strength({strength}) check counts", "run-subset")
     if stratify is not None:
         if len(stratify) > d2.k:
             raise BadParamsError(

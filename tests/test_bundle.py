@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from mcd_forge.bundle import (
-    _CSV_BLOCK_CELLS,
+    _BLOCK_CELLS,
     _meta_dict,
     bundle_from_design,
     read_bundle,
@@ -282,10 +283,14 @@ def test_json_text_equals_json_dumps_on_random_shapes(tmp_path):
 def test_csv_bytes_equal_row_by_row_writer(tmp_path):
     rng = np.random.default_rng(4)
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    # the last shape spans two whole blocks of rows and part of a third
-    for rows in (1, 2, 9, 2 * _CSV_BLOCK_CELLS // 5 + 7):
+    # s^u rows, so the file reads back; 2^11 rows of 5 cells span two
+    # whole blocks of rows and part of a third
+    assert 2 * (_BLOCK_CELLS // 5) < 2 ** 11 < 3 * (_BLOCK_CELLS // 5)
+    for s, u in ((2, 1), (3, 2), (2, 11)):
+        rows = s ** u
         b = _shaped_bundle(rng.integers(-3, 3, size=(rows, 2)),
                            rng.integers(lo, hi, size=(rows, 3)))
+        b.s, b.u, b.u1 = s, u, 1
         path = tmp_path / f"d{rows}.csv"
         write_bundle(path, b, "csv")
         expected = io.StringIO(newline="")
@@ -350,3 +355,113 @@ def test_read_bundle_rejects_non_integer_entries_by_type(tmp_path):
         with pytest.raises(MalformedBundleError,
                            match="^d1 entries must be integers$"):
             read_bundle(_write_obj(tmp_path, dict(base, d1=d1)))
+
+
+def test_read_bundle_checks_run_count_and_u1_against_u(tmp_path):
+    # a 27-run s=3 file that claims u = 4 (81 runs), a u too large to
+    # raise 3 to, or a u1 outside 1..u used to verify PASS
+    b = _bundle()
+    base = json.loads(to_json_text(b))
+    for key, value, message in (
+            ("u", 4, "^27 runs, not 3\\^4$"),
+            ("u", 2, "^27 runs, not 3\\^2$"),
+            ("u", 20000, "^27 runs, not 3\\^20000$"),
+            ("s", 2, "^27 runs, not 2\\^3$"),
+            ("u1", 7, "^u1 = 7 outside 1..u = 3$"),
+            ("u1", 0, "^u1 = 0 outside 1..u = 3$")):
+        with pytest.raises(MalformedBundleError, match=message):
+            read_bundle(_write_obj(tmp_path, dict(base, **{key: value})))
+        path = tmp_path / "d.csv"
+        write_bundle(path, b)
+        meta = json.loads(sidecar_path(path).read_text())
+        sidecar_path(path).write_text(json.dumps(dict(meta, **{key: value})))
+        with pytest.raises(MalformedBundleError, match=message):
+            read_bundle(path)
+    assert read_bundle(_write_obj(tmp_path, dict(base, u1=None))).u1 is None
+
+
+def test_writers_match_the_json_and_csv_modules(tmp_path):
+    rng = np.random.default_rng(8)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    # 1x1, n x 1 over several blocks of rows, one wide row, and shapes
+    # whose blocks end mid-matrix
+    shapes = [((1, 1), (1, 1)), ((5000, 1), (5000, 1)),
+              ((1, 9000), (1, 2)), ((3, 2), (3, 4100)),
+              ((700, 3), (700, 7)), ((64, 1), (64, 0))]
+    for (r1, c1), (r2, c2) in shapes:
+        d1 = rng.integers(-40, 40, size=(r1, c1))
+        d2 = rng.integers(lo, hi, size=(r2, c2), endpoint=True)
+        if d2.size:
+            d2.flat[0], d2.flat[-1] = lo, hi
+            d2[rng.random(d2.shape) < 0.3] = -7
+        b = _shaped_bundle(d1, d2)
+        assert to_json_text(b) == _reference_json_text(b)
+        path = tmp_path / "d.csv"
+        write_bundle(path, b)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow([f"q{i + 1}" for i in range(c1)]
+                        + [f"x{j + 1}" for j in range(c2)])
+        writer.writerows(np.hstack([d1, d2]).tolist())
+        assert path.read_bytes() == expected.getvalue().encode()
+
+
+def _csv_with_body(tmp_path, lines, name="m.csv", ending="\n"):
+    """A copy of the 27-run CSV whose data lines are ``lines``."""
+    good = tmp_path / "good.csv"
+    write_bundle(good, _bundle())
+    header = good.read_text().splitlines()[0]
+    path = tmp_path / name
+    path.write_bytes(ending.join([header] + lines).encode() + b"\n")
+    sidecar_path(path).write_text(sidecar_path(good).read_text())
+    return path
+
+
+def test_read_csv_bundle_names_each_malformed_line(tmp_path):
+    good = tmp_path / "good.csv"
+    write_bundle(good, _bundle())
+    rows = good.read_text().splitlines()[1:]
+    width = rows[0].count(",") + 1
+
+    def bad(line, field):
+        fields = rows[line].split(",")
+        fields[1] = field
+        return rows[:line] + [",".join(fields)] + rows[line + 1:]
+
+    cases = [
+        (rows[:3] + [""] + rows[3:], f"^line 5: expected {width} fields, "
+                                     "got 0$"),
+        (rows + [""], f"^line 29: expected {width} fields, got 0$"),
+        (bad(0, '"0"'), "^line 2: non-integer entry$"),
+        (bad(4, "1_0"), "^line 6: non-integer entry$"),
+        (bad(4, "2.0"), "^line 6: non-integer entry$"),
+        (bad(4, "١"), "^line 6: non-integer entry$"),  # Arabic-Indic 1
+        (bad(4, ""), "^line 6: non-integer entry$"),
+        (bad(4, "-"), "^line 6: non-integer entry$"),
+        (bad(4, "1-2"), "^line 6: non-integer entry$"),
+        (bad(4, "1 2"), "^line 6: non-integer entry$"),
+        (bad(4, "\t1"), "^line 6: non-integer entry$"),
+        (bad(26, str(2 ** 70)), "^CSV data has an entry outside int64$"),
+        (bad(26, str(-(2 ** 63) - 1)), "int64"),
+        # the misshapen field is reported before a later overflow
+        (bad(3, "+-1")[:20] + bad(20, str(2 ** 64))[20:],
+         "^line 5: non-integer entry$"),
+        ([], "^CSV has no data rows$"),  # and no numpy "no data" warning
+    ]
+    for lines, message in cases:
+        path = _csv_with_body(tmp_path, lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedBundleError, match=message):
+                read_bundle(path)
+
+
+def test_read_csv_bundle_reads_lf_crlf_and_spaced_fields(tmp_path):
+    good = tmp_path / "good.csv"
+    b = _bundle()
+    write_bundle(good, b)
+    rows = good.read_text().splitlines()[1:]
+    spaced = [" " + r.replace(",", " , +", 1) + " " for r in rows]
+    for lines, ending in ((rows, "\n"), (rows, "\r\n"), (spaced, "\n")):
+        again = read_bundle(_csv_with_body(tmp_path, lines, ending=ending))
+        assert (again.d1 == b.d1).all() and (again.d2 == b.d2).all()

@@ -12,7 +12,12 @@ import pytest
 
 import mcd_forge.construct as construct
 import mcd_forge.verify as verify
-from mcd_forge.bundle import read_bundle, sidecar_path, write_bundle
+from mcd_forge.bundle import (
+    bundle_from_design,
+    read_bundle,
+    sidecar_path,
+    write_bundle,
+)
 from mcd_forge.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -248,11 +253,14 @@ def test_verify_stratify_flag(tmp_path, capsys):
 
 def test_verify_refuses_an_oversize_stratify_sweep(tmp_path, capsys,
                                                    monkeypatch):
+    # u = 5: check_mcd counts 32 * (2 * 8 + 1) = 544 cells, under the
+    # sweep's 896, so the cap reaches the sweep first
     out = tmp_path / "strat.json"
     assert main(["construct", "--method", "anti-mirror",
-                 "--u", "4", "--u1", "2", "--out", str(out)]) == EXIT_OK
+                 "--u", "5", "--u1", "2", "--out", str(out)]) == EXIT_OK
     b = read_bundle(out)
     sweep = b.d2.shape[0] * b.k * (b.k - 1) // 2
+    assert b.d2.shape[0] * (b.m * b.k + 1) < sweep
     monkeypatch.setattr(verify, "MAX_PAIR_WORK", sweep - 1)
     capsys.readouterr()
     assert main(["verify", "--in", str(out), "--stratify",
@@ -540,3 +548,56 @@ def test_wide_admissible_d1_builds_and_verifies_in_seconds(tmp_path):
             assert proc.returncode == EXIT_OK, (command, proc.stderr)
         assert proc.stdout.endswith("PASS\n")
         assert read_bundle(out).d1.shape == (1024, 256)
+
+
+def test_verify_rejects_a_file_whose_u_or_u1_disagrees(tmp_path, capsys):
+    # these edits of a 27-run theorem1 s=3 u=3 u1=2 file used to verify PASS
+    for name in ("d.json", "d.csv"):
+        out = tmp_path / name
+        assert main(["construct", "--method", "theorem1", "--s", "3",
+                     "--u", "3", "--u1", "2", "--out", str(out)]) == EXIT_OK
+        meta_path = sidecar_path(out) if name.endswith(".csv") else out
+        meta = json.loads(meta_path.read_text())
+        for key, value, error in (("u", 4, "27 runs, not 3^4"),
+                                  ("u", 20000, "27 runs, not 3^20000"),
+                                  ("u1", 7, "u1 = 7 outside 1..u = 3")):
+            meta_path.write_text(json.dumps(dict(meta, **{key: value})))
+            capsys.readouterr()
+            assert main(["verify", "--in", str(out)]) == EXIT_PARAM_ERROR
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
+def test_verify_sizes_a_strength_check_before_counting(tmp_path, capsys):
+    # 1024 runs x 256 qualitative columns: strength 3 counts
+    # 1024 * C(256, 3) cells, which took 15 s before it was sized
+    out = tmp_path / "c.json"
+    write_bundle(out, bundle_from_design(
+        direct_construction(galois_field(2), 10, 2, "ii")))
+    capsys.readouterr()
+    for t in (3, 4):
+        start = perf_counter()
+        assert main(["verify", "--in", str(out), "--strength", str(t)]) \
+            == EXIT_PARAM_ERROR
+        assert perf_counter() - start < 1
+    work = 1024 * (256 * 255 * 254 // 6)
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"error: oa-strength(3) check counts {work} run-subset cells, over "
+        f"the cap of {verify.MAX_PAIR_WORK}")
+    assert main(["verify", "--in", str(out), "--strength", "2"]) == EXIT_OK
+
+
+def test_verify_sizes_check_mcd_before_counting(tmp_path, capsys,
+                                                monkeypatch):
+    # a file is not built by construct, so its check_mcd is sized here
+    out = _write_good_bundle(tmp_path)
+    b = read_bundle(out)
+    work = b.d1.shape[0] * (b.m * b.k + b.m * (b.m - 1) // 2)
+    monkeypatch.setattr(verify, "MAX_PAIR_WORK", work - 1)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == EXIT_PARAM_ERROR
+    assert capsys.readouterr().err == (
+        f"error: verifying 81 runs x {b.m} + {b.k} columns counts {work} "
+        f"run-pair cells, over the cap of {work - 1}\n")
+    monkeypatch.setattr(verify, "MAX_PAIR_WORK", work)
+    assert main(["verify", "--in", str(out)]) == EXIT_OK

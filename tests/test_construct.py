@@ -8,7 +8,6 @@ import pytest
 from mcd_forge import construct
 from mcd_forge.construct import (
     MAX_DESIGN_CELLS,
-    MAX_PAIR_WORK,
     admissible_set,
     anti_mirror_construction,
     common_nonorthogonal,
@@ -42,7 +41,11 @@ from mcd_forge.linalg import (
     unit_vector,
 )
 from mcd_forge.nstar import PREFIX_TABLE
-from mcd_forge.verify import check_grid_stratification, check_oa_strength
+from mcd_forge.verify import (
+    MAX_PAIR_WORK,
+    check_grid_stratification,
+    check_oa_strength,
+)
 from golden_data import (
     DIRECT_TABLE_S3,
     EXAMPLE1_COLLAPSED,

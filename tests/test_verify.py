@@ -696,7 +696,7 @@ def test_noncascading_reports_the_first_pair():
 
 
 def test_stratify_sweep_is_sized_before_it_runs(monkeypatch):
-    mcd = _anti_mirror()
+    mcd = _anti_mirror(5)  # check_mcd's 544 cells stay under the cap
     n, k = mcd.d2.n, mcd.d2.k
     monkeypatch.setattr(verify, "MAX_PAIR_WORK", n * (k * (k - 1) // 2) - 1)
     with pytest.raises(TooLargeError, match="sweep"):
