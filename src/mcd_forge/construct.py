@@ -41,13 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import combinations, compress, islice, product
 from math import comb
 from typing import TypeVar
 
 import numpy as np
 
 from .designs import (
+    BLOCK_CELLS,
     IDENTITY_SEED,
     CollapsedDesign,
     LatinHypercube,
@@ -69,15 +70,17 @@ from .errors import (
 from .gf import GaloisField, galois_field
 from .linalg import (
     Vector,
+    _completed_bases,
+    _dots,
     _enumeration_size,
+    _kept_rows,
     _leading_one,
+    _null_space_bases,
     dot,
     enumerate_span,
     enumerate_tuples,
-    extend_to_basis,
     generate_linear_array,
     orthogonal_complement_basis,
-    rank,
     unit_vector,
 )
 from .verify import battery, first_equal_pair, require_mcd_work
@@ -212,8 +215,13 @@ def common_nonorthogonal(part: AdmissiblePartition,
     members = tuple(compress(unit_combinations(f, part.u, part.u1),
                              hits.tolist()))
     normalized = tuple(z for z in members if next(filter(None, z)) == 1)
+    # every k-subset of the prefixes, in blocks of one stacked elimination
     k = min(len(prefixes), part.u1)
-    independent = all(rank(f, sub) == k for sub in combinations(prefixes, k))
+    rows, subsets = np.array(prefixes), combinations(range(len(prefixes)), k)
+    independent = True
+    while independent and (block := list(
+            islice(subsets, max(1, BLOCK_CELLS // (k * part.u1))))):
+        independent = bool(_kept_rows(f, rows[block]).all())
     return NonorthogonalIntersection(indices, members, normalized,
                                      independent)
 
@@ -550,33 +558,62 @@ def general_construction(field: GaloisField, z_list, x_list,
     for j in overrides:
         if not 0 <= j < len(xs):
             raise BadParamsError(f"generator override for unknown x index {j}")
-    gens: list[tuple[Vector, ...]] = []
-    for j, x in enumerate(xs):
-        if j in overrides:
-            cols = _as_vectors(field, overrides[j], f"generator[{j}]")
-            if len(cols) != u - 1 or any(len(c) != u for c in cols):
-                raise BadParamsError(
-                    f"override for x {j} must be {u - 1} columns of length {u}")
-            bad = [c for c in cols if dot(field, c, x) != 0]
-            if bad:
-                raise BadParamsError(
-                    f"override column {bad[0]} is not orthogonal to x {j}")
-            if rank(field, cols) != u - 1:
-                raise BadParamsError(
-                    f"override columns for x {j} are linearly dependent")
-            gens.append(tuple(cols))
-        else:
-            gens.append(orthogonal_complement_basis(field, x).vectors)
+    xarr = np.array(xs, dtype=np.int64)
+    given, stack = _checked_overrides(field, xarr, overrides)
+    free = [j for j in range(len(xs)) if j not in overrides]
+    gens = np.empty((len(xs), u - 1, u), dtype=np.int64)
+    gens[given], gens[free] = stack, _null_space_bases(field, xarr[free])
 
-    tilde = np.stack(
-        [method_of_replacement(generate_linear_array(field, cols), s)
-         for cols in gens], axis=1)
+    # base-s codes of each matrix's linear array, one array per block
+    n = s ** u
+    tilde = np.empty((n, len(xs)), dtype=np.int64)
+    width = max(1, BLOCK_CELLS // (n * (u - 1)))
+    for lo in range(0, len(xs), width):
+        cols = gens[lo:lo + width].reshape(-1, u)
+        tilde[:, lo:lo + width] = method_of_replacement(
+            generate_linear_array(field, cols).reshape(-1, u - 1),
+            s).reshape(n, -1)
     collapsed = CollapsedDesign(s, tilde)
     d2 = expand_levels(collapsed, s, seed)
     return MarginallyCoupledDesign(
         d1, d2, collapsed,
         params or ConstructionParams(s=s, u=u, seed=seed),
-        Provenance(method, tuple(zs), tuple(xs), tuple(gens)))
+        Provenance(method, tuple(zs), tuple(xs),
+                   tuple(tuple(map(tuple, g)) for g in gens.tolist())))
+
+
+def _checked_overrides(field: GaloisField, xs: np.ndarray,
+                       overrides: dict) -> tuple[list[int], np.ndarray]:
+    """The overridden x indices, ascending, and their (count, u-1, u)
+    matrices; BadParamsError for the first x whose override is malformed,
+    has a column not orthogonal to x, or is dependent, in that order."""
+    u = xs.shape[1]
+    given, mats, malformed = [], [], None
+    for j in sorted(overrides):
+        try:
+            cols = _as_vectors(field, overrides[j], f"generator[{j}]")
+            if len(cols) != u - 1 or any(len(c) != u for c in cols):
+                raise BadParamsError(
+                    f"override for x {j} must be {u - 1} columns of length {u}")
+        except BadParamsError as exc:
+            malformed = exc
+            break
+        given.append(j)
+        mats.append(cols)
+    stack = np.array(mats, dtype=np.int64).reshape(len(given), u - 1, u)
+    dots = _dots(field, stack, xs[given][:, None, :])
+    independent = _kept_rows(field, stack).all(axis=1)
+    for i, j in enumerate(given):
+        if dots[i].any():
+            raise BadParamsError(
+                f"override column {tuple(stack[i, dots[i].argmax()].tolist())}"
+                f" is not orthogonal to x {j}")
+        if not independent[i]:
+            raise BadParamsError(
+                f"override columns for x {j} are linearly dependent")
+    if malformed:
+        raise malformed
+    return given, stack
 
 
 T = TypeVar("T")
@@ -669,16 +706,16 @@ def anti_mirror_construction(u: int, u1: int,
     _check_runs(2, u)  # before the closed forms in 2^u
     _check_size(2, u, 2 ** (u1 - 1), 2 ** (u - u1))
     tails = list(product(range(2), repeat=u - u1))
-    xs = [(1,) * u1 + tail for tail in tails]
-    overrides: dict[int, tuple] = {}
-    for j, tail in enumerate(tails):
-        eta = (1, 1) + (0,) * (u1 - 2) + tuple(1 - b for b in tail)
-        assert dot(field, eta, xs[j]) == 0
-        overrides[j] = extend_to_basis(field, xs[j], [eta])
+    xs = np.array([(1,) * u1 + tail for tail in tails])
+    etas = np.array([(1, 1) + (0,) * (u1 - 2) + tuple(1 - b for b in tail)
+                     for tail in tails])
+    assert not _dots(field, etas, xs).any()
+    overrides = dict(enumerate(_completed_bases(field, xs, etas[:, None])
+                               .tolist()))
     part = partition_admissible(admissible_set(field, u, u1))
     zs = list(common_nonorthogonal(part, (0,)).normalized)
     params = ConstructionParams(2, u, u1, 1, None, seed)
-    return general_construction(field, zs, xs, seed,
+    return general_construction(field, zs, xs.tolist(), seed,
                                 generator_overrides=overrides,
                                 method="anti-mirror", params=params)
 
@@ -710,14 +747,13 @@ def stratified_generator_choice(field: GaloisField,
             f"{len(xs)} columns requested but only {capacity} pairwise "
             f"non-proportional directions exist in a {u - 1}-dimensional "
             f"null space")
-    used: set[Vector] = set()
-    result: list[tuple[Vector, ...]] = []
+    used: dict[Vector, None] = {}  # the leads, in the order of the x's
     for x in xs:
         span = np.array(enumerate_span(orthogonal_complement_basis(field, x)))
         canonical = (span.any(axis=1)
                      & (_leading_one(field, span) == span).all(axis=1))
-        lead = next(w for w in map(tuple, span[canonical].tolist())
-                    if w not in used)
-        used.add(lead)
-        result.append(extend_to_basis(field, x, [lead]))
-    return result
+        used[next(w for w in map(tuple, span[canonical].tolist())
+                  if w not in used)] = None
+    leads = np.array(list(used))[:, None]
+    bases = _completed_bases(field, np.array(xs), leads)
+    return [tuple(map(tuple, b)) for b in bases.tolist()]

@@ -16,10 +16,10 @@ Level operations:
   "identity" pseudo-seed the values are assigned in row order; with an
   integer seed each column gets an independent PCG64 stream
   (SeedSequence([seed, column_index])) and the values are permuted, one
-  permutation of 0..s-1 per level, drawn in level order.  Each column
-  costs one stable argsort and one batched draw.
-  Identical seeds give identical designs; per-column streams mean a
-  parallel implementation could not change the output.
+  permutation of 0..s-1 per level, drawn in level order.  A block of
+  columns costs one stable argsort and one scatter, a column one batched
+  draw.  Identical seeds give identical designs; per-column streams mean
+  neither the block size nor parallel work could change the output.
 * ``method_of_replacement`` encodes the rows of an n x (u-1) s-level array
   as single base-s integers (ordinary positional notation, no field
   arithmetic): column j carries weight s^(u-2-j).
@@ -41,6 +41,10 @@ from .errors import (
 IDENTITY_SEED = "identity"
 
 Seed = int | str
+
+#: cells each temporary of a blocked pass holds: a block of columns in
+#: level expansion and D2's build, of subsets in the prefix check
+BLOCK_CELLS = 1 << 17
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -148,32 +152,46 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
     integer seed: values permuted per (column, level) by the column's
     PCG64 stream.
 
-    One stable argsort per column groups the rows: row v of the
-    (n/s, s) reshape holds the rows carrying level v, in row order.  The
-    seeded offsets come from one ``permuted(..., axis=1)`` call over n/s
-    copies of 0..s-1, which shuffles the rows in order and draws from the
-    stream exactly as n/s successive ``permutation(s)`` calls would.  So
-    the stream is still consumed level by level in level order, and that
-    order must be kept for seeded designs to stay byte-identical.
+    Columns go in blocks of ``BLOCK_CELLS`` cells.  One stable argsort
+    per block groups each column's rows: row v of the (n/s, s) reshape
+    holds the rows carrying level v, in row order, and the sorted levels
+    must read 0 (s times), 1 (s times), and so on.  The seeded offsets
+    come from one ``permuted(..., axis=1)`` call per column over n/s
+    copies of 0..s-1, which draws from the stream exactly as n/s
+    successive ``permutation(s)`` calls would.  So the stream is still
+    consumed level by level in level order, and that order must be kept
+    for seeded designs to stay byte-identical.
     """
     n, k = collapsed.n, collapsed.k
     if n % s != 0:
         raise NotDivisibleError(f"run count {n} not divisible by s={s}")
     nlev = n // s
     out = np.empty((n, k), dtype=np.int64)
-    for j in range(k):
-        col = collapsed.data[:, j]
-        bad = col.min(initial=0) < 0
-        if not bad:
-            counts = np.bincount(col, minlength=nlev)
-            bad = len(counts) != nlev or (counts != s).any()
-        if bad:
+    tiles = np.tile(np.arange(s), (nlev, 1))
+    starts = np.arange(0, n, s)[:, None]
+    width = max(1, BLOCK_CELLS // max(n, 1))
+    for lo in range(0, k, width):
+        block = collapsed.data[:, lo:lo + width].T
+        b = len(block)
+        bad = ((block.min(axis=1, initial=0) < 0)
+               | (block.max(axis=1, initial=-1) >= nlev))
+        # in range, levels fit the narrowest dtype, which numpy radix-sorts
+        keys = block.astype(np.min_scalar_type(nlev - 1))
+        rows = np.argsort(keys, axis=1, kind="stable")
+        bad |= (np.take_along_axis(keys, rows, axis=1)
+                != np.repeat(np.arange(nlev), s)).any(axis=1)
+        if bad.any():
             raise MalformedCollapsedDesignError(
-                f"column {j} does not take each level 0..{nlev - 1} "
-                f"exactly {s} times")
-        rows = np.argsort(col, kind="stable").reshape(nlev, s)
-        offsets = (np.arange(s) if seed == IDENTITY_SEED
-                   else _column_rng(seed, j).permuted(
-                       np.tile(np.arange(s), (nlev, 1)), axis=1))
-        out[rows, j] = np.arange(0, n, s)[:, None] + offsets
+                f"column {lo + bad.argmax()} does not take each level "
+                f"0..{nlev - 1} exactly {s} times")
+        if seed == IDENTITY_SEED:
+            values = np.arange(n)[None]
+        else:
+            values = np.empty((b, nlev, s), dtype=np.int64)
+            for i in range(b):
+                _column_rng(seed, lo + i).permuted(tiles, axis=1,
+                                                   out=values[i])
+            values += starts
+            values = values.reshape(b, n)
+        np.put_along_axis(out[:, lo:lo + b], rows.T, values.T, axis=0)
     return LatinHypercube(out)

@@ -18,21 +18,28 @@ The two enumeration orders used everywhere downstream:
 s^u-run array whose row r is lambda_r^T G, with lambda_r drawn from
 ``enumerate_tuples``.  It grows the array one coordinate at a time, each
 step expanding every row into s rows with one add-table gather, which
-gives the base-s row order for prime and extension fields alike.  Any m
-generator columns that are t-wise linearly independent make the result an
-orthogonal array of strength t; ``verify.check_oa_strength`` counts it.
+gives the base-s row order for prime and extension fields alike.  Rows
+grow in uint8 (uint16 for s > 16), as a flat add-table index is below
+s^2 <= 1024.  Any m generator columns that are t-wise linearly
+independent make the result an orthogonal array of strength t;
+``verify.check_oa_strength`` counts it.
+
+Every rank question goes to ``_kept_rows``, one Gaussian elimination over
+a stack of matrices in lockstep.  Public entry points reject a vector of
+another length or with an entry outside 0..s-1 (numpy would read -1 as
+s - 1) with ``BadParamsError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import TooLargeError, ZeroVectorError
+from .errors import BadParamsError, TooLargeError, ZeroVectorError
 from .gf import GaloisField
 
 Vector = tuple[int, ...]
@@ -67,24 +74,53 @@ def enumerate_tuples(field: GaloisField, u: int) -> list[Vector]:
     return list(product(range(field.s), repeat=u))
 
 
+def _field_rows(field: GaloisField, vectors: Iterable[Sequence[int]],
+                label: str = "vector") -> np.ndarray:
+    """The vectors as one (count, u) int64 array, or BadParamsError naming
+    the first that is not u elements of GF(s), u the length of the first."""
+    if not isinstance(vectors, np.ndarray):
+        vectors = list(vectors)
+    if not len(vectors):
+        return np.zeros((0, 0), dtype=np.int64)
+    try:
+        rows = np.array(vectors, dtype=np.int64)
+    except (TypeError, ValueError):  # ragged, or not integers
+        rows = np.zeros(0)
+    if rows.ndim != 2:
+        u = np.shape(vectors[0])
+        i = next((i for i, v in enumerate(vectors) if np.shape(v) != u), 0)
+        raise BadParamsError(f"{label} {i} is not a flat sequence of "
+                             f"integers as long as {label} 0")
+    bad = (rows.view(np.uint64) >= field.s).any(axis=1)  # negatives too
+    if bad.any():
+        raise BadParamsError(
+            f"{label} {bad.argmax()} has entries outside GF({field.s})")
+    return rows
+
+
 def _leading_one(field: GaloisField, rows: np.ndarray) -> np.ndarray:
     """Rows of a (count, u) array scaled to a leading 1; zero rows stay 0."""
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     return field.mul_table[field.inv_table[lead][:, None], rows]
 
 
+def _dots(field: GaloisField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T b over GF(s) along the last axis of two broadcastable arrays."""
+    terms = field.mul_table[a, b]
+    return reduce(lambda acc, i: field.add_table[acc, terms[..., i]],
+                  range(terms.shape[-1]), 0)
+
+
 def dot(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> int:
     """x^T y over GF(s)."""
-    if len(x) != len(y):
-        raise ValueError("dot of vectors with different lengths")
-    terms = field.mul_table[list(x), list(y)].tolist()
-    return reduce(lambda a, b: int(field.add_table[a, b]), terms, 0)
+    rows = _field_rows(field, [x, y])
+    return int(_dots(field, rows[0], rows[1]))
 
 
 def normalize_direction(field: GaloisField, x: Sequence[int]) -> Vector:
     """Scale x so its first nonzero entry is 1 (the canonical representative
     of the direction {c*x : c != 0}).  Zero vector is rejected."""
-    row = np.asarray(x, dtype=np.int64)[None]
+    row = _field_rows(field, [x])
     if not row.any():
         raise ZeroVectorError("cannot normalize the zero vector")
     return tuple(_leading_one(field, row)[0].tolist())
@@ -92,31 +128,42 @@ def normalize_direction(field: GaloisField, x: Sequence[int]) -> Vector:
 
 def is_proportional(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> bool:
     """True iff y = c*x for some nonzero scalar c (zero ~ zero only)."""
-    rows = _leading_one(field, np.array([x, y], dtype=np.int64))
+    rows = _leading_one(field, _field_rows(field, [x, y]))
     return bool((rows[0] == rows[1]).all())
 
 
-def _pivot_rows(field: GaloisField, rows: np.ndarray) -> np.ndarray:
-    """A basis of the row space of a (count, u) array, in echelon form:
-    Gaussian elimination where each pivot row clears its column from every
-    row, itself included, in one step, and is kept."""
-    add, mul = field.add_table, field.mul_table
-    pivots = []
-    for c in range(rows.shape[1]):
-        nonzero = np.flatnonzero(rows[:, c])
-        if nonzero.size:
-            pivots.append(pivot := rows[nonzero[0]])
-            factor = mul[field.neg_table[rows[:, c]],
-                         field.inv_table[pivot[c]]]
-            rows = add[rows, mul[factor[:, None], pivot]]
-    return np.array(pivots, dtype=np.int64).reshape(len(pivots), rows.shape[1])
+def _kept_rows(field: GaloisField, stack: np.ndarray,
+               limit: int | None = None) -> np.ndarray:
+    """For each matrix of an (N, r, u) stack, which rows are independent
+    of the rows kept before them, keeping at most ``limit``.
+
+    Gaussian elimination on all N matrices in lockstep, one pivot per
+    pass: each matrix keeps its first nonzero row, scaled to a leading 1,
+    and clears that column from every row, itself included.  A row still
+    nonzero is outside the span of the kept rows, all earlier than it.
+    """
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    count, r, u = stack.shape
+    kept = np.zeros((count, r), dtype=bool)
+    at = np.arange(count)
+    for _ in range(u if limit is None else min(limit, u)):
+        nonzero = stack.any(axis=2)
+        if not nonzero.any():
+            break
+        first = nonzero.argmax(axis=1)
+        kept[at, first] |= nonzero[at, first]
+        row = stack[at, first]
+        col = (row != 0).argmax(axis=1)
+        pivot = mul[field.inv_table[row[at, col]][:, None], row]
+        factor = neg[stack[at, :, col]]
+        stack = add[stack, mul[factor[:, :, None], pivot[:, None, :]]]
+    return kept
 
 
 def rank(field: GaloisField, vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of the given vectors over GF(s): the number of pivots of one
-    elimination over their (count, u) array."""
-    rows = np.array([tuple(v) for v in vectors], dtype=np.int64)
-    return len(_pivot_rows(field, rows)) if rows.ndim == 2 else 0
+    """Rank of the given vectors over GF(s): the rows one elimination over
+    their (count, u) array keeps."""
+    return int(_kept_rows(field, _field_rows(field, vectors)[None]).sum())
 
 
 @dataclass(frozen=True)
@@ -132,21 +179,39 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
+def _null_space_bases(field: GaloisField, xs: np.ndarray) -> np.ndarray:
+    """The canonical bases of O(x) for the nonzero rows x of a (k, u)
+    array, as one (k, u-1, u) array: with p the first nonzero coordinate
+    of x scaled to 1, each j != p in order gives 1 at j and -x_j at p."""
+    if not xs.any(axis=1).all():
+        raise ZeroVectorError("cannot normalize the zero vector")
+    xn = _leading_one(field, xs)
+    k, u = xn.shape
+    p = (xn != 0).argmax(axis=1)
+    rows = np.broadcast_to(np.eye(u, dtype=np.int64), (k, u, u)).copy()
+    rows[np.arange(k)[:, None], np.arange(u), p[:, None]] = field.neg_table[xn]
+    return rows[np.arange(u) != p[:, None]].reshape(k, u - 1, u)
+
+
+def _completed_bases(field: GaloisField, xs: np.ndarray,
+                     forced: np.ndarray) -> np.ndarray:
+    """For the rows x of a (k, u) array, the (k, f, u) independent vectors
+    ``forced`` inside each O(x), completed to u-1 by the canonical basis
+    vectors that keep them independent, in order: one (k, u-1, u) array."""
+    k, u = xs.shape
+    stack = np.concatenate([forced, _null_space_bases(field, xs)], axis=1)
+    kept = _kept_rows(field, stack, u - 1)
+    if not kept[:, :forced.shape[1]].all():
+        raise ValueError("forced columns are not linearly independent")
+    return stack[kept].reshape(k, u - 1, u)
+
+
 def orthogonal_complement_basis(field: GaloisField, x: Sequence[int]) -> SubspaceBasis:
     """Canonical basis of O(x) = {y : y^T x = 0}, a (u-1)-dimensional
-    subspace for nonzero x.
-
-    The basis comes from the reduced echelon form of the single-row system:
-    with p the pivot (first nonzero coordinate of x, scaled to 1), each
-    non-pivot coordinate j contributes the vector with 1 at j and -x_j at p.
-    Vectors are ordered by j ascending, so the result is deterministic.
-    """
-    xn = normalize_direction(field, x)  # raises ZeroVectorError on 0
-    u, p = len(xn), next(i for i, v in enumerate(xn) if v)
-    minus = field.neg_table[list(xn)].tolist()
-    vectors = tuple(tuple(minus[j] if i == p else int(i == j)
-                          for i in range(u)) for j in range(u) if j != p)
-    return SubspaceBasis(field, u, vectors)
+    subspace for nonzero x, in the order of ``_null_space_bases``."""
+    row = _field_rows(field, [x])
+    vectors = _null_space_bases(field, row)[0].tolist()
+    return SubspaceBasis(field, row.shape[1], tuple(map(tuple, vectors)))
 
 
 def enumerate_span(basis: SubspaceBasis) -> list[Vector]:
@@ -164,17 +229,17 @@ def extend_to_basis(field: GaloisField, x: Sequence[int],
     """Complete ``forced`` (independent vectors inside O(x)) to a full
     (u-1)-column basis of O(x), greedily appending canonical basis vectors
     that preserve independence.  Deterministic."""
-    target = len(x) - 1
-    cols = list(forced)
-    if rank(field, cols) != len(cols):
-        raise ValueError("forced columns are not linearly independent")
-    for b in orthogonal_complement_basis(field, x).vectors:
-        if len(cols) == target:
-            break
-        if rank(field, cols + [b]) > len(cols):
-            cols.append(b)
-    assert len(cols) == target, "could not complete basis"
-    return tuple(cols)
+    rows = _field_rows(field, [x, *forced])
+    cols = _completed_bases(field, rows[:1], rows[None, 1:])[0]
+    return tuple(map(tuple, cols.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _narrow_tables(field: GaloisField) -> tuple[np.ndarray, np.ndarray]:
+    """The flat add table and the mul table of a field in uint8, or in
+    uint16 past s = 16, where a flat index a * s + b exceeds 255."""
+    dtype = np.uint8 if field.s <= 16 else np.uint16
+    return field.add_table.astype(dtype).ravel(), field.mul_table.astype(dtype)
 
 
 def generate_linear_array(field: GaloisField, columns: Sequence[Vector]) -> np.ndarray:
@@ -185,22 +250,22 @@ def generate_linear_array(field: GaloisField, columns: Sequence[Vector]) -> np.n
     step i replaces each row r by the s rows r + c * g_i, c = 0..s-1, so
     after step i the rows are the s^(i+1) prefixes in base-s order.  The
     s * u * m scaled generator entries c * g_i are looked up once, and
-    each step makes one add-table gather.
+    each step makes one gather from the flat add table, at index
+    r * s + c * g_i, in the narrowest unsigned dtype that holds s * s.
     """
-    if not columns:
+    gen = _field_rows(field, columns, "generator column").T  # u x m
+    if not gen.shape[1]:
         raise ValueError("need at least one generator column")
-    u = len(columns[0])
-    if any(len(c) != u for c in columns):
-        raise ValueError("generator columns must share one dimension")
+    u, m = gen.shape
     if u < 1:
         raise ValueError("dimension must be at least 1")
     s = field.s
     _enumeration_size(s, u)
-    gen = np.array(columns, dtype=np.int64).T  # u x m
-    m = gen.shape[1]
-    add, mul = field.add_table, field.mul_table
+    add, mul = _narrow_tables(field)
     scaled = mul[np.arange(s)[:, None, None], gen[None, :, :]]  # s x u x m
-    out = np.zeros((1, m), dtype=np.int64)
+    out = np.zeros((1, m), dtype=add.dtype)
+    step = add.dtype.type(s)
     for i in range(u):
-        out = add[out[:, None, :], scaled[:, i][None]].reshape(-1, m)
-    return out
+        out = add.take((out * step)[:, None, :]
+                       + scaled[:, i][None]).reshape(-1, m)
+    return out.astype(np.int64)

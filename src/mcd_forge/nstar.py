@@ -24,7 +24,7 @@ import numpy as np
 
 from .construct import PrefixSearch, independent_prefix_bound
 from .gf import GaloisField, galois_field
-from .linalg import Vector, _leading_one, rank
+from .linalg import _kept_rows, _leading_one
 
 #: the labels ``max_independent_prefixes`` returns on the cells where it
 #: takes 0.1-5 s, all at the bound; constructions read them unchanged
@@ -57,12 +57,13 @@ def coordinate_forms(field: GaloisField, k: int) -> np.ndarray:
     base-s order, constant term nonzero and most significant.  The first
     with no root in GF(s) gives its images g(lam t + a), lam = 1..s-1
     outer and a = 0..s-1 inner.  These are root-free with leading
-    coefficient lam^(k-1), and each is kept when it raises the rank.  If
-    they span too little, the next root-free g continues.
+    coefficient lam^(k-1), and each is kept when it raises the rank, in
+    one stacked elimination.  If they span too little, the next
+    root-free g continues.
     """
     s, add, mul = field.s, field.add_table, field.mul_table
     lam, a = np.divmod(np.arange(s, s * s), s)
-    rows: list[Vector] = []
+    rows = np.zeros((0, k), dtype=np.int64)
     for low in product(range(1, s), *[range(s)] * (k - 2)):
         images = np.zeros((len(lam), k), dtype=np.int64)
         for c in (1, *reversed(low)):  # Horner: h <- h (lam t + a) + c
@@ -70,14 +71,12 @@ def coordinate_forms(field: GaloisField, k: int) -> np.ndarray:
             images = add[mul[lam[:, None], shifted], mul[a[:, None], images]]
             images[:, 0] = add[images[:, 0], c]
         # the constant terms of the first s images are g(a) for every a
-        if (not images[:s, 0].all()
-                or rank(field, rows + images.tolist()) == len(rows)):
+        if not images[:s, 0].all():
             continue
-        for form in map(tuple, images.tolist()):
-            if rank(field, rows + [form]) > len(rows):
-                rows.append(form)
-                if len(rows) == k:
-                    return np.array(rows, dtype=np.int64)
+        rows = np.concatenate([rows, images])
+        rows = rows[_kept_rows(field, rows[None], k)[0]]
+        if len(rows) == k:
+            return rows
     raise AssertionError(f"no {k} independent root-free forms over GF({s})")
 
 

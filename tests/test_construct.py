@@ -457,6 +457,29 @@ def test_general_construction_input_validation():
         general_construction(F3, [(1, 3, 0)], [(1, 2, 0)])
 
 
+def test_override_errors_name_the_first_x_in_index_order():
+    # with several bad overrides the one for the lowest x index is named,
+    # whatever its kind and whatever order the dict lists them in
+    xs = [(1, 0, 1), (1, 1, 1)]
+    malformed = ((0, 1, 0),)
+    not_orthogonal = ((0, 1, 0), (1, 0, 0))
+    dependent = ((0, 1, 0), (0, 2, 0))
+    out_of_field = ((0, 1, 0), (5, 0, 0))
+    for overrides, message in [
+            ({1: malformed, 0: not_orthogonal},
+             r"^override column \(1, 0, 0\) is not orthogonal to x 0$"),
+            ({1: dependent, 0: not_orthogonal}, "not orthogonal to x 0$"),
+            ({0: dependent, 1: malformed},
+             "^override columns for x 0 are linearly dependent$"),
+            ({1: dependent, 0: out_of_field},
+             r"^generator\[0\] vector 1 has entries outside GF\(3\)$"),
+            ({0: malformed, 1: not_orthogonal},
+             "^override for x 0 must be 2 columns of length 3$")]:
+        with pytest.raises(BadParamsError, match=message):
+            general_construction(F3, [(1, 0, 0)], xs,
+                                 generator_overrides=overrides)
+
+
 # ---------------------------------------------------------------------------
 # named constructions
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import pytest
 
 import mcd_forge
 from mcd_forge.designs import (
+    BLOCK_CELLS,
     IDENTITY_SEED,
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
+    _column_rng,
     collapse_levels,
     expand_levels,
     method_of_replacement,
@@ -180,6 +182,53 @@ def test_expand_levels_rejects_malformed_columns():
         expand_levels(cd_big, 3)
     with pytest.raises(NotDivisibleError):
         expand_levels(CollapsedDesign(4, [[0], [0], [1]]), 4)
+
+
+def _expand_by_column(collapsed, s, seed):
+    """Reference: expand one column at a time, one stable argsort and,
+    seeded, one draw from the column's own stream per column."""
+    n, k = collapsed.data.shape
+    nlev = n // s
+    out = np.empty((n, k), dtype=np.int64)
+    for j in range(k):
+        rows = np.argsort(collapsed.data[:, j], kind="stable").reshape(nlev, s)
+        offsets = (np.arange(s) if seed == IDENTITY_SEED
+                   else _column_rng(seed, j).permuted(
+                       np.tile(np.arange(s), (nlev, 1)), axis=1))
+        out[rows, j] = np.arange(0, n, s)[:, None] + offsets
+    return out
+
+
+def _collapsed_spanning_two_blocks(rng, n, s):
+    """A valid collapsed design with a few more columns than one block of
+    ``BLOCK_CELLS`` cells holds, and that block's width."""
+    width = BLOCK_CELLS // n
+    levels = np.repeat(np.arange(n // s), s)[:, None]
+    data = rng.permuted(np.tile(levels, (1, width + 7)), axis=0)
+    return CollapsedDesign(s, data), width
+
+
+@pytest.mark.parametrize("seed", [IDENTITY_SEED, 20240611])
+def test_expand_levels_across_a_block_boundary(seed):
+    rng = np.random.default_rng(99)
+    for n, s in [(16, 2), (27, 3)]:
+        cd, width = _collapsed_spanning_two_blocks(rng, n, s)
+        assert cd.k > width
+        got = expand_levels(cd, s, seed).data
+        assert (got == _expand_by_column(cd, s, seed)).all()
+        assert (collapse_levels(LatinHypercube(got), s).data == cd.data).all()
+
+
+def test_expand_levels_names_the_first_bad_column_past_a_block():
+    rng = np.random.default_rng(100)
+    cd, width = _collapsed_spanning_two_blocks(rng, 16, 2)
+    for bad in (-1, 8, None):  # negative, past the levels, a level short
+        data = cd.data.copy()
+        for j in (width + 2, width + 5):
+            data[0, j] = (data[0, j] + 1) % 8 if bad is None else bad
+        with pytest.raises(MalformedCollapsedDesignError,
+                           match=f"^column {width + 2} "):
+            expand_levels(CollapsedDesign(2, data), 2, 5)
 
 
 def _pair_cascades(c1, c2):

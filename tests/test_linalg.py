@@ -11,10 +11,11 @@ from mcd_forge.construct import (
     max_independent_prefixes,
     partition_admissible,
 )
-from mcd_forge.errors import TooLargeError, ZeroVectorError
+from mcd_forge.errors import BadParamsError, TooLargeError, ZeroVectorError
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import (
     ENUMERATION_CAP,
+    _kept_rows,
     SubspaceBasis,
     dot,
     enumerate_span,
@@ -416,3 +417,75 @@ def test_rank_matches_scalar_elimination():
                 rows[-1] = f.mul_table[int(rng.integers(0, s)), rows[0]]
             vectors = [tuple(int(v) for v in row) for row in rows]
             assert rank(f, vectors) == _reference_rank(f, vectors), vectors
+
+
+def _kept_by_span(f, matrix, limit):
+    """Reference for ``_kept_rows`` on one matrix: a row is kept iff fewer
+    than ``limit`` rows are kept so far and it lies outside the span of
+    the rows kept before it, enumerated through ``generate_linear_array``."""
+    u = matrix.shape[1]
+    kept, flags = [], []
+    for row in map(tuple, matrix.tolist()):
+        span = ({(0,) * u} if not kept else set(map(tuple, (
+            generate_linear_array(f, list(zip(*kept))).tolist()))))
+        flags.append(len(kept) < limit and row not in span)
+        if flags[-1]:
+            kept.append(row)
+    return flags
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 8, 9])
+def test_kept_rows_matches_span_enumeration(s):
+    f = galois_field(s)
+    rng = np.random.default_rng(700 + s)
+    for count, r, u in [(3, 0, 3), (0, 4, 3), (12, 1, 1), (12, 4, 3),
+                        (12, 6, 4), (8, 5, 2)]:
+        stack = rng.integers(0, s, (count, r, u))
+        stack[rng.random((count, r, u)) < 0.3] = 0
+        if r >= 3:
+            stack[::3, 1] = 0                          # a zero row
+            stack[1::3, 1] = stack[1::3, 0]            # a repeated row
+            # a dependent row: c * row 0 + row 1
+            c = rng.integers(0, s, len(stack[2::3]))[:, None]
+            stack[2::3, 2] = f.add_table[f.mul_table[c, stack[2::3, 0]],
+                                         stack[2::3, 1]]
+        for limit in (None, 1, 2):
+            got = _kept_rows(f, stack, limit)
+            assert got.shape == (count, r)
+            for matrix, flags in zip(stack, got):
+                want = _kept_by_span(f, matrix, u if limit is None else limit)
+                assert flags.tolist() == want, (matrix.tolist(), limit)
+                # the rank is the number of rows kept without a limit
+                if limit is None:
+                    assert rank(f, matrix.tolist()) == sum(want)
+
+
+def test_entry_points_reject_invalid_vectors():
+    f3 = galois_field(3)
+    # a negative entry used to wrap through numpy's negative indexing:
+    # -1 was read as 2
+    with pytest.raises(BadParamsError,
+                       match=r"^vector 0 has entries outside GF\(3\)"):
+        rank(f3, [(-1, 0), (2, 0)])
+    with pytest.raises(BadParamsError, match=r"^generator column 0 has"):
+        generate_linear_array(f3, [(-1, 0)])
+    with pytest.raises(BadParamsError, match=r"^vector 0 has"):
+        orthogonal_complement_basis(f3, (-1, 1, 0))
+    # an entry >= s, where numpy raised a bare IndexError
+    with pytest.raises(BadParamsError, match=r"^vector 1 has"):
+        rank(f3, [(0, 1), (3, 0)])
+    with pytest.raises(BadParamsError, match=r"^generator column 2 has"):
+        generate_linear_array(f3, [(1, 0), (0, 1), (0, 5)])
+    with pytest.raises(BadParamsError, match=r"^vector 1 has"):
+        dot(f3, (1, 1), (1, 3))
+    with pytest.raises(BadParamsError, match=r"^vector 2 has"):
+        extend_to_basis(f3, (1, 2, 0), [(0, 0, 1), (0, -1, 0)])
+    with pytest.raises(BadParamsError):
+        normalize_direction(f3, (0, -2))
+    # ragged rows, where numpy raised its "inhomogeneous shape" ValueError
+    with pytest.raises(BadParamsError, match=r"^vector 2 is not a flat"):
+        rank(f3, [(0, 1), (1, 0), (1, 1, 0)])
+    with pytest.raises(BadParamsError, match=r"^generator column 1 is not"):
+        generate_linear_array(f3, [(1, 0, 0), (1, 0)])
+    with pytest.raises(BadParamsError, match=r"^vector 1 is not"):
+        dot(f3, (1, 0), (1, 0, 0))

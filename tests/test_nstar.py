@@ -15,7 +15,7 @@ from mcd_forge.construct import (
     max_independent_prefixes,
 )
 from mcd_forge.gf import galois_field
-from mcd_forge.linalg import rank
+from mcd_forge.linalg import _kept_rows, rank
 from mcd_forge.nstar import (
     PREFIX_TABLE,
     arc_labels,
@@ -45,42 +45,6 @@ def _evaluate(field, coeffs, t):
     for c in reversed(coeffs):
         value = int(field.add_table[field.mul_table[value, t], c])
     return value
-
-
-def _full_rank(field, stack):
-    """Whether each matrix of an (N, k, k) stack is invertible over GF(s):
-    one Gauss-Jordan elimination over the whole stack."""
-    add, mul, neg, inv = (field.add_table, field.mul_table, field.neg_table,
-                          field.inv_table)
-    m = stack.copy()
-    n, k, _ = m.shape
-    at = np.arange(n)
-    ok = np.ones(n, dtype=bool)
-    for c in range(k):
-        nonzero = m[:, c:, c] != 0
-        ok &= nonzero.any(axis=1)
-        r = c + nonzero.argmax(axis=1)
-        m[at, c], m[at, r] = m[at, r], m[at, c].copy()
-        pivot = mul[inv[m[at, c, c]][:, None], m[at, c]]
-        factor = neg[m[:, :, c]]
-        factor[:, c] = 0
-        m = add[m, mul[factor[:, :, None], pivot[:, None, :]]]
-        m[at, c] = pivot
-    return ok
-
-
-def test_full_rank_helper_matches_rank():
-    rng = np.random.default_rng(12)
-    for s in (2, 4, 5, 9):
-        f = galois_field(s)
-        for k in (1, 2, 3, 5):
-            stack = rng.integers(0, s, size=(300, k, k))
-            stack[::3, -1] = stack[::3, 0]  # singular
-            stack[1::7, :, 0] = 0           # singular
-            got = _full_rank(f, stack)
-            want = [rank(f, mat.tolist()) == k for mat in stack]
-            assert got.tolist() == want
-            assert 0 < got.sum() < len(got)
 
 
 @pytest.mark.parametrize("s, u1", ARC_CELLS)
@@ -141,7 +105,7 @@ def test_every_u1_subset_is_independent(s, u1):
     prefixes = np.array(_cached_prefix_search(s, u1).prefixes)
     subsets = np.array(list(combinations(range(len(prefixes)), u1)))
     for lo in range(0, len(subsets), _BLOCK):
-        assert _full_rank(f, prefixes[subsets[lo:lo + _BLOCK]]).all()
+        assert _kept_rows(f, prefixes[subsets[lo:lo + _BLOCK]]).all()
 
 
 def test_arc_labels_are_a_pure_function_of_the_cell():
