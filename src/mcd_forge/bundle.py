@@ -19,11 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .construct import MarginallyCoupledDesign
+from .construct import MarginallyCoupledDesign, independent_prefix_bound
 from .designs import LatinHypercube, OrthogonalArray
 from .errors import MalformedBundleError
 
 FORMAT_VERSION = 1
+
+#: the methods ``construct`` writes
+_METHODS = ("theorem1", "theorem2", "anti-mirror", "general")
 
 #: matrix cells a write turns into text at a time
 _BLOCK_CELLS = 1 << 12
@@ -213,6 +216,11 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
     _require(_is_int(meta["u"]) and meta["u"] >= 1, "bad u")
     for key in ("u1", "v"):
         _require(meta.get(key) is None or _is_int(meta[key]), f"bad {key}")
+    method, item, v = meta["method"], meta.get("item"), meta.get("v")
+    _require(method in _METHODS, f"unknown method {method!r}")
+    _require(item in ("i", "ii", None), f"unknown item {item!r}")
+    _require(isinstance(meta.get("provenance", {}), dict),
+             "provenance must be an object")
     s, u, u1, seed = meta["s"], meta["u"], meta.get("u1"), meta["seed"]
     _require(u1 is None or 1 <= u1 <= u, f"u1 = {u1} outside 1..u = {u}")
     _require(_is_int(seed) or seed == "identity",
@@ -221,10 +229,13 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
     _require(n == d2.shape[0], f"D1 has {n} rows but D2 has {d2.shape[0]}")
     # s^u >= 2^u > n from u = n.bit_length() on: never a huge power
     _require(u < n.bit_length() and s ** u == n, f"{n} runs, not {s}^{u}")
+    if method == "theorem2":  # s <= n, so the bound is quick
+        bound = independent_prefix_bound(s, u1) if u1 else 0
+        _require(v is not None and 1 <= v <= bound,
+                 f"theorem2 v = {v} outside 1..{bound}")
     return DesignBundle(
-        method=str(meta["method"]), s=s, u=u, u1=u1, v=meta.get("v"),
-        item=meta.get("item"), seed=seed, d1=d1, d2=d2,
-        provenance=meta.get("provenance") or {})
+        method=method, s=s, u=u, u1=u1, v=v, item=item, seed=seed,
+        d1=d1, d2=d2, provenance=meta.get("provenance", {}))
 
 
 def read_bundle(path) -> DesignBundle:

@@ -73,14 +73,12 @@ from .linalg import (
     _completed_bases,
     _dots,
     _enumeration_size,
+    _field_rows,
     _kept_rows,
     _leading_one,
     _null_space_bases,
-    dot,
-    enumerate_span,
     enumerate_tuples,
     generate_linear_array,
-    orthogonal_complement_basis,
     unit_vector,
 )
 from .verify import battery, first_equal_pair, require_mcd_work
@@ -209,15 +207,15 @@ def common_nonorthogonal(part: AdmissiblePartition,
             raise BadParamsError(
                 f"prefix index {i} outside 0..{part.group_count - 1}")
     f = part.field
-    prefixes = [part.prefixes[i] for i in indices]
+    rows = np.array([part.prefixes[i] for i in indices])
     # row r holds z_r^T b for every chosen prefix b, z_r in E's order
-    hits = generate_linear_array(f, prefixes).all(axis=1)
+    hits = generate_linear_array(f, rows).all(axis=1)
     members = tuple(compress(unit_combinations(f, part.u, part.u1),
                              hits.tolist()))
     normalized = tuple(z for z in members if next(filter(None, z)) == 1)
     # every k-subset of the prefixes, in blocks of one stacked elimination
-    k = min(len(prefixes), part.u1)
-    rows, subsets = np.array(prefixes), combinations(range(len(prefixes)), k)
+    k = min(len(rows), part.u1)
+    subsets = combinations(range(len(rows)), k)
     independent = True
     while independent and (block := list(
             islice(subsets, max(1, BLOCK_CELLS // (k * part.u1))))):
@@ -311,8 +309,8 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
     if u1 < 1:
         raise BadParamsError(f"u1 must be at least 1, got {u1}")
     _enumeration_size(s - 1, u1 - 1)
-    cands: list[Vector] = [(1,) + tail for tail in
-                           product(range(1, s), repeat=u1 - 1)]
+    cands = np.array([(1,) + tail for tail in
+                      product(range(1, s), repeat=u1 - 1)])
     place = (s - 1) ** np.arange(u1 - 2, -1, -1)
     blocked = np.zeros(len(cands), dtype=np.int64)
     bound = independent_prefix_bound(s, u1)
@@ -324,8 +322,7 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
         counts = np.zeros(len(cands), dtype=np.int64)
         for size in range(min(len(sel), u1 - 2) + 1):
             for sub in combinations(sel, size):
-                span = generate_linear_array(
-                    field, list(zip(*(cands[i] for i in sub + (c,)))))
+                span = generate_linear_array(field, cands[[*sub, c]].T)
                 # each candidate in the span, once: leading 1, tail in base s-1
                 inside = (span[:, 0] == 1) & (span[:, 1:] != 0).all(axis=1)
                 counts[(span[inside, 1:] - 1) @ place] += 1
@@ -360,7 +357,8 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
                  else "maximal-within-search")
     labels = tuple(best)
     return PrefixSearch(s, u1, labels,
-                        tuple(cands[i] for i in labels), bound, certified)
+                        tuple(map(tuple, cands[list(labels)].tolist())),
+                        bound, certified)
 
 
 @lru_cache(maxsize=None)
@@ -393,27 +391,26 @@ def orthogonal_witness(field: GaloisField, u: int, u1: int, z) -> Vector:
     _check_u_u1(u, u1)
     if field.s < 3:
         raise NotApplicableError("witness construction needs s >= 3")
-    z = tuple(int(c) for c in z)
+    z = _field_rows(field, [z], "z vector")[0]
     if len(z) != u:
         raise BadParamsError(f"z must have length {u}")
-    if any(z[i] != 0 for i in range(u1, u)):
+    if z[u1:].any():
         raise NotApplicableError(
             "z lies outside the span of the first u1 unit vectors")
-    nz = [i for i in range(u1) if z[i] != 0]
+    nz = np.flatnonzero(z)
     if len(nz) < 2:
         raise NotApplicableError(
             "z needs at least two nonzero coefficients")
     last, alpha2 = nz[-1], 2
     add, mul, neg = field.add_table, field.mul_table, field.neg_table
-    x = [1] * u
-    lam = dot(field, z[:last], (1,) * last)  # lam*
+    x = np.ones(u, dtype=np.int64)
+    lam = _dots(field, z[:last], x[:last])  # lam*
     if lam == 0:
         x[nz[-2]] = alpha2
         lam = mul[z[nz[-2]], add[alpha2, neg[1]]]
-    x[last] = int(mul[neg[field.inv_table[z[last]]], lam])
-    witness = tuple(x)
-    assert dot(field, z, witness) == 0
-    return witness
+    x[last] = mul[neg[field.inv_table[z[last]]], lam]
+    assert _dots(field, z, x) == 0
+    return tuple(x.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +489,9 @@ def _check_u_u1(u: int, u1: int) -> None:
         raise BadParamsError(f"u1 must lie in 1..{u}, got {u1}")
 
 
-def _check_directions(field: GaloisField, vecs: list[Vector],
+def _check_directions(field: GaloisField, rows: np.ndarray,
                       label: str) -> None:
-    """Reject the first zero vector, then the first proportional pair."""
-    rows = np.array(vecs, dtype=np.int64)
+    """Reject the first zero row, then the first proportional pair."""
     zero = np.flatnonzero(~rows.any(axis=1))
     if zero.size:
         raise ZeroVectorError(f"{label} vector {zero[0]} is zero")
@@ -505,17 +501,6 @@ def _check_directions(field: GaloisField, vecs: list[Vector],
             f"{label} vectors {pair[0]} and {pair[1]} are proportional")
 
 
-def _as_vectors(field: GaloisField, vecs, label: str) -> list[Vector]:
-    out = []
-    for i, v in enumerate(vecs):
-        vec = tuple(int(c) for c in v)
-        if any(not 0 <= c < field.s for c in vec):
-            raise BadParamsError(
-                f"{label} vector {i} has entries outside GF({field.s})")
-        out.append(vec)
-    return out
-
-
 def general_construction(field: GaloisField, z_list, x_list,
                          seed: Seed = IDENTITY_SEED,
                          generator_overrides: dict[int, tuple] | None = None,
@@ -523,20 +508,22 @@ def general_construction(field: GaloisField, z_list, x_list,
                          params: ConstructionParams | None = None,
                          ) -> MarginallyCoupledDesign:
     """Build an MCD from explicit vectors.  Checks every precondition:
-    equal dimensions, no zero or pairwise-proportional vectors on either
-    side, and z_i^T x_j != 0 for every pair (all offending pairs listed).
+    entries in GF(s), equal dimensions, no zero or pairwise-proportional
+    vectors on either side, and z_i^T x_j != 0 for every pair (all
+    offending pairs listed).  Each vector set may be a sequence of int
+    sequences or a (count, u) int array, and is checked once, as one array.
 
-    ``generator_overrides`` maps an x index to an explicit tuple of u-1
-    generator columns for its null space (each must be orthogonal to that
-    x and the tuple linearly independent); unlisted x's use the canonical
+    ``generator_overrides`` maps an x index to u-1 explicit generator
+    columns for its null space (each must be orthogonal to that x and the
+    columns linearly independent); unlisted x's use the canonical
     null-space basis.
     """
-    zs = _as_vectors(field, z_list, "z")
-    xs = _as_vectors(field, x_list, "x")
-    if not zs or not xs:
+    zs = _field_rows(field, z_list, "z vector")
+    xs = _field_rows(field, x_list, "x vector")
+    if not len(zs) or not len(xs):
         raise BadParamsError("need at least one z and one x vector")
-    u = len(zs[0])
-    if any(len(v) != u for v in zs + xs):
+    u = zs.shape[1]
+    if xs.shape[1] != u:
         raise BadParamsError("all z and x vectors must share one dimension")
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
@@ -546,7 +533,7 @@ def general_construction(field: GaloisField, z_list, x_list,
     s = field.s
     d1 = generate_linear_array(field, zs)
     # row x of D1 (x read as a base-s number) holds x^T z for every z
-    dots = d1[np.array(xs) @ s ** np.arange(u - 1, -1, -1)]
+    dots = d1[xs @ s ** np.arange(u - 1, -1, -1)]
     clashes = [(int(i), int(j)) for i, j in np.argwhere(dots.T == 0)]
     if clashes:
         raise OrthogonalityViolationError(
@@ -558,11 +545,10 @@ def general_construction(field: GaloisField, z_list, x_list,
     for j in overrides:
         if not 0 <= j < len(xs):
             raise BadParamsError(f"generator override for unknown x index {j}")
-    xarr = np.array(xs, dtype=np.int64)
-    given, stack = _checked_overrides(field, xarr, overrides)
+    given, stack = _checked_overrides(field, xs, overrides)
     free = [j for j in range(len(xs)) if j not in overrides]
     gens = np.empty((len(xs), u - 1, u), dtype=np.int64)
-    gens[given], gens[free] = stack, _null_space_bases(field, xarr[free])
+    gens[given], gens[free] = stack, _null_space_bases(field, xs[free])
 
     # base-s codes of each matrix's linear array, one array per block
     n = s ** u
@@ -578,7 +564,8 @@ def general_construction(field: GaloisField, z_list, x_list,
     return MarginallyCoupledDesign(
         d1, d2, collapsed,
         params or ConstructionParams(s=s, u=u, seed=seed),
-        Provenance(method, tuple(zs), tuple(xs),
+        Provenance(method, tuple(map(tuple, zs.tolist())),
+                   tuple(map(tuple, xs.tolist())),
                    tuple(tuple(map(tuple, g)) for g in gens.tolist())))
 
 
@@ -591,8 +578,8 @@ def _checked_overrides(field: GaloisField, xs: np.ndarray,
     given, mats, malformed = [], [], None
     for j in sorted(overrides):
         try:
-            cols = _as_vectors(field, overrides[j], f"generator[{j}]")
-            if len(cols) != u - 1 or any(len(c) != u for c in cols):
+            cols = _field_rows(field, overrides[j], f"generator[{j}] vector")
+            if cols.shape != (u - 1, u):
                 raise BadParamsError(
                     f"override for x {j} must be {u - 1} columns of length {u}")
         except BadParamsError as exc:
@@ -710,12 +697,11 @@ def anti_mirror_construction(u: int, u1: int,
     etas = np.array([(1, 1) + (0,) * (u1 - 2) + tuple(1 - b for b in tail)
                      for tail in tails])
     assert not _dots(field, etas, xs).any()
-    overrides = dict(enumerate(_completed_bases(field, xs, etas[:, None])
-                               .tolist()))
+    overrides = dict(enumerate(_completed_bases(field, xs, etas[:, None])))
     part = partition_admissible(admissible_set(field, u, u1))
     zs = list(common_nonorthogonal(part, (0,)).normalized)
     params = ConstructionParams(2, u, u1, 1, None, seed)
-    return general_construction(field, zs, xs.tolist(), seed,
+    return general_construction(field, zs, xs, seed,
                                 generator_overrides=overrides,
                                 method="anti-mirror", params=params)
 
@@ -731,12 +717,10 @@ def stratified_generator_choice(field: GaloisField,
     each); beyond that TooManyColumnsError is raised.  Greedy over each
     null space's normalized members in base-s order, so deterministic.
     """
-    xs = _as_vectors(field, x_list, "x")
-    if not xs:
+    xs = _field_rows(field, x_list, "x vector")
+    if not len(xs):
         raise BadParamsError("need at least one x vector")
-    u = len(xs[0])
-    if any(len(x) != u for x in xs):
-        raise BadParamsError("all x vectors must share one dimension")
+    u = xs.shape[1]
     if u < 2:
         raise BadParamsError("needs u >= 2")
     _check_directions(field, xs, "x")
@@ -747,13 +731,15 @@ def stratified_generator_choice(field: GaloisField,
             f"{len(xs)} columns requested but only {capacity} pairwise "
             f"non-proportional directions exist in a {u - 1}-dimensional "
             f"null space")
-    used: dict[Vector, None] = {}  # the leads, in the order of the x's
-    for x in xs:
-        span = np.array(enumerate_span(orthogonal_complement_basis(field, x)))
-        canonical = (span.any(axis=1)
-                     & (_leading_one(field, span) == span).all(axis=1))
-        used[next(w for w in map(tuple, span[canonical].tolist())
-                  if w not in used)] = None
-    leads = np.array(list(used))[:, None]
-    bases = _completed_bases(field, np.array(xs), leads)
+    # each lead is the first normalized member of its O(x), in base-s
+    # order, that no earlier x took; one is always free below capacity
+    place = s ** np.arange(u - 1, -1, -1)
+    leads = np.empty_like(xs)
+    for j, basis in enumerate(_null_space_bases(field, xs)):
+        span = generate_linear_array(field, basis.T)
+        span = span[span.any(axis=1)
+                    & (_leading_one(field, span) == span).all(axis=1)]
+        leads[j] = span[np.isin(span @ place, leads[:j] @ place,
+                                invert=True).argmax()]
+    bases = _completed_bases(field, xs, leads[:, None])
     return [tuple(map(tuple, b)) for b in bases.tolist()]

@@ -1,9 +1,12 @@
 """Vectors, bases, and linear arrays over GF(s).
 
-At the API, vectors are plain tuples of element indices and the field
-travels alongside as an explicit argument.  Inside, a vector set is one
-(count, u) int64 array and all arithmetic is gathers from the field's
-add, mul, neg and inv tables, for prime and extension fields alike.
+A vector is a sequence of element indices and the field travels
+alongside as an explicit argument.  Each entry point takes a vector set
+as any sequence of int sequences or a (count, u) int array and checks it
+once, through ``_field_rows``; the vectors it returns are plain tuples.
+Inside, and through the constructions, a vector set stays one (count, u)
+int64 array and all arithmetic is gathers from the field's add, mul, neg
+and inv tables, for prime and extension fields alike.
 
 The two enumeration orders used everywhere downstream:
 
@@ -25,9 +28,9 @@ independent make the result an orthogonal array of strength t;
 ``verify.check_oa_strength`` counts it.
 
 Every rank question goes to ``_kept_rows``, one Gaussian elimination over
-a stack of matrices in lockstep.  Public entry points reject a vector of
-another length or with an entry outside 0..s-1 (numpy would read -1 as
-s - 1) with ``BadParamsError``.
+a stack of matrices in lockstep.  The check rejects a vector of another
+length or with an entry outside 0..s-1 (numpy would read -1 as s - 1)
+with ``BadParamsError``.
 """
 
 from __future__ import annotations
@@ -222,16 +225,6 @@ def enumerate_span(basis: SubspaceBasis) -> list[Vector]:
     columns = list(zip(*basis.vectors))
     return [tuple(row) for row in
             generate_linear_array(basis.field, columns).tolist()]
-
-
-def extend_to_basis(field: GaloisField, x: Sequence[int],
-                    forced: Sequence[Vector]) -> tuple[Vector, ...]:
-    """Complete ``forced`` (independent vectors inside O(x)) to a full
-    (u-1)-column basis of O(x), greedily appending canonical basis vectors
-    that preserve independence.  Deterministic."""
-    rows = _field_rows(field, [x, *forced])
-    cols = _completed_bases(field, rows[:1], rows[None, 1:])[0]
-    return tuple(map(tuple, cols.tolist()))
 
 
 @lru_cache(maxsize=None)

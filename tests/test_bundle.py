@@ -157,6 +157,53 @@ def test_read_bundle_rejects_bad_metadata(tmp_path):
             read_bundle(_write_obj(tmp_path, obj))
 
 
+def _edited_theorem2(tmp_path, edit):
+    """The theorem2 (s, u, u1, v) = (3, 3, 2, 1) design as a JSON file and
+    as a CSV pair, each with ``edit`` applied to its metadata."""
+    b = bundle_from_design(subspace_construction(F3, 3, 2, 1, "i", seed=3))
+    for path in (tmp_path / "t2.json", tmp_path / "t2.csv"):
+        write_bundle(path, b)
+        meta_path = sidecar_path(path) if path.suffix == ".csv" else path
+        meta_path.write_text(json.dumps(
+            dict(json.loads(meta_path.read_text()), **edit)))
+        yield path
+
+
+def test_read_bundle_refuses_a_method_construct_never_writes(tmp_path):
+    # each file used to verify PASS
+    for edit, message in (({"method": 42}, "^unknown method 42$"),
+                          ({"method": "bogus", "item": "zz", "v": 99},
+                           "^unknown method 'bogus'$"),
+                          ({"method": None}, "^unknown method None$")):
+        for path in _edited_theorem2(tmp_path, edit):
+            with pytest.raises(MalformedBundleError, match=message):
+                read_bundle(path)
+
+
+def test_read_bundle_refuses_an_item_or_v_construct_never_writes(tmp_path):
+    # n* is 2 for (s, u1) = (3, 2), so v = 3 is past the bound too
+    for edit, message in (({"item": "zz"}, "^unknown item 'zz'$"),
+                          ({"item": 1}, "^unknown item 1$"),
+                          ({"v": 99}, r"^theorem2 v = 99 outside 1\.\.2$"),
+                          ({"v": 3}, r"^theorem2 v = 3 outside 1\.\.2$"),
+                          ({"v": 0}, r"^theorem2 v = 0 outside 1\.\.2$"),
+                          ({"v": None}, "^theorem2 v = None outside")):
+        for path in _edited_theorem2(tmp_path, edit):
+            with pytest.raises(MalformedBundleError, match=message):
+                read_bundle(path)
+    for path in _edited_theorem2(tmp_path, {"v": 2, "item": "ii"}):
+        assert (read_bundle(path).v, read_bundle(path).item) == (2, "ii")
+
+
+def test_read_bundle_refuses_a_provenance_that_is_not_an_object(tmp_path):
+    for edit in ({"provenance": [1, 2]}, {"provenance": None},
+                 {"provenance": "z"}):
+        for path in _edited_theorem2(tmp_path, edit):
+            with pytest.raises(MalformedBundleError,
+                               match="^provenance must be an object$"):
+                read_bundle(path)
+
+
 def test_read_csv_bundle_malformed(tmp_path):
     b = _bundle()
     path = tmp_path / "d.csv"

@@ -299,6 +299,23 @@ def test_verify_missing_and_malformed_files(tmp_path, capsys):
     assert main(["verify", "--in", str(huge)]) == EXIT_PARAM_ERROR
 
 
+def test_verify_refuses_metadata_construct_never_writes(tmp_path, capsys):
+    # each of these files used to verify PASS and exit 0
+    for edit in ({"method": 42}, {"method": "bogus", "item": "zz", "v": 99},
+                 {"provenance": [1, 2]}):
+        for name in ("t2.json", "t2.csv"):
+            out = tmp_path / name
+            assert main(["construct", "--method", "theorem2", "--s", "3",
+                         "--u", "3", "--u1", "2", "--v", "1",
+                         "--out", str(out)]) == EXIT_OK
+            meta = sidecar_path(out) if name.endswith(".csv") else out
+            meta.write_text(json.dumps(
+                dict(json.loads(meta.read_text()), **edit)))
+            capsys.readouterr()
+            assert main(["verify", "--in", str(out)]) == EXIT_PARAM_ERROR
+            _one_error_line(capsys)
+
+
 def test_construct_into_missing_directory_is_file_error(tmp_path, capsys):
     out = tmp_path / "missing" / "design.json"
     assert main(["construct", "--method", "theorem1", "--s", "3",

@@ -384,6 +384,15 @@ def test_orthogonal_witness_not_applicable():
         orthogonal_witness(F3, 4, 3, (1, 1, 0))       # wrong length
 
 
+def test_orthogonal_witness_checks_z_at_entry():
+    # 5 used to raise a bare IndexError from the inverse table; -1 was
+    # read as s - 1 and, under python -O, gave the witness (1, 1, 1)
+    for z in ((1, 5, 0), (1, -1, 0)):
+        with pytest.raises(BadParamsError,
+                           match=r"^z vector 0 has entries outside GF\(3\)$"):
+            orthogonal_witness(F3, 3, 2, z)
+
+
 # ---------------------------------------------------------------------------
 # general construction
 # ---------------------------------------------------------------------------
@@ -429,8 +438,16 @@ ABBA_X = [(1, 0, 0), (0, 1, 0), (0, 2, 0), (2, 0, 0)]
 def test_general_construction_input_validation():
     with pytest.raises(BadParamsError):
         general_construction(F3, [], [(1, 2, 0)])
-    with pytest.raises(BadParamsError):
+    with pytest.raises(BadParamsError, match="share one dimension"):
         general_construction(F3, [(1, 2, 0)], [(1, 2)])
+    with pytest.raises(BadParamsError, match=(
+            "^x vector 1 is not a flat sequence of integers as long as "
+            "x vector 0$")):
+        general_construction(F3, [(1, 2, 0)], [(1, 2, 0), (1, 2)])
+    with pytest.raises(BadParamsError, match=r"^generator\[0\] vector 1 is "
+                                             "not a flat sequence"):
+        general_construction(F3, [(1, 2, 0)], [(1, 2, 0)],
+                             generator_overrides={0: ((0, 0, 1), (1, 1))})
     with pytest.raises(BadParamsError):
         general_construction(F3, [(1,)], [(1,)])
     with pytest.raises(ZeroVectorError):
@@ -455,6 +472,27 @@ def test_general_construction_input_validation():
                              generator_overrides={0: ((1, 1, 0), (2, 2, 0))})
     with pytest.raises(BadParamsError):
         general_construction(F3, [(1, 3, 0)], [(1, 2, 0)])
+
+
+def test_general_construction_takes_int_arrays():
+    # z, x and overrides as int arrays of any int dtype build the same
+    # design as tuples, and the provenance holds plain-int tuples
+    zs, xs = [(1, 0, 0), (0, 1, 1)], [(1, 1, 0), (1, 0, 1), (1, 2, 2)]
+    gens = {1: ((0, 1, 0), (1, 0, 2))}
+    want = general_construction(F3, zs, xs, 5, generator_overrides=gens)
+    for dtype in (np.int64, np.uint8, np.int32):
+        got = general_construction(
+            F3, np.array(zs, dtype=dtype), np.array(xs, dtype=dtype), 5,
+            generator_overrides={1: np.array(gens[1], dtype=dtype)})
+        for a, b in ((got.d1, want.d1), (got.d2, want.d2),
+                     (got.collapsed, want.collapsed)):
+            assert (a.data == b.data).all()
+        assert got.provenance == want.provenance
+        prov = got.provenance
+        for vec in (*prov.z_vectors, *prov.x_vectors,
+                    *(c for cols in prov.generator_columns for c in cols)):
+            assert type(vec) is tuple
+            assert all(type(c) is int for c in vec)
 
 
 def test_override_errors_name_the_first_x_in_index_order():
@@ -663,6 +701,46 @@ def test_stratified_generator_choice_capacity():
     with pytest.raises(TooManyColumnsError):
         stratified_generator_choice(f2, xs)
     assert len(stratified_generator_choice(f2, xs[:3])) == 3
+
+
+#: stratified_generator_choice on the first capacity-many members of A
+#: (u1 = 1) for (s, u) = (2, 4), (3, 3), (3, 4), the inputs of acceptance
+#: criterion 9, as the tuple-based chooser gave them
+STRATIFIED_PIN = {
+    (2, 4): [
+        ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
+        ((0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 1, 0)),
+        ((0, 0, 1, 0), (1, 1, 0, 0), (0, 0, 0, 1)),
+        ((1, 0, 1, 1), (1, 1, 0, 0), (0, 0, 1, 0)),
+        ((1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))],
+    (3, 3): [
+        ((0, 0, 1), (0, 1, 0)), ((1, 0, 2), (0, 1, 0)),
+        ((1, 0, 1), (0, 1, 0)), ((1, 2, 0), (0, 0, 1))],
+    (3, 4): [
+        ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ((1, 0, 0, 2), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ((1, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
+        ((1, 0, 1, 1), (0, 1, 0, 0), (2, 0, 1, 0)),
+        ((0, 0, 1, 1), (0, 1, 0, 0), (2, 0, 1, 0)),
+        ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
+        ((1, 0, 2, 1), (0, 1, 0, 0), (1, 0, 1, 0)),
+        ((0, 0, 1, 2), (0, 1, 0, 0), (1, 0, 1, 0)),
+        ((0, 0, 1, 0), (2, 1, 0, 0), (0, 0, 0, 1)),
+        ((1, 0, 1, 2), (2, 1, 0, 0), (0, 0, 1, 0)),
+        ((0, 1, 0, 1), (2, 1, 0, 0), (0, 0, 1, 0)),
+        ((1, 0, 2, 2), (2, 1, 0, 0), (2, 0, 1, 0))],
+}
+
+
+def test_stratified_generator_choice_pinned():
+    for (s, u), want in STRATIFIED_PIN.items():
+        f = galois_field(s)
+        xs = admissible_set(f, u, 1).vectors[:len(want)]
+        assert stratified_generator_choice(f, xs) == want
+        assert stratified_generator_choice(f, np.array(xs)) == want
 
 
 def test_stratified_generator_choice_validation():

@@ -15,12 +15,12 @@ from mcd_forge.errors import BadParamsError, TooLargeError, ZeroVectorError
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import (
     ENUMERATION_CAP,
+    _completed_bases,
     _kept_rows,
     SubspaceBasis,
     dot,
     enumerate_span,
     enumerate_tuples,
-    extend_to_basis,
     generate_linear_array,
     is_proportional,
     normalize_direction,
@@ -270,19 +270,31 @@ def test_enumerate_span_order_and_degenerate_dim():
     assert enumerate_span(empty) == [(0, 0, 0)]
 
 
-def test_extend_to_basis():
+def _completed(field, x, forced):
+    """``_completed_bases`` for one x, as a tuple of column tuples."""
+    xs = np.array([x], dtype=np.int64)
+    stack = np.array(forced, dtype=np.int64).reshape(1, -1, len(x))
+    return tuple(map(tuple, _completed_bases(field, xs, stack)[0].tolist()))
+
+
+def test_completed_bases():
     f3 = galois_field(3)
     # forcing the worked example's first generator first
-    cols = extend_to_basis(f3, (1, 2, 0), ((0, 0, 1),))
+    cols = _completed(f3, (1, 2, 0), ((0, 0, 1),))
     assert cols == ((0, 0, 1), (1, 1, 0))
     assert rank(f3, cols) == 2
     # nothing forced: the canonical basis comes back
-    assert extend_to_basis(f3, (1, 2, 0), ()) == ((1, 1, 0), (0, 0, 1))
-    with pytest.raises(ValueError):
-        extend_to_basis(f3, (1, 2, 0), ((1, 1, 0), (2, 2, 0)))
+    assert _completed(f3, (1, 2, 0), ()) == ((1, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="not linearly independent"):
+        _completed(f3, (1, 2, 0), ((1, 1, 0), (2, 2, 0)))
+    # several x's in one call, each completed on its own
+    xs = np.array([(1, 2, 0), (0, 1, 1)])
+    forced = np.array([[(0, 0, 1)], [(1, 0, 0)]])
+    assert _completed_bases(f3, xs, forced).tolist() == [
+        [[0, 0, 1], [1, 1, 0]], [[1, 0, 0], [0, 2, 1]]]
 
 
-def test_extend_to_basis_keeps_forced_columns_first():
+def test_completed_bases_keeps_forced_columns_first():
     rng = np.random.default_rng(2718)
     for s in (2, 3, 4):
         f = galois_field(s)
@@ -294,7 +306,7 @@ def test_extend_to_basis_keeps_forced_columns_first():
             full = orthogonal_complement_basis(f, x).vectors
             keep = int(rng.integers(1, u - 1))
             forced = tuple(full[i] for i in rng.permutation(u - 1)[:keep])
-            cols = extend_to_basis(f, x, forced)
+            cols = _completed(f, x, forced)
             assert cols[:keep] == forced
             assert len(cols) == u - 1
             assert rank(f, cols) == u - 1
@@ -478,8 +490,6 @@ def test_entry_points_reject_invalid_vectors():
         generate_linear_array(f3, [(1, 0), (0, 1), (0, 5)])
     with pytest.raises(BadParamsError, match=r"^vector 1 has"):
         dot(f3, (1, 1), (1, 3))
-    with pytest.raises(BadParamsError, match=r"^vector 2 has"):
-        extend_to_basis(f3, (1, 2, 0), [(0, 0, 1), (0, -1, 0)])
     with pytest.raises(BadParamsError):
         normalize_direction(f3, (0, -2))
     # ragged rows, where numpy raised its "inhomogeneous shape" ValueError
