@@ -33,8 +33,10 @@ The named constructions differ only in which vectors they pick:
   generator columns across the x's, buying an s x s grid guarantee on
   every pair of quantitative columns.
 
-``general_construction`` is the open variant: any vectors, any explicit
-generator overrides, every precondition checked.
+``general_construction`` is the open variant, and the one that checks
+vectors: any vectors, any explicit generator overrides, every
+precondition checked.  The named constructions pass the arrays they derive
+to ``_assemble`` unchecked; counting (``full_verification``) checks them.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from .linalg import (
     _null_space_bases,
     enumerate_tuples,
     generate_linear_array,
-    unit_vector,
 )
 from .verify import battery, first_equal_pair, require_mcd_work
 
@@ -504,8 +505,6 @@ def _check_directions(field: GaloisField, rows: np.ndarray,
 def general_construction(field: GaloisField, z_list, x_list,
                          seed: Seed = IDENTITY_SEED,
                          generator_overrides: dict[int, tuple] | None = None,
-                         method: str = "general",
-                         params: ConstructionParams | None = None,
                          ) -> MarginallyCoupledDesign:
     """Build an MCD from explicit vectors.  Checks every precondition:
     entries in GF(s), equal dimensions, no zero or pairwise-proportional
@@ -530,26 +529,30 @@ def general_construction(field: GaloisField, z_list, x_list,
     _check_size(field.s, u, len(zs), len(xs))
     _check_directions(field, zs, "z")
     _check_directions(field, xs, "x")
-    s = field.s
-    d1 = generate_linear_array(field, zs)
-    # row x of D1 (x read as a base-s number) holds x^T z for every z
-    dots = d1[xs @ s ** np.arange(u - 1, -1, -1)]
-    clashes = [(int(i), int(j)) for i, j in np.argwhere(dots.T == 0)]
-    if clashes:
+    clashes = np.argwhere(_dots(field, zs[:, None], xs[None]) == 0)
+    if clashes.size:
         raise OrthogonalityViolationError(
             "z^T x = 0 for (z index, x index) pairs: "
-            + ", ".join(map(str, clashes)))
-    d1 = OrthogonalArray(d1, (s,) * len(zs))
+            + ", ".join(str((int(i), int(j))) for i, j in clashes))
 
     overrides = generator_overrides or {}
     for j in overrides:
         if not 0 <= j < len(xs):
             raise BadParamsError(f"generator override for unknown x index {j}")
     given, stack = _checked_overrides(field, xs, overrides)
-    free = [j for j in range(len(xs)) if j not in overrides]
-    gens = np.empty((len(xs), u - 1, u), dtype=np.int64)
-    gens[given], gens[free] = stack, _null_space_bases(field, xs[free])
+    gens = _null_space_bases(field, xs)
+    gens[given] = stack
+    return _assemble(field, zs, xs, gens, "general",
+                     ConstructionParams(s=field.s, u=u, seed=seed))
 
+
+def _assemble(field: GaloisField, zs: np.ndarray, xs: np.ndarray,
+              gens: np.ndarray, method: str,
+              params: ConstructionParams) -> MarginallyCoupledDesign:
+    """D1, D2 (expanded with ``params.seed``) and the provenance of int
+    arrays of z's, x's and (k, u-1, u) null-space generators, unchecked."""
+    s, u = field.s, zs.shape[1]
+    d1 = OrthogonalArray(generate_linear_array(field, zs), (s,) * len(zs))
     # base-s codes of each matrix's linear array, one array per block
     n = s ** u
     tilde = np.empty((n, len(xs)), dtype=np.int64)
@@ -560,10 +563,9 @@ def general_construction(field: GaloisField, z_list, x_list,
             generate_linear_array(field, cols).reshape(-1, u - 1),
             s).reshape(n, -1)
     collapsed = CollapsedDesign(s, tilde)
-    d2 = expand_levels(collapsed, s, seed)
+    d2 = expand_levels(collapsed, s, params.seed)
     return MarginallyCoupledDesign(
-        d1, d2, collapsed,
-        params or ConstructionParams(s=s, u=u, seed=seed),
+        d1, d2, collapsed, params,
         Provenance(method, tuple(map(tuple, zs.tolist())),
                    tuple(map(tuple, xs.tolist())),
                    tuple(tuple(map(tuple, g)) for g in gens.tolist())))
@@ -628,12 +630,11 @@ def direct_construction(field: GaloisField, u: int, u1: int, item: str = "i",
     _check_runs(s, u)  # before the closed forms in s^u below
     _check_size(s, u, *_item_sides(item, u1,
                                    (s - 1) ** (u1 - 1) * s ** (u - u1)))
-    units = [unit_vector(u, i) for i in range(u1)]
-    avecs = list(admissible_set(field, u, u1).vectors)
+    units = np.eye(u1, u, dtype=np.int64)
+    avecs = np.array(admissible_set(field, u, u1).vectors)
     zs, xs = _item_sides(item, units, avecs)
-    params = ConstructionParams(field.s, u, u1, None, item, seed)
-    return general_construction(field, zs, xs, seed,
-                                method="theorem1", params=params)
+    return _assemble(field, zs, xs, _null_space_bases(field, xs), "theorem1",
+                     ConstructionParams(s, u, u1, None, item, seed))
 
 
 def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
@@ -668,13 +669,11 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
             f"v={v} outside 1..{search.size} for s={s}, u1={u1}")
     part = partition_admissible(admissible_set(field, u, u1))
     chosen = search.labels[:v]
-    inter = common_nonorthogonal(part, chosen)
-    estar = list(inter.normalized)
-    astar = [x for i in chosen for x in part.groups[i]]
+    estar = np.array(common_nonorthogonal(part, chosen).normalized)
+    astar = np.concatenate([part.groups[i] for i in chosen])
     zs, xs = _item_sides(item, estar, astar)
-    params = ConstructionParams(field.s, u, u1, v, item, seed)
-    return general_construction(field, zs, xs, seed,
-                                method="theorem2", params=params)
+    return _assemble(field, zs, xs, _null_space_bases(field, xs), "theorem2",
+                     ConstructionParams(s, u, u1, v, item, seed))
 
 
 def anti_mirror_construction(u: int, u1: int,
@@ -697,13 +696,10 @@ def anti_mirror_construction(u: int, u1: int,
     etas = np.array([(1, 1) + (0,) * (u1 - 2) + tuple(1 - b for b in tail)
                      for tail in tails])
     assert not _dots(field, etas, xs).any()
-    overrides = dict(enumerate(_completed_bases(field, xs, etas[:, None])))
     part = partition_admissible(admissible_set(field, u, u1))
-    zs = list(common_nonorthogonal(part, (0,)).normalized)
-    params = ConstructionParams(2, u, u1, 1, None, seed)
-    return general_construction(field, zs, xs, seed,
-                                generator_overrides=overrides,
-                                method="anti-mirror", params=params)
+    zs = np.array(common_nonorthogonal(part, (0,)).normalized)
+    return _assemble(field, zs, xs, _completed_bases(field, xs, etas[:, None]),
+                     "anti-mirror", ConstructionParams(2, u, u1, 1, None, seed))
 
 
 def stratified_generator_choice(field: GaloisField,

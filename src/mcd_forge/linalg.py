@@ -29,8 +29,8 @@ independent make the result an orthogonal array of strength t;
 
 Every rank question goes to ``_kept_rows``, one Gaussian elimination over
 a stack of matrices in lockstep.  The check rejects a vector of another
-length or with an entry outside 0..s-1 (numpy would read -1 as s - 1)
-with ``BadParamsError``.
+length or with an entry that is not an integer in 0..s-1 (numpy would
+read -1 as s - 1, and 1.7 or True as 1) with ``BadParamsError``.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ Vector = tuple[int, ...]
 #: hard cap on any enumeration (number of vectors)
 ENUMERATION_CAP = 10_000_000
 
-
-def unit_vector(u: int, position: int) -> Vector:
-    """The u-dimensional unit vector with a 1 at ``position`` (0-based)."""
-    if not 0 <= position < u:
-        raise ValueError(f"position {position} outside 0..{u - 1}")
-    return tuple(1 if i == position else 0 for i in range(u))
+#: the entry types a vector given as a sequence may hold; bools are not ints
+_INTEGER_TYPES = frozenset(
+    {int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
 
 def _enumeration_size(s: int, u: int) -> int:
@@ -86,14 +83,21 @@ def _field_rows(field: GaloisField, vectors: Iterable[Sequence[int]],
     if not len(vectors):
         return np.zeros((0, 0), dtype=np.int64)
     try:
-        rows = np.array(vectors, dtype=np.int64)
-    except (TypeError, ValueError):  # ragged, or not integers
+        rows = np.asarray(vectors)
+    except (TypeError, ValueError):  # ragged
         rows = np.zeros(0)
     if rows.ndim != 2:
         u = np.shape(vectors[0])
         i = next((i for i, v in enumerate(vectors) if np.shape(v) != u), 0)
         raise BadParamsError(f"{label} {i} is not a flat sequence of "
                              f"integers as long as {label} 0")
+    # numpy reads (True, 0) as ints, so a list is typed entry by entry
+    odd = ([rows.dtype.kind not in "iu"] if rows is vectors else
+           [not {*map(type, v)} <= _INTEGER_TYPES for v in vectors])
+    if rows.size and any(odd):
+        raise BadParamsError(
+            f"{label} {odd.index(True)} has entries that are not integers")
+    rows = rows.astype(np.int64)
     bad = (rows.view(np.uint64) >= field.s).any(axis=1)  # negatives too
     if bad.any():
         raise BadParamsError(
@@ -109,9 +113,9 @@ def _leading_one(field: GaloisField, rows: np.ndarray) -> np.ndarray:
 
 def _dots(field: GaloisField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^T b over GF(s) along the last axis of two broadcastable arrays."""
-    terms = field.mul_table[a, b]
-    return reduce(lambda acc, i: field.add_table[acc, terms[..., i]],
-                  range(terms.shape[-1]), 0)
+    add, mul = field.add_table, field.mul_table
+    return reduce(lambda acc, i: add[acc, mul[a[..., i], b[..., i]]],
+                  range(a.shape[-1]), 0)
 
 
 def dot(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> int:

@@ -43,7 +43,6 @@ from mcd_forge.linalg import (
     normalize_direction,
     orthogonal_complement_basis,
     rank,
-    unit_vector,
 )
 from mcd_forge.verify import (
     check_grid_stratification,
@@ -287,7 +286,7 @@ def test_criterion_09_pairwise_grid_stratification(capsys):
             xs = list(avecs[:cap])
             gens = stratified_generator_choice(f, xs)
             mcd = general_construction(
-                f, [unit_vector(u, 0)], xs,
+                f, [(1,) + (0,) * (u - 1)], xs,
                 generator_overrides=dict(enumerate(gens)))
             if not mcd.full_verification().passed:
                 return False

@@ -8,6 +8,7 @@ import pytest
 from mcd_forge import construct
 from mcd_forge.construct import (
     MAX_DESIGN_CELLS,
+    ConstructionParams,
     admissible_set,
     anti_mirror_construction,
     common_nonorthogonal,
@@ -38,7 +39,6 @@ from mcd_forge.linalg import (
     dot,
     normalize_direction,
     rank,
-    unit_vector,
 )
 from mcd_forge.nstar import PREFIX_TABLE
 from mcd_forge.verify import (
@@ -420,7 +420,7 @@ def test_general_construction_canonical_generators():
 
 
 def test_general_construction_certifies_strength():
-    e = [unit_vector(3, i) for i in range(3)]
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     mcd = general_construction(F3, e, [(1, 1, 1)])
     assert check_oa_strength(mcd.d1, 3).passed
 
@@ -472,6 +472,20 @@ def test_general_construction_input_validation():
                              generator_overrides={0: ((1, 1, 0), (2, 2, 0))})
     with pytest.raises(BadParamsError):
         general_construction(F3, [(1, 3, 0)], [(1, 2, 0)])
+    # numpy would read these as (1, 2, 0): floats, bools and strings
+    with pytest.raises(BadParamsError, match=(
+            "^z vector 0 has entries that are not integers$")):
+        general_construction(F3, [(1.0, 2.0, 0.0)], [(1, 2.5, 0)])
+    with pytest.raises(BadParamsError, match="^x vector 0 has entries that"):
+        general_construction(F3, [(1, 2, 0)], [(1, 2.5, 0)])
+    with pytest.raises(BadParamsError, match="^z vector 1 has entries that"):
+        general_construction(F3, [(1, 0, 0), (True, 1, 0)], [(1, 1, 1)])
+    with pytest.raises(BadParamsError, match="^x vector 0 has entries that"):
+        general_construction(F3, [(1, 2, 0)], np.array([(1, 2, 0)], float))
+    with pytest.raises(BadParamsError,
+                       match=r"^generator\[0\] vector 0 has entries that"):
+        general_construction(F3, [(1, 2, 0)], [(1, 2, 0)],
+                             generator_overrides={0: (("0", 0, 1), (1, 1, 0))})
 
 
 def test_general_construction_takes_int_arrays():
@@ -518,9 +532,40 @@ def test_override_errors_name_the_first_x_in_index_order():
                                  generator_overrides=overrides)
 
 
+def test_general_construction_has_no_method_or_params_knob():
+    # the method tag and the params are the construction's own; a caller
+    # could set them to a file read_bundle refuses, or to a seed that did
+    # not expand D2
+    with pytest.raises(TypeError):
+        general_construction(F3, [(1, 2, 0)], [(1, 2, 0)], method="general")
+    with pytest.raises(TypeError):
+        general_construction(F3, [(1, 2, 0)], [(1, 2, 0)], 5,
+                             params=ConstructionParams(s=3, u=3, seed=7))
+
+
 # ---------------------------------------------------------------------------
 # named constructions
 # ---------------------------------------------------------------------------
+
+
+def test_named_constructions_assemble_without_the_checked_entrance(
+        monkeypatch):
+    # each named build hands its own arrays to the assembler: the entrance
+    # that checks outside vectors is never called, and counting passes
+    def refuse(*args, **kwargs):
+        raise AssertionError("named build went through the checked entrance")
+
+    monkeypatch.setattr(construct, "general_construction", refuse)
+    monkeypatch.setattr(construct, "_checked_overrides", refuse)
+    f4 = galois_field(4)
+    for mcd in (direct_construction(F3, 3, 2, "i"),
+                direct_construction(F3, 3, 2, "ii"),
+                direct_construction(f4, 3, 2, "i", seed=3),
+                subspace_construction(F3, 4, 3, 3, "i"),
+                subspace_construction(F3, 4, 3, 2, "ii", seed=7),
+                anti_mirror_construction(5, 2),
+                anti_mirror_construction(6, 3, seed=7)):
+        assert mcd.full_verification().passed
 
 
 def test_direct_construction_small():
@@ -638,8 +683,8 @@ def test_size_caps_reject_before_building():
 
 
 def test_size_precheck_closed_forms_match_built_designs(monkeypatch):
-    # the early check on closed-form sizes sees the same (s, u, m, k) as
-    # the check general_construction makes on the vectors it is given
+    # the one size check of a named build, made on closed forms before
+    # anything is enumerated, sees the (s, u, m, k) of the built design
     seen = []
     monkeypatch.setattr(construct, "_check_size",
                         lambda *args: seen.append(args))
@@ -657,8 +702,8 @@ def test_size_precheck_closed_forms_match_built_designs(monkeypatch):
     for build, args in builds:
         seen.clear()
         mcd = build(*args)
-        assert seen[0] == seen[1] == (mcd.params.s, mcd.params.u,
-                                      mcd.d1.m, mcd.d2.k), args
+        assert seen == [(mcd.params.s, mcd.params.u,
+                         mcd.d1.m, mcd.d2.k)], args
 
 
 def test_anti_mirror_param_validation():

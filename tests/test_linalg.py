@@ -26,18 +26,8 @@ from mcd_forge.linalg import (
     normalize_direction,
     orthogonal_complement_basis,
     rank,
-    unit_vector,
 )
 from golden_data import EXAMPLE1_NULL_SPACE, EXAMPLE1_QUALITATIVE
-
-
-def test_unit_vector():
-    assert unit_vector(4, 0) == (1, 0, 0, 0)
-    assert unit_vector(4, 3) == (0, 0, 0, 1)
-    with pytest.raises(ValueError):
-        unit_vector(3, 3)
-    with pytest.raises(ValueError):
-        unit_vector(3, -1)
 
 
 def test_enumerate_tuples_binary_order():
@@ -499,3 +489,17 @@ def test_entry_points_reject_invalid_vectors():
         generate_linear_array(f3, [(1, 0, 0), (1, 0)])
     with pytest.raises(BadParamsError, match=r"^vector 1 is not"):
         dot(f3, (1, 0), (1, 0, 0))
+    # non-integer entries, where numpy read 1.7 as 1, True as 1 and "1" as 1
+    with pytest.raises(BadParamsError,
+                       match="^vector 0 has entries that are not integers$"):
+        rank(f3, [(1.7, 0), (0, 2.9)])
+    with pytest.raises(BadParamsError, match="^vector 0 has entries that"):
+        rank(f3, [("1", 0)])
+    with pytest.raises(BadParamsError, match="^vector 0 has entries that"):
+        rank(f3, [(True, 0)])
+    with pytest.raises(BadParamsError, match="^vector 1 has entries that"):
+        dot(f3, (1, 0), (np.True_, 1))
+    with pytest.raises(BadParamsError, match="^generator column 0 has entries"):
+        generate_linear_array(f3, np.array([(1, 0), (0, 1)], dtype=float))
+    with pytest.raises(BadParamsError, match="^vector 0 has entries that"):
+        orthogonal_complement_basis(f3, (1, None, 0))

@@ -12,11 +12,13 @@ drift in machine speed favours neither side.  Each side runs its own
 caches: stale ``__pycache__`` files in the working tree, never rewritten
 under ``PYTHONDONTWRITEBYTECODE``, moved the change's peak RSS by 0.3 MB.
 The end-to-end metrics of every run, their medians and interquartile
-ranges, and the number of pairs the change wins are written to
-``BENCH_<label>.json`` at the root of the working tree.  After the timed
-pairs, one ``--trace 1`` run per side and workload, at the first seed,
-adds the per-layer metrics (self times, call and cell counts) under
-``layers``.
+ranges, the number of pairs the change wins, and how much worse the
+change's median is than the base's, against the metric's bound in
+``BENCHMARK.json``, are written to ``BENCH_<label>.json`` at the root of
+the working tree; each metric outside its bound is also printed.  After
+the timed pairs, one ``--trace 1`` run per side and workload, at the
+first seed, adds the per-layer metrics (self times, call and cell
+counts) under ``layers``.
 
 Run it with no other benchmark running: ``perfbench/run.py`` pins itself and
 its children to one CPU.
@@ -85,16 +87,23 @@ def spread(values: list[float]) -> dict:
             "iqr": q3 - q1}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per end-to-end metric: spreads, pairs won, and ``worse_by``, the
+    change median over the base median minus 1, signed so that positive
+    is worse, checked against the metric's ``bound`` in BENCHMARK.json."""
     summary = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         base = [r["base"]["metrics"][name] for r in runs]
         change = [r["change"]["metrics"][name] for r in runs]
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if spec["better"] == "lower" else -1
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
-        summary[name] = {"better": direction, "base": spread(base),
+        worse_by = sign * (statistics.median(change)
+                           / statistics.median(base) - 1)
+        summary[name] = {"better": spec["better"], "base": spread(base),
                          "change": spread(change),
-                         "change_wins": f"{wins}/{len(runs)}"}
+                         "change_wins": f"{wins}/{len(runs)}",
+                         "worse_by": worse_by, "bound": spec["bound"],
+                         "within_bound": worse_by <= spec["bound"]}
     return summary
 
 
@@ -108,7 +117,7 @@ def main(argv=None) -> int:
                         help="commit to compare the working tree against")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     runs: dict[str, list] = {w: [] for w in args.workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         sha = export(args.base, Path(tmp))
@@ -137,7 +146,7 @@ def main(argv=None) -> int:
         "environment": {"python": platform.python_version(),
                         "numpy": numpy.__version__, "nproc": os.cpu_count(),
                         "cpu": first["cpu"]},
-        "workloads": {w: {"summary": summarize(r, better), "runs": r}
+        "workloads": {w: {"summary": summarize(r, metrics), "runs": r}
                       for w, r in runs.items()},
         "layers": layers,
     }
@@ -145,6 +154,12 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(json.dumps({w: b["summary"] for w, b in bench["workloads"].items()},
                      indent=1))
+    for w, b in bench["workloads"].items():
+        for name, m in b["summary"].items():
+            if not m["within_bound"]:
+                print(f"outside its bound: {w} {name} is worse by "
+                      f"{m['worse_by']:.1%} (bound {m['bound']:.0%})",
+                      file=sys.stderr)
     return 0
 
 
