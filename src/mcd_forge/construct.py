@@ -42,7 +42,7 @@ to ``_assemble`` unchecked; counting (``full_verification``) checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, compress, islice, product
 from math import comb
 from typing import TypeVar
@@ -182,15 +182,14 @@ class NonorthogonalIntersection:
 
 def expected_intersection_size(s: int, u1: int, v: int) -> int:
     """Closed-form size of the common non-orthogonal set over v prefixes
-    that are min(v, u1)-wise independent: (s-1)^v s^(u1-v) for v <= u1,
-    and the alternating binomial sum (rank saturates at u1) beyond."""
+    that are min(v, u1)-wise independent: inclusion-exclusion over the
+    nonzero members of E, i prefixes being orthogonal to s^(u1-i) - 1 of
+    them and to none once i >= u1, gives the sum over i <= min(v, u1) of
+    (-1)^i C(v, i) (s^(u1-i) - 1), or (s-1)^v s^(u1-v) for v <= u1."""
     if v < 1:
         raise VOutOfRangeError(f"v must be at least 1, got {v}")
-    if v <= u1:
-        return (s - 1) ** v * s ** (u1 - v)
-    head = sum((-1) ** i * comb(v, i) * s ** (u1 - i) for i in range(u1 + 1))
-    tail = sum((-1) ** i * comb(v, i) for i in range(u1 + 1, v + 1))
-    return head + tail
+    return sum((-1) ** i * comb(v, i) * (s ** (u1 - i) - 1)
+               for i in range(min(v, u1) + 1))
 
 
 def common_nonorthogonal(part: AdmissiblePartition,
@@ -302,9 +301,10 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
     most u1-1 selected prefixes.  Such sets are independent, so this is
     the rank test: with fewer than u1 selected the whole selection is one,
     beyond that each (u1-1)-subset plus the candidate needs rank u1.
-    ``blocked`` counts the spans holding each candidate: c joining adds
-    the span of c with each set of at most u1-2 selected prefixes, and
-    popping c takes it off.
+    Each depth gets its ``blocked`` mask as a value: c joining copies it
+    and adds the span of c with each set of min(len(sel), u1-2) selected
+    prefixes, which holds the spans of all smaller sets, stacked in one
+    ``generate_linear_array`` call per block of ``BLOCK_CELLS`` cells.
     """
     s = field.s
     if u1 < 1:
@@ -313,26 +313,30 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
     cands = np.array([(1,) + tail for tail in
                       product(range(1, s), repeat=u1 - 1)])
     place = (s - 1) ** np.arange(u1 - 2, -1, -1)
-    blocked = np.zeros(len(cands), dtype=np.int64)
     bound = independent_prefix_bound(s, u1)
     best: list[int] = []
     nodes = 0
     exhausted = True
 
-    def spans_with(sel: list[int], c: int) -> np.ndarray:
-        counts = np.zeros(len(cands), dtype=np.int64)
-        for size in range(min(len(sel), u1 - 2) + 1):
-            for sub in combinations(sel, size):
-                span = generate_linear_array(field, cands[[*sub, c]].T)
-                # each candidate in the span, once: leading 1, tail in base s-1
-                inside = (span[:, 0] == 1) & (span[:, 1:] != 0).all(axis=1)
-                counts[(span[inside, 1:] - 1) @ place] += 1
-        return counts
+    def joined(blocked: np.ndarray, sel: list[int], c: int) -> np.ndarray:
+        blocked = blocked.copy()
+        size = min(len(sel), max(u1 - 2, 0))
+        subsets = combinations(sel, size)
+        width = max(1, BLOCK_CELLS // (s ** (size + 1) * u1))
+        while block := [(*sub, c) for sub in islice(subsets, width)]:
+            columns = cands[np.array(block)].transpose(0, 2, 1)
+            span = generate_linear_array(
+                field, columns.reshape(-1, size + 1)).reshape(-1, u1)
+            # each candidate in a span: leading 1, tail in base s-1
+            lead, *tail = span.T
+            inside = reduce(np.logical_and, tail, lead == 1)
+            blocked[(span[inside, 1:] - 1) @ place] = True
+        return blocked
 
-    def dfs(start: int, sel: list[int]) -> bool:
+    def dfs(start: int, sel: list[int], blocked: np.ndarray) -> bool:
         nonlocal best, nodes, exhausted
         if len(sel) > len(best):
-            best = list(sel)
+            best = sel
             if len(best) >= bound:
                 return True
         for c in range(start, len(cands)):
@@ -342,18 +346,12 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
                 return True
             if len(sel) + (len(cands) - c) <= len(best):
                 break
-            if not blocked[c]:
-                counts = spans_with(sel, c)
-                blocked[:] += counts
-                sel.append(c)
-                done = dfs(c + 1, sel)
-                sel.pop()
-                blocked[:] -= counts
-                if done:
-                    return True
+            if not blocked[c] and dfs(c + 1, sel + [c],
+                                      joined(blocked, sel, c)):
+                return True
         return False
 
-    dfs(0, [])
+    dfs(0, [], np.zeros(len(cands), dtype=bool))
     certified = ("provably-maximal" if len(best) == bound or exhausted
                  else "maximal-within-search")
     labels = tuple(best)
@@ -653,8 +651,8 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
         raise BadParamsError("construction needs u >= 2")
     s = field.s
     _check_runs(s, u)  # before the closed forms in s^u below
-    # n* never exceeds the bound, and the closed form below costs O(v)
-    # big-integer terms, so a larger v is refused before either runs
+    # n* never exceeds the bound, so a larger v is refused before the
+    # search, with the bound in the message
     bound = independent_prefix_bound(s, u1)
     if v > bound:
         raise VOutOfRangeError(

@@ -57,11 +57,12 @@ _INTEGER_TYPES = frozenset(
 
 def _enumeration_size(s: int, u: int) -> int:
     """s^u, or TooLargeError naming s, u and the cap when it exceeds the
-    enumeration cap."""
-    n = s ** u
+    enumeration cap, computed only up to s^64, past the cap for s >= 2."""
+    n = s ** min(u, 64)
     if n > ENUMERATION_CAP:
+        value = f" = {n}" if u <= 64 else ""
         raise TooLargeError(
-            f"{s}^{u} = {n} exceeds the enumeration cap of {ENUMERATION_CAP}")
+            f"{s}^{u}{value} exceeds the enumeration cap of {ENUMERATION_CAP}")
     return n
 
 
@@ -97,12 +98,11 @@ def _field_rows(field: GaloisField, vectors: Iterable[Sequence[int]],
     if rows.size and any(odd):
         raise BadParamsError(
             f"{label} {odd.index(True)} has entries that are not integers")
-    rows = rows.astype(np.int64)
-    bad = (rows.view(np.uint64) >= field.s).any(axis=1)  # negatives too
+    bad = ((rows < 0) | (rows >= field.s)).any(axis=1)  # before the cast
     if bad.any():
         raise BadParamsError(
             f"{label} {bad.argmax()} has entries outside GF({field.s})")
-    return rows
+    return rows.astype(np.int64)
 
 
 def _leading_one(field: GaloisField, rows: np.ndarray) -> np.ndarray:

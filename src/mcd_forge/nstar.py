@@ -1,7 +1,7 @@
-"""n* on the cells where the search is slow or falls short: a label
-table for four u1 = 3 cells and arcs of PG(u1-1, s) from the normal
-rational curve for the rest.  ``construct._cached_prefix_search`` loads
-this module for s > 7 with 3 <= u1 <= 6 only.
+"""n* where the search is slow or falls short: a label table for four
+u1 = 3 cells, so that their labels never depend on the search's speed,
+and arcs of PG(u1-1, s) from the normal rational curve for the rest.
+``construct._cached_prefix_search`` loads it for s > 7, 3 <= u1 <= 6.
 
 An arc is a set of prefixes with every u1 of them independent, here of
 size s + 1 (s + 2 for even s and u1 = 3), in closed form.  The curve is
@@ -26,8 +26,8 @@ from .construct import PrefixSearch, independent_prefix_bound
 from .gf import GaloisField, galois_field
 from .linalg import _kept_rows, _leading_one
 
-#: the labels ``max_independent_prefixes`` returns on the cells where it
-#: takes 0.1-5 s, all at the bound; constructions read them unchanged
+#: the labels ``max_independent_prefixes`` gives on its slowest u1 = 3
+#: cells, all at the bound, read unchanged to be free of its speed
 PREFIX_TABLE = {
     (8, 3): (0, 1, 7, 8, 17, 18, 23, 25, 30, 31),
     (9, 3): (0, 1, 8, 11, 22, 23, 36, 39, 57, 62),

@@ -1,6 +1,9 @@
 """Construction machinery: vector families, prefix search, constructions."""
 
+import tracemalloc
 from itertools import combinations, product
+from math import comb
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -214,6 +217,28 @@ def test_expected_intersection_size():
         expected_intersection_size(3, 3, 0)
 
 
+def _two_branch_intersection_size(s, u1, v):
+    # the closed form as first written: O(v) terms past u1
+    if v <= u1:
+        return (s - 1) ** v * s ** (u1 - v)
+    head = sum((-1) ** i * comb(v, i) * s ** (u1 - i) for i in range(u1 + 1))
+    tail = sum((-1) ** i * comb(v, i) for i in range(u1 + 1, v + 1))
+    return head + tail
+
+
+def test_expected_intersection_size_in_min_v_u1_terms():
+    for s in (2, 3, 4, 5, 7, 8, 9, 16, 32):
+        for u1 in range(1, 9):
+            for v in range(1, 60):
+                assert expected_intersection_size(s, u1, v) \
+                    == _two_branch_intersection_size(s, u1, v)
+    # the two-branch form summed 10^12 terms here
+    start = perf_counter()
+    v = 10 ** 12
+    assert expected_intersection_size(3, 3, v) == 26 - 8 * v + v * (v - 1)
+    assert perf_counter() - start < 0.1
+
+
 # ---------------------------------------------------------------------------
 # prefix capacity and the maximum-search
 # ---------------------------------------------------------------------------
@@ -296,6 +321,10 @@ PINNED_PREFIX_SEARCHES = {
     # the first 9-set, as before the bound of 9; then the 2^20-node budget
     # ran out at "maximal-within-search"
     (8, 4): ((0, 1, 7, 49, 58, 67, 130, 186, 314), 9, "provably-maximal"),
+    # u1 past 6, which constructions reach through the search alone
+    (3, 7): ((0, 1, 2, 4, 8, 16, 32, 63), 8, "provably-maximal"),
+    (3, 8): ((0, 1, 2, 4, 8, 16, 32, 65, 126), 9, "provably-maximal"),
+    (3, 9): ((0, 1, 2, 4, 8, 16, 32, 64, 128, 255), 10, "provably-maximal"),
 }
 
 
@@ -316,6 +345,18 @@ def test_prefix_table_holds_what_the_search_gives(s, u1):
     cands = [(1,) + tail for tail in
              product(range(1, s), repeat=u1 - 1)]
     assert search.prefixes == tuple(cands[i] for i in search.labels)
+
+
+def test_max_independent_prefixes_blocks_its_spans():
+    # a join at (3, 9) spans up to C(9, 7) = 36 subsets of 3^8 rows each;
+    # one unblocked stack held them all at once
+    tracemalloc.start()
+    try:
+        max_independent_prefixes(galois_field(3), 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
 
 
 def test_max_independent_prefixes_caps_candidates(monkeypatch):

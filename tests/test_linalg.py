@@ -1,6 +1,7 @@
 """Vector enumeration, rank, and linear-array generation over GF(s)."""
 
 from itertools import combinations
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from mcd_forge.construct import (
     admissible_set,
     common_nonorthogonal,
+    general_construction,
     max_independent_prefixes,
     partition_admissible,
+    unit_combinations,
 )
 from mcd_forge.errors import BadParamsError, TooLargeError, ZeroVectorError
 from mcd_forge.gf import galois_field
@@ -73,6 +76,28 @@ def test_enumeration_cap():
     with pytest.raises(TooLargeError):
         enumerate_tuples(f32, 5)
     assert len(enumerate_tuples(f32, 4)) == 32 ** 4
+
+
+def test_enumeration_cap_never_computes_a_huge_power():
+    # 2^20000 has 6,021 digits: formatting it into the message raised a
+    # bare ValueError, and 2^(10^8) took most of a second to compute
+    f2 = galois_field(2)
+    message = r"^2\^20000 exceeds the enumeration cap of 10000000$"
+    for call in (lambda: enumerate_tuples(f2, 20000),
+                 lambda: admissible_set(f2, 20000, 1),
+                 lambda: unit_combinations(f2, 20000, 20000)):
+        with pytest.raises(TooLargeError, match=message):
+            call()
+    with pytest.raises(TooLargeError, match=r"^2\^19999 exceeds"):
+        max_independent_prefixes(galois_field(3), 20000)
+    start = perf_counter()
+    with pytest.raises(TooLargeError, match=r"^2\^100000000 exceeds"):
+        admissible_set(f2, 10 ** 8, 1)
+    assert perf_counter() - start < 0.1
+    # up to u = 64 the message keeps the value
+    with pytest.raises(TooLargeError, match=(
+            r"^2\^64 = 18446744073709551616 exceeds the enumeration cap")):
+        enumerate_tuples(f2, 64)
 
 
 def test_dot():
@@ -503,3 +528,11 @@ def test_entry_points_reject_invalid_vectors():
         generate_linear_array(f3, np.array([(1, 0), (0, 1)], dtype=float))
     with pytest.raises(BadParamsError, match="^vector 0 has entries that"):
         orthogonal_complement_basis(f3, (1, None, 0))
+    # an int past int64, where the cast raised a bare OverflowError
+    for big in (2 ** 70, -2 ** 70):
+        with pytest.raises(BadParamsError,
+                           match=r"^vector 1 has entries outside GF\(3\)$"):
+            rank(f3, [(1, 0), (0, big)])
+        with pytest.raises(BadParamsError, match=(
+                r"^z vector 0 has entries outside GF\(3\)$")):
+            general_construction(f3, [(1, 0, big)], [(1, 1, 1)])
