@@ -16,7 +16,6 @@ from .bundle import (
     DesignBundle,
     bundle_from_design,
     read_bundle,
-    to_json_text,
     write_bundle,
 )
 from .catalog import (
@@ -79,7 +78,6 @@ from .gf import GaloisField, galois_field
 from .linalg import (
     SubspaceBasis,
     enumerate_span,
-    enumerate_tuples,
     generate_linear_array,
     orthogonal_complement_basis,
     rank,
@@ -146,7 +144,6 @@ __all__ = [
     "direct_construction",
     "direct_rows",
     "enumerate_span",
-    "enumerate_tuples",
     "expand_levels",
     "expected_intersection_size",
     "galois_field",
@@ -163,7 +160,6 @@ __all__ = [
     "stratified_generator_choice",
     "subspace_construction",
     "subspace_rows",
-    "to_json_text",
     "unit_combinations",
     "verify_row",
     "write_bundle",

@@ -133,11 +133,6 @@ def _json_pieces(obj, level: int = 0):
         yield pad[:-2] + "]"
 
 
-def to_json_text(b: DesignBundle) -> str:
-    """The canonical JSON text of the whole bundle."""
-    return "".join(_json_pieces(_meta_dict(b, matrices=True))) + "\n"
-
-
 def sidecar_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 

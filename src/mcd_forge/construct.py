@@ -71,6 +71,7 @@ from .errors import (
 )
 from .gf import GaloisField, galois_field
 from .linalg import (
+    _INTEGER_TYPES,
     Vector,
     _completed_bases,
     _dots,
@@ -79,7 +80,6 @@ from .linalg import (
     _kept_rows,
     _leading_one,
     _null_space_bases,
-    enumerate_tuples,
     generate_linear_array,
 )
 from .verify import battery, first_equal_pair, require_mcd_work
@@ -93,7 +93,9 @@ def unit_combinations(field: GaloisField, u: int, u1: int) -> list[Vector]:
     """E: all s^u1 linear combinations of e_1..e_u1, as length-u vectors,
     coefficients in base-s order."""
     _check_u_u1(u, u1)
-    return [lam + (0,) * (u - u1) for lam in enumerate_tuples(field, u1)]
+    _enumeration_size(field.s, u1)
+    return [lam + (0,) * (u - u1)
+            for lam in product(range(field.s), repeat=u1)]
 
 
 @dataclass(frozen=True)
@@ -197,15 +199,16 @@ def common_nonorthogonal(part: AdmissiblePartition,
     """Intersection of Ebar_i over the chosen prefixes, with its
     leading-1 (normalized) members and whether the prefixes are
     independent enough for the closed-form size."""
-    indices = tuple(int(i) for i in prefix_indices)
+    indices = tuple(prefix_indices)
+    for i in indices:  # bools and floats are not labels
+        if type(i) not in _INTEGER_TYPES or not 0 <= i < part.group_count:
+            raise BadParamsError(f"prefix index {i!r} is not an integer "
+                                 f"in 0..{part.group_count - 1}")
+    indices = tuple(map(int, indices))
     if not indices:
         raise BadParamsError("need at least one prefix index")
     if len(set(indices)) != len(indices):
         raise BadParamsError(f"duplicate prefix indices in {indices}")
-    for i in indices:
-        if not 0 <= i < part.group_count:
-            raise BadParamsError(
-                f"prefix index {i} outside 0..{part.group_count - 1}")
     f = part.field
     rows = np.array([part.prefixes[i] for i in indices])
     # row r holds z_r^T b for every chosen prefix b, z_r in E's order
@@ -513,7 +516,9 @@ def general_construction(field: GaloisField, z_list, x_list,
     ``generator_overrides`` maps an x index to u-1 explicit generator
     columns for its null space (each must be orthogonal to that x and the
     columns linearly independent); unlisted x's use the canonical
-    null-space basis.
+    null-space basis.  After the keys, the overrides are checked in
+    ascending x order, each for shape, then orthogonality, then
+    independence, and the first failure raises.
     """
     zs = _field_rows(field, z_list, "z vector")
     xs = _field_rows(field, x_list, "x vector")
@@ -535,11 +540,24 @@ def general_construction(field: GaloisField, z_list, x_list,
 
     overrides = generator_overrides or {}
     for j in overrides:
-        if not 0 <= j < len(xs):
-            raise BadParamsError(f"generator override for unknown x index {j}")
-    given, stack = _checked_overrides(field, xs, overrides)
+        if type(j) not in _INTEGER_TYPES or not 0 <= j < len(xs):
+            raise BadParamsError(
+                f"generator override for unknown x index {j!r}")
     gens = _null_space_bases(field, xs)
-    gens[given] = stack
+    for j in sorted(overrides):
+        cols = _field_rows(field, overrides[j], f"generator[{j}] vector")
+        if cols.shape != (u - 1, u):
+            raise BadParamsError(
+                f"override for x {j} must be {u - 1} columns of length {u}")
+        dots = _dots(field, cols, xs[j])
+        if dots.any():
+            raise BadParamsError(
+                f"override column {tuple(cols[dots.argmax()].tolist())}"
+                f" is not orthogonal to x {j}")
+        if not _kept_rows(field, cols[None]).all():
+            raise BadParamsError(
+                f"override columns for x {j} are linearly dependent")
+        gens[j] = cols
     return _assemble(field, zs, xs, gens, "general",
                      ConstructionParams(s=field.s, u=u, seed=seed))
 
@@ -567,40 +585,6 @@ def _assemble(field: GaloisField, zs: np.ndarray, xs: np.ndarray,
         Provenance(method, tuple(map(tuple, zs.tolist())),
                    tuple(map(tuple, xs.tolist())),
                    tuple(tuple(map(tuple, g)) for g in gens.tolist())))
-
-
-def _checked_overrides(field: GaloisField, xs: np.ndarray,
-                       overrides: dict) -> tuple[list[int], np.ndarray]:
-    """The overridden x indices, ascending, and their (count, u-1, u)
-    matrices; BadParamsError for the first x whose override is malformed,
-    has a column not orthogonal to x, or is dependent, in that order."""
-    u = xs.shape[1]
-    given, mats, malformed = [], [], None
-    for j in sorted(overrides):
-        try:
-            cols = _field_rows(field, overrides[j], f"generator[{j}] vector")
-            if cols.shape != (u - 1, u):
-                raise BadParamsError(
-                    f"override for x {j} must be {u - 1} columns of length {u}")
-        except BadParamsError as exc:
-            malformed = exc
-            break
-        given.append(j)
-        mats.append(cols)
-    stack = np.array(mats, dtype=np.int64).reshape(len(given), u - 1, u)
-    dots = _dots(field, stack, xs[given][:, None, :])
-    independent = _kept_rows(field, stack).all(axis=1)
-    for i, j in enumerate(given):
-        if dots[i].any():
-            raise BadParamsError(
-                f"override column {tuple(stack[i, dots[i].argmax()].tolist())}"
-                f" is not orthogonal to x {j}")
-        if not independent[i]:
-            raise BadParamsError(
-                f"override columns for x {j} are linearly dependent")
-    if malformed:
-        raise malformed
-    return given, stack
 
 
 T = TypeVar("T")

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParamsError,
     LevelOutOfRangeError,
     MalformedCollapsedDesignError,
     NotDivisibleError,
@@ -150,7 +151,9 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
 
     seed="identity": values assigned in row order (pure function of input).
     integer seed: values permuted per (column, level) by the column's
-    PCG64 stream.
+    PCG64 stream.  Any other seed, a bool or a negative int included,
+    raises BadParamsError: a design built from 1.5 as seed 1 would be
+    written with a seed ``read_bundle`` refuses.
 
     Columns go in blocks of ``BLOCK_CELLS`` cells.  One stable argsort
     per block groups each column's rows: row v of the (n/s, s) reshape
@@ -162,6 +165,10 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
     consumed level by level in level order, and that order must be kept
     for seeded designs to stay byte-identical.
     """
+    if not (seed == IDENTITY_SEED or isinstance(seed, (int, np.integer))
+            and not isinstance(seed, bool) and seed >= 0):
+        raise BadParamsError(f"seed must be a non-negative integer or "
+                             f"{IDENTITY_SEED!r}, got {seed!r}")
     n, k = collapsed.n, collapsed.k
     if n % s != 0:
         raise NotDivisibleError(f"run count {n} not divisible by s={s}")

@@ -8,22 +8,18 @@ Inside, and through the constructions, a vector set stays one (count, u)
 int64 array and all arithmetic is gathers from the field's add, mul, neg
 and inv tables, for prime and extension fields alike.
 
-The two enumeration orders used everywhere downstream:
-
-* ``enumerate_tuples(field, u)`` lists all s^u coefficient vectors in
-  base-s order -- the vector at position r has entry i equal to
-  floor(r / s^(u-1-i)) mod s, i.e. the first coordinate is the most
-  significant digit and the last varies fastest.
-* ``enumerate_span(basis)`` runs the coefficient vectors of the basis in
-  the same base-s order.
+Every enumeration downstream runs the s^u coefficient vectors lambda_r
+in base-s order: entry i of lambda_r is floor(r / s^(u-1-i)) mod s, so
+the first coordinate is the most significant digit and the last varies
+fastest.  ``enumerate_span(basis)`` runs the coefficients of the basis
+in that order.
 
 ``generate_linear_array`` turns u-dimensional generator columns into the
-s^u-run array whose row r is lambda_r^T G, with lambda_r drawn from
-``enumerate_tuples``.  It grows the array one coordinate at a time, each
-step expanding every row into s rows with one add-table gather, which
-gives the base-s row order for prime and extension fields alike.  Rows
-grow in uint8 (uint16 for s > 16), as a flat add-table index is below
-s^2 <= 1024.  Any m generator columns that are t-wise linearly
+s^u-run array whose row r is lambda_r^T G.  It grows the array one
+coordinate at a time, each step expanding every row into s rows with one
+add-table gather, which gives the base-s row order for prime and
+extension fields alike.  Rows grow in uint8 (uint16 for s > 16), as a
+flat add-table index is below s^2 <= 1024.  Any m generator columns that are t-wise linearly
 independent make the result an orthogonal array of strength t;
 ``verify.check_oa_strength`` counts it.
 
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,15 +59,6 @@ def _enumeration_size(s: int, u: int) -> int:
         raise TooLargeError(
             f"{s}^{u}{value} exceeds the enumeration cap of {ENUMERATION_CAP}")
     return n
-
-
-def enumerate_tuples(field: GaloisField, u: int) -> list[Vector]:
-    """All s^u vectors of GF(s)^u in base-s order (first coordinate most
-    significant, last coordinate fastest)."""
-    if u < 1:
-        raise ValueError("dimension must be at least 1")
-    _enumeration_size(field.s, u)
-    return list(product(range(field.s), repeat=u))
 
 
 def _field_rows(field: GaloisField, vectors: Iterable[Sequence[int]],
@@ -139,10 +125,9 @@ def is_proportional(field: GaloisField, x: Sequence[int], y: Sequence[int]) -> b
     return bool((rows[0] == rows[1]).all())
 
 
-def _kept_rows(field: GaloisField, stack: np.ndarray,
-               limit: int | None = None) -> np.ndarray:
+def _kept_rows(field: GaloisField, stack: np.ndarray) -> np.ndarray:
     """For each matrix of an (N, r, u) stack, which rows are independent
-    of the rows kept before them, keeping at most ``limit``.
+    of the rows kept before them.
 
     Gaussian elimination on all N matrices in lockstep, one pivot per
     pass: each matrix keeps its first nonzero row, scaled to a leading 1,
@@ -153,7 +138,7 @@ def _kept_rows(field: GaloisField, stack: np.ndarray,
     count, r, u = stack.shape
     kept = np.zeros((count, r), dtype=bool)
     at = np.arange(count)
-    for _ in range(u if limit is None else min(limit, u)):
+    for _ in range(u):
         nonzero = stack.any(axis=2)
         if not nonzero.any():
             break
@@ -207,7 +192,7 @@ def _completed_bases(field: GaloisField, xs: np.ndarray,
     vectors that keep them independent, in order: one (k, u-1, u) array."""
     k, u = xs.shape
     stack = np.concatenate([forced, _null_space_bases(field, xs)], axis=1)
-    kept = _kept_rows(field, stack, u - 1)
+    kept = _kept_rows(field, stack)
     if not kept[:, :forced.shape[1]].all():
         raise ValueError("forced columns are not linearly independent")
     return stack[kept].reshape(k, u - 1, u)
@@ -241,7 +226,7 @@ def _narrow_tables(field: GaloisField) -> tuple[np.ndarray, np.ndarray]:
 
 def generate_linear_array(field: GaloisField, columns: Sequence[Vector]) -> np.ndarray:
     """The (s^u, m) array whose row r is lambda_r^T G, where G has the given
-    generator columns and lambda_r runs over ``enumerate_tuples(field, u)``.
+    generator columns and entry i of lambda_r is floor(r / s^(u-1-i)) mod s.
 
     The array grows one coordinate at a time from a single zero row:
     step i replaces each row r by the s rows r + c * g_i, c = 0..s-1, so

@@ -74,7 +74,7 @@ def coordinate_forms(field: GaloisField, k: int) -> np.ndarray:
         if not images[:s, 0].all():
             continue
         rows = np.concatenate([rows, images])
-        rows = rows[_kept_rows(field, rows[None], k)[0]]
+        rows = rows[_kept_rows(field, rows[None])[0]]
         if len(rows) == k:
             return rows
     raise AssertionError(f"no {k} independent root-free forms over GF({s})")

@@ -15,7 +15,6 @@ from mcd_forge.bundle import (
     bundle_from_design,
     read_bundle,
     sidecar_path,
-    to_json_text,
     write_bundle,
 )
 from mcd_forge.construct import direct_construction, subspace_construction
@@ -27,6 +26,11 @@ F3 = galois_field(3)
 
 def _bundle(seed="identity"):
     return bundle_from_design(direct_construction(F3, 3, 2, "i", seed))
+
+
+def _json_text(b, tmp_path):
+    """The canonical JSON text ``write_bundle`` writes for the bundle."""
+    return write_bundle(tmp_path / "text.json", b).read_text()
 
 
 def test_bundle_from_design_carries_everything():
@@ -62,8 +66,8 @@ def test_json_round_trip_is_byte_identical(tmp_path):
     assert again.seed == 11
 
 
-def test_json_text_is_sorted_and_integer():
-    text = to_json_text(_bundle())
+def test_json_text_is_sorted_and_integer(tmp_path):
+    text = _json_text(_bundle(), tmp_path)
     obj = json.loads(text)
     assert list(obj) == sorted(obj)
     assert text.endswith("\n")
@@ -110,7 +114,7 @@ def _write_obj(tmp_path, obj, name="b.json"):
 
 
 def test_read_bundle_rejects_malformed_json(tmp_path):
-    base = json.loads(to_json_text(_bundle()))
+    base = json.loads(_json_text(_bundle(), tmp_path))
 
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -131,7 +135,7 @@ def test_read_bundle_rejects_malformed_json(tmp_path):
 
 
 def test_read_bundle_rejects_bad_matrices(tmp_path):
-    base = json.loads(to_json_text(_bundle()))
+    base = json.loads(_json_text(_bundle(), tmp_path))
 
     for d1 in ([], [[0, 1], [0]], [[0, "1"]], [[0, True]], [[0.5, 1]], [[]],
                [[0, 2 ** 70]], [[-(2 ** 70), 0]]):
@@ -146,7 +150,7 @@ def test_read_bundle_rejects_bad_matrices(tmp_path):
 
 
 def test_read_bundle_rejects_bad_metadata(tmp_path):
-    base = json.loads(to_json_text(_bundle()))
+    base = json.loads(_json_text(_bundle(), tmp_path))
     for key, value in (("format_version", 2), ("format_version", True),
                        ("format_version", 1.0), ("s", 1), ("s", "3"),
                        ("u", 0), ("seed", 1.5), ("seed", "later"),
@@ -320,7 +324,7 @@ def test_json_text_equals_json_dumps_on_random_shapes(tmp_path):
             b = _shaped_bundle(d1, d2)
             for key, value in meta.items():
                 setattr(b, key, value)
-            assert to_json_text(b) == _reference_json_text(b)
+            assert _json_text(b, tmp_path) == _reference_json_text(b)
             if len(b.d1) == len(b.d2) and b.m + b.k:
                 write_bundle(tmp_path / "d.csv", b)
                 assert sidecar_path(tmp_path / "d.csv").read_text() == \
@@ -397,7 +401,7 @@ def test_json_write_that_raises_leaves_no_file(tmp_path):
 
 
 def test_read_bundle_rejects_non_integer_entries_by_type(tmp_path):
-    base = json.loads(to_json_text(_bundle()))
+    base = json.loads(_json_text(_bundle(), tmp_path))
     for d1 in ([[0, 1], [0, True]], [[0, None]], [[0, 1.0]]):
         with pytest.raises(MalformedBundleError,
                            match="^d1 entries must be integers$"):
@@ -408,7 +412,7 @@ def test_read_bundle_checks_run_count_and_u1_against_u(tmp_path):
     # a 27-run s=3 file that claims u = 4 (81 runs), a u too large to
     # raise 3 to, or a u1 outside 1..u used to verify PASS
     b = _bundle()
-    base = json.loads(to_json_text(b))
+    base = json.loads(_json_text(b, tmp_path))
     for key, value, message in (
             ("u", 4, "^27 runs, not 3\\^4$"),
             ("u", 2, "^27 runs, not 3\\^2$"),
@@ -442,7 +446,7 @@ def test_writers_match_the_json_and_csv_modules(tmp_path):
             d2.flat[0], d2.flat[-1] = lo, hi
             d2[rng.random(d2.shape) < 0.3] = -7
         b = _shaped_bundle(d1, d2)
-        assert to_json_text(b) == _reference_json_text(b)
+        assert _json_text(b, tmp_path) == _reference_json_text(b)
         path = tmp_path / "d.csv"
         write_bundle(path, b)
         expected = io.StringIO(newline="")

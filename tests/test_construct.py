@@ -204,6 +204,16 @@ def test_common_nonorthogonal_param_validation():
         common_nonorthogonal(part, (0, 0))
     with pytest.raises(BadParamsError):
         common_nonorthogonal(part, (0, 9))
+    # 1.7 and True were read as label 1
+    for labels in ((0, 1.7), (True,), (0, False), (1.0,), ("1",), (0, None)):
+        with pytest.raises(BadParamsError, match=(
+                r"^prefix index .* is not an integer in 0\.\.3$")):
+            common_nonorthogonal(part, labels)
+    # numpy int labels are labels, recorded as ints
+    got = common_nonorthogonal(part, np.array([0, 2]))
+    assert got.prefix_indices == (0, 2)
+    assert type(got.prefix_indices[0]) is int
+    assert got.vectors == common_nonorthogonal(part, (0, 2)).vectors
 
 
 def test_expected_intersection_size():
@@ -573,6 +583,24 @@ def test_override_errors_name_the_first_x_in_index_order():
                                  generator_overrides=overrides)
 
 
+def test_override_keys_must_be_x_indices():
+    # True and 1.0 passed the range check and failed with IndexError;
+    # "0" failed with TypeError.  numpy int keys are x indices.
+    xs = [(1, 0, 1), (1, 1, 1)]
+    gens = ((0, 1, 0), (1, 0, 2))
+    for key in (True, False, 1.0, 0.0, "0", None, (0,), -1, 2):
+        with pytest.raises(BadParamsError, match=(
+                "^generator override for unknown x index")):
+            general_construction(F3, [(1, 0, 0)], xs,
+                                 generator_overrides={key: gens})
+    want = general_construction(F3, [(1, 0, 0)], xs,
+                                generator_overrides={0: gens})
+    got = general_construction(F3, [(1, 0, 0)], xs,
+                               generator_overrides={np.int64(0): gens})
+    assert got.provenance == want.provenance
+    assert got.provenance.generator_columns[0] == gens
+
+
 def test_general_construction_has_no_method_or_params_knob():
     # the method tag and the params are the construction's own; a caller
     # could set them to a file read_bundle refuses, or to a seed that did
@@ -597,7 +625,6 @@ def test_named_constructions_assemble_without_the_checked_entrance(
         raise AssertionError("named build went through the checked entrance")
 
     monkeypatch.setattr(construct, "general_construction", refuse)
-    monkeypatch.setattr(construct, "_checked_overrides", refuse)
     f4 = galois_field(4)
     for mcd in (direct_construction(F3, 3, 2, "i"),
                 direct_construction(F3, 3, 2, "ii"),

@@ -1,6 +1,7 @@
 """Design containers, level collapse/expansion, and base-s row encoding."""
 
 import dataclasses
+import re
 import typing
 
 import numpy as np
@@ -18,7 +19,10 @@ from mcd_forge.designs import (
     expand_levels,
     method_of_replacement,
 )
+from mcd_forge.bundle import bundle_from_design, read_bundle, write_bundle
+from mcd_forge.construct import direct_construction
 from mcd_forge.errors import (
+    BadParamsError,
     LevelOutOfRangeError,
     MalformedCollapsedDesignError,
     NotDivisibleError,
@@ -154,6 +158,29 @@ def test_expand_levels_seed_determinism():
     assert (a.data == b.data).all()
     c = expand_levels(cd, 3, seed=43)
     assert (a.data != c.data).any()
+
+
+def test_expand_levels_refuses_seeds_a_file_could_not_hold(tmp_path):
+    # 1.5 and True built the design as seed 1 and recorded the original,
+    # which read_bundle then refused; -1 and "abc" raised a bare ValueError
+    cd = CollapsedDesign(3, np.repeat(np.arange(9), 3).reshape(27, 1))
+    f3 = mcd_forge.galois_field(3)
+    for seed in (1.5, True, np.True_, "7", -1, "abc", None, 7.0):
+        message = (r"^seed must be a non-negative integer or 'identity', "
+                   rf"got {re.escape(repr(seed))}$")
+        with pytest.raises(BadParamsError, match=message):
+            expand_levels(cd, 3, seed)
+        with pytest.raises(BadParamsError, match=message):
+            direct_construction(f3, 3, 2, "i", seed)
+    # numpy ints are ints: the same design, and a file that reads back
+    want = expand_levels(cd, 3, 7).data
+    for seed in (np.int64(7), np.uint8(7), np.int32(7)):
+        assert (expand_levels(cd, 3, seed).data == want).all()
+        path = write_bundle(tmp_path / "d.json", bundle_from_design(
+            direct_construction(f3, 3, 2, "i", seed)))
+        assert read_bundle(path).seed == 7
+    assert (expand_levels(cd, 3, 0).data
+            != expand_levels(cd, 3, IDENTITY_SEED).data).any()
 
 
 def test_expand_levels_streams_are_per_column():

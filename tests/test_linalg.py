@@ -23,7 +23,6 @@ from mcd_forge.linalg import (
     SubspaceBasis,
     dot,
     enumerate_span,
-    enumerate_tuples,
     generate_linear_array,
     is_proportional,
     normalize_direction,
@@ -33,9 +32,13 @@ from mcd_forge.linalg import (
 from golden_data import EXAMPLE1_NULL_SPACE, EXAMPLE1_QUALITATIVE
 
 
+# the base-s order of all s^u tuples, which unit_combinations with u1 = u
+# lists and generate_linear_array runs its coefficient vectors in
+
+
 def test_enumerate_tuples_binary_order():
     f2 = galois_field(2)
-    assert enumerate_tuples(f2, 3) == [
+    assert unit_combinations(f2, 3, 3) == [
         (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
         (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
     ]
@@ -43,7 +46,7 @@ def test_enumerate_tuples_binary_order():
 
 def test_enumerate_tuples_ternary_order():
     f3 = galois_field(3)
-    assert enumerate_tuples(f3, 2) == [
+    assert unit_combinations(f3, 2, 2) == [
         (0, 0), (0, 1), (0, 2),
         (1, 0), (1, 1), (1, 2),
         (2, 0), (2, 1), (2, 2),
@@ -55,9 +58,12 @@ def test_enumerate_tuples_digit_formula():
     # significant
     for s, u in [(2, 5), (3, 4), (4, 3), (5, 3)]:
         f = galois_field(s)
-        vecs = enumerate_tuples(f, u)
+        vecs = unit_combinations(f, u, u)
         assert len(vecs) == s ** u
         assert len(set(vecs)) == s ** u
+        # the linear array of the unit columns lists the same tuples
+        assert generate_linear_array(f, np.eye(u, dtype=int)).tolist() == \
+            list(map(list, vecs))
         for r in (0, 1, s, s ** u - 1, s ** (u - 1)):
             expected = tuple((r // s ** (u - 1 - i)) % s for i in range(u))
             assert vecs[r] == expected
@@ -66,7 +72,9 @@ def test_enumerate_tuples_digit_formula():
 def test_enumerate_tuples_rejects_bad_dimension():
     f3 = galois_field(3)
     with pytest.raises(ValueError):
-        enumerate_tuples(f3, 0)
+        unit_combinations(f3, 0, 0)
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        generate_linear_array(f3, [()])
 
 
 def test_enumeration_cap():
@@ -74,8 +82,8 @@ def test_enumeration_cap():
     f32 = galois_field(32)
     assert 32 ** 5 > ENUMERATION_CAP
     with pytest.raises(TooLargeError):
-        enumerate_tuples(f32, 5)
-    assert len(enumerate_tuples(f32, 4)) == 32 ** 4
+        unit_combinations(f32, 5, 5)
+    assert len(unit_combinations(f32, 4, 4)) == 32 ** 4
 
 
 def test_enumeration_cap_never_computes_a_huge_power():
@@ -83,8 +91,7 @@ def test_enumeration_cap_never_computes_a_huge_power():
     # bare ValueError, and 2^(10^8) took most of a second to compute
     f2 = galois_field(2)
     message = r"^2\^20000 exceeds the enumeration cap of 10000000$"
-    for call in (lambda: enumerate_tuples(f2, 20000),
-                 lambda: admissible_set(f2, 20000, 1),
+    for call in (lambda: admissible_set(f2, 20000, 1),
                  lambda: unit_combinations(f2, 20000, 20000)):
         with pytest.raises(TooLargeError, match=message):
             call()
@@ -97,7 +104,7 @@ def test_enumeration_cap_never_computes_a_huge_power():
     # up to u = 64 the message keeps the value
     with pytest.raises(TooLargeError, match=(
             r"^2\^64 = 18446744073709551616 exceeds the enumeration cap")):
-        enumerate_tuples(f2, 64)
+        unit_combinations(f2, 64, 64)
 
 
 def test_dot():
@@ -156,7 +163,7 @@ def test_rank_golden_cases():
     assert rank(f3, [(1, 2, 0), (2, 1, 0)]) == 1
     assert rank(f3, [(1, 1, 0), (0, 0, 1), (1, 1, 1)]) == 2
     # more vectors than dimensions
-    assert rank(f3, enumerate_tuples(f3, 2)) == 2
+    assert rank(f3, unit_combinations(f3, 2, 2)) == 2
 
 
 def test_rank_is_invariant_under_row_operations():
@@ -355,7 +362,7 @@ def test_generate_linear_array_rows_are_dot_products():
     cols = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3)]
     arr = generate_linear_array(f4, cols)
     assert arr.shape == (16, 5)
-    lams = enumerate_tuples(f4, 2)
+    lams = unit_combinations(f4, 2, 2)
     for r in (0, 1, 5, 15):
         for j, c in enumerate(cols):
             assert arr[r, j] == dot(f4, lams[r], c)
@@ -446,16 +453,16 @@ def test_rank_matches_scalar_elimination():
             assert rank(f, vectors) == _reference_rank(f, vectors), vectors
 
 
-def _kept_by_span(f, matrix, limit):
-    """Reference for ``_kept_rows`` on one matrix: a row is kept iff fewer
-    than ``limit`` rows are kept so far and it lies outside the span of
-    the rows kept before it, enumerated through ``generate_linear_array``."""
+def _kept_by_span(f, matrix):
+    """Reference for ``_kept_rows`` on one matrix: a row is kept iff it
+    lies outside the span of the rows kept before it, enumerated through
+    ``generate_linear_array``."""
     u = matrix.shape[1]
     kept, flags = [], []
     for row in map(tuple, matrix.tolist()):
         span = ({(0,) * u} if not kept else set(map(tuple, (
             generate_linear_array(f, list(zip(*kept))).tolist()))))
-        flags.append(len(kept) < limit and row not in span)
+        flags.append(row not in span)
         if flags[-1]:
             kept.append(row)
     return flags
@@ -476,15 +483,13 @@ def test_kept_rows_matches_span_enumeration(s):
             c = rng.integers(0, s, len(stack[2::3]))[:, None]
             stack[2::3, 2] = f.add_table[f.mul_table[c, stack[2::3, 0]],
                                          stack[2::3, 1]]
-        for limit in (None, 1, 2):
-            got = _kept_rows(f, stack, limit)
-            assert got.shape == (count, r)
-            for matrix, flags in zip(stack, got):
-                want = _kept_by_span(f, matrix, u if limit is None else limit)
-                assert flags.tolist() == want, (matrix.tolist(), limit)
-                # the rank is the number of rows kept without a limit
-                if limit is None:
-                    assert rank(f, matrix.tolist()) == sum(want)
+        got = _kept_rows(f, stack)
+        assert got.shape == (count, r)
+        for matrix, flags in zip(stack, got):
+            want = _kept_by_span(f, matrix)
+            assert flags.tolist() == want, matrix.tolist()
+            # the rank is the number of rows kept
+            assert rank(f, matrix.tolist()) == sum(want)
 
 
 def test_entry_points_reject_invalid_vectors():

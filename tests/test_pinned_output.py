@@ -3,7 +3,9 @@
 These pin the report lines, their order and the JSON layout byte for byte,
 so a refactor of the verification battery cannot change what a user sees.
 The sha256 of seeded ``construct`` output pins the written bytes, so a
-faster level expansion or linear-array build cannot change a design.
+faster level expansion or linear-array build cannot change a design, and
+one sha256 over a grid of named builds pins D1, the collapsed D2, the
+parameters and the provenance of each.
 """
 
 import hashlib
@@ -11,6 +13,13 @@ import json
 
 from mcd_forge.catalog import all_rows, verify_row
 from mcd_forge.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
+from mcd_forge.construct import (
+    _cached_prefix_search,
+    anti_mirror_construction,
+    direct_construction,
+    subspace_construction,
+)
+from mcd_forge.gf import galois_field
 
 CONSTRUCT_LINE = ("wrote {out} (32 runs, 2 qualitative + 8 quantitative "
                   "columns, method anti-mirror)\n")
@@ -183,3 +192,38 @@ def test_seeded_construct_bytes_pinned(tmp_path, capsys):
                      "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, flags
+
+
+#: (s, largest u) of the grid; every u1 <= u, both items, v up to n*
+NAMED_GRID = ((2, 5), (3, 4), (4, 4), (5, 3), (7, 3), (8, 3), (9, 3))
+NAMED_GRID_DIGEST = (
+    "0cc60220c9f4b0a05a2537fae5e62a26ef94e7c96a4c2e74f7739025e4c160c1")
+
+
+def _named_builds():
+    """Every named construction on ``NAMED_GRID``, then anti-mirror for
+    4 <= u <= 7: 428 designs."""
+    for s, u_max in NAMED_GRID:
+        field = galois_field(s)
+        for u in range(2, u_max + 1):
+            for u1 in range(1, u + 1):
+                for item in ("i", "ii"):
+                    yield direct_construction(field, u, u1, item)
+                    for v in range(1, _cached_prefix_search(s, u1).size + 1):
+                        yield subspace_construction(field, u, u1, v, item)
+    for u in range(4, 8):
+        for u1 in range(2, u - 1):
+            yield anti_mirror_construction(u, u1)
+
+
+def test_named_builds_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for mcd in _named_builds():
+        count += 1
+        digest.update(repr((mcd.params, mcd.provenance)).encode())
+        for data in (mcd.d1.data, mcd.collapsed.data):
+            digest.update(repr(data.shape).encode())
+            digest.update(data.astype("<i8").tobytes())
+    assert count == 428
+    assert digest.hexdigest() == NAMED_GRID_DIGEST
