@@ -218,8 +218,8 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
              "provenance must be an object")
     s, u, u1, seed = meta["s"], meta["u"], meta.get("u1"), meta["seed"]
     _require(u1 is None or 1 <= u1 <= u, f"u1 = {u1} outside 1..u = {u}")
-    _require(_is_int(seed) or seed == "identity",
-             "seed must be an integer or \"identity\"")
+    _require(_is_int(seed) and seed >= 0 or seed == "identity",
+             "seed must be a non-negative integer or \"identity\"")
     n = d1.shape[0]
     _require(n == d2.shape[0], f"D1 has {n} rows but D2 has {d2.shape[0]}")
     # s^u >= 2^u > n from u = n.bit_length() on: never a huge power

@@ -10,7 +10,7 @@ Verification always checks at min(advertised, width).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .construct import (
     _cached_prefix_search,
@@ -41,9 +41,6 @@ class CatalogRow:
     d2_i: tuple[int, int]              # (runs, columns)
     d1_ii: tuple[int, int, int, int]
     d2_ii: tuple[int, int]
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_sweep_params(s: int, u_max: int) -> None:

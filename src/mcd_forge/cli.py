@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .bundle import bundle_from_design, read_bundle, write_bundle
 from .catalog import all_rows, verify_row
@@ -163,12 +164,8 @@ def cmd_verify(args) -> int:
     cells = None if args.stratify is None else _parse_cells(args.stratify)
     report = battery(d1, d2, b.s, args.strength, cells)
     if args.json:
-        payload = {
-            "passed": report.passed,
-            "checks": [{"name": c.name, "subject": list(c.subject),
-                        "passed": c.passed, "detail": c.detail}
-                       for c in report.checks],
-        }
+        payload = {"passed": report.passed,
+                   "checks": [asdict(c) for c in report.checks]}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in report.lines():
@@ -177,20 +174,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _design_str(params: tuple[int, int, int, int]) -> str:
-    n, m, s, t = params
-    return f"OA({n}, {m}, {s}, {t})"
-
-
-def _lhd_str(params: tuple[int, int]) -> str:
-    n, k = params
-    return f"LHD({n}, {k})"
-
-
 def cmd_catalog(args) -> int:
     rows = all_rows(args.s, args.u_max)
     if args.format == "json":
-        print(json.dumps([r.as_dict() for r in rows], indent=2))
+        print(json.dumps([asdict(r) for r in rows], indent=2))
     elif args.format == "csv":
         cols = ["s", "u", "u1", "method", "v", "star", "n_a", "g",
                 "free_coords", "k",
@@ -210,9 +197,8 @@ def cmd_catalog(args) -> int:
         print("| u | u1 | n_A | D1 (i) | D2 (i) | D1 (ii) | D2 (ii) |")
         print("|---|----|-----|--------|--------|---------|---------|")
         for r in t1:
-            print(f"| {r.u} | {r.u1} | {r.n_a} | {_design_str(r.d1_i)} | "
-                  f"{_lhd_str(r.d2_i)} | {_design_str(r.d1_ii)} | "
-                  f"{_lhd_str(r.d2_ii)} |")
+            print(f"| {r.u} | {r.u1} | {r.n_a} | OA{r.d1_i} | LHD{r.d2_i} | "
+                  f"OA{r.d1_ii} | LHD{r.d2_ii} |")
         print()
         print(f"## method theorem2 (s={args.s}, u <= {args.u_max})")
         print("| u | u1 | v | g | u-u1 | k | D1 (i) | D2 (i) | D1 (ii) | D2 (ii) |")
@@ -223,8 +209,8 @@ def cmd_catalog(args) -> int:
                       == "provably-maximal")
             vtxt = f"{r.v}{'*' if proven else '+'}" if r.star else f"{r.v}"
             print(f"| {r.u} | {r.u1} | {vtxt} | {r.g} | {r.free_coords} | "
-                  f"{r.k} | {_design_str(r.d1_i)} | {_lhd_str(r.d2_i)} | "
-                  f"{_design_str(r.d1_ii)} | {_lhd_str(r.d2_ii)} |")
+                  f"{r.k} | OA{r.d1_i} | LHD{r.d2_i} | OA{r.d1_ii} | "
+                  f"LHD{r.d2_ii} |")
 
     if args.materialize:
         failures = skipped = 0

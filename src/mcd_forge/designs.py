@@ -51,8 +51,13 @@ BLOCK_CELLS = 1 << 17
 def _as_matrix(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.int64)
     if arr.ndim != 2:
-        raise ValueError(f"design data must be 2-D, got shape {arr.shape}")
+        raise BadParamsError(f"design data must be 2-D, got shape {arr.shape}")
     return arr
+
+
+def _require_level_count(s) -> None:
+    if s < 1:  # before anything divides by s
+        raise BadParamsError(f"level count s must be at least 1, got {s}")
 
 
 @dataclass(eq=False)
@@ -67,7 +72,7 @@ class OrthogonalArray:
         self.data = _as_matrix(self.data)
         self.levels = tuple(int(v) for v in self.levels)
         if len(self.levels) != self.data.shape[1]:
-            raise ValueError("one level count per column required")
+            raise BadParamsError("one level count per column required")
 
     @property
     def n(self) -> int:
@@ -133,6 +138,7 @@ def method_of_replacement(a0, s: int) -> np.ndarray:
 
 def collapse_levels(d2: LatinHypercube, s: int) -> CollapsedDesign:
     """floor(D2 / s): n levels -> n/s levels, each appearing s times."""
+    _require_level_count(s)
     if d2.n % s != 0:
         raise NotDivisibleError(f"run count {d2.n} not divisible by s={s}")
     return CollapsedDesign(s, d2.data // s)
@@ -169,6 +175,7 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
             and not isinstance(seed, bool) and seed >= 0):
         raise BadParamsError(f"seed must be a non-negative integer or "
                              f"{IDENTITY_SEED!r}, got {seed!r}")
+    _require_level_count(s)
     n, k = collapsed.n, collapsed.k
     if n % s != 0:
         raise NotDivisibleError(f"run count {n} not divisible by s={s}")

@@ -237,10 +237,10 @@ def generate_linear_array(field: GaloisField, columns: Sequence[Vector]) -> np.n
     """
     gen = _field_rows(field, columns, "generator column").T  # u x m
     if not gen.shape[1]:
-        raise ValueError("need at least one generator column")
+        raise BadParamsError("need at least one generator column")
     u, m = gen.shape
     if u < 1:
-        raise ValueError("dimension must be at least 1")
+        raise BadParamsError("dimension must be at least 1")
     s = field.s
     _enumeration_size(s, u)
     add, mul = _narrow_tables(field)

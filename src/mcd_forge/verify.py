@@ -13,10 +13,12 @@ D1 strength and a grid-stratification sweep.
 
 ``check_oa_strength``, the pair-balance step of ``check_mcd`` and the
 ``check_grid_stratification`` sweep all count through one kernel,
-``_combo_counter``.  It counts the t-subsets that share their first t-1
-columns (the head) as one batch: each last column (tail) is coded into a
-block of its own, in place in one int64 buffer, and one bincount counts a
-chunk of up to 2^16 codes.  Each column is range-checked once, on the
+``_first_unbalanced``.  It walks the caller's scans (head, lo, hi) in
+order, each the t-subsets head + (j,), lo <= j < hi, that share their
+first t-1 columns (the head), counts each scan as one batch and returns
+the first unbalanced subset: each last column (tail) is coded into a
+block of its own, in place in one int64 buffer, and one bincount counts
+a chunk of up to 2^16 codes.  Each column is range-checked once, on the
 caller's array, before the kernel copies it into the smallest unsigned
 type that holds its levels; a tail that is out of range or does not
 divide n ends the batch unencoded, so no entry can alias into a valid
@@ -45,6 +47,7 @@ from .designs import (
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
+    _require_level_count,
     collapse_levels,
 )
 from .errors import (
@@ -108,17 +111,15 @@ class VerificationReport:
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
 
-    def merged_with(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.checks + other.checks)
 
-
-def _combo_counter(blocks, levels):
+def _first_unbalanced(blocks, levels, scans):
     """The counting kernel over the rows of the integer 2-D ``blocks``,
     stacked in order (``data.T`` for a design matrix), with level counts
-    ``levels``.  first_unbalanced(head, lo, hi) is None when each subset
+    ``levels``.  Each scan (head, lo, hi) asks whether every subset
     head + (j,), lo <= j < hi, holds every level combination n / (product
-    of its levels) times, else (subset, found) for the first that does
-    not: found is None when its level count does not divide n, () when a
+    of its levels) times.  Returns None when all of them do, else
+    (subset, found) for the first subset that does not, in scan order:
+    found is None when its level count does not divide n, () when a
     column leaves its level range, else (combination, count, expected)
     for its first off-count combination."""
     levels = tuple(map(int, levels))
@@ -143,8 +144,7 @@ def _combo_counter(blocks, levels):
             run_end[j] = run_end[j + 1]
     width = max(1, (1 << 16) // max(n, 1))  # tails per chunk
     buf = np.empty((min(width, c), n), dtype=np.int64)
-
-    def first_unbalanced(head: tuple[int, ...], lo: int, hi: int):
+    for head, lo, hi in scans:
         full = prod(levels[j] for j in head)
         a, base = lo, None
         while a < hi:
@@ -177,9 +177,7 @@ def _combo_counter(blocks, levels):
                 combo = tuple(map(int, np.unravel_index(hit, block.shape)))
                 return head + (a + i,), (combo, int(block.flat[hit]), n // size)
             a = b
-        return None
-
-    return first_unbalanced
+    return None
 
 
 def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
@@ -193,10 +191,9 @@ def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
         raise StrengthExceedsColumnsError(
             f"strength {t} exceeds column count {a.m}")
     name = f"oa-strength({t})"
-    first_unbalanced = _combo_counter((a.data.T,), a.levels)
-    hit = next(filter(None, (first_unbalanced(h, h[-1] + 1 if h else 0, a.m)
-                             for h in combinations(range(a.m - 1), t - 1))),
-               None)
+    hit = _first_unbalanced((a.data.T,), a.levels, (
+        (h, h[-1] + 1 if h else 0, a.m)
+        for h in combinations(range(a.m - 1), t - 1)))
     if hit is None:
         return VerificationReport((CheckResult(name, (), True),))
     cols, found = hit
@@ -231,10 +228,9 @@ def _pair_balance(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> CheckResul
     level) combination exactly once -- the collapsed form of marginal
     coupling."""
     m, k, n = d1.m, d2.k, d1.n
-    first_unbalanced = _combo_counter((d1.data.T, d2.data.T // s),
-                                      (s,) * m + (n // s,) * k)
-    hit = next(filter(None, (first_unbalanced((i,), m, m + k)
-                             for i in range(m))), None)
+    hit = _first_unbalanced((d1.data.T, d2.data.T // s),
+                            (s,) * m + (n // s,) * k,
+                            (((i,), m, m + k) for i in range(m)))
     if hit is None:
         return CheckResult("pair-balance", (), True)
     (i, j), found = hit
@@ -251,6 +247,7 @@ def _pair_balance(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> CheckResul
 
 def _structural_checks(d1: OrthogonalArray, d2: LatinHypercube,
                        s: int) -> list[CheckResult]:
+    _require_level_count(s)
     if d1.n != d2.n:
         raise RunCountMismatchError(
             f"D1 has {d1.n} runs but D2 has {d2.n}")
@@ -377,14 +374,13 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
     sizes = sorted(set(cells))
     offset = {c: i * places for i, c in enumerate(sizes)}
     selected = d2.data.T[list(dims)]
-    first_unbalanced = _combo_counter(
-        [selected // (n // c) for c in sizes],
-        [c for c in sizes for _ in dims])
     tails = offset[cells[-1]]
-    hit = next(filter(None, (
-        first_unbalanced(tuple(offset[c] + p for c, p in zip(cells, h)),
-                         tails + (h[-1] + 1 if h else 0), tails + places)
-        for h in combinations(range(places - 1), r - 1))), None)
+    hit = _first_unbalanced(
+        [selected // (n // c) for c in sizes],
+        [c for c in sizes for _ in dims],
+        ((tuple(offset[c] + p for c, p in zip(cells, h)),
+          tails + (h[-1] + 1 if h else 0), tails + places)
+         for h in combinations(range(places - 1), r - 1)))
     name = _grid_name(cells)
     if hit is None:
         return VerificationReport((CheckResult(name, tuple(dims), True),))
@@ -408,6 +404,7 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
     failing subset.  Each check is sized first, so that an oversize one is
     refused (TooLargeError) before any counting; the sweep, reported last,
     runs first."""
+    _require_level_count(s)
     require_mcd_work(d1.n, d1.m, d2.k)
     if strength is not None and strength > 0:
         _require_work(d1.n * comb(d1.m, strength),
@@ -417,17 +414,13 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
             raise BadParamsError(
                 f"grid arity {len(stratify)} exceeds the {d2.k} columns")
         sweep = check_grid_stratification(d2, tuple(range(d2.k)), stratify)
-    report = check_mcd(d1, d2, s)
-    report = report.merged_with(check_noncascading(collapse_levels(d2, s)))
+    checks = [*check_mcd(d1, d2, s).checks,
+              *check_noncascading(collapse_levels(d2, s)).checks]
     if strength is not None:
-        if strength == min(2, d1.m):
-            # check_mcd opens with this very check: list it again, not rerun
-            extra = VerificationReport(report.checks[:1])
-        else:
-            extra = check_oa_strength(d1, strength)
-        report = report.merged_with(extra)
+        # check_mcd opens with this very check: list it again, not rerun
+        checks += (checks[:1] if strength == min(2, d1.m)
+                   else check_oa_strength(d1, strength).checks)
     if stratify is not None:
-        report = report.merged_with(sweep if not sweep.passed else (
-            VerificationReport((CheckResult(
-                _grid_name(stratify) + " on all column subsets", (), True),))))
-    return report
+        checks += sweep.checks if not sweep.passed else (CheckResult(
+            _grid_name(stratify) + " on all column subsets", (), True),)
+    return VerificationReport(tuple(checks))

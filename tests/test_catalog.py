@@ -1,5 +1,7 @@
 """Catalog rows against the transcribed reference tables for s = 3."""
 
+import dataclasses
+
 import pytest
 
 from mcd_forge.catalog import (
@@ -56,7 +58,7 @@ def test_all_rows_concatenates():
 
 def test_rows_as_dict():
     row = direct_rows(3, 2)[0]
-    d = row.as_dict()
+    d = dataclasses.asdict(row)
     assert d["s"] == 3 and d["u"] == 2 and d["method"] == "theorem1"
     assert d["d1_i"] == (9, 1, 3, 1)
 

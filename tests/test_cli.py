@@ -618,3 +618,19 @@ def test_verify_sizes_check_mcd_before_counting(tmp_path, capsys,
         f"run-pair cells, over the cap of {work - 1}\n")
     monkeypatch.setattr(verify, "MAX_PAIR_WORK", work)
     assert main(["verify", "--in", str(out)]) == EXIT_OK
+
+
+def test_verify_refuses_a_negative_seed(tmp_path, capsys):
+    # each file used to verify PASS and exit 0
+    for name in ("t2.json", "t2.csv"):
+        out = tmp_path / name
+        assert main(["construct", "--method", "theorem2", "--s", "3",
+                     "--u", "3", "--u1", "2", "--v", "1", "--seed", "3",
+                     "--out", str(out)]) == EXIT_OK
+        meta = sidecar_path(out) if name.endswith(".csv") else out
+        meta.write_text(json.dumps(
+            dict(json.loads(meta.read_text()), seed=-3)))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == EXIT_PARAM_ERROR
+        assert _one_error_line(capsys) == (
+            'error: seed must be a non-negative integer or "identity"\n')

@@ -25,6 +25,7 @@ from mcd_forge.errors import (
     BadParamsError,
     LevelOutOfRangeError,
     MalformedCollapsedDesignError,
+    McdForgeError,
     NotDivisibleError,
 )
 from mcd_forge.verify import check_noncascading
@@ -282,3 +283,32 @@ def test_is_cascading_pair_under_random_relabelings():
         col = rng.integers(0, nlev, size=30)
         relabel = rng.permutation(nlev)
         assert _pair_cascades(col, relabel[col])
+
+
+def test_malformed_design_data_raises_a_package_error():
+    # each raised a bare ValueError, which ``except McdForgeError`` missed
+    flat = "design data must be 2-D, got shape \\(3,\\)"
+    for make, message in (
+            (lambda: OrthogonalArray([0, 1, 0], (2,)), flat),
+            (lambda: LatinHypercube([0, 1, 2]), flat),
+            (lambda: CollapsedDesign(3, [0, 1, 2]), flat),
+            (lambda: method_of_replacement([0, 1, 2], 3), flat),
+            (lambda: OrthogonalArray([[0, 1], [1, 0]], (2,)),
+             "one level count per column required")):
+        with pytest.raises(McdForgeError, match=message):
+            make()
+
+
+def test_level_operations_refuse_a_level_count_below_one():
+    # s = 0 raised ZeroDivisionError; s = -3 collapsed to negative levels
+    lhd = LatinHypercube([[0, 2], [1, 0], [2, 1]])
+    for s in (0, -3):
+        message = f"^level count s must be at least 1, got {s}$"
+        with pytest.raises(BadParamsError, match=message):
+            collapse_levels(lhd, s)
+        with pytest.raises(BadParamsError, match=message):
+            expand_levels(CollapsedDesign(1, lhd.data), s)
+    # s = 1 is the identity collapse and expansion
+    assert (collapse_levels(lhd, 1).data == lhd.data).all()
+    assert (expand_levels(CollapsedDesign(1, lhd.data), 1).data
+            == lhd.data).all()

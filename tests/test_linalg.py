@@ -14,7 +14,12 @@ from mcd_forge.construct import (
     partition_admissible,
     unit_combinations,
 )
-from mcd_forge.errors import BadParamsError, TooLargeError, ZeroVectorError
+from mcd_forge.errors import (
+    BadParamsError,
+    McdForgeError,
+    TooLargeError,
+    ZeroVectorError,
+)
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import (
     ENUMERATION_CAP,
@@ -541,3 +546,12 @@ def test_entry_points_reject_invalid_vectors():
         with pytest.raises(BadParamsError, match=(
                 r"^z vector 0 has entries outside GF\(3\)$")):
             general_construction(f3, [(1, 0, big)], [(1, 1, 1)])
+
+
+def test_generate_linear_array_without_columns_or_dimension():
+    # both raised a bare ValueError, which ``except McdForgeError`` missed
+    f3 = galois_field(3)
+    for columns, message in (([], "^need at least one generator column$"),
+                             ([()], "^dimension must be at least 1$")):
+        with pytest.raises(McdForgeError, match=message):
+            generate_linear_array(f3, columns)

@@ -105,6 +105,57 @@ materialized 10 rows, 0 failure(s)
 """
 
 
+#: ``catalog --s 9 --u-max 3``: the (9,3) cell, v* marks and 3-digit runs
+CATALOG_S9_MD = """\
+## method theorem1 (s=9, u <= 3)
+| u | u1 | n_A | D1 (i) | D2 (i) | D1 (ii) | D2 (ii) |
+|---|----|-----|--------|--------|---------|---------|
+| 2 | 1 | 9 | OA(81, 1, 9, 1) | LHD(81, 9) | OA(81, 9, 9, 2) | LHD(81, 1) |
+| 2 | 2 | 8 | OA(81, 2, 9, 2) | LHD(81, 8) | OA(81, 8, 9, 2) | LHD(81, 2) |
+| 3 | 1 | 81 | OA(729, 1, 9, 1) | LHD(729, 81) | OA(729, 81, 9, 2) | LHD(729, 1) |
+| 3 | 2 | 72 | OA(729, 2, 9, 2) | LHD(729, 72) | OA(729, 72, 9, 2) | LHD(729, 2) |
+| 3 | 3 | 64 | OA(729, 3, 9, 3) | LHD(729, 64) | OA(729, 64, 9, 2) | LHD(729, 3) |
+
+## method theorem2 (s=9, u <= 3)
+| u | u1 | v | g | u-u1 | k | D1 (i) | D2 (i) | D1 (ii) | D2 (ii) |
+|---|----|---|---|------|---|--------|--------|---------|---------|
+| 2 | 1 | 1* | 1 | 1 | 9 | OA(81, 1, 9, 2) | LHD(81, 9) | OA(81, 9, 9, 2) | LHD(81, 1) |
+| 2 | 2 | 1 | 9 | 0 | 1 | OA(81, 9, 9, 2) | LHD(81, 1) | OA(81, 1, 9, 2) | LHD(81, 9) |
+| 2 | 2 | 2 | 8 | 0 | 2 | OA(81, 8, 9, 2) | LHD(81, 2) | OA(81, 2, 9, 2) | LHD(81, 8) |
+| 2 | 2 | 3 | 7 | 0 | 3 | OA(81, 7, 9, 2) | LHD(81, 3) | OA(81, 3, 9, 2) | LHD(81, 7) |
+| 2 | 2 | 4 | 6 | 0 | 4 | OA(81, 6, 9, 2) | LHD(81, 4) | OA(81, 4, 9, 2) | LHD(81, 6) |
+| 2 | 2 | 5 | 5 | 0 | 5 | OA(81, 5, 9, 2) | LHD(81, 5) | OA(81, 5, 9, 2) | LHD(81, 5) |
+| 2 | 2 | 6 | 4 | 0 | 6 | OA(81, 4, 9, 2) | LHD(81, 6) | OA(81, 6, 9, 2) | LHD(81, 4) |
+| 2 | 2 | 7 | 3 | 0 | 7 | OA(81, 3, 9, 2) | LHD(81, 7) | OA(81, 7, 9, 2) | LHD(81, 3) |
+| 2 | 2 | 8* | 2 | 0 | 8 | OA(81, 2, 9, 2) | LHD(81, 8) | OA(81, 8, 9, 2) | LHD(81, 2) |
+| 3 | 1 | 1* | 1 | 2 | 81 | OA(729, 1, 9, 2) | LHD(729, 81) | OA(729, 81, 9, 2) | LHD(729, 1) |
+| 3 | 2 | 1 | 9 | 1 | 9 | OA(729, 9, 9, 2) | LHD(729, 9) | OA(729, 9, 9, 2) | LHD(729, 9) |
+| 3 | 2 | 2 | 8 | 1 | 18 | OA(729, 8, 9, 2) | LHD(729, 18) | OA(729, 18, 9, 2) | LHD(729, 8) |
+| 3 | 2 | 3 | 7 | 1 | 27 | OA(729, 7, 9, 2) | LHD(729, 27) | OA(729, 27, 9, 2) | LHD(729, 7) |
+| 3 | 2 | 4 | 6 | 1 | 36 | OA(729, 6, 9, 2) | LHD(729, 36) | OA(729, 36, 9, 2) | LHD(729, 6) |
+| 3 | 2 | 5 | 5 | 1 | 45 | OA(729, 5, 9, 2) | LHD(729, 45) | OA(729, 45, 9, 2) | LHD(729, 5) |
+| 3 | 2 | 6 | 4 | 1 | 54 | OA(729, 4, 9, 2) | LHD(729, 54) | OA(729, 54, 9, 2) | LHD(729, 4) |
+| 3 | 2 | 7 | 3 | 1 | 63 | OA(729, 3, 9, 2) | LHD(729, 63) | OA(729, 63, 9, 2) | LHD(729, 3) |
+| 3 | 2 | 8* | 2 | 1 | 72 | OA(729, 2, 9, 2) | LHD(729, 72) | OA(729, 72, 9, 2) | LHD(729, 2) |
+| 3 | 3 | 1 | 81 | 0 | 1 | OA(729, 81, 9, 2) | LHD(729, 1) | OA(729, 1, 9, 2) | LHD(729, 81) |
+| 3 | 3 | 2 | 72 | 0 | 2 | OA(729, 72, 9, 2) | LHD(729, 2) | OA(729, 2, 9, 2) | LHD(729, 72) |
+| 3 | 3 | 3 | 64 | 0 | 3 | OA(729, 64, 9, 2) | LHD(729, 3) | OA(729, 3, 9, 2) | LHD(729, 64) |
+| 3 | 3 | 4 | 57 | 0 | 4 | OA(729, 57, 9, 2) | LHD(729, 4) | OA(729, 4, 9, 2) | LHD(729, 57) |
+| 3 | 3 | 5 | 51 | 0 | 5 | OA(729, 51, 9, 2) | LHD(729, 5) | OA(729, 5, 9, 2) | LHD(729, 51) |
+| 3 | 3 | 6 | 46 | 0 | 6 | OA(729, 46, 9, 2) | LHD(729, 6) | OA(729, 6, 9, 2) | LHD(729, 46) |
+| 3 | 3 | 7 | 42 | 0 | 7 | OA(729, 42, 9, 2) | LHD(729, 7) | OA(729, 7, 9, 2) | LHD(729, 42) |
+| 3 | 3 | 8 | 39 | 0 | 8 | OA(729, 39, 9, 2) | LHD(729, 8) | OA(729, 8, 9, 2) | LHD(729, 39) |
+| 3 | 3 | 9 | 37 | 0 | 9 | OA(729, 37, 9, 2) | LHD(729, 9) | OA(729, 9, 9, 2) | LHD(729, 37) |
+| 3 | 3 | 10* | 36 | 0 | 10 | OA(729, 36, 9, 2) | LHD(729, 10) | OA(729, 10, 9, 2) | LHD(729, 36) |
+"""
+
+#: sha256 of the same table as CSV and as JSON
+CATALOG_S9_DIGESTS = {
+    "csv": "e160fe433be709a9af2cbbae02118ca4162005d35eb3825b4e2d88d795815a60",
+    "json": "0bc3697226626dccf89c63d8af6d54c349dc9211a37b6731d8d3a684ea497730",
+}
+
+
 def _anti_mirror_pair(tmp_path, capsys):
     """The u=5, u1=2 anti-mirror design and a copy in which one D2 value
     swaps places with a value from another window (and another D1 row)."""
@@ -138,6 +189,16 @@ def test_catalog_materialize_output_pinned(capsys):
     assert main(["catalog", "--s", "2", "--u-max", "3",
                  "--materialize"]) == EXIT_OK
     assert capsys.readouterr().out == CATALOG_TEXT
+
+
+def test_catalog_s9_output_pinned(capsys):
+    assert main(["catalog", "--s", "9", "--u-max", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == CATALOG_S9_MD
+    for fmt, digest in CATALOG_S9_DIGESTS.items():
+        assert main(["catalog", "--s", "9", "--u-max", "3",
+                     "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, fmt
 
 
 def test_verify_row_lines_pinned():

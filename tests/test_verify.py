@@ -26,6 +26,7 @@ from mcd_forge.errors import (
 from mcd_forge.gf import galois_field
 from mcd_forge.verify import (
     CheckResult,
+    VerificationReport,
     battery,
     check_grid_stratification,
     check_mcd,
@@ -53,7 +54,7 @@ def test_report_aggregation():
     assert a.lines() == ["[pass] oa-strength(2)"]
     b = check_oa_strength(OrthogonalArray([[0], [0], [1], [0]], (2,)), 1)
     assert not b.passed
-    merged = a.merged_with(b)
+    merged = VerificationReport(a.checks + b.checks)
     assert len(merged.checks) == 2
     assert not merged.passed
     assert len(merged.failures()) == 1
@@ -703,3 +704,31 @@ def test_stratify_sweep_is_sized_before_it_runs(monkeypatch):
         battery(mcd.d1, mcd.d2, 2, stratify=(2, 2))
     # a one-column grid scans only k subsets, well under the cap
     assert battery(mcd.d1, mcd.d2, 2, stratify=(2,)).passed
+
+
+def test_checks_refuse_a_level_count_below_one(monkeypatch):
+    # s = 0 raised ZeroDivisionError; s = -3 gave a report, or a bare
+    # ValueError from check_mcd_by_slices
+    mcd = direct_construction(galois_field(3), 2, 1, "i")
+    # s = 1 still gives its report: the 3-level D1 is out of range
+    out_of_range = ("[FAIL] pair-balance (0, 0) -- levels out of range for "
+                    "D1 column 0 / collapsed D2 column 0")
+    assert check_mcd(mcd.d1, mcd.d2, 1).lines()[-1] == out_of_range
+    assert check_mcd_by_slices(mcd.d1, mcd.d2, 1).lines()[-1].startswith(
+        "[FAIL] slice-coverage (0, 0)")
+    assert battery(mcd.d1, mcd.d2, 1).lines()[2:] == [
+        out_of_range, "[FAIL] non-cascading (0, 1) -- columns 0 and 1 are "
+        "level-relabelings of each other"]
+    for s in (0, -3):
+        message = f"^level count s must be at least 1, got {s}$"
+        for check in (check_mcd, check_mcd_by_slices, battery):
+            with pytest.raises(BadParamsError, match=message):
+                check(mcd.d1, mcd.d2, s)
+
+    def no_counting(*args):
+        raise AssertionError("counted before refusing s")
+
+    # the sweep runs first in battery, but s is refused before it
+    monkeypatch.setattr(verify, "_first_unbalanced", no_counting)
+    with pytest.raises(BadParamsError, match="got 0$"):
+        battery(mcd.d1, mcd.d2, 0, strength=1, stratify=(3, 3))
