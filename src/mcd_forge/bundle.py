@@ -92,14 +92,25 @@ def _meta_dict(b: DesignBundle, matrices: bool = False) -> dict:
 
 def _row_texts(parts, sep: str):
     """The rows of the int matrices ``parts`` side by side, as text joined
-    by ``sep``: a list per block of about _BLOCK_CELLS cells, made with one
-    str() per distinct value in the block."""
+    by ``sep``: a list per block of about _BLOCK_CELLS cells.  Each value's
+    text comes from one table of str() over the parts' range of values
+    when that range is no wider than their cell count, else from one
+    str() per distinct value in each block."""
+    filled = [p for p in parts if p.size]
+    lo = min((int(p.min()) for p in filled), default=0)
+    hi = max((int(p.max()) for p in filled), default=0)
+    table = (np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+             if hi - lo < sum(p.size for p in parts) else None)
     step = max(1, _BLOCK_CELLS // max(1, sum(p.shape[1] for p in parts)))
-    for lo in range(0, len(parts[0]), step):
-        block = np.hstack([p[lo:lo + step] for p in parts])
-        values, codes = np.unique(block, return_inverse=True)
-        texts = np.array(list(map(str, values.tolist())), dtype=object)
-        yield list(map(sep.join, texts[codes.reshape(block.shape)].tolist()))
+    for start in range(0, len(parts[0]), step):
+        block = np.hstack([p[start:start + step] for p in parts])
+        if table is not None:
+            texts = table[block - lo]
+        else:
+            values, codes = np.unique(block, return_inverse=True)
+            texts = np.array(list(map(str, values.tolist())),
+                             dtype=object)[codes.reshape(block.shape)]
+        yield list(map(sep.join, texts.tolist()))
 
 
 def _json_pieces(obj, level: int = 0):

@@ -48,6 +48,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARAM_ERROR = 2
 EXIT_INTERNAL = 3
+#: a reader that closed stdout ends the run as SIGPIPE would: 128 + 13
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_seed(text: str):
@@ -292,7 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # quiet, as a pipe's writer killed by SIGPIPE; what is left in the
+        # stdout buffer goes to the null device at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (McdForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM_ERROR

@@ -5,7 +5,8 @@ no linear algebra, no knowledge of how the design was built.  Checks
 return a VerificationReport rather than raising, so a tampered file can
 be loaded and diagnosed.  Counterexamples are deterministic: subsets are
 scanned in lexicographic order and the first violation is reported.
-All counting is integer-exact; nothing here produces a float.
+All counting is exact: float32 holds every count below 2^24 exactly,
+and no report holds a float.
 
 ``battery`` is the one battery that construct, verify and the catalog
 run: ``check_mcd``, ``check_noncascading``, and optionally a declared
@@ -15,14 +16,28 @@ D1 strength and a grid-stratification sweep.
 ``check_grid_stratification`` sweep all count through one kernel,
 ``_first_unbalanced``.  It walks the caller's scans (head, lo, hi) in
 order, each the t-subsets head + (j,), lo <= j < hi, that share their
-first t-1 columns (the head), counts each scan as one batch and returns
-the first unbalanced subset: each last column (tail) is coded into a
-block of its own, in place in one int64 buffer, and one bincount counts
-a chunk of up to 2^16 codes.  Each column is range-checked once, on the
-caller's array, before the kernel copies it into the smallest unsigned
-type that holds its levels; a tail that is out of range or does not
-divide n ends the batch unencoded, so no entry can alias into a valid
-combination or another subset's block.
+first t-1 columns (the head), and returns the first unbalanced subset.
+Each column is range-checked once, on the caller's array, before the
+kernel copies it into the smallest unsigned type that holds its levels.
+A scan is counted one of two ways, chosen by its table alone:
+
+* A narrow scan, whose table (the head's levels times its widest tail
+  level) has at most NARROW_TABLE cells, on fewer than EXACT_FLOAT32
+  runs, is counted in blocks of heads: onehot(head codes) times
+  onehot(tails)^T, float32 products of 0/1 matrices summed over blocks
+  of runs.  Each operand and each product holds at most ONEHOT_BYTES,
+  and the path at most five of them at once.  Each product is made in
+  pieces of at most 2^18 multiply-adds, which a threaded BLAS runs on
+  one thread, so that a busy core cannot stall it.  The first block
+  holds PRODUCT_HEADS heads and each next up to twice as many, so that
+  an early failure costs little; a block of fewer than PRODUCT_CELLS
+  run-subset cells goes to bincount.  The products find which subset
+  fails first, and bincount recounts that one subset for the report.
+* Any other scan goes to bincount: each last column (tail) is coded
+  into a block of its own, in place in one int64 buffer, and one
+  bincount counts a chunk of up to 2^16 codes.  A tail that is out of
+  range or does not divide n ends the chunk unencoded, so no entry can
+  alias into a valid combination or another subset's block.
 
 ``check_mcd`` tests the marginal-coupling property through the collapsed
 pair condition: every (D1 column, collapsed D2 column) pair must be a
@@ -38,8 +53,8 @@ acceptance suite holds them to that on random and constructed designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, prod
+from itertools import combinations, groupby
+from math import comb, isqrt, prod
 
 import numpy as np
 
@@ -61,11 +76,32 @@ from .errors import (
 
 #: largest verification a construction may need, in n * (column pairs):
 #: pair balance counts n rows for each of the m * k (D1, D2) pairs, and
-#: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  At 4.5-20
-#: ns per unit one check_mcd takes at most about 1.4-6 s.  A strength-t
-#: check, n * C(m, t) cells, and a --stratify sweep, n * C(k, arity) cells
-#: at 5-8 ns each, have the same cap.
+#: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  At 1.2-20
+#: ns per unit (m = 2 to 144, n = 625 to 4096; the low end is D1's check
+#: as one-hot products) one check_mcd takes at most about 0.4-6 s.  A
+#: strength-t check, n * C(m, t) cells, and a --stratify sweep, n * C(k,
+#: arity) cells, have the same cap: 1-5.5 ns a cell as products, 4.5-8
+#: ns by bincount.
 MAX_PAIR_WORK = 300_000_000
+
+#: a scan whose table, its head's levels times its widest tail level,
+#: has at most this many cells is counted by one-hot products, whose work
+#: grows with the table: strength-2 checks of 57 to 150 columns took
+#: 0.15-0.3 of bincount's time with tables of 4 and 9 cells, 0.45 with
+#: 16, 0.5-0.85 with 25 and 1.35 with 49
+NARROW_TABLE = 25
+#: float32 holds every integer below this exactly, so products count
+#: only designs of fewer runs
+EXACT_FLOAT32 = 1 << 24
+#: the largest one-hot operand or product, in bytes
+ONEHOT_BYTES = 1 << 18
+#: the heads of the first block of products, so that a failure early in
+#: the scans costs little
+PRODUCT_HEADS = 4
+#: the fewest run-subset cells, one bincount chunk, a block of narrow
+#: scans must hold to be counted by products: below it, on designs of 9
+#: to 81 runs, products took 1.1-2 times as long as bincount
+PRODUCT_CELLS = 1 << 16
 
 
 def _require_work(work: int, what: str, unit: str) -> None:
@@ -121,7 +157,8 @@ def _first_unbalanced(blocks, levels, scans):
     (subset, found) for the first subset that does not, in scan order:
     found is None when its level count does not divide n, () when a
     column leaves its level range, else (combination, count, expected)
-    for its first off-count combination."""
+    for its first off-count combination.  Narrow scans go to
+    _product_failure in blocks of heads, the others to _bincount_hit."""
     levels = tuple(map(int, levels))
     # range-check the caller's arrays before the narrowing copy below, so
     # that no entry can wrap into range; a negative entry reads as a huge
@@ -142,8 +179,133 @@ def _first_unbalanced(blocks, levels, scans):
     for j in range(c - 2, -1, -1):
         if levels[j + 1] == levels[j] and not bad[j + 1]:
             run_end[j] = run_end[j + 1]
+    # one-hot rows per operand: as many as keep an operand of all n runs
+    # and a square product under the byte bound, but at least 64 (with
+    # ONEHOT_BYTES / 256 runs at a time past that)
+    fit = ONEHOT_BYTES // (4 * max(n, 1))
+    width = min(isqrt(ONEHOT_BYTES // 4), max(isqrt(ONEHOT_BYTES // 64), fit))
+    # float32 counts are exact below EXACT_FLOAT32 runs, and no block of
+    # at most `width` heads reaches PRODUCT_CELLS on a small design
+    if n >= EXACT_FLOAT32 or n * c * width < PRODUCT_CELLS:
+        return _bincount_hit(cols, levels, bad, run_end, scans)
+    arrays = np.array(levels, dtype=np.int32), np.array(bad, dtype=bool)
+    limit, widest = min(NARROW_TABLE, width), {}
+
+    def narrow(scan):  # its table has at most `limit` cells
+        head, lo, hi = scan
+        if (lo, hi) not in widest:
+            widest[lo, hi] = max(levels[lo:hi], default=0)
+        table = prod(map(levels.__getitem__, head)) * widest[lo, hi]
+        return 0 < table <= limit
+
+    for is_narrow, group in groupby(scans, key=narrow):
+        for batch in (_head_blocks(group, levels, width) if is_narrow
+                      else [group]):
+            if is_narrow and (n * sum(hi - lo for _, lo, hi in batch)
+                              >= PRODUCT_CELLS):
+                batch = _product_failure(cols, *arrays, batch, width)
+            hit = _bincount_hit(cols, levels, bad, run_end, batch)
+            if hit:
+                return hit
+    return None
+
+
+def _one_hot(codes, widths):
+    """float32 sum(widths) x rows matrix of 0s and 1s: group g of the
+    codes' rows takes ``widths[g]`` rows, and its row v holds a 1 where
+    the group's code is v.  A code outside 0..widths[g]-1 sets no 1."""
+    top = int(widths.max())
+    hot = codes[:, None, :] == np.arange(top, dtype=codes.dtype)[:, None]
+    if (widths != top).any():
+        hot = hot[np.arange(top) < widths[:, None]]
+    return hot.reshape(-1, codes.shape[1]).astype(np.float32)
+
+
+def _head_blocks(scans, levels, width: int):
+    """Consecutive narrow scans in blocks whose heads' one-hots take at
+    most ``width`` rows: PRODUCT_HEADS heads at first, at most twice as
+    many each block after, so that a failure early in the scans is found
+    after little work."""
+    block, held, most = [], 0, PRODUCT_HEADS
+    for scan in scans:
+        full = prod(map(levels.__getitem__, scan[0]))
+        if block and (len(block) == most or held + full > width):
+            yield block
+            block, held, most = [], 0, 2 * most
+        block.append(scan)
+        held += full
+    if block:
+        yield block
+
+
+def _product_failure(cols, levels, bad, scans, width: int) -> list:
+    """The first unbalanced subset of the narrow ``scans``, in scan order,
+    as the scan [(head, j, j + 1)], or [] when there is none.  ``levels``
+    and ``bad`` are arrays.  One-hots of the heads' level combinations and
+    of the tails' levels, at most ``width`` rows each, meet in float32
+    products summed over blocks of ONEHOT_BYTES / (4 width) runs; every
+    count is an integer of at most n < EXACT_FLOAT32, so every sum is
+    exact."""
+    n, runs = cols.shape[1], ONEHOT_BYTES // (4 * width)
+    heads = np.array([h for h, _, _ in scans], dtype=np.intp)
+    lo, hi = np.array([scan[1:] for scan in scans]).T
+    full = levels[heads].prod(axis=1)
+    t0, t1 = int(lo.min()), int(hi.max())
+    tails = levels[t0:t1]
+    off = bad[heads].any(axis=1)[:, None] | bad[t0:t1]  # out of range
+
+    def head_hot(r):  # the heads' one-hot over runs r to r + runs - 1
+        codes = np.zeros((len(scans), min(n - r, runs)), dtype=np.int32)
+        for j in heads.T[::-1]:
+            codes = codes * levels[j, None] + cols[j, r:r + runs]
+        return _one_hot(codes, full)
+
+    once = head_hot(0) if n <= runs else None  # one block of runs
+    step = width // int(tails.max())  # tails a product
+    for a in range(0, t1 - t0, step):
+        b, counts = min(t1 - t0, a + step), 0
+        for r in range(0, n, runs):
+            counts += _sliced_product(
+                head_hot(r) if once is None else once,
+                _one_hot(cols[t0 + a:t0 + b, r:r + runs], tails[a:b]))
+        # count x head levels x tail level is n exactly when the count is
+        # n / size; a float32 product past 2^24 rounds to one above n
+        counts *= full.repeat(full)[:, None]
+        counts *= tails[a:b].repeat(tails[a:b])
+        i, q = np.nonzero(counts != n)
+        if i.size:  # the head and tail of each off count's row and column
+            off[np.repeat(np.arange(len(scans)), full)[i],
+                np.repeat(np.arange(a, b), tails[a:b])[q]] = True
+    if off.any():
+        tail = np.arange(t0, t1)
+        off &= (tail >= lo[:, None]) & (tail < hi[:, None])
+        for i, q in np.argwhere(off)[:1].tolist():
+            return [(scans[i][0], t0 + q, t0 + q + 1)]
+    return []
+
+
+def _sliced_product(h, t):
+    """h @ t.T, in groups of rows of h of at most 2^18 multiply-adds each,
+    which a threaded BLAS such as OpenBLAS runs on one thread: larger
+    threaded products stalled 8-16 ms each while another process held the
+    other core."""
+    rows = max(1, (1 << 18) // max(1, t.size))
+    cut = len(h) - len(h) % rows
+    out = np.empty((len(h), len(t)), dtype=np.float32)
+    np.matmul(h[:cut].reshape(-1, rows, h.shape[1]), t.T,
+              out=out[:cut].reshape(-1, rows, len(t)))
+    np.matmul(h[cut:], t.T, out=out[cut:])
+    return out
+
+
+def _bincount_hit(cols, levels, bad, run_end, scans):
+    """The kernel's answer on ``scans`` by bincount: each tail is coded
+    into a block of its own, in place in one int64 buffer, and one
+    bincount counts a chunk of up to 2^16 codes; a chunk ends where
+    ``run_end`` says, at a level change or a column out of range."""
+    n = cols.shape[1]
     width = max(1, (1 << 16) // max(n, 1))  # tails per chunk
-    buf = np.empty((min(width, c), n), dtype=np.int64)
+    buf = np.empty((min(width, len(levels)), n), dtype=np.int64)
     for head, lo, hi in scans:
         full = prod(levels[j] for j in head)
         a, base = lo, None
@@ -175,7 +337,8 @@ def _first_unbalanced(blocks, levels, scans):
                     [levels[j] for j in (a + i, *head[::-1])]).T
                 hit = int(np.flatnonzero(block.ravel() != n // size)[0])
                 combo = tuple(map(int, np.unravel_index(hit, block.shape)))
-                return head + (a + i,), (combo, int(block.flat[hit]), n // size)
+                return head + (a + i,), (combo, int(block.flat[hit]),
+                                         n // size)
             a = b
     return None
 

@@ -302,7 +302,8 @@ def _reference_json_text(b):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def test_json_text_equals_json_dumps_on_random_shapes(tmp_path):
+def test_json_text_equals_json_dumps_on_random_shapes(tmp_path,
+                                                      monkeypatch):
     rng = np.random.default_rng(3)
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     shapes = [((1, 1), (1, 3)), ((4, 0), (4, 2)), ((3, 2), (3, 0)),
@@ -329,6 +330,30 @@ def test_json_text_equals_json_dumps_on_random_shapes(tmp_path):
                 write_bundle(tmp_path / "d.csv", b)
                 assert sidecar_path(tmp_path / "d.csv").read_text() == \
                     json.dumps(_meta_dict(b), sort_keys=True, indent=2) + "\n"
+    # the text of each value comes from one str() table over the matrix's
+    # range of values when that range is no wider than its cell count, else
+    # from np.unique per block: both sides of that bound, and a range past
+    # 10^12, as JSON (one matrix at a time) and as CSV (both together)
+    real_unique, uniques = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: uniques.append(
+        args) or real_unique(*args, **kw))
+    big = 10 ** 12
+    for d1, d2, fallbacks in (([[0, 5], [1, 2], [3, 4]], [[-2], [0], [2]], 1),
+                              ([[0, 6], [1, 2], [3, 4]], [[-1], [0], [1]], 1),
+                              (rng.integers(0, 4, (40, 3)),
+                               [[-big, big + 7]] * 40, 2)):
+        b = _shaped_bundle(d1, d2)
+        uniques.clear()
+        assert _json_text(b, tmp_path) == _reference_json_text(b)
+        write_bundle(tmp_path / "d.csv", b)
+        assert len(uniques) == fallbacks
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows(
+            [[f"q{i + 1}" for i in range(b.m)]
+             + [f"x{j + 1}" for j in range(b.k)]]
+            + np.hstack([b.d1, b.d2]).tolist())
+        assert (tmp_path / "d.csv").read_bytes() == \
+            expected.getvalue().encode()
 
 
 def test_csv_bytes_equal_row_by_row_writer(tmp_path):

@@ -19,6 +19,7 @@ from mcd_forge.bundle import (
     write_bundle,
 )
 from mcd_forge.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARAM_ERROR,
@@ -634,3 +635,30 @@ def test_verify_refuses_a_negative_seed(tmp_path, capsys):
         assert main(["verify", "--in", str(out)]) == EXIT_PARAM_ERROR
         assert _one_error_line(capsys) == (
             'error: seed must be a non-negative integer or "identity"\n')
+
+
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
+    # a reader that stops after 10 bytes of 200 KB: before, the broken
+    # pipe was reported as a file error, "error: [Errno 32] Broken pipe",
+    # with exit 2
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mcd_forge.cli", "catalog", "--s", "32",
+         "--u-max", "6", "--format", "json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert stderr == b""
+    # an output file that cannot be written keeps its message and exit 2
+    out = tmp_path / "missing" / "d.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcd_forge.cli", "construct", "--method",
+         "theorem1", "--s", "2", "--u", "3", "--u1", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_PARAM_ERROR
+    assert proc.stderr == (f"error: [Errno 2] No such file or directory: "
+                           f"'{out}'\n")

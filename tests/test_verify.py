@@ -1,5 +1,6 @@
 """Brute-force checks: strength, coupling, cascading, grid stratification."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from math import prod
@@ -643,6 +644,100 @@ def test_counting_kernel_keeps_wide_levels_and_wrapping_entries():
             assert (pair.subject, pair.detail) == (
                 (1, 0), "levels out of range for D1 column 1 / collapsed D2 "
                         "column 0")
+
+
+@pytest.fixture(params=["product", "bincount"])
+def count_path(request, monkeypatch):
+    """Runs a test once with every scan whose operands fit counted as
+    one-hot products, however few its heads, and once with every scan
+    counted by bincount; each run checks that its path was taken."""
+    calls = []
+    real = verify._product_failure
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_product_failure", counted)
+    if request.param == "product":
+        monkeypatch.setattr(verify, "NARROW_TABLE", 1 << 30)
+        monkeypatch.setattr(verify, "PRODUCT_HEADS", 1)
+        monkeypatch.setattr(verify, "PRODUCT_CELLS", 0)
+        # one-hots of 1024 rows, so that a table of 800 cells fits one
+        monkeypatch.setattr(verify, "ONEHOT_BYTES", 1 << 25)
+    else:
+        monkeypatch.setattr(verify, "NARROW_TABLE", 0)
+    yield request.param
+    assert bool(calls) == (request.param == "product")
+
+
+def test_kernel_references_hold_on_each_count_path(count_path):
+    test_counting_kernel_matches_per_subset_reference()
+    test_grid_stratification_matches_per_subset_reference()
+    test_counting_kernel_keeps_wide_levels_and_wrapping_entries()
+
+
+def _product_path_cases():
+    """The two checks the product path carries on the benchmark, on their
+    designs: D1 of theorem1 s=4 u=5 u1=3 item ii at strength 2 (144
+    columns of 4 levels on 1024 runs), and the 2x2x2 sweep of an
+    anti-mirror u=8 D2 (64 columns on 256 runs); then each with one entry
+    of its last column moved, and out of range."""
+    d1 = direct_construction(galois_field(4), 5, 3, "ii", seed=1).d1
+    d2 = anti_mirror_construction(8, 2, 1).d2
+    cases = []
+    for fault in (None, "moved", "out of range"):
+        a, b = d1.data.copy(), d2.data.copy()
+        if fault == "moved":
+            a[5, -1], b[5, -1] = (a[5, -1] + 1) % 4, (b[5, -1] + 128) % 256
+        elif fault:
+            a[5, -1], b[5, -1] = 4, 256
+        cases.append(lambda a=a: check_oa_strength(
+            OrthogonalArray(a, d1.levels), 2))
+        cases.append(lambda b=b: check_grid_stratification(
+            LatinHypercube(b), tuple(range(d2.k)), (2, 2, 2)))
+    return cases
+
+
+def test_exactness_bound_routes_around_products(monkeypatch):
+    # float32 counts are exact only below 2^24 runs; with that bound set
+    # below n every scan goes to bincount, and the reports stay the same
+    calls = []
+    real = verify._product_failure
+    monkeypatch.setattr(verify, "_product_failure",
+                        lambda *args: calls.append(args) or real(*args))
+    reports = [case() for case in _product_path_cases()]
+    assert [r.passed for r in reports] == [True, True] + [False] * 4
+    assert calls
+    calls.clear()
+    monkeypatch.setattr(verify, "EXACT_FLOAT32", 256)
+    assert [case() for case in _product_path_cases()] == reports
+    assert calls == []
+
+
+def test_product_path_holds_its_byte_bound(monkeypatch):
+    # every product call's traced peak, its operands, products and index
+    # arrays together, stays within five one-hot operands
+    peaks = []
+    real = verify._product_failure
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        found = real(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return found
+
+    cases = _product_path_cases()
+    monkeypatch.setattr(verify, "_product_failure", traced)
+    tracemalloc.start()
+    try:
+        for case in cases:
+            case()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 10
+    assert max(peaks) <= 5 * verify.ONEHOT_BYTES
 
 
 def test_grid_stratification_call_is_sized_before_it_runs(monkeypatch):

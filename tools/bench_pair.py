@@ -18,7 +18,8 @@ change's median is than the base's, against the metric's bound in
 the working tree; each metric outside its bound is also printed.  After
 the timed pairs, one ``--trace 1`` run per side and workload, at the
 first seed, adds the per-layer metrics (self times, call and cell
-counts) under ``layers``.
+counts) under ``layers``.  ``environment`` names the BLAS numpy was
+built with and the thread-count variables the op processes ran with.
 
 Run it with no other benchmark running: ``perfbench/run.py`` pins itself and
 its children to one CPU.
@@ -75,6 +76,27 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
             "correct": result["correct"], "fail_ratio": details["fail_ratio"],
             "speed_factor": details["speed_factor"],
             "environment": details["environment"]}
+
+
+def blas() -> dict:
+    """Name and version of the BLAS this numpy was built with."""
+    try:
+        info = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return {"name": "unknown", "version": "unknown"}
+    return {"name": info.get("name"), "version": info.get("version")}
+
+
+def child_threads(tree: Path) -> dict:
+    """The thread-count variables ``perfbench/run.py`` in ``tree`` sets
+    for the op processes it starts, from its ``child_env()``."""
+    sys.path.insert(0, str(tree / "perfbench"))
+    try:
+        import run
+    finally:
+        sys.path.pop(0)
+    return {k: v for k, v in sorted(run.child_env().items())
+            if k.endswith("_THREADS")}
 
 
 def spread(values: list[float]) -> dict:
@@ -139,13 +161,15 @@ def main(argv=None) -> int:
                                      args.seconds, trace=1)["metrics"]
                       for side in ("base", "change")}
                   for w in args.workloads}
+        threads = child_threads(trees["change"])
     first = runs[args.workloads[0]][0]["change"]["environment"]
     bench = {
         "label": args.label, "seconds": args.seconds, "base": sha,
         "change": "working tree on top of the base",
         "environment": {"python": platform.python_version(),
                         "numpy": numpy.__version__, "nproc": os.cpu_count(),
-                        "cpu": first["cpu"]},
+                        "cpu": first["cpu"], "blas": blas(),
+                        "child_threads": threads},
         "workloads": {w: {"summary": summarize(r, metrics), "runs": r}
                       for w, r in runs.items()},
         "layers": layers,
