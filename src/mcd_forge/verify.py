@@ -218,7 +218,7 @@ def _one_hot(codes, widths):
     hot = codes[:, None, :] == np.arange(top, dtype=codes.dtype)[:, None]
     if (widths != top).any():
         hot = hot[np.arange(top) < widths[:, None]]
-    return hot.reshape(-1, codes.shape[1]).astype(np.float32)
+    return hot.reshape(int(widths.sum()), codes.shape[1]).astype(np.float32)
 
 
 def _head_blocks(scans, levels, width: int):
@@ -264,7 +264,7 @@ def _product_failure(cols, levels, bad, scans, width: int) -> list:
     step = width // int(tails.max())  # tails a product
     for a in range(0, t1 - t0, step):
         b, counts = min(t1 - t0, a + step), 0
-        for r in range(0, n, runs):
+        for r in range(0, max(n, 1), runs):
             counts += _sliced_product(
                 head_hot(r) if once is None else once,
                 _one_hot(cols[t0 + a:t0 + b, r:r + runs], tails[a:b]))
@@ -292,8 +292,8 @@ def _sliced_product(h, t):
     rows = max(1, (1 << 18) // max(1, t.size))
     cut = len(h) - len(h) % rows
     out = np.empty((len(h), len(t)), dtype=np.float32)
-    np.matmul(h[:cut].reshape(-1, rows, h.shape[1]), t.T,
-              out=out[:cut].reshape(-1, rows, len(t)))
+    np.matmul(h[:cut].reshape(cut // rows, rows, h.shape[1]), t.T,
+              out=out[:cut].reshape(cut // rows, rows, len(t)))
     np.matmul(h[cut:], t.T, out=out[cut:])
     return out
 

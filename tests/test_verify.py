@@ -677,6 +677,30 @@ def test_kernel_references_hold_on_each_count_path(count_path):
     test_counting_kernel_keeps_wide_levels_and_wrapping_entries()
 
 
+def test_count_paths_agree_on_degenerate_inputs(monkeypatch):
+    # runless designs, 0- and 1-level columns and entries out of range:
+    # with every scan sent to products, or none, the kernel answers alike
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        c, n = int(rng.integers(1, 6)), int(rng.choice([0, 1, 4, 6, 12]))
+        levels = [int(rng.choice([0, 1, 2, 3, 6])) for _ in range(c)]
+        data = np.array([rng.integers(0, lev, n) if lev else np.zeros(n)
+                         for lev in levels], dtype=np.int64).reshape(c, n)
+        if n and rng.random() < 0.3:
+            data[int(rng.integers(c)), int(rng.integers(n))] = int(
+                rng.choice([-1, 7, 2 ** 40]))
+        t = int(rng.integers(1, min(3, c) + 1))
+        scans = [(h, h[-1] + 1 if h else 0, c)
+                 for h in combinations(range(c - 1), t - 1)]
+        answers = []
+        for narrow, heads, cells in ((1 << 30, 1, 0), (0, 4, 1 << 16)):
+            monkeypatch.setattr(verify, "NARROW_TABLE", narrow)
+            monkeypatch.setattr(verify, "PRODUCT_HEADS", heads)
+            monkeypatch.setattr(verify, "PRODUCT_CELLS", cells)
+            answers.append(verify._first_unbalanced((data,), levels, scans))
+        assert answers[0] == answers[1]
+
+
 def _product_path_cases():
     """The two checks the product path carries on the benchmark, on their
     designs: D1 of theorem1 s=4 u=5 u1=3 item ii at strength 2 (144
