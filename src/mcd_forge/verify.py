@@ -18,22 +18,25 @@ D1 strength and a grid-stratification sweep.
 order, each the t-subsets head + (j,), lo <= j < hi, that share their
 first t-1 columns (the head), and returns the first unbalanced subset.
 Each column is range-checked once, on the caller's array, before the
-kernel copies it into the smallest unsigned type that holds its levels.
-A scan is counted one of two ways, chosen by its table alone:
+kernel copies it into the smallest unsigned type that holds every
+level up to n; a column of more levels does not divide n and is never
+counted.  Each call picks one count path for all of its scans, which
+share one t:
 
-* A narrow scan, whose table (the head's levels times its widest tail
-  level) has at most NARROW_TABLE cells, on fewer than EXACT_FLOAT32
-  runs, is counted in blocks of heads: onehot(head codes) times
+* One-hot products, when the call has fewer than EXACT_FLOAT32 runs,
+  every level is at least 1 and its widest table, the product of the t
+  largest levels, has at most NARROW_TABLE cells.  The scans go in
+  blocks of heads, the first of one head and each next twice as large,
+  so that an early failure costs little: onehot(head codes) times
   onehot(tails)^T, float32 products of 0/1 matrices summed over blocks
   of runs.  Each operand and each product holds at most ONEHOT_BYTES,
   and the path at most five of them at once.  Each product is made in
   pieces of at most 2^18 multiply-adds, which a threaded BLAS runs on
-  one thread, so that a busy core cannot stall it.  The first block
-  holds PRODUCT_HEADS heads and each next up to twice as many, so that
-  an early failure costs little; a block of fewer than PRODUCT_CELLS
-  run-subset cells goes to bincount.  The products find which subset
-  fails first, and bincount recounts that one subset for the report.
-* Any other scan goes to bincount: each last column (tail) is coded
+  one thread, so that a busy core cannot stall it.  A block of fewer
+  than PRODUCT_CELLS run-subset cells goes to bincount.  The products
+  find which subset fails first, and bincount recounts that one subset
+  for the report.
+* Otherwise bincount, for every scan: each last column (tail) is coded
   into a block of its own, in place in one int64 buffer, and one
   bincount counts a chunk of up to 2^16 codes.  A tail that is out of
   range or does not divide n ends the chunk unencoded, so no entry can
@@ -53,8 +56,9 @@ acceptance suite holds them to that on random and constructed designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import chain, combinations, islice
 from math import comb, isqrt, prod
+from operator import add
 
 import numpy as np
 
@@ -84,8 +88,8 @@ from .errors import (
 #: ns by bincount.
 MAX_PAIR_WORK = 300_000_000
 
-#: a scan whose table, its head's levels times its widest tail level,
-#: has at most this many cells is counted by one-hot products, whose work
+#: a call whose widest table, the product of its t largest levels, has
+#: at most this many cells is counted by one-hot products, whose work
 #: grows with the table: strength-2 checks of 57 to 150 columns took
 #: 0.15-0.3 of bincount's time with tables of 4 and 9 cells, 0.45 with
 #: 16, 0.5-0.85 with 25 and 1.35 with 49
@@ -95,11 +99,8 @@ NARROW_TABLE = 25
 EXACT_FLOAT32 = 1 << 24
 #: the largest one-hot operand or product, in bytes
 ONEHOT_BYTES = 1 << 18
-#: the heads of the first block of products, so that a failure early in
-#: the scans costs little
-PRODUCT_HEADS = 4
-#: the fewest run-subset cells, one bincount chunk, a block of narrow
-#: scans must hold to be counted by products: below it, on designs of 9
+#: the fewest run-subset cells, one bincount chunk, a block of scans
+#: must hold to be counted by products: below it, on designs of 9
 #: to 81 runs, products took 1.1-2 times as long as bincount
 PRODUCT_CELLS = 1 << 16
 
@@ -157,22 +158,28 @@ def _first_unbalanced(blocks, levels, scans):
     (subset, found) for the first subset that does not, in scan order:
     found is None when its level count does not divide n, () when a
     column leaves its level range, else (combination, count, expected)
-    for its first off-count combination.  Narrow scans go to
-    _product_failure in blocks of heads, the others to _bincount_hit."""
+    for its first off-count combination.  ``scans`` may be any iterable,
+    and all of them share one t.  Either every scan goes to products, in
+    blocks of heads, or every scan to _bincount_hit."""
+    scans = iter(scans)
+    block = list(islice(scans, 1))  # the first block, of one head, fixes t
+    if not block:
+        return None
     levels = tuple(map(int, levels))
     # range-check the caller's arrays before the narrowing copy below, so
     # that no entry can wrap into range; a negative entry reads as a huge
     # unsigned one: one max per column
     tops = []
-    for block in blocks:
-        block = np.asarray(block, dtype=np.int64)
-        tops += block.view(np.uint64).max(axis=1, initial=0).tolist()
+    for part in blocks:
+        part = np.asarray(part, dtype=np.int64)
+        tops += part.view(np.uint64).max(axis=1, initial=0).tolist()
     bad = [top >= lev for top, lev in zip(tops, levels)]
     # one row per column, codes formed in int64; a copy larger than the
-    # chunk buffer is held in the smallest type that holds every level
-    # (below that, the mixed-type arithmetic costs more than it saves)
+    # chunk buffer is held in the smallest type that holds every level up
+    # to n (below that, the mixed-type arithmetic costs more than it
+    # saves); a column of more levels does not divide n and is never coded
     c, n = len(levels), np.shape(blocks[0])[1]
-    cols = np.empty((c, n), dtype=np.min_scalar_type(max(levels) - 1)
+    cols = np.empty((c, n), dtype=np.min_scalar_type(min(max(levels), n) - 1)
                     if c * n > 1 << 16 else np.int64)
     np.concatenate(blocks, out=cols, casting="unsafe")
     run_end = list(range(1, c + 1))  # end of j's chunk: level change or bad
@@ -184,29 +191,20 @@ def _first_unbalanced(blocks, levels, scans):
     # ONEHOT_BYTES / 256 runs at a time past that)
     fit = ONEHOT_BYTES // (4 * max(n, 1))
     width = min(isqrt(ONEHOT_BYTES // 4), max(isqrt(ONEHOT_BYTES // 64), fit))
-    # float32 counts are exact below EXACT_FLOAT32 runs, and no block of
-    # at most `width` heads reaches PRODUCT_CELLS on a small design
-    if n >= EXACT_FLOAT32 or n * c * width < PRODUCT_CELLS:
-        return _bincount_hit(cols, levels, bad, run_end, scans)
-    arrays = np.array(levels, dtype=np.int32), np.array(bad, dtype=bool)
-    limit, widest = min(NARROW_TABLE, width), {}
-
-    def narrow(scan):  # its table has at most `limit` cells
-        head, lo, hi = scan
-        if (lo, hi) not in widest:
-            widest[lo, hi] = max(levels[lo:hi], default=0)
-        table = prod(map(levels.__getitem__, head)) * widest[lo, hi]
-        return 0 < table <= limit
-
-    for is_narrow, group in groupby(scans, key=narrow):
-        for batch in (_head_blocks(group, levels, width) if is_narrow
-                      else [group]):
-            if is_narrow and (n * sum(hi - lo for _, lo, hi in batch)
-                              >= PRODUCT_CELLS):
-                batch = _product_failure(cols, *arrays, batch, width)
-            hit = _bincount_hit(cols, levels, bad, run_end, batch)
-            if hit:
-                return hit
+    # no scan's table is wider than the product of the t largest levels
+    top = sorted(levels, reverse=True)[:len(block[0][0]) + 1]
+    if (n >= EXACT_FLOAT32 or min(levels) < 1
+            or prod(top) > min(NARROW_TABLE, width)):
+        return _bincount_hit(cols, levels, bad, run_end, chain(block, scans))
+    size, most = 1, width // prod(top[:-1])  # heads whose one-hots fit
+    while block:
+        if n * sum(hi - lo for _, lo, hi in block) >= PRODUCT_CELLS:
+            block = _product_failure(cols, levels, bad, block, width)
+        hit = _bincount_hit(cols, levels, bad, run_end, block)
+        if hit:
+            return hit
+        size = min(2 * size, most)
+        block = list(islice(scans, size))
     return None
 
 
@@ -221,32 +219,15 @@ def _one_hot(codes, widths):
     return hot.reshape(int(widths.sum()), codes.shape[1]).astype(np.float32)
 
 
-def _head_blocks(scans, levels, width: int):
-    """Consecutive narrow scans in blocks whose heads' one-hots take at
-    most ``width`` rows: PRODUCT_HEADS heads at first, at most twice as
-    many each block after, so that a failure early in the scans is found
-    after little work."""
-    block, held, most = [], 0, PRODUCT_HEADS
-    for scan in scans:
-        full = prod(map(levels.__getitem__, scan[0]))
-        if block and (len(block) == most or held + full > width):
-            yield block
-            block, held, most = [], 0, 2 * most
-        block.append(scan)
-        held += full
-    if block:
-        yield block
-
-
 def _product_failure(cols, levels, bad, scans, width: int) -> list:
     """The first unbalanced subset of the narrow ``scans``, in scan order,
-    as the scan [(head, j, j + 1)], or [] when there is none.  ``levels``
-    and ``bad`` are arrays.  One-hots of the heads' level combinations and
-    of the tails' levels, at most ``width`` rows each, meet in float32
-    products summed over blocks of ONEHOT_BYTES / (4 width) runs; every
-    count is an integer of at most n < EXACT_FLOAT32, so every sum is
-    exact."""
+    as the scan [(head, j, j + 1)], or [] when there is none.  One-hots
+    of the heads' level combinations and of the tails' levels, at most
+    ``width`` rows each, meet in float32 products summed over blocks of
+    ONEHOT_BYTES / (4 width) runs; every count is an integer of at most
+    n < EXACT_FLOAT32, so every sum is exact."""
     n, runs = cols.shape[1], ONEHOT_BYTES // (4 * width)
+    levels, bad = np.array(levels, dtype=np.int32), np.array(bad)
     heads = np.array([h for h, _, _ in scans], dtype=np.intp)
     lo, hi = np.array([scan[1:] for scan in scans]).T
     full = levels[heads].prod(axis=1)
@@ -533,16 +514,16 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
         raise BadGridError(f"grid of {full} cells does not divide n={n}")
     _require_work(n * comb(places, r), f"{_grid_name(cells)} sweep:",
                   "run-subset")
-    # row offset[c] + p of the stack holds column dims[p] in c cells
+    # row shift[i] + p of the stack holds column dims[p] in cells[i] cells
     sizes = sorted(set(cells))
-    offset = {c: i * places for i, c in enumerate(sizes)}
+    shift = [sizes.index(c) * places for c in cells]
     selected = d2.data.T[list(dims)]
-    tails = offset[cells[-1]]
+    tails = shift[-1]
     hit = _first_unbalanced(
         [selected // (n // c) for c in sizes],
         [c for c in sizes for _ in dims],
-        ((tuple(offset[c] + p for c, p in zip(cells, h)),
-          tails + (h[-1] + 1 if h else 0), tails + places)
+        ((tuple(map(add, shift, h)), tails + (h[-1] + 1 if h else 0),
+          tails + places)
          for h in combinations(range(places - 1), r - 1)))
     name = _grid_name(cells)
     if hit is None:

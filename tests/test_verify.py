@@ -96,6 +96,19 @@ def test_oa_strength_not_divisible():
     assert "not divisible" in report.failures()[0].detail
 
 
+def test_oa_strength_fails_closed_on_a_level_count_past_int32():
+    # the count path is chosen before any level is held as an int32, and
+    # the narrowed copy is sized by the levels up to n, so a declared
+    # level count of 2^40 gives its report on any run count
+    for n in (4096, 1 << 15):
+        rows = np.arange(n)
+        data = np.column_stack([rows % 2, rows // 2 % 2, np.zeros_like(rows)])
+        report = check_oa_strength(OrthogonalArray(data, (2, 2, 2 ** 40)), 2)
+        assert report.lines() == [
+            f"[FAIL] oa-strength(2) (0, 2) -- run count {n} not divisible by "
+            "2199023255552 level combinations"]
+
+
 def test_oa_strength_out_of_range_entries():
     for bad_value in (2, -1):
         data = [row[:] for row in OA_4_3_2]
@@ -661,7 +674,6 @@ def count_path(request, monkeypatch):
     monkeypatch.setattr(verify, "_product_failure", counted)
     if request.param == "product":
         monkeypatch.setattr(verify, "NARROW_TABLE", 1 << 30)
-        monkeypatch.setattr(verify, "PRODUCT_HEADS", 1)
         monkeypatch.setattr(verify, "PRODUCT_CELLS", 0)
         # one-hots of 1024 rows, so that a table of 800 cells fits one
         monkeypatch.setattr(verify, "ONEHOT_BYTES", 1 << 25)
@@ -693,9 +705,8 @@ def test_count_paths_agree_on_degenerate_inputs(monkeypatch):
         scans = [(h, h[-1] + 1 if h else 0, c)
                  for h in combinations(range(c - 1), t - 1)]
         answers = []
-        for narrow, heads, cells in ((1 << 30, 1, 0), (0, 4, 1 << 16)):
+        for narrow, cells in ((1 << 30, 0), (0, 1 << 16)):
             monkeypatch.setattr(verify, "NARROW_TABLE", narrow)
-            monkeypatch.setattr(verify, "PRODUCT_HEADS", heads)
             monkeypatch.setattr(verify, "PRODUCT_CELLS", cells)
             answers.append(verify._first_unbalanced((data,), levels, scans))
         assert answers[0] == answers[1]
@@ -737,6 +748,39 @@ def test_exactness_bound_routes_around_products(monkeypatch):
     monkeypatch.setattr(verify, "EXACT_FLOAT32", 256)
     assert [case() for case in _product_path_cases()] == reports
     assert calls == []
+
+
+def test_count_path_is_chosen_once_per_call(monkeypatch):
+    # products only when the t largest levels make a narrow table: with
+    # levels 13, 2, 2 and 3 the table of (0, 3) has 39 cells, so the
+    # narrow scans of heads (1,) and (2,) go to bincount with it
+    calls = []
+    real = verify._product_failure
+    monkeypatch.setattr(verify, "_product_failure",
+                        lambda *args: calls.append(args) or real(*args))
+    levels = (13, 2, 2, 3)
+    data = np.tile(np.array(list(product(*map(range, levels)))), (160, 1))
+    for fault in (None, (7, 3, 2), (9, 1, 0)):
+        if fault:
+            data = data.copy()
+            data[fault[:2]] = fault[2]
+        report = check_oa_strength(OrthogonalArray(data, levels), 2)
+        expected = _reference_first_failure(data.tolist(), levels,
+                                            combinations(range(4), 2))
+        assert (expected is None) == (fault is None) == report.passed
+        if fault:
+            got = report.checks[0]
+            assert (got.subject, got.detail) == expected
+    assert len(data) == 24960 and calls == []
+    # the m144 strength-2 check and the anti8 2x2x2 sweep take products,
+    # and the kernel reads a list of scans as it reads a generator
+    for case in _product_path_cases()[:2]:
+        assert case().passed and calls
+        calls.clear()
+    d1 = direct_construction(galois_field(4), 5, 3, "ii", seed=1).d1
+    scans = [((i,), i + 1, d1.m) for i in range(d1.m - 1)]
+    assert verify._first_unbalanced((d1.data.T,), d1.levels, scans) is None
+    assert calls
 
 
 def test_product_path_holds_its_byte_bound(monkeypatch):
