@@ -101,8 +101,15 @@ def _require(cond: bool, message: str) -> None:
 
 
 def cmd_construct(args) -> int:
-    seed = _resolve_seed(args)
     method = args.method
+    # the options the method reads, besides --seed and --out
+    reads = {"theorem1": "s u u1 item", "theorem2": "s u u1 v item",
+             "anti-mirror": "s u u1", "general": "s z x generator"}[method]
+    unread = [f"--{name}" for name in "s u u1 v item z x generator".split()
+              if getattr(args, name) is not None and name not in reads.split()]
+    _require(not unread, f"{method} does not take {', '.join(unread)}")
+    seed = _resolve_seed(args)
+    item = args.item or "i"
     if method == "anti-mirror":
         _require(args.s in (None, 2), "anti-mirror designs are two-level")
         _require(args.u is not None and args.u1 is not None,
@@ -114,11 +121,11 @@ def cmd_construct(args) -> int:
                  f"{method} needs --s, --u and --u1")
         field = galois_field(args.s)
         if method == "theorem1":
-            mcd = direct_construction(field, args.u, args.u1, args.item, seed)
+            mcd = direct_construction(field, args.u, args.u1, item, seed)
         else:
             _require(args.v is not None, "theorem2 needs --v")
             mcd = subspace_construction(field, args.u, args.u1, args.v,
-                                        args.item, seed)
+                                        item, seed)
     else:  # general
         _require(args.s is not None, "general needs --s")
         _require(bool(args.z) and bool(args.x),
@@ -255,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--u", type=int, help="run-count exponent: n = s^u")
     c.add_argument("--u1", type=int, help="constrained coordinate count")
     c.add_argument("--v", type=int, help="groups traded (theorem2)")
-    c.add_argument("--item", choices=["i", "ii"], default="i",
-                   help="which side gets the qualitative columns")
+    c.add_argument("--item", choices=["i", "ii"],
+                   help="which side gets the qualitative columns "
+                        "(theorem1/theorem2; default: i)")
     c.add_argument("--seed", help="integer or 'identity' (default: "
                    f"${SEED_ENV_VAR} or 'identity')")
     c.add_argument("--z", action="append",

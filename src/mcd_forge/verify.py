@@ -20,27 +20,26 @@ first t-1 columns (the head), and returns the first unbalanced subset.
 Each column is range-checked once, on the caller's array, before the
 kernel copies it into the smallest unsigned type that holds every
 level up to n; a column of more levels does not divide n and is never
-counted.  Each call picks one count path for all of its scans, which
-share one t:
+counted.  A call's scans share one t.  Only bincount finds and words a
+failure; one-hot products only clear blocks of scans:
 
-* One-hot products, when the call has fewer than EXACT_FLOAT32 runs,
-  every level is at least 1 and its widest table, the product of the t
-  largest levels, has at most NARROW_TABLE cells.  The scans go in
-  blocks of heads, the first of one head and each next twice as large,
-  so that an early failure costs little: onehot(head codes) times
-  onehot(tails)^T, float32 products of 0/1 matrices summed over blocks
-  of runs.  Each operand and each product holds at most ONEHOT_BYTES,
-  and the path at most five of them at once.  Each product is made in
-  pieces of at most 2^18 multiply-adds, which a threaded BLAS runs on
-  one thread, so that a busy core cannot stall it.  A block of fewer
-  than PRODUCT_CELLS run-subset cells goes to bincount.  The products
-  find which subset fails first, and bincount recounts that one subset
-  for the report.
-* Otherwise bincount, for every scan: each last column (tail) is coded
-  into a block of its own, in place in one int64 buffer, and one
-  bincount counts a chunk of up to 2^16 codes.  A tail that is out of
-  range or does not divide n ends the chunk unencoded, so no entry can
-  alias into a valid combination or another subset's block.
+* One-hot products, when the call has fewer than EXACT_FLOAT32 runs, no
+  column out of range (so no level below 1) and its widest table, the
+  product of the t largest levels, has at most NARROW_TABLE cells.  The
+  scans go in blocks of heads, the first of one head and each next twice
+  as large, so that an early failure costs little: onehot(head codes)
+  times onehot(tails)^T, float32 products of 0/1 matrices summed over
+  blocks of runs.  Each operand and each product holds at most
+  ONEHOT_BYTES, and the path at most five of them at once.  Each product
+  is made in pieces of at most 2^18 multiply-adds, which a threaded BLAS
+  runs on one thread, so that a busy core cannot stall it.
+* Bincount, for every block the products do not clear (an off count, or
+  fewer than PRODUCT_CELLS run-subset cells) and every scan of any other
+  call: each last column (tail) is coded into a block of its own, in
+  place in one int64 buffer, and one bincount counts a chunk of up to
+  2^16 codes.  A tail that is out of range or does not divide n ends the
+  chunk unencoded, so no entry can alias into a valid combination or
+  another subset's block.
 
 ``check_mcd`` tests the marginal-coupling property through the collapsed
 pair condition: every (D1 column, collapsed D2 column) pair must be a
@@ -159,8 +158,8 @@ def _first_unbalanced(blocks, levels, scans):
     found is None when its level count does not divide n, () when a
     column leaves its level range, else (combination, count, expected)
     for its first off-count combination.  ``scans`` may be any iterable,
-    and all of them share one t.  Either every scan goes to products, in
-    blocks of heads, or every scan to _bincount_hit."""
+    and all of them share one t.  _bincount_hit counts every block of
+    heads that _products_clear does not clear."""
     scans = iter(scans)
     block = list(islice(scans, 1))  # the first block, of one head, fixes t
     if not block:
@@ -191,18 +190,17 @@ def _first_unbalanced(blocks, levels, scans):
     # ONEHOT_BYTES / 256 runs at a time past that)
     fit = ONEHOT_BYTES // (4 * max(n, 1))
     width = min(isqrt(ONEHOT_BYTES // 4), max(isqrt(ONEHOT_BYTES // 64), fit))
-    # no scan's table is wider than the product of the t largest levels
+    # no scan's table is wider than the product of the t largest levels;
+    # a level below 1 always marks its column bad
     top = sorted(levels, reverse=True)[:len(block[0][0]) + 1]
-    if (n >= EXACT_FLOAT32 or min(levels) < 1
-            or prod(top) > min(NARROW_TABLE, width)):
+    if n >= EXACT_FLOAT32 or any(bad) or prod(top) > min(NARROW_TABLE, width):
         return _bincount_hit(cols, levels, bad, run_end, chain(block, scans))
     size, most = 1, width // prod(top[:-1])  # heads whose one-hots fit
     while block:
-        if n * sum(hi - lo for _, lo, hi in block) >= PRODUCT_CELLS:
-            block = _product_failure(cols, levels, bad, block, width)
-        hit = _bincount_hit(cols, levels, bad, run_end, block)
-        if hit:
-            return hit
+        if not _products_clear(cols, levels, block, width):
+            hit = _bincount_hit(cols, levels, bad, run_end, block)
+            if hit:
+                return hit
         size = min(2 * size, most)
         block = list(islice(scans, size))
     return None
@@ -219,21 +217,22 @@ def _one_hot(codes, widths):
     return hot.reshape(int(widths.sum()), codes.shape[1]).astype(np.float32)
 
 
-def _product_failure(cols, levels, bad, scans, width: int) -> list:
-    """The first unbalanced subset of the narrow ``scans``, in scan order,
-    as the scan [(head, j, j + 1)], or [] when there is none.  One-hots
-    of the heads' level combinations and of the tails' levels, at most
+def _products_clear(cols, levels, scans, width: int) -> bool:
+    """True when every subset of the in-range ``scans`` holds each level
+    combination n / (product of its levels) times; False at the first off
+    count, and on fewer than PRODUCT_CELLS run-subset cells.  One-hots of
+    the heads' level combinations and of the tails' levels, at most
     ``width`` rows each, meet in float32 products summed over blocks of
-    ONEHOT_BYTES / (4 width) runs; every count is an integer of at most
-    n < EXACT_FLOAT32, so every sum is exact."""
+    ONEHOT_BYTES / (4 width) runs, each count exact below EXACT_FLOAT32."""
     n, runs = cols.shape[1], ONEHOT_BYTES // (4 * width)
-    levels, bad = np.array(levels, dtype=np.int32), np.array(bad)
+    if n * sum(hi - lo for _, lo, hi in scans) < PRODUCT_CELLS:
+        return False
+    levels = np.array(levels, dtype=np.int32)
     heads = np.array([h for h, _, _ in scans], dtype=np.intp)
     lo, hi = np.array([scan[1:] for scan in scans]).T
     full = levels[heads].prod(axis=1)
     t0, t1 = int(lo.min()), int(hi.max())
     tails = levels[t0:t1]
-    off = bad[heads].any(axis=1)[:, None] | bad[t0:t1]  # out of range
 
     def head_hot(r):  # the heads' one-hot over runs r to r + runs - 1
         codes = np.zeros((len(scans), min(n - r, runs)), dtype=np.int32)
@@ -254,15 +253,12 @@ def _product_failure(cols, levels, bad, scans, width: int) -> list:
         counts *= full.repeat(full)[:, None]
         counts *= tails[a:b].repeat(tails[a:b])
         i, q = np.nonzero(counts != n)
-        if i.size:  # the head and tail of each off count's row and column
-            off[np.repeat(np.arange(len(scans)), full)[i],
-                np.repeat(np.arange(a, b), tails[a:b])[q]] = True
-    if off.any():
-        tail = np.arange(t0, t1)
-        off &= (tail >= lo[:, None]) & (tail < hi[:, None])
-        for i, q in np.argwhere(off)[:1].tolist():
-            return [(scans[i][0], t0 + q, t0 + q + 1)]
-    return []
+        # each off count's scan and tail; a head meets tails past its scan
+        i = np.repeat(np.arange(len(scans)), full)[i]
+        q = np.repeat(np.arange(t0 + a, t0 + b), tails[a:b])[q]
+        if ((lo[i] <= q) & (q < hi[i])).any():
+            return False
+    return True
 
 
 def _sliced_product(h, t):
@@ -395,6 +391,10 @@ def _structural_checks(d1: OrthogonalArray, d2: LatinHypercube,
     if d1.n != d2.n:
         raise RunCountMismatchError(
             f"D1 has {d1.n} runs but D2 has {d2.n}")
+    if not d1.n:
+        raise BadParamsError("the design has no runs")
+    if not d1.m:
+        raise BadParamsError("D1 has no columns")
     if d1.n % s != 0:
         raise NotDivisibleError(f"run count {d1.n} not divisible by s={s}")
     checks = [check_oa_strength(d1, min(2, d1.m)).checks[0]]

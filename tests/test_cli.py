@@ -132,6 +132,30 @@ def test_construct_param_errors(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_construct_refuses_options_its_method_does_not_read(tmp_path,
+                                                            capsys):
+    # each of these exited 0 and wrote a file, dropping the options named
+    out = tmp_path / "x.json"
+    for params, message in (
+            ("theorem2 --s 3 --u 3 --u1 2 --v 1 --generator 0=1,0,0",
+             "theorem2 does not take --generator"),
+            ("theorem1 --s 3 --u 3 --u1 2 --v 5",
+             "theorem1 does not take --v"),
+            ("general --s 3 --z 1,0,0 --x 1,1,1 --u 9 --v 2 --item ii",
+             "general does not take --u, --v, --item"),
+            ("anti-mirror --u 6 --u1 2 --item ii --v 3",
+             "anti-mirror does not take --v, --item")):
+        argv = ["construct", "--method", *params.split(), "--out", str(out)]
+        assert main(argv) == EXIT_PARAM_ERROR, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    # anti-mirror still takes --s 2, and theorem1 an explicit --item i
+    for params in ("anti-mirror --s 2 --u 4 --u1 2",
+                   "theorem1 --s 3 --u 3 --u1 2 --item i"):
+        assert main(["construct", "--method", *params.split(),
+                     "--out", str(out)]) == EXIT_OK
+
+
 def test_seed_resolution_env_and_flag(tmp_path, monkeypatch):
     f3 = galois_field(3)
     out = tmp_path / "seeded.json"

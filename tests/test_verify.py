@@ -524,9 +524,24 @@ def test_pair_balance_batch_stops_at_an_out_of_range_tail():
 def test_pair_balance_fails_closed_on_a_design_without_runs():
     d1 = OrthogonalArray(np.zeros((0, 2), dtype=np.int64), (2, 2))
     d2 = LatinHypercube(np.zeros((0, 3), dtype=np.int64))
-    assert check_mcd(d1, d2, 2).lines()[-1] == (
-        "[FAIL] pair-balance (0, 0) -- levels out of range for D1 column 0 / "
-        "collapsed D2 column 0")
+    with pytest.raises(BadParamsError, match="^the design has no runs$"):
+        check_mcd(d1, d2, 2)
+
+
+def test_both_oracles_refuse_a_design_without_runs_or_d1_columns():
+    # no runs: check_mcd failed pair balance on levels "out of range",
+    # where check_mcd_by_slices passed; no D1 columns: both asked for a
+    # strength of at least 1, which no caller gave
+    cases = (
+        (OrthogonalArray(np.zeros((0, 2), dtype=np.int64), (2, 2)),
+         LatinHypercube(np.zeros((0, 3), dtype=np.int64)),
+         "the design has no runs"),
+        (OrthogonalArray(np.zeros((4, 0), dtype=np.int64), ()),
+         LatinHypercube(np.arange(4).reshape(4, 1)), "D1 has no columns"))
+    for d1, d2, message in cases:
+        for check in (check_mcd, check_mcd_by_slices, battery):
+            with pytest.raises(BadParamsError, match=f"^{message}$"):
+                check(d1, d2, 2)
 
 
 def test_grid_stratification_matches_per_subset_reference():
@@ -665,13 +680,13 @@ def count_path(request, monkeypatch):
     one-hot products, however few its heads, and once with every scan
     counted by bincount; each run checks that its path was taken."""
     calls = []
-    real = verify._product_failure
+    real = verify._products_clear
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(verify, "_product_failure", counted)
+    monkeypatch.setattr(verify, "_products_clear", counted)
     if request.param == "product":
         monkeypatch.setattr(verify, "NARROW_TABLE", 1 << 30)
         monkeypatch.setattr(verify, "PRODUCT_CELLS", 0)
@@ -738,8 +753,8 @@ def test_exactness_bound_routes_around_products(monkeypatch):
     # float32 counts are exact only below 2^24 runs; with that bound set
     # below n every scan goes to bincount, and the reports stay the same
     calls = []
-    real = verify._product_failure
-    monkeypatch.setattr(verify, "_product_failure",
+    real = verify._products_clear
+    monkeypatch.setattr(verify, "_products_clear",
                         lambda *args: calls.append(args) or real(*args))
     reports = [case() for case in _product_path_cases()]
     assert [r.passed for r in reports] == [True, True] + [False] * 4
@@ -755,8 +770,8 @@ def test_count_path_is_chosen_once_per_call(monkeypatch):
     # levels 13, 2, 2 and 3 the table of (0, 3) has 39 cells, so the
     # narrow scans of heads (1,) and (2,) go to bincount with it
     calls = []
-    real = verify._product_failure
-    monkeypatch.setattr(verify, "_product_failure",
+    real = verify._products_clear
+    monkeypatch.setattr(verify, "_products_clear",
                         lambda *args: calls.append(args) or real(*args))
     levels = (13, 2, 2, 3)
     data = np.tile(np.array(list(product(*map(range, levels)))), (160, 1))
@@ -783,11 +798,44 @@ def test_count_path_is_chosen_once_per_call(monkeypatch):
     assert calls
 
 
+def test_a_declined_block_costs_time_never_a_verdict(monkeypatch):
+    # bincount recounts every block the products do not clear, so a
+    # predicate that clears nothing leaves every report as it was
+    reports = [case() for case in _product_path_cases()]
+    monkeypatch.setattr(verify, "_products_clear", lambda *args: False)
+    assert [case() for case in _product_path_cases()] == reports
+
+
+def test_products_only_clear_in_range_blocks(monkeypatch):
+    # a call holding an out-of-range column never reaches the predicate;
+    # with one entry moved, it clears every block before the failure and
+    # declines the block that holds it
+    answers = []
+    real = verify._products_clear
+
+    def recorded(cols, levels, scans, width):
+        answers.append((scans, real(cols, levels, scans, width)))
+        return answers[-1][1]
+
+    monkeypatch.setattr(verify, "_products_clear", recorded)
+    cases = _product_path_cases()
+    for case in cases[4:]:  # out of range
+        assert case().checks[0].detail == (
+            "entries outside the declared level range")
+        assert answers == []
+    for case in cases[2:4]:  # moved
+        *head, j = case().checks[0].subject
+        *cleared, (scans, clear) = answers
+        assert all(ok for _, ok in cleared) and not clear
+        assert any(tuple(head) == h and lo <= j < hi for h, lo, hi in scans)
+        answers.clear()
+
+
 def test_product_path_holds_its_byte_bound(monkeypatch):
     # every product call's traced peak, its operands, products and index
     # arrays together, stays within five one-hot operands
     peaks = []
-    real = verify._product_failure
+    real = verify._products_clear
 
     def traced(*args):
         tracemalloc.reset_peak()
@@ -797,7 +845,7 @@ def test_product_path_holds_its_byte_bound(monkeypatch):
         return found
 
     cases = _product_path_cases()
-    monkeypatch.setattr(verify, "_product_failure", traced)
+    monkeypatch.setattr(verify, "_products_clear", traced)
     tracemalloc.start()
     try:
         for case in cases:
