@@ -7,6 +7,12 @@ CSV: header q1..qm,x1..xk, one row per run, plus a .meta.json sidecar next
 to the file carrying everything except the matrices (same canonical JSON
 text).  A .csv path is CSV both ways, any other path JSON.  Its fields are
 ASCII integers, [+-]?[0-9]+, with optional spaces around them.
+
+Reading: a file in the layout the writers write has its matrices parsed in
+blocks of rows straight from its bytes, by one helper for both formats;
+the block reader declines anything else, and the checked path (json.loads
+of the whole JSON text, numpy.loadtxt for CSV) reads it and words every
+error.  No file over MAX_FILE_BYTES is opened.
 """
 
 from __future__ import annotations
@@ -15,11 +21,16 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .construct import MarginallyCoupledDesign, independent_prefix_bound
+from .construct import (
+    MAX_DESIGN_CELLS,
+    MarginallyCoupledDesign,
+    independent_prefix_bound,
+)
 from .designs import LatinHypercube, OrthogonalArray
 from .errors import MalformedBundleError
 
@@ -30,6 +41,26 @@ _METHODS = ("theorem1", "theorem2", "anti-mirror", "general")
 
 #: matrix cells a write turns into text at a time
 _BLOCK_CELLS = 1 << 12
+
+#: file text a read takes in at a time
+_READ_BYTES = 1 << 16
+
+#: the bytes a matrix value is written with, and the bound on a value's
+#: magnitude under which the block parser takes it
+_VALUE_BYTES = b"-0123456789"
+_FAST_BOUND = 10 ** 18
+
+#: a CSV block's line ends, each made the comma between two values
+_LINES_TO_COMMAS = bytes.maketrans(b"\n", b",")
+
+#: the longest line a matrix cell takes in canonical JSON: six spaces of
+#: indent, the most negative int64, a comma and a newline
+_WIDEST_CELL = len("      " + str(np.iinfo(np.int64).min) + ",\n")
+
+#: the most bytes a JSON file, CSV file or sidecar may hold to be read:
+#: the widest cell text for each cell a construction accepts, twice over,
+#: which leaves room for the row brackets and the provenance
+MAX_FILE_BYTES = 2 * _WIDEST_CELL * MAX_DESIGN_CELLS
 
 #: a CSV data line's characters, and (seven times slower) its whole syntax
 _CSV_CHARS = re.compile(r"[ 0-9+,-]*")
@@ -113,6 +144,37 @@ def _row_texts(parts, sep: str):
         yield list(map(sep.join, texts.tolist()))
 
 
+def _int_tree(obj) -> set | None:
+    """The distinct values of ``obj`` when it is a list or tuple of ints,
+    or of such sequences to one depth throughout, none of them empty, as
+    the provenance's vectors are; else None.  One pass per level."""
+    level = [obj]
+    while all(level):  # an empty sequence ends it
+        items = list(chain.from_iterable(level))
+        kinds = set(map(type, items))
+        if kinds == {int}:
+            return set(items)
+        if not kinds <= {list, tuple}:
+            return None
+        level = items
+    return None
+
+
+def _int_tree_text(obj, pad: str, text: dict) -> str:
+    """json.dumps(obj, indent=2) of an int tree (see _int_tree) opened at
+    indent ``pad``, each value's text from ``text``."""
+    inner = pad + "  "
+    if type(obj[0]) is int:
+        items = map(text.__getitem__, obj)
+    elif type(obj[0][0]) is int:  # vectors, a join each: no call per vector
+        leaf = inner + "  "
+        items = ["[" + leaf + ("," + leaf).join(map(text.__getitem__, v))
+                 + inner + "]" for v in obj]
+    else:
+        items = [_int_tree_text(item, inner, text) for item in obj]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _json_pieces(obj, level: int = 0):
     """json.dumps(obj, sort_keys=True, indent=2), piece by piece, for dicts,
     lists, tuples, 2-D int arrays (blocks of rows), ints, strings, None."""
@@ -127,8 +189,6 @@ def _json_pieces(obj, level: int = 0):
             yield ("," if i else "") + pad + json.dumps(key) + ": "
             yield from _json_pieces(obj[key], level + 1)
         yield pad[:-2] + "}"
-    elif set(map(type, obj)) <= {int}:  # a list of ints is one join
-        yield "[" + pad + ("," + pad).join(map(str, obj)) + pad[:-2] + "]"
     elif isinstance(obj, np.ndarray):
         inner = pad + "  "
         yield "["
@@ -136,6 +196,8 @@ def _json_pieces(obj, level: int = 0):
             yield ("," if i else "") + pad + ("," + pad).join(
                 "[" + inner + row + pad + "]" for row in rows)
         yield pad[:-2] + "]"
+    elif (values := _int_tree(obj)) is not None:  # one str() per value
+        yield _int_tree_text(obj, pad[:-2], {x: str(x) for x in values})
     else:
         yield "["
         for i, item in enumerate(obj):
@@ -244,20 +306,174 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
         d1=d1, d2=d2, provenance=meta.get("provenance", {}))
 
 
+def _require_size(path: Path) -> None:
+    size = path.stat().st_size
+    _require(size <= MAX_FILE_BYTES, f"{path.name} is {size} bytes, over "
+             f"the cap of {MAX_FILE_BYTES} bytes")
+
+
 def read_bundle(path) -> DesignBundle:
-    """Read a JSON bundle, or a CSV + .meta.json sidecar pair."""
+    """Read a JSON bundle, or a CSV + .meta.json sidecar pair.  A file in
+    the layout write_bundle writes has its matrices parsed in blocks of
+    rows straight from its bytes; any other file, and every error, goes
+    through the checked path: one json.loads of a whole JSON file, or the
+    line-by-line CSV reader."""
     path = Path(path)
     if not path.exists():
         raise MalformedBundleError(f"no such file: {path}")
+    _require_size(path)
     try:
         if path.suffix == ".csv":
             return _read_csv_bundle(path)
+        with path.open("rb") as fh:
+            canonical = _canonical_json(fh)
+        if canonical is not None:
+            return _bundle_from_meta(*canonical)
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedBundleError(f"not UTF-8 text: {exc}") from exc
     return _bundle_from_meta(obj)
+
+
+def _pieces(fh, end: bytes):
+    """The rest of the open binary file ``fh`` in pieces of about
+    _READ_BYTES, each ending just after an ``end``; the last piece ends
+    where the file does, and may be empty."""
+    parts = []
+    while more := fh.read(_READ_BYTES):
+        cut = more.rfind(end) + len(end)
+        if cut < len(end):
+            parts.append(more)
+            continue
+        piece, parts = b"".join([*parts, more[:cut]]), [more[cut:]]
+        del more  # one copy of the text while the piece is read
+        yield piece
+    yield b"".join(parts)
+
+
+def _append_rows(matrix: np.ndarray | None,
+                 block: np.ndarray) -> np.ndarray:
+    """``matrix`` with the rows of ``block``, an array that owns its data,
+    after its own; the first block becomes the matrix, which then grows in
+    place.  realloc of a large block mostly moves no bytes, so the rows
+    read so far are held once, where a concatenation holds them twice."""
+    if matrix is None:
+        return block
+    start = len(matrix)
+    matrix.resize((start + len(block), matrix.shape[1]), refcheck=False)
+    matrix[start:] = block
+    return matrix
+
+
+def _int_block(text: bytes, count: int) -> np.ndarray | None:
+    """The ``count`` integers of ``text``, which must be values
+    -?[0-9]+ joined by commas, each below 10^18 in magnitude; None for any
+    other text.  numpy's text parser reads a lone "-" as 0 and clamps a
+    value past int64, so the signs are checked first and the magnitude
+    bound, which every clamp reaches, after."""
+    minus = text.count(b"-")
+    if minus and (minus != text.count(b",-") + text.startswith(b"-")
+                  or b"-," in text or text.endswith(b"-")):
+        return None
+    try:  # numpy < 2 warns on a short read where numpy 2 raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != count or not (
+            -_FAST_BOUND < values.min() and values.max() < _FAST_BOUND):
+        return None
+    return values
+
+
+def _text_bytes(values: np.ndarray) -> int:
+    """sum(len(str(v)) for v in values), for values below 10^18 in
+    magnitude: one count per digit of the widest value."""
+    size = np.abs(values)
+    total = values.size + int(np.count_nonzero(values < 0))
+    power, top = 10, int(size.max())
+    while power <= top:
+        total += int(np.count_nonzero(size >= power))
+        power *= 10
+    return total
+
+
+def _json_block(rows: bytes, unit: bytes, last: bool) -> np.ndarray | None:
+    """The rows of ``rows``, the canonical text of whole matrix rows, each
+    followed by a comma unless it is the matrix's ``last``, where ``unit``
+    is one row's text with its values left out and its comma kept; None
+    for any other text, a value written as json.dumps would not (a leading
+    zero, -0) included."""
+    skeleton = rows.translate(None, _VALUE_BYTES)
+    count, extra = divmod(len(skeleton) + last, len(unit))
+    if extra or not count or skeleton != (unit * count)[:len(skeleton)]:
+        return None
+    del skeleton
+    text = rows.translate(None, b" []\n")
+    if not last:
+        text = text[:-1]
+    values = _int_block(text, count * unit.count(b","))
+    if values is None or _text_bytes(values) != len(text) + 1 - values.size:
+        return None
+    values.shape = (count, -1)
+    return values
+
+
+def _json_matrix(pieces, buf: bytes, at: int, opening: bytes):
+    """The matrix whose canonical text, from ``opening`` to its closing
+    bracket, starts at ``buf[at]`` and goes on in ``pieces``, then the
+    piece it ends in and the place of the comma after it; None for any
+    other text."""
+    if not buf.startswith(opening, at):
+        return None
+    at += len(opening)
+    width = buf.count(b",", at, buf.find(b"\n    ]", at)) + 1
+    unit = b"\n    [\n      " + b",\n      " * (width - 1) + b"\n    ],"
+    matrix = None
+    while True:
+        quote = buf.find(b'"', at)  # a matrix has none: the next key's
+        if quote < 0:  # the matrix goes on in the next piece
+            block = _json_block(buf[at:], unit, False)
+        elif buf.endswith(b"\n  ],\n  ", at, quote):
+            block = _json_block(buf[at:quote - 8], unit, True)
+        else:
+            return None
+        if block is None:
+            return None
+        matrix = _append_rows(matrix, block)
+        if quote >= 0:
+            return matrix, buf, quote - 4
+        buf, at = next(pieces), 0
+
+
+def _canonical_json(fh):
+    """(metadata, d1, d2) of a JSON file whose text starts with d1 and d2
+    in canonical layout, each read in blocks of rows, followed by metadata
+    that json.loads alone reads; None for any other file."""
+    pieces = _pieces(fh, b"\n    ],")
+    buf, at, matrices = next(pieces), 0, []
+    for opening in (b'{\n  "d1": [', b',\n  "d2": ['):
+        read = _json_matrix(pieces, buf, at, opening)
+        if read is None:
+            return None
+        matrix, buf, at = read
+        matrices.append(matrix)
+    if not buf.startswith(b',\n  "format_version": ', at):
+        return None
+    tail = b"".join([b"{", buf[at + 1:], *pieces])
+    del buf, read
+    if not tail.isascii():  # the whole-file path decodes by the locale
+        return None
+    try:
+        meta = json.loads(tail)
+    except (ValueError, RecursionError):
+        return None
+    if "d1" in meta or "d2" in meta:  # a later key replaces a matrix
+        return None
+    return meta, *matrices
 
 
 def _csv_lines(fh, width: int, pattern: re.Pattern = _CSV_CHARS):
@@ -278,10 +494,47 @@ def _csv_lines(fh, width: int, pattern: re.Pattern = _CSV_CHARS):
 def _read_csv_bundle(path: Path) -> DesignBundle:
     side = sidecar_path(path)
     _require(side.exists(), f"missing sidecar {side.name}")
+    _require_size(side)
     try:
         meta = json.loads(side.read_text())
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"sidecar not valid JSON: {exc}") from exc
+    data, m = _canonical_csv(path) or _checked_csv(path)
+    return _bundle_from_meta(meta, data[:, :m], data[:, m:])
+
+
+def _canonical_csv(path: Path):
+    """(data, m) of a CSV with header q1..qm,x1..xk and data fields
+    -?[0-9]+, every line ended as the header is (\\r\\n or \\n), read in
+    blocks of lines; None for any other file."""
+    with path.open("rb") as fh:
+        header = fh.readline()
+        eol = header[-2:] if header.endswith(b"\r\n") else b"\n"
+        names = header[:-len(eol)].split(b",")
+        m = sum(name.startswith(b"q") for name in names)
+        if not 0 < m < len(names) or header != b",".join(
+                [b"q%d" % i for i in range(1, m + 1)]
+                + [b"x%d" % j for j in range(1, len(names) - m + 1)]) + eol:
+            return None
+        line, data = b"," * (len(names) - 1) + eol, None
+        for piece in _pieces(fh, b"\n"):
+            skeleton = piece.translate(None, _VALUE_BYTES)
+            count, extra = divmod(len(skeleton), len(line))
+            if extra or skeleton != line * count:
+                return None
+            if count:
+                values = _int_block(piece[:-len(eol)].translate(
+                    _LINES_TO_COMMAS, b"\r"), count * len(names))
+                if values is None:
+                    return None
+                values.shape = (count, -1)
+                data = _append_rows(data, values)
+    return None if data is None else (data, m)
+
+
+def _checked_csv(path: Path) -> tuple[np.ndarray, int]:
+    """(data, m) of a CSV through numpy.loadtxt, each line checked on the
+    way; raises on the first fault."""
     with path.open() as fh:
         header, start = fh.readline(), fh.tell()
         _require(bool(header), "empty CSV")
@@ -303,4 +556,4 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
             all(_csv_lines(fh, m + k, _CSV_LINE))
             raise MalformedBundleError(
                 "CSV data has an entry outside int64") from None
-    return _bundle_from_meta(meta, data[:, :m], data[:, m:])
+    return data, m

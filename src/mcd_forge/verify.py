@@ -320,11 +320,19 @@ def _bincount_hit(cols, levels, bad, run_end, scans):
     return None
 
 
+def _require_runs(n: int) -> None:
+    """Every count of a design without runs is 0 = n / size: no check may
+    pass it."""
+    if not n:
+        raise BadParamsError("the design has no runs")
+
+
 def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
     """Strength-t check by exhaustive counting: every t-subset of columns
     must contain each level combination exactly n / (product of levels)
     times.  Reports the lexicographically first violating subset and
     combination."""
+    _require_runs(a.n)
     if t < 1:
         raise BadParamsError("strength must be at least 1")
     if t > a.m:
@@ -391,8 +399,7 @@ def _structural_checks(d1: OrthogonalArray, d2: LatinHypercube,
     if d1.n != d2.n:
         raise RunCountMismatchError(
             f"D1 has {d1.n} runs but D2 has {d2.n}")
-    if not d1.n:
-        raise BadParamsError("the design has no runs")
+    _require_runs(d1.n)
     if not d1.m:
         raise BadParamsError("D1 has no columns")
     if d1.n % s != 0:
@@ -502,6 +509,7 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
     against all of its tails in one batch.  The sweep is sized before any
     of that: n * C(len(dims), len(cells)) run-subset cells at most."""
     n, r, places = d2.n, len(cells), len(dims)
+    _require_runs(n)
     if not cells or places < r:
         raise BadGridError("need a cell count per grid axis and at least "
                            "one selected column per cell count")

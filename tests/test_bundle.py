@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mcd_forge import bundle
 from mcd_forge.bundle import (
     _BLOCK_CELLS,
     _meta_dict,
@@ -17,7 +18,13 @@ from mcd_forge.bundle import (
     sidecar_path,
     write_bundle,
 )
-from mcd_forge.construct import direct_construction, subspace_construction
+from mcd_forge.cli import main
+from mcd_forge.construct import (
+    MAX_DESIGN_CELLS,
+    anti_mirror_construction,
+    direct_construction,
+    subspace_construction,
+)
 from mcd_forge.errors import MalformedBundleError
 from mcd_forge.gf import galois_field
 
@@ -541,3 +548,316 @@ def test_read_csv_bundle_reads_lf_crlf_and_spaced_fields(tmp_path):
     for lines, ending in ((rows, "\n"), (rows, "\r\n"), (spaced, "\n")):
         again = read_bundle(_csv_with_body(tmp_path, lines, ending=ending))
         assert (again.d1 == b.d1).all() and (again.d2 == b.d2).all()
+
+
+def _outcome(path):
+    """What read_bundle makes of ``path``: every field of the bundle, with
+    each matrix's dtype and shape, or the text of the error."""
+    try:
+        b = read_bundle(path)
+    except MalformedBundleError as exc:
+        return str(exc)
+    except RecursionError:
+        return "RecursionError"
+    return _meta_dict(b), [(x.dtype, x.shape, x.tolist()) for x in (b.d1, b.d2)]
+
+
+def _checked_outcome(path):
+    """_outcome with the block readers declining, as at a reader that had
+    only one json.loads of a whole JSON file and numpy.loadtxt for a CSV."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundle, "_canonical_json", lambda fh: None)
+        patch.setattr(bundle, "_canonical_csv", lambda path: None)
+        return _outcome(path)
+
+
+def _read_in_blocks(path) -> bool:
+    if path.suffix == ".csv":
+        return bundle._canonical_csv(path) is not None
+    with path.open("rb") as fh:
+        return bundle._canonical_json(fh) is not None
+
+
+def _assert_same_reading(path, in_blocks=None):
+    """read_bundle gives the bundle, or the error text, the checked path
+    gives; ``in_blocks``, when set, says whether the block reader took
+    the file."""
+    assert _outcome(path) == _checked_outcome(path)
+    if in_blocks is not None:
+        assert _read_in_blocks(path) is in_blocks
+
+
+def test_block_reader_reads_every_pinned_build_as_the_checked_path(tmp_path,
+                                                                   capsys):
+    from test_pinned_output import SEEDED_DIGESTS, _named_builds
+
+    for flags, name, _ in SEEDED_DIGESTS:
+        for suffix in (".json", ".csv"):
+            out = tmp_path / (name[0] + suffix)
+            assert main(["construct", *flags, "--seed", "7",
+                         "--out", str(out)]) == 0
+            _assert_same_reading(out, in_blocks=True)
+    capsys.readouterr()
+    for mcd in _named_builds():  # 428 designs, s = 2 to 9
+        path = write_bundle(tmp_path / "named.json", bundle_from_design(mcd))
+        _assert_same_reading(path, in_blocks=True)
+
+
+def test_block_reader_reads_the_benchmark_tamper_layout(tmp_path):
+    # the benchmark's tampered copies are json.dumps(obj, sort_keys=True,
+    # indent=2) plus a newline: a moved D2 value, a copied D2 column and a
+    # D1 level past s each still read in blocks
+    b = bundle_from_design(direct_construction(galois_field(4), 4, 2, "i",
+                                               5))
+    obj = json.loads(_json_text(b, tmp_path))
+    d1, d2 = obj["d1"], obj["d2"]
+    d2[3][-1], d2[200][-1] = d2[200][-1], d2[3][-1]
+    for row in d2:
+        row[1] = row[0]
+    d1[7][1] = 5
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _assert_same_reading(path, in_blocks=True)
+
+
+def _in_d2(old, new):
+    """An edit of the first ``old`` after the "d2" key, which must exist."""
+    def edit(text):
+        head, key, rest = text.partition('"d2": [')
+        assert old in rest
+        return head + key + rest.replace(old, new, 1)
+    return edit
+
+
+def _redump(**changes):
+    def edit(text):
+        return json.dumps(dict(json.loads(text), **changes), sort_keys=True,
+                          indent=2) + "\n"
+    return edit
+
+
+def _ragged(text):
+    obj = json.loads(text)
+    obj["d2"][4] = obj["d2"][4][:-1]
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _short_d2(text):
+    obj = json.loads(text)
+    obj["d2"] = obj["d2"][:-1]
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _non_ascii_provenance(text):
+    obj = json.loads(text)
+    obj["provenance"]["note"] = "é"
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+#: edits of a canonical JSON file: (id, edit of its text, whether the block
+#: reader takes the result); each is read as the checked path reads it
+JSON_EDITS = [
+    ("canonical", lambda t: t, True),
+    ("negative", _in_d2("      1,\n", "      -1,\n"), True),
+    ("eighteen-digits", _in_d2("      1,\n", f"      {10 ** 18 - 1},\n"),
+     True),
+    ("int64-max", _in_d2("      1,\n", f"      {INT64_MAX},\n"), False),
+    ("int64-min", _in_d2("      1,\n", f"      {INT64_MIN},\n"), False),
+    ("past-int64", _in_d2("      1,\n", f"      {2 ** 63},\n"), False),
+    ("below-int64", _in_d2("      1,\n", f"      {INT64_MIN - 1},\n"), False),
+    ("nineteen-nines", _in_d2("      1,\n", f"      {10 ** 19 - 1},\n"),
+     False),
+    ("twenty-digits", _in_d2("      1,\n", f"      {10 ** 19},\n"), False),
+    ("indent-4", lambda t: json.dumps(json.loads(t), sort_keys=True,
+                                      indent=4) + "\n", False),
+    ("compact", lambda t: json.dumps(json.loads(t), sort_keys=True), False),
+    ("space-before-comma", _in_d2("1,\n", "1 ,\n"), False),
+    ("tab-indent", _in_d2("      1,\n", "\t1,\n"), False),
+    ("leading-zero", _in_d2("      1,\n", "      01,\n"), False),
+    ("double-zero", _in_d2("      0,\n", "      00,\n"), False),
+    ("minus-zero", _in_d2("      0,\n", "      -0,\n"), False),
+    ("lone-minus", _in_d2("      1,\n", "      -,\n"), False),
+    ("double-minus", _in_d2("      1,\n", "      --1,\n"), False),
+    ("inner-minus", _in_d2("      1,\n", "      1-1,\n"), False),
+    ("empty-value", _in_d2("      1,\n", "      ,\n"), False),
+    ("plus-sign", _in_d2("      1,\n", "      +1,\n"), False),
+    ("float", _in_d2("      1,\n", "      1.0,\n"), False),
+    ("exponent", _in_d2("      1,\n", "      1e0,\n"), False),
+    ("nan", _in_d2("      1,\n", "      NaN,\n"), False),
+    ("bool", _in_d2("      1,\n", "      true,\n"), False),
+    ("string", _in_d2("      1,\n", '      "1",\n'), False),
+    ("nested", _in_d2("      1,\n", "      [1],\n"), False),
+    ("bom", lambda t: "﻿" + t, False),
+    ("crlf", lambda t: t.replace("\n", "\r\n"), False),
+    ("lone-cr", _in_d2("1,\n", "1,\r"), False),
+    ("duplicate-d1", lambda t: t[:-3] + ',\n  "d1": [\n    [\n      1\n'
+     "    ]\n  ]\n}\n", False),
+    ("duplicate-d2", lambda t: t[:-3] + ',\n  "d2": ' + json.dumps(
+        json.loads(t)["d2"], indent=2).replace("\n", "\n  ") + "\n}\n",
+     False),
+    ("empty-d1", _redump(d1=[]), False),
+    ("empty-rows", _redump(d1=[[]] * 27), False),
+    ("ragged", _ragged, False),
+    ("short-d2", _short_d2, True),
+    ("truncated-half", lambda t: t[:len(t) // 2], False),
+    ("truncated-in-d2", lambda t: t[:t.index('"d2"') + 40], False),
+    ("truncated-end", lambda t: t[:-2], False),
+    ("trailing-bytes", lambda t: t + "x", False),
+    ("trailing-object", lambda t: t + "{}", False),
+    ("trailing-whitespace", lambda t: t + " \n\n", True),
+    ("reordered-keys", lambda t: json.dumps(dict(reversed(json.loads(
+        t).items())), indent=2) + "\n", False),
+    ("unknown-key-first", lambda t: t.replace("{\n", '{\n  "a": 1,\n', 1),
+     False),
+    ("unknown-key-last", lambda t: t[:-3] + ',\n  "zz": 1\n}\n', True),
+    ("bad-method", lambda t: t.replace('"theorem1"', '"theorem9"'), True),
+    ("escaped-method", lambda t: t.replace('"theorem1"', '"\\u0074heorem1"'),
+     True),
+    ("non-ascii-provenance", _non_ascii_provenance, False),
+    ("deep-provenance", lambda t: t.replace('"provenance": {',
+                                            '"provenance": {"x": '
+                                            + "[" * 100_000 + "]" * 100_000
+                                            + ",", 1), False),
+]
+
+
+@pytest.mark.parametrize("edit, in_blocks",
+                         [case[1:] for case in JSON_EDITS],
+                         ids=[case[0] for case in JSON_EDITS])
+def test_edited_json_reads_as_the_checked_path_reads_it(tmp_path, edit,
+                                                        in_blocks):
+    path = tmp_path / "edited.json"
+    path.write_text(edit(_json_text(_bundle(seed=11), tmp_path)),
+                    newline="")
+    _assert_same_reading(path, in_blocks)
+
+
+def test_utf16_json_reads_as_the_checked_path_reads_it(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(_json_text(_bundle(), tmp_path).encode("utf-16"))
+    _assert_same_reading(path, in_blocks=False)
+
+
+def _csv_edit(line, new):
+    """An edit of the data line ``line`` (counted from 0) of a CSV text."""
+    def edit(text):
+        lines = text.split("\r\n")
+        lines[line + 1] = new(lines[line + 1])
+        return "\r\n".join(lines)
+    return edit
+
+
+def _first_field(new):
+    return lambda row: new + row[row.index(","):]
+
+
+#: edits of a CSV written by write_bundle, as JSON_EDITS
+CSV_EDITS = [
+    ("canonical", lambda t: t, True),
+    ("lf", lambda t: t.replace("\r\n", "\n"), True),
+    ("leading-zeros", _csv_edit(3, _first_field("0007")), True),
+    ("negative", _csv_edit(3, _first_field("-7")), True),
+    ("minus-zero", _csv_edit(3, _first_field("-0")), True),
+    ("int64-max", _csv_edit(3, _first_field(str(INT64_MAX))), False),
+    ("past-int64", _csv_edit(3, _first_field(str(2 ** 63))), False),
+    ("nineteen-nines", _csv_edit(3, _first_field(str(10 ** 19 - 1))), False),
+    ("plus-sign", _csv_edit(3, _first_field("+1")), False),
+    ("spaces", _csv_edit(3, _first_field(" 1 ")), False),
+    ("lone-minus", _csv_edit(3, _first_field("-")), False),
+    ("inner-minus", _csv_edit(3, _first_field("1-2")), False),
+    ("empty-field", _csv_edit(3, _first_field("")), False),
+    ("extra-field", _csv_edit(3, lambda row: row + ",1"), False),
+    ("blank-line", _csv_edit(3, lambda row: ""), False),
+    ("one-lf-line", lambda t: t.replace("\r\n", "\n", 2), False),
+    ("lone-cr", lambda t: t.replace("\r\n", "\r"), False),
+    ("no-final-newline", lambda t: t[:-2], False),
+    ("header-only", lambda t: t[:t.index("\r\n") + 2], False),
+    ("bad-header", lambda t: "a" + t[2:], False),
+    ("short", lambda t: t[:t.rindex("\r\n", 0, -2) + 2], True),
+]
+
+
+@pytest.mark.parametrize("edit, in_blocks",
+                         [case[1:] for case in CSV_EDITS],
+                         ids=[case[0] for case in CSV_EDITS])
+def test_edited_csv_reads_as_the_checked_path_reads_it(tmp_path, edit,
+                                                       in_blocks):
+    path = write_bundle(tmp_path / "edited.csv", _bundle(seed=11))
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    _assert_same_reading(path, in_blocks)
+
+
+def test_block_reader_holds_no_whole_file(tmp_path):
+    # 1024 x 258 cells, 3.3 MB of JSON text and 1.0 MB of CSV: one
+    # json.loads of the whole JSON text peaked at 11.1 MiB and loadtxt at
+    # 2.9 MiB; the block reader holds its blocks of text and the parsed
+    # metadata, under 2 MiB, besides the 2.1 MB of matrices
+    b = bundle_from_design(
+        direct_construction(galois_field(2), 10, 2, "i", 7))
+    for name in ("d.json", "d.csv"):
+        path = write_bundle(tmp_path / name, b)
+        tracemalloc.start()
+        try:
+            again = read_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b.d1.nbytes + b.d2.nbytes + (2 << 20), (name, peak)
+        assert (again.d1 == b.d1).all() and (again.d2 == b.d2).all()
+
+
+def test_nested_int_lists_encode_as_json_dumps(tmp_path):
+    # the provenance's int vectors go through one str() per distinct
+    # value; anything else in a list takes the item-by-item path
+    b = _bundle()
+    for provenance in (
+            {"x": [[1, 2], [3, 4]], "y": [[[0, 1], [1, 0]], [[5, 6], [7, 8]]]},
+            {"x": [(1, 2), [3, -4]], "y": [[[2 ** 70]]], "z": [7]},
+            {"x": [[1, True]], "y": [[1, 1.0]], "z": [[1], [[2]]]},
+            {"x": [[1], []], "y": [[1, None]], "z": [[[1, 2], [3]]]},
+            {"x": [[[]]], "y": [["a"]], "z": [{"k": [1]}]}):
+        b.provenance = provenance
+        assert _json_text(b, tmp_path) == _reference_json_text(b)
+
+
+def test_file_cap_leaves_room_for_the_largest_designs(tmp_path):
+    # at the widest value text, every matrix value the most negative
+    # int64, each file of these designs takes at most 36 bytes per cell:
+    # 30 % under the cap's 56 per cell, so a design of MAX_DESIGN_CELLS
+    # cells reads back.  Their provenance per cell is larger than at the
+    # cell cap, and m + k = 9 is the narrowest row at 256 runs or more,
+    # where the row brackets weigh most
+    assert bundle.MAX_FILE_BYTES == 2 * 28 * MAX_DESIGN_CELLS
+    for mcd in (direct_construction(galois_field(2), 8, 8, "ii"),
+                direct_construction(galois_field(2), 10, 2, "i", 7),
+                anti_mirror_construction(8, 2),
+                subspace_construction(galois_field(3), 6, 3, 3, "ii")):
+        b = bundle_from_design(mcd)
+        b.d1 = np.full_like(b.d1, INT64_MIN)
+        b.d2 = np.full_like(b.d2, INT64_MIN)
+        cells = b.d1.size + b.d2.size
+        for name in ("d.json", "d.csv"):
+            path = write_bundle(tmp_path / name, b)
+            sizes = [path.stat().st_size]
+            if name == "d.csv":
+                sizes.append(sidecar_path(path).stat().st_size)
+            for size in sizes:
+                assert size <= 36 * cells, (mcd.params, name, size / cells)
+                assert size * MAX_DESIGN_CELLS / cells \
+                    <= 0.7 * bundle.MAX_FILE_BYTES
+            again = read_bundle(path)
+            assert (again.d1 == b.d1).all() and (again.d2 == b.d2).all()
+
+
+def test_file_cap_is_inclusive(tmp_path, monkeypatch):
+    path = write_bundle(tmp_path / "d.json", _bundle())
+    size = path.stat().st_size
+    monkeypatch.setattr(bundle, "MAX_FILE_BYTES", size)
+    assert read_bundle(path).s == 3
+    monkeypatch.setattr(bundle, "MAX_FILE_BYTES", size - 1)
+    with pytest.raises(MalformedBundleError, match=(
+            f"^d.json is {size} bytes, over the cap of {size - 1} bytes$")):
+        read_bundle(path)

@@ -3,6 +3,7 @@
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import mcd_forge.construct as construct
 import mcd_forge.verify as verify
 from mcd_forge.bundle import (
+    MAX_FILE_BYTES,
     bundle_from_design,
     read_bundle,
     sidecar_path,
@@ -550,6 +552,36 @@ def test_oversize_construct_fails_closed_before_enumerating(tmp_path):
         assert proc.returncode == EXIT_PARAM_ERROR, proc.stderr
         assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
         assert not out.exists()
+
+
+def test_oversize_file_exits_2_at_once_naming_its_size(tmp_path):
+    # each sparse file is one byte over the cap; the whole-text reader read
+    # it all before it failed, and a 1 GiB address space holds two copies
+    # of the JSON text at most
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    good = tmp_path / "good.csv"
+    assert main(["construct", "--method", "theorem1", "--s", "3", "--u",
+                 "3", "--u1", "2", "--out", str(good)]) == EXIT_OK
+    huge_json, huge_csv = tmp_path / "huge.json", tmp_path / "huge.csv"
+    shutil.copy(sidecar_path(good), sidecar_path(huge_csv))
+    big_side = tmp_path / "side.csv"
+    shutil.copy(good, big_side)
+    for path, big in ((huge_json, huge_json), (huge_csv, huge_csv),
+                      (big_side, sidecar_path(big_side))):
+        big.touch()
+        os.truncate(big, MAX_FILE_BYTES + 1)
+        start = perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcd_forge.cli", "verify", "--in",
+             str(path)],
+            env=env, preexec_fn=_limit_address_space, capture_output=True,
+            text=True, timeout=60)
+        assert perf_counter() - start < 1
+        assert proc.returncode == EXIT_PARAM_ERROR, proc.stderr
+        assert proc.stderr == (f"error: {big.name} is {MAX_FILE_BYTES + 1} "
+                               f"bytes, over the cap of {MAX_FILE_BYTES} "
+                               "bytes\n")
 
 
 def test_absurd_u_fails_closed_without_printing_s_to_the_u(tmp_path,

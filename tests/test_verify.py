@@ -544,6 +544,19 @@ def test_both_oracles_refuse_a_design_without_runs_or_d1_columns():
                 check(d1, d2, 2)
 
 
+def test_strength_and_grid_checks_refuse_a_design_without_runs():
+    # each count of a design without runs is 0 = n / size, so both checks
+    # passed it, where check_mcd refuses it
+    d1 = OrthogonalArray(np.zeros((0, 2), dtype=np.int64), (2, 2))
+    d2 = LatinHypercube(np.zeros((0, 3), dtype=np.int64))
+    for check in (lambda: check_oa_strength(d1, 2),
+                  lambda: check_oa_strength(d1, 1),
+                  lambda: check_grid_stratification(d2, (0, 1, 2), (2, 2)),
+                  lambda: check_grid_stratification(d2, (0,), (2,))):
+        with pytest.raises(BadParamsError, match="^the design has no runs$"):
+            check()
+
+
 def test_grid_stratification_matches_per_subset_reference():
     rng = np.random.default_rng(7)
     mcd = _anti_mirror(5)
