@@ -136,7 +136,7 @@ def _row_texts(parts, sep: str):
     for start in range(0, len(parts[0]), step):
         block = np.hstack([p[start:start + step] for p in parts])
         if table is not None:
-            texts = table[block - lo]
+            texts = table[np.subtract(block, lo, dtype=np.int64)]
         else:
             values, codes = np.unique(block, return_inverse=True)
             texts = np.array(list(map(str, values.tolist())),
@@ -306,6 +306,9 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
         d1=d1, d2=d2, provenance=meta.get("provenance", {}))
 
 
+_TOO_DEEP = "not valid JSON: nested too deeply to read"
+
+
 def _require_size(path: Path) -> None:
     size = path.stat().st_size
     _require(size <= MAX_FILE_BYTES, f"{path.name} is {size} bytes, over "
@@ -332,6 +335,8 @@ def read_bundle(path) -> DesignBundle:
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"not valid JSON: {exc}") from exc
+    except RecursionError:  # json.loads recurses once per nesting level
+        raise MalformedBundleError(_TOO_DEEP) from None
     except UnicodeDecodeError as exc:
         raise MalformedBundleError(f"not UTF-8 text: {exc}") from exc
     return _bundle_from_meta(obj)
@@ -499,6 +504,8 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
         meta = json.loads(side.read_text())
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"sidecar not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedBundleError("sidecar " + _TOO_DEEP) from None
     data, m = _canonical_csv(path) or _checked_csv(path)
     return _bundle_from_meta(meta, data[:, :m], data[:, m:])
 

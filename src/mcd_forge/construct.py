@@ -56,6 +56,7 @@ from .designs import (
     LatinHypercube,
     OrthogonalArray,
     Seed,
+    _narrow_type,
     expand_levels,
     method_of_replacement,
 )
@@ -456,9 +457,9 @@ class MarginallyCoupledDesign:
 
 
 #: largest design a construction builds, in cells n * (m + k).  A whole
-#: construct run peaked at 38 bytes of RSS per cell at 4.2M cells and 68 at
-#: 1.05M, as JSON or CSV alike, so the largest accepted design stays well
-#: under 1 GiB.
+#: construct run peaked at 21 bytes of RSS per cell at 4.2M cells and 49 at
+#: 1.05M (D2 in int16), as JSON or CSV alike, so the largest accepted
+#: design stays well under 1 GiB.
 MAX_DESIGN_CELLS = 5_000_000
 
 
@@ -569,9 +570,10 @@ def _assemble(field: GaloisField, zs: np.ndarray, xs: np.ndarray,
     arrays of z's, x's and (k, u-1, u) null-space generators, unchecked."""
     s, u = field.s, zs.shape[1]
     d1 = OrthogonalArray(generate_linear_array(field, zs), (s,) * len(zs))
-    # base-s codes of each matrix's linear array, one array per block
+    # base-s codes of each matrix's linear array, one array per block, in
+    # D2's type
     n = s ** u
-    tilde = np.empty((n, len(xs)), dtype=np.int64)
+    tilde = np.empty((n, len(xs)), dtype=_narrow_type(n - 1))
     width = max(1, BLOCK_CELLS // (n * (u - 1)))
     for lo in range(0, len(xs), width):
         cols = gens[lo:lo + width].reshape(-1, u)

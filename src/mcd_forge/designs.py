@@ -5,7 +5,11 @@ LatinHypercube (each column a permutation of 0..n-1), and CollapsedDesign
 (columns with n/s levels, each taken exactly s times).  Containers validate
 structure only -- shape and dtype -- never the combinatorial properties,
 so that files read back from disk can always be *loaded* and then checked;
-the verify module reports property violations instead of raising.
+the verify module reports property violations instead of raising.  A
+container keeps a signed-integer array in its own type and holds anything
+else as int64; level expansion builds D2 in the narrowest signed type that
+holds n-1 (int8, int16 up to 32,768 runs, int32 beyond), and the collapse
+keeps D2's type.
 
 Level operations:
 
@@ -49,10 +53,26 @@ BLOCK_CELLS = 1 << 17
 
 
 def _as_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.int64)
+    """``data`` as a 2-D array: a signed-integer array keeps its type,
+    anything else (lists, unsigned, bool, float) becomes int64."""
+    signed = isinstance(data, np.ndarray) and data.dtype.kind == "i"
+    arr = np.asarray(data, dtype=data.dtype if signed else np.int64)
     if arr.ndim != 2:
         raise BadParamsError(f"design data must be 2-D, got shape {arr.shape}")
     return arr
+
+
+def _narrow_type(top: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0..top."""
+    return np.min_scalar_type(-top - 1)
+
+
+def _floor_divided(data: np.ndarray, q: int) -> np.ndarray:
+    """data // q for q >= 1, in data's type or, when q does not fit it,
+    the narrowest that holds q: never a wider copy than needed, and the
+    same values under every numpy's casting rules."""
+    kind = np.promote_types(data.dtype, _narrow_type(q))
+    return np.floor_divide(data, kind.type(q), dtype=kind)
 
 
 def _require_level_count(s) -> None:
@@ -141,7 +161,7 @@ def collapse_levels(d2: LatinHypercube, s: int) -> CollapsedDesign:
     _require_level_count(s)
     if d2.n % s != 0:
         raise NotDivisibleError(f"run count {d2.n} not divisible by s={s}")
-    return CollapsedDesign(s, d2.data // s)
+    return CollapsedDesign(s, _floor_divided(d2.data, s))
 
 
 def _column_rng(seed: int, column: int) -> np.random.Generator:
@@ -169,7 +189,8 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
     copies of 0..s-1, which draws from the stream exactly as n/s
     successive ``permutation(s)`` calls would.  So the stream is still
     consumed level by level in level order, and that order must be kept
-    for seeded designs to stay byte-identical.
+    for seeded designs to stay byte-identical.  D2 is held in the
+    narrowest signed type that holds n-1.
     """
     if not (seed == IDENTITY_SEED or isinstance(seed, (int, np.integer))
             and not isinstance(seed, bool) and seed >= 0):
@@ -180,9 +201,10 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
     if n % s != 0:
         raise NotDivisibleError(f"run count {n} not divisible by s={s}")
     nlev = n // s
-    out = np.empty((n, k), dtype=np.int64)
-    tiles = np.tile(np.arange(s), (nlev, 1))
-    starts = np.arange(0, n, s)[:, None]
+    kind = _narrow_type(n - 1)
+    out = np.empty((n, k), dtype=kind)
+    tiles = np.tile(np.arange(s, dtype=kind), (nlev, 1))
+    starts = np.arange(0, n, s, dtype=kind)[:, None]
     width = max(1, BLOCK_CELLS // max(n, 1))
     for lo in range(0, k, width):
         block = collapsed.data[:, lo:lo + width].T
@@ -199,9 +221,9 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
                 f"column {lo + bad.argmax()} does not take each level "
                 f"0..{nlev - 1} exactly {s} times")
         if seed == IDENTITY_SEED:
-            values = np.arange(n)[None]
+            values = np.arange(n, dtype=kind)[None]
         else:
-            values = np.empty((b, nlev, s), dtype=np.int64)
+            values = np.empty((b, nlev, s), dtype=kind)
             for i in range(b):
                 _column_rng(seed, lo + i).permuted(tiles, axis=1,
                                                    out=values[i])

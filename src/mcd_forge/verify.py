@@ -17,10 +17,10 @@ D1 strength and a grid-stratification sweep.
 ``_first_unbalanced``.  It walks the caller's scans (head, lo, hi) in
 order, each the t-subsets head + (j,), lo <= j < hi, that share their
 first t-1 columns (the head), and returns the first unbalanced subset.
-Each column is range-checked once, on the caller's array, before the
-kernel copies it into the smallest unsigned type that holds every
-level up to n; a column of more levels does not divide n and is never
-counted.  A call's scans share one t.  Only bincount finds and words a
+Each column is range-checked once, on the caller's array in its own
+type, before the kernel copies it into the smallest unsigned type that
+holds every level up to n; a column of more levels does not divide n and
+is never counted.  A call's scans share one t.  Only bincount finds and words a
 failure; one-hot products only clear blocks of scans:
 
 * One-hot products, when the call has fewer than EXACT_FLOAT32 runs, no
@@ -65,6 +65,7 @@ from .designs import (
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
+    _floor_divided,
     _require_level_count,
     collapse_levels,
 )
@@ -165,14 +166,15 @@ def _first_unbalanced(blocks, levels, scans):
     if not block:
         return None
     levels = tuple(map(int, levels))
-    # range-check the caller's arrays before the narrowing copy below, so
-    # that no entry can wrap into range; a negative entry reads as a huge
-    # unsigned one: one max per column
-    tops = []
+    # range-check the caller's arrays, in their own types, before the
+    # narrowing copy below, so that no entry can wrap into range: one min
+    # and one max per column, compared as Python ints
+    lows, tops = [], []
     for part in blocks:
-        part = np.asarray(part, dtype=np.int64)
-        tops += part.view(np.uint64).max(axis=1, initial=0).tolist()
-    bad = [top >= lev for top, lev in zip(tops, levels)]
+        lows += part.min(axis=1, initial=0).tolist()
+        tops += part.max(axis=1, initial=0).tolist()
+    bad = [low < 0 or top >= lev
+           for low, top, lev in zip(lows, tops, levels)]
     # one row per column, codes formed in int64; a copy larger than the
     # chunk buffer is held in the smallest type that holds every level up
     # to n (below that, the mixed-type arithmetic costs more than it
@@ -376,7 +378,7 @@ def _pair_balance(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> CheckResul
     level) combination exactly once -- the collapsed form of marginal
     coupling."""
     m, k, n = d1.m, d2.k, d1.n
-    hit = _first_unbalanced((d1.data.T, d2.data.T // s),
+    hit = _first_unbalanced((d1.data.T, _floor_divided(d2.data.T, s)),
                             (s,) * m + (n // s,) * k,
                             (((i,), m, m + k) for i in range(m)))
     if hit is None:
@@ -429,7 +431,7 @@ def check_mcd_by_slices(d1: OrthogonalArray, d2: LatinHypercube,
     nlev = n // s
     # cell j * nlev + v counts column j's points in window v; a value
     # outside 0..n-1 goes to the spare last cell, which is no window
-    cells = d2.data // s + np.arange(k) * nlev
+    cells = _floor_divided(d2.data, s) + np.arange(k) * nlev
     cells[(d2.data < 0) | (d2.data >= n)] = k * nlev
     for i in range(d1.m):
         col = d1.data[:, i]
@@ -528,7 +530,7 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
     selected = d2.data.T[list(dims)]
     tails = shift[-1]
     hit = _first_unbalanced(
-        [selected // (n // c) for c in sizes],
+        [_floor_divided(selected, n // c) for c in sizes],
         [c for c in sizes for _ in dims],
         ((tuple(map(add, shift, h)), tails + (h[-1] + 1 if h else 0),
           tails + places)

@@ -373,6 +373,24 @@ def test_verify_non_utf8_csv_sidecar_is_malformed(tmp_path, capsys):
     assert "UTF-8" in _one_error_line(capsys)
 
 
+def test_verify_deeply_nested_json_is_malformed(tmp_path, capsys):
+    # json.loads recurses once per nesting level: a provenance nesting
+    # 100,000 lists printed a RecursionError traceback and exited 1, the
+    # verification-failed code, from a JSON file or a CSV sidecar alike
+    deep = '"provenance": {"x": ' + "[" * 100_000 + "]" * 100_000 + ","
+    for name in ("deep.json", "deep.csv"):
+        path = tmp_path / name
+        assert main(["construct", "--method", "theorem1", "--s", "3",
+                     "--u", "3", "--u1", "2", "--out", str(path)]) == EXIT_OK
+        meta = sidecar_path(path) if path.suffix == ".csv" else path
+        meta.write_text(meta.read_text().replace('"provenance": {', deep, 1))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == EXIT_PARAM_ERROR
+        prefix = "sidecar " if path.suffix == ".csv" else ""
+        assert _one_error_line(capsys) == (
+            f"error: {prefix}not valid JSON: nested too deeply to read\n")
+
+
 def test_verify_rejects_metadata_that_is_not_an_object(tmp_path, capsys):
     # a sidecar that parses to a number or null, and a JSON bool where
     # the format version goes, are malformed files, not a traceback or a

@@ -59,6 +59,36 @@ def test_container_shapes():
     assert cd.n == 4 and cd.k == 2
 
 
+def test_containers_keep_signed_integer_types():
+    # a signed-integer array is held as it is, without a copy; lists,
+    # unsigned, bool and float data become int64, as before
+    for kind in (np.int8, np.int16, np.int32, np.int64):
+        data = np.array([[0, 1], [1, 0]], dtype=kind)
+        for box in (OrthogonalArray(data, (2, 2)), LatinHypercube(data),
+                    CollapsedDesign(2, data)):
+            assert box.data is data
+    for data in ([[0, 1], [1, 0]], np.eye(2, dtype=np.uint8),
+                 np.eye(2, dtype=bool), np.eye(2)):
+        assert LatinHypercube(data).data.dtype == np.int64
+
+
+def test_expansion_builds_the_narrowest_type_holding_n():
+    # int8 to 128 runs, int16 to 32,768, int32 beyond; the collapse keeps
+    # D2's type, and divides in a wider one only when s does not fit
+    for s, nlev, kind in ((2, 64, np.int8), (2, 65, np.int16),
+                          (4, 8192, np.int16), (2, 16385, np.int32)):
+        collapsed = CollapsedDesign(s, np.repeat(np.arange(nlev), s)[:, None])
+        for seed in (IDENTITY_SEED, 5):
+            d2 = expand_levels(collapsed, s, seed)
+            assert d2.data.dtype == kind
+            assert sorted(d2.data[:, 0].tolist()) == list(range(s * nlev))
+            assert collapse_levels(d2, s).data.dtype == kind
+    d2 = LatinHypercube(np.array([[-128], [127]] * 256, dtype=np.int8))
+    halves = collapse_levels(d2, 256)
+    assert halves.data.dtype == np.int16
+    assert halves.data.ravel().tolist() == [-1, 0] * 256
+
+
 def test_container_validation():
     with pytest.raises(ValueError):
         OrthogonalArray([[0, 1], [1, 0]], levels=(2,))

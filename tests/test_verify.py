@@ -19,6 +19,8 @@ from mcd_forge.designs import (
 from mcd_forge.errors import (
     BadGridError,
     BadParamsError,
+    MalformedCollapsedDesignError,
+    McdForgeError,
     NotDivisibleError,
     RunCountMismatchError,
     StrengthExceedsColumnsError,
@@ -239,7 +241,7 @@ def _tampered_copies(d1, d2, s, rng):
     yield d1, d2
     int64 = np.iinfo(np.int64)
     for value in (-5, n, n + 44, 2 ** 62, int(int64.min), int(int64.max)):
-        data = d2.data.copy()
+        data = d2.data.astype(np.int64)
         data[rng.integers(n), rng.integers(k)] = value
         yield d1, LatinHypercube(data)
     for _ in range(3):
@@ -956,3 +958,119 @@ def test_checks_refuse_a_level_count_below_one(monkeypatch):
     monkeypatch.setattr(verify, "_first_unbalanced", no_counting)
     with pytest.raises(BadParamsError, match="got 0$"):
         battery(mcd.d1, mcd.d2, 0, strength=1, stratify=(3, 3))
+
+
+def _outcome(check, *args, **kwargs):
+    """A check's report, an expansion's values and type, or the type and
+    text of the library error either raised."""
+    try:
+        out = check(*args, **kwargs)
+    except McdForgeError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, LatinHypercube):
+        return out.data.dtype, out.data.tolist()
+    return out
+
+
+def _outcomes(d1, levels, d2, s, cells):
+    """Every check on the int64 arrays ``d1`` and ``d2`` and their int8,
+    int16 and int32 copies that hold every entry, and the expansion of
+    the collapsed ``d2`` in each type, by type."""
+    collapsed = np.floor_divide(d2, s)
+    found = {}
+    for kind in (np.int64, np.int8, np.int16, np.int32):
+        info = np.iinfo(kind)
+        if min(d1.min(), d2.min()) < info.min \
+                or max(d1.max(), d2.max()) > info.max:
+            continue
+        a, b = OrthogonalArray(d1.astype(kind), levels), \
+            LatinHypercube(d2.astype(kind))
+        assert a.data.dtype == b.data.dtype == kind
+        t = min(3, a.m)
+        found[kind] = (
+            _outcome(battery, a, b, s, strength=t, stratify=cells),
+            *(_outcome(check_oa_strength, a, i) for i in range(1, t + 1)),
+            _outcome(check_grid_stratification, b, tuple(range(b.k)), cells),
+            _outcome(check_mcd_by_slices, a, b, s),
+            *(_outcome(expand_levels,
+                       CollapsedDesign(s, collapsed.astype(kind)), s, seed)
+              for seed in ("identity", 7)))
+    return found
+
+
+def test_narrow_copies_give_the_reports_of_their_int64_arrays():
+    # each build and tamper is held as int64, then as every narrower
+    # signed type that holds it: reports, errors and expansions must not
+    # depend on the type (nor, doing no narrow arithmetic, on numpy's
+    # casting rules)
+    rng = np.random.default_rng(20261019)
+    builds = ((direct_construction(galois_field(2), 4, 2), (2, 2)),
+              (direct_construction(galois_field(3), 3, 2), (3, 3)),
+              (direct_construction(galois_field(4), 3, 2, "ii", seed=7),
+               (4, 2)),
+              (anti_mirror_construction(5, 2, seed=11), (2, 2, 2)))
+    kinds, verdicts = Counter(), []
+    for mcd, cells in builds:
+        s = mcd.params.s
+        for t1, t2 in _tampered_copies(mcd.d1, mcd.d2, s, rng):
+            found = _outcomes(t1.data.astype(np.int64), t1.levels,
+                              t2.data.astype(np.int64), s, cells)
+            kinds.update(list(found))
+            reference = found[np.int64]
+            for kind, outcome in found.items():
+                assert outcome == reference, (mcd.params, kind)
+            verdicts.append(reference[0].passed)
+    # the int64 extremes stay int64; -5, n and n + 44 fit every narrow type
+    assert kinds[np.int64] > kinds[np.int32] == kinds[np.int8] > 0
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_a_narrow_negative_entry_fails_closed_past_its_types_range():
+    # -1 viewed unsigned in its own width reads 255 or 65,535, inside a
+    # level count past the type's range: it must still be out of range
+    for kind, levels in ((np.int8, 300), (np.int16, 40_000)):
+        data = (np.arange(levels) % (np.iinfo(kind).max + 1))[:, None]
+        data[3] = -1
+        reports = {check_oa_strength(OrthogonalArray(data.astype(k),
+                                                     (levels,)), 1)
+                   for k in (kind, np.int64)}
+        assert reports == {VerificationReport((CheckResult(
+            "oa-strength(1)", (0,), False,
+            "entries outside the declared level range"),))}
+    # D2 of 512 runs in int8: collapsed, 256 levels per column
+    d1 = np.arange(512)[:, None] % 2
+    d2 = (np.arange(512) % 128)[:, None]
+    d2[3] = -1
+    found = _outcomes(d1, (2,), d2, 2, (512,))
+    assert set(found) == {np.int64, np.int8, np.int16, np.int32}
+    assert all(outcome == found[np.int64] for outcome in found.values())
+    battery_report, _, grid, _, identity, _ = found[np.int64]
+    assert battery_report.checks[2] == CheckResult(
+        "pair-balance", (0, 0), False,
+        "levels out of range for D1 column 0 / collapsed D2 column 0")
+    assert grid.checks[0].detail == "entries outside the declared level range"
+    # two cells of 256 values each: a divisor past int8's range
+    halves = {check_grid_stratification(LatinHypercube(d2.astype(kind)),
+                                        (0,), (2,))
+              for kind in (np.int8, np.int64)}
+    assert [r.checks[0].detail for r in halves] == [
+        "entries outside the declared level range"]
+    assert identity == (MalformedCollapsedDesignError,
+                        "column 0 does not take each level 0..255 "
+                        "exactly 2 times")
+
+
+def test_built_designs_hold_narrow_matrices():
+    # seeded s=2 u=10: D2 and its collapsed form in int16 (n = 1024), so
+    # that building and verifying peak at about 4.4 MiB; with both int64
+    # the peak was 9.4-9.6 MiB, in check_noncascading
+    tracemalloc.start()
+    try:
+        mcd = direct_construction(galois_field(2), 10, 2, "i", 7)
+        report = mcd.full_verification()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert mcd.d2.data.dtype == mcd.collapsed.data.dtype == np.int16
+    assert peak < 6 << 20, peak
