@@ -2,22 +2,29 @@
 
 JSON (canonical): one object, sorted keys, two-space indent, int matrices,
 no floats, streamed in blocks of rows: write -> read -> write is byte-identical.
+The provenance's int vectors take the matrices' path, as int64 arrays.
 
 CSV: header q1..qm,x1..xk, one row per run, plus a .meta.json sidecar next
 to the file carrying everything except the matrices (same canonical JSON
 text).  A .csv path is CSV both ways, any other path JSON.  Its fields are
 ASCII integers, [+-]?[0-9]+, with optional spaces around them.
 
+Writing: each text goes whole to a temporary file beside its target, and
+the temporary files replace the targets only once all are written, so a
+write that fails leaves the files that were there as they were.
+
 Reading: a file in the layout the writers write has its matrices parsed in
 blocks of rows straight from its bytes, by one helper for both formats;
 the block reader declines anything else, and the checked path (json.loads
 of the whole JSON text, numpy.loadtxt for CSV) reads it and words every
-error.  No file over MAX_FILE_BYTES is opened.
+error.  Text is UTF-8 whatever the locale.  No file over MAX_FILE_BYTES
+is opened.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
 from dataclasses import dataclass, fields
@@ -122,17 +129,18 @@ def _meta_dict(b: DesignBundle, matrices: bool = False) -> dict:
 
 
 def _row_texts(parts, sep: str):
-    """The rows of the int matrices ``parts`` side by side, as text joined
-    by ``sep``: a list per block of about _BLOCK_CELLS cells.  Each value's
-    text comes from one table of str() over the parts' range of values
-    when that range is no wider than their cell count, else from one
-    str() per distinct value in each block."""
+    """The rows of the int matrices ``parts`` side by side (a 3-D part's
+    slice by slice, whole slices to a block), as text joined by ``sep``: a
+    list per block of about _BLOCK_CELLS cells.  Each value's text comes
+    from one table of str() over the parts' range of values when that range
+    is no wider than their cell count, else from one str() per distinct
+    value in each block."""
     filled = [p for p in parts if p.size]
     lo = min((int(p.min()) for p in filled), default=0)
     hi = max((int(p.max()) for p in filled), default=0)
     table = (np.array(list(map(str, range(lo, hi + 1))), dtype=object)
              if hi - lo < sum(p.size for p in parts) else None)
-    step = max(1, _BLOCK_CELLS // max(1, sum(p.shape[1] for p in parts)))
+    step = max(1, _BLOCK_CELLS // max(1, sum(p[:1].size for p in parts)))
     for start in range(0, len(parts[0]), step):
         block = np.hstack([p[start:start + step] for p in parts])
         if table is not None:
@@ -141,45 +149,32 @@ def _row_texts(parts, sep: str):
             values, codes = np.unique(block, return_inverse=True)
             texts = np.array(list(map(str, values.tolist())),
                              dtype=object)[codes.reshape(block.shape)]
-        yield list(map(sep.join, texts.tolist()))
+        yield list(map(sep.join, texts.reshape(-1, block.shape[-1]).tolist()))
 
 
-def _int_tree(obj) -> set | None:
-    """The distinct values of ``obj`` when it is a list or tuple of ints,
-    or of such sequences to one depth throughout, none of them empty, as
-    the provenance's vectors are; else None.  One pass per level."""
-    level = [obj]
-    while all(level):  # an empty sequence ends it
-        items = list(chain.from_iterable(level))
-        kinds = set(map(type, items))
-        if kinds == {int}:
-            return set(items)
-        if not kinds <= {list, tuple}:
-            return None
-        level = items
-    return None
-
-
-def _int_tree_text(obj, pad: str, text: dict) -> str:
-    """json.dumps(obj, indent=2) of an int tree (see _int_tree) opened at
-    indent ``pad``, each value's text from ``text``."""
-    inner = pad + "  "
-    if type(obj[0]) is int:
-        items = map(text.__getitem__, obj)
-    elif type(obj[0][0]) is int:  # vectors, a join each: no call per vector
-        leaf = inner + "  "
-        items = ["[" + leaf + ("," + leaf).join(map(text.__getitem__, v))
-                 + inner + "]" for v in obj]
-    else:
-        items = [_int_tree_text(item, inner, text) for item in obj]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+def _int_tree(obj):
+    """``obj`` as an int64 array when it is a rectangular list or tuple of
+    such sequences, two or more deep, none empty, with ints in int64 at the
+    bottom, as the provenance's vectors are; else ``obj``."""
+    level, shape = [obj], []
+    while (kinds := set(map(type, level))) <= {list, tuple} and all(level) \
+            and len(sizes := set(map(len, level))) == 1:
+        level, shape = list(chain.from_iterable(level)), [*shape, *sizes]
+    if len(shape) < 2 or kinds != {int}:
+        return obj
+    try:
+        return np.array(level, dtype=np.int64).reshape(shape)
+    except OverflowError:  # a value past int64
+        return obj
 
 
 def _json_pieces(obj, level: int = 0):
     """json.dumps(obj, sort_keys=True, indent=2), piece by piece, for dicts,
-    lists, tuples, 2-D int arrays (blocks of rows), ints, strings, None."""
+    lists, tuples, ints, strings, None and int arrays, 2-D and 3-D ones (and
+    the lists _int_tree turns into them) in blocks of rows."""
     if isinstance(obj, np.ndarray) and (obj.ndim != 2 or not obj.size):
         obj = obj.tolist()
+    obj = _int_tree(obj)
     pad = "\n" + "  " * (level + 1)
     if not isinstance(obj, (dict, list, tuple, np.ndarray)) or not len(obj):
         yield json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
@@ -189,15 +184,17 @@ def _json_pieces(obj, level: int = 0):
             yield ("," if i else "") + pad + json.dumps(key) + ": "
             yield from _json_pieces(obj[key], level + 1)
         yield pad[:-2] + "}"
-    elif isinstance(obj, np.ndarray):
-        inner = pad + "  "
+    elif isinstance(obj, np.ndarray) and obj.ndim < 4:
+        outer = pad + "  " * (obj.ndim - 2)  # a row's brackets
+        inner, per = outer + "  ", len(obj[0])
         yield "["
         for i, rows in enumerate(_row_texts((obj,), "," + inner)):
-            yield ("," if i else "") + pad + ("," + pad).join(
-                "[" + inner + row + pad + "]" for row in rows)
+            rows = ["[" + inner + row + outer + "]" for row in rows]
+            if obj.ndim == 3:  # each slice's rows
+                rows = ["[" + outer + ("," + outer).join(rows[j:j + per])
+                        + pad + "]" for j in range(0, len(rows), per)]
+            yield ("," if i else "") + pad + ("," + pad).join(rows)
         yield pad[:-2] + "]"
-    elif (values := _int_tree(obj)) is not None:  # one str() per value
-        yield _int_tree_text(obj, pad[:-2], {x: str(x) for x in values})
     else:
         yield "["
         for i, item in enumerate(obj):
@@ -213,26 +210,44 @@ def sidecar_path(path: Path) -> Path:
 def write_bundle(path, b: DesignBundle, fmt: str | None = None) -> Path:
     """Write the bundle as CSV + sidecar to a .csv path, else as canonical
     JSON: the suffix rule read_bundle reads by.  A ``fmt`` that names the
-    other format raises before anything is written."""
+    other format raises before anything is written.  Each text is written
+    whole to a temporary file beside its target, and only then do they
+    replace the targets, the sidecar before the CSV: a write that fails
+    removes its temporary files and leaves the targets as they were."""
     path = Path(path)
     is_csv = path.suffix == ".csv"
     if fmt is not None and fmt != ("csv" if is_csv else "json"):
         raise MalformedBundleError(
             f"format {fmt!r} does not match {path.name}: a .csv path is "
             "written as CSV, any other path as JSON")
+    texts = {sidecar_path(path) if is_csv else path: chain(
+        _json_pieces(_meta_dict(b, matrices=not is_csv)), ["\n"])}
     if is_csv:  # the csv module's default dialect: \r\n, nothing quoted
-        with path.open("w", newline="") as fh:
-            fh.write(",".join([f"q{i + 1}" for i in range(b.m)]
-                              + [f"x{j + 1}" for j in range(b.k)]) + "\r\n")
-            for rows in _row_texts((b.d1, b.d2), ","):
-                fh.write("\r\n".join(rows) + "\r\n")
-    json_path = sidecar_path(path) if is_csv else path
-    try:  # the text is streamed; a value json cannot encode leaves no file
-        with json_path.open("w") as fh:
-            fh.writelines(_json_pieces(_meta_dict(b, matrices=not is_csv)))
-            fh.write("\n")
-    except (TypeError, ValueError):
-        json_path.unlink()
+        names = [f"q{i + 1}" for i in range(b.m)] + [
+            f"x{j + 1}" for j in range(b.k)]
+        texts[path] = chain([",".join(names) + "\r\n"], (
+            "\r\n".join(rows) + "\r\n"
+            for rows in _row_texts((b.d1, b.d2), ",")))
+    temps = {}
+    try:
+        for target, pieces in texts.items():
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            if target.is_symlink() or target.exists() and not (
+                    target.is_file() or target.is_dir()):
+                temp = target  # a link, a device or a pipe is written through
+            with temp.open("w", encoding="utf-8", newline=""
+                           if target.suffix == ".csv" else None) as fh:
+                if temp is not target:
+                    temps[target] = temp
+                fh.writelines(pieces)
+        for target, temp in temps.items():  # the sidecar first
+            os.replace(temp, target)
+    except BaseException as exc:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # the error names the target, not its temporary file
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
         raise
     return path
 
@@ -332,7 +347,7 @@ def read_bundle(path) -> DesignBundle:
             canonical = _canonical_json(fh)
         if canonical is not None:
             return _bundle_from_meta(*canonical)
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"not valid JSON: {exc}") from exc
     except RecursionError:  # json.loads recurses once per nesting level
@@ -470,7 +485,8 @@ def _canonical_json(fh):
         return None
     tail = b"".join([b"{", buf[at + 1:], *pieces])
     del buf, read
-    if not tail.isascii():  # the whole-file path decodes by the locale
+    if not tail.isascii():  # json.loads of bytes lets encoded surrogates
+        # through; the whole-file path words them as not UTF-8
         return None
     try:
         meta = json.loads(tail)
@@ -501,7 +517,7 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
     _require(side.exists(), f"missing sidecar {side.name}")
     _require_size(side)
     try:
-        meta = json.loads(side.read_text())
+        meta = json.loads(side.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"sidecar not valid JSON: {exc}") from exc
     except RecursionError:
@@ -542,7 +558,7 @@ def _canonical_csv(path: Path):
 def _checked_csv(path: Path) -> tuple[np.ndarray, int]:
     """(data, m) of a CSV through numpy.loadtxt, each line checked on the
     way; raises on the first fault."""
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         header, start = fh.readline(), fh.tell()
         _require(bool(header), "empty CSV")
         header = header.rstrip("\n").split(",")

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import stat
+import threading
 import tracemalloc
 import warnings
 
@@ -303,10 +306,18 @@ def _shaped_bundle(d1, d2):
     return b
 
 
-def _reference_json_text(b):
+def _reference_json_text(b, **options):
     obj = _meta_dict(b)
     obj["d1"], obj["d2"] = b.d1.tolist(), b.d2.tolist()
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, **options) + "\n"
+
+
+def _numpy_int(x):
+    """json.dumps' ``default`` for a numpy int, which the writer writes as
+    int(x) does; any other value json cannot write stays a TypeError."""
+    if isinstance(x, np.integer):
+        return int(x)
+    raise TypeError(type(x).__name__)
 
 
 def test_json_text_equals_json_dumps_on_random_shapes(tmp_path,
@@ -430,6 +441,50 @@ def test_json_write_that_raises_leaves_no_file(tmp_path):
         with pytest.raises(error):
             write_bundle(tmp_path / "d.json", b)
         assert not (tmp_path / "d.json").exists()
+
+
+def test_failed_write_leaves_the_files_as_they_were(tmp_path):
+    # a provenance json cannot encode: a good g.json was deleted, and a
+    # good g.csv pair got the new CSV and lost its sidecar; a sidecar
+    # target that is a directory left the new CSV behind
+    good, bad = _bundle(), _bundle(seed=11)
+    bad.provenance = {"z_vectors": {1, 2}}
+    for name in ("g.json", "g.csv"):
+        folder = tmp_path / name.replace(".", "-")
+        folder.mkdir()
+        path = write_bundle(folder / name, good)
+        before = {p.name: p.read_bytes() for p in folder.iterdir()}
+        with pytest.raises(TypeError):
+            write_bundle(path, bad)
+        assert {p.name: p.read_bytes() for p in folder.iterdir()} == before
+    side = sidecar_path(tmp_path / "h.csv")
+    side.mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        write_bundle(tmp_path / "h.csv", good)
+    assert str(caught.value) == f"[Errno 21] Is a directory: '{side}'"
+    assert not (tmp_path / "h.csv").exists()
+    assert [p.name for p in side.parent.iterdir() if p.name.startswith(
+        ".")] == []
+
+
+def test_write_into_a_pipe_or_a_link_writes_through_it(tmp_path):
+    # a link, a device or a pipe is written to, not replaced by a file
+    text = _reference_json_text(_bundle())
+    pipe = tmp_path / "pipe.json"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()),
+                              daemon=True)
+    reader.start()
+    write_bundle(pipe, _bundle())
+    reader.join(timeout=60)
+    assert got == [text]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    link, real = tmp_path / "link.json", tmp_path / "real.json"
+    real.write_text("old")
+    link.symlink_to(real)
+    write_bundle(link, _bundle())
+    assert link.is_symlink() and real.read_text() == text
 
 
 def test_read_bundle_rejects_non_integer_entries_by_type(tmp_path):
@@ -729,7 +784,7 @@ def test_edited_json_reads_as_the_checked_path_reads_it(tmp_path, edit,
                                                         in_blocks):
     path = tmp_path / "edited.json"
     path.write_text(edit(_json_text(_bundle(seed=11), tmp_path)),
-                    newline="")
+                    encoding="utf-8", newline="")
     _assert_same_reading(path, in_blocks)
 
 
@@ -810,17 +865,42 @@ def test_block_reader_holds_no_whole_file(tmp_path):
 
 
 def test_nested_int_lists_encode_as_json_dumps(tmp_path):
-    # the provenance's int vectors go through one str() per distinct
-    # value; anything else in a list takes the item-by-item path
+    # a rectangular list of plain ints, two or more deep, with no empty
+    # level and every value in int64, is written as its int64 array, a
+    # 3-D one as the list of its 2-D slices; anything else in a list
+    # takes the item-by-item path
     b = _bundle()
     for provenance in (
             {"x": [[1, 2], [3, 4]], "y": [[[0, 1], [1, 0]], [[5, 6], [7, 8]]]},
             {"x": [(1, 2), [3, -4]], "y": [[[2 ** 70]]], "z": [7]},
             {"x": [[1, True]], "y": [[1, 1.0]], "z": [[1], [[2]]]},
             {"x": [[1], []], "y": [[1, None]], "z": [[[1, 2], [3]]]},
-            {"x": [[[]]], "y": [["a"]], "z": [{"k": [1]}]}):
+            {"x": [[[]]], "y": [["a"]], "z": [{"k": [1]}]},
+            # 3-D, and 4-D whose slices are 3-D
+            {"x": [[[1, -2, 3]] * 2] * 3, "y": [[[[4, 5]] * 2] * 2] * 2},
+            # ragged at depth 2, then at depth 3
+            {"x": [[[1, 2], [3, 4]], [[5, 6]]],
+             "y": [[[1, 2], [3, 4]], [[5, 6], [7]]]},
+            # int64's ends, and one past each
+            {"x": [[INT64_MIN, INT64_MAX], [0, 1]],
+             "y": [[INT64_MIN - 1, 0]], "z": [[0], [INT64_MAX + 1]]},
+            # numpy ints and bools at depth 3
+            {"x": [[[np.int64(1), 2]], [[3, 4]]],
+             "y": [[[1, np.int16(-2)]]], "z": [[[True, 1]], [[0, 1]]]},
+            {"x": [[[np.bool_(False), 1]]]},  # a TypeError, as in json
+            # tuples mixed with lists, at each depth
+            {"x": ([1, 2], (3, 4)), "y": [((1, 2), [3, 4]), [(5, 6), (7, 8)]]},
+            # a flat int list, and lists that hold an empty list
+            {"x": [1, -2, 3], "y": [[1, 2], []], "z": [[[]], [[]]],
+             "w": [[], [1]]}):
         b.provenance = provenance
-        assert _json_text(b, tmp_path) == _reference_json_text(b)
+        try:
+            expected = _reference_json_text(b, default=_numpy_int)
+        except TypeError:
+            with pytest.raises(TypeError):
+                _json_text(b, tmp_path)
+            continue
+        assert _json_text(b, tmp_path) == expected
 
 
 def test_narrow_matrices_write_as_their_int64_copies(tmp_path):

@@ -418,6 +418,48 @@ def test_verify_non_utf8_csv_data_is_malformed(tmp_path, capsys):
     assert "UTF-8" in _one_error_line(capsys)
 
 
+def test_construct_that_fails_leaves_no_file(tmp_path, capsys):
+    # the CSV was written before its sidecar failed to open: exit 2, with
+    # d/h.csv left behind and no sidecar beside it
+    side = tmp_path / "h.meta.json"
+    side.mkdir()
+    out = tmp_path / "h.csv"
+    capsys.readouterr()
+    assert main(["construct", "--method", "theorem1", "--s", "3", "--u", "3",
+                 "--u1", "2", "--out", str(out)]) == EXIT_PARAM_ERROR
+    assert _one_error_line(capsys) == (
+        f"error: [Errno 21] Is a directory: '{side}'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["h.meta.json"]
+    assert side.is_dir() and not any(side.iterdir())
+
+
+def test_files_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # a raw UTF-8 provenance note was decoded by the locale: under C, each
+    # file exited 2 with "not UTF-8 text: 'ascii' codec can't decode byte
+    # 0xc3"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src,
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    child = subprocess.run(
+        [sys.executable, "-c", "import codecs, locale; print(codecs.lookup("
+         "locale.getpreferredencoding(False)).name)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    if child.stdout.strip() != "ascii":
+        pytest.skip(f"the C locale's encoding is {child.stdout.strip()}")
+    b = bundle_from_design(direct_construction(galois_field(3), 3, 2, "i"))
+    b.provenance["note"] = "caf\u00e9"
+    for name in ("note.json", "note.csv"):
+        path = write_bundle(tmp_path / name, b)
+        meta = sidecar_path(path) if path.suffix == ".csv" else path
+        meta.write_bytes(meta.read_bytes().replace(b"caf\\u00e9",
+                                                   "café".encode()))
+        assert "café".encode() in meta.read_bytes()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcd_forge.cli", "verify", "--in",
+             str(path)], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), name
+
+
 def test_catalog_markdown(capsys):
     assert main(["catalog", "--s", "3", "--u-max", "4"]) == EXIT_OK
     text = capsys.readouterr().out

@@ -8,7 +8,8 @@ from pathlib import Path
 
 from mcd_forge.cli import EXIT_OK, SEED_ENV_VAR, main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README = (Path(__file__).resolve().parent.parent
+          / "README.md").read_text(encoding="utf-8")
 
 
 def _block(heading: str, lang: str, start: int = 0) -> str:
