@@ -18,7 +18,8 @@ blocks of rows straight from its bytes, by one helper for both formats;
 the block reader declines anything else, and the checked path (json.loads
 of the whole JSON text, numpy.loadtxt for CSV) reads it and words every
 error.  Text is UTF-8 whatever the locale.  No file over MAX_FILE_BYTES
-is opened.
+is opened, and no JSON text with more than 2 * MAX_DESIGN_CELLS commas
+is parsed whole.
 """
 
 from __future__ import annotations
@@ -321,13 +322,33 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
         d1=d1, d2=d2, provenance=meta.get("provenance", {}))
 
 
-_TOO_DEEP = "not valid JSON: nested too deeply to read"
-
-
 def _require_size(path: Path) -> None:
     size = path.stat().st_size
     _require(size <= MAX_FILE_BYTES, f"{path.name} is {size} bytes, over "
              f"the cap of {MAX_FILE_BYTES} bytes")
+
+
+def _loads_whole(path: Path, what: str = "") -> object:
+    """json.loads of the whole UTF-8 text at ``path`` (``what`` names a
+    sidecar in its messages), once its commas, counted in blocks of
+    _READ_BYTES, are at most 2 * MAX_DESIGN_CELLS.  json.loads makes a
+    Python object per value, 14-18 bytes of RSS per byte of a compact
+    file.  Each comma sits between two values; a design at the cell cap
+    has MAX_DESIGN_CELLS values, and the second half of the cap leaves
+    room for the row brackets and the provenance."""
+    with path.open("rb") as fh:
+        commas = sum(block.count(b",")
+                     for block in iter(lambda: fh.read(_READ_BYTES), b""))
+    cap = 2 * MAX_DESIGN_CELLS
+    _require(commas <= cap,
+             f"{path.name} has {commas} commas, over the cap of {cap}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedBundleError(f"{what}not valid JSON: {exc}") from exc
+    except RecursionError:  # json.loads recurses once per nesting level
+        raise MalformedBundleError(
+            f"{what}not valid JSON: nested too deeply to read") from None
 
 
 def read_bundle(path) -> DesignBundle:
@@ -335,7 +356,9 @@ def read_bundle(path) -> DesignBundle:
     the layout write_bundle writes has its matrices parsed in blocks of
     rows straight from its bytes; any other file, and every error, goes
     through the checked path: one json.loads of a whole JSON file, or the
-    line-by-line CSV reader."""
+    line-by-line CSV reader.  A JSON text to be parsed whole, a sidecar
+    included, is refused first when it holds more than 2 *
+    MAX_DESIGN_CELLS commas."""
     path = Path(path)
     if not path.exists():
         raise MalformedBundleError(f"no such file: {path}")
@@ -347,14 +370,9 @@ def read_bundle(path) -> DesignBundle:
             canonical = _canonical_json(fh)
         if canonical is not None:
             return _bundle_from_meta(*canonical)
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedBundleError(f"not valid JSON: {exc}") from exc
-    except RecursionError:  # json.loads recurses once per nesting level
-        raise MalformedBundleError(_TOO_DEEP) from None
+        return _bundle_from_meta(_loads_whole(path))
     except UnicodeDecodeError as exc:
         raise MalformedBundleError(f"not UTF-8 text: {exc}") from exc
-    return _bundle_from_meta(obj)
 
 
 def _pieces(fh, end: bytes):
@@ -485,6 +503,8 @@ def _canonical_json(fh):
         return None
     tail = b"".join([b"{", buf[at + 1:], *pieces])
     del buf, read
+    if tail.count(b",") > 2 * MAX_DESIGN_CELLS:  # the checked path refuses it
+        return None
     if not tail.isascii():  # json.loads of bytes lets encoded surrogates
         # through; the whole-file path words them as not UTF-8
         return None
@@ -516,12 +536,7 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
     side = sidecar_path(path)
     _require(side.exists(), f"missing sidecar {side.name}")
     _require_size(side)
-    try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedBundleError(f"sidecar not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise MalformedBundleError("sidecar " + _TOO_DEEP) from None
+    meta = _loads_whole(side, "sidecar ")
     data, m = _canonical_csv(path) or _checked_csv(path)
     return _bundle_from_meta(meta, data[:, :m], data[:, m:])
 

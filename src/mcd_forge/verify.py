@@ -425,7 +425,11 @@ def check_mcd_by_slices(d1: OrthogonalArray, d2: LatinHypercube,
     """Definitional marginal-coupling oracle, independent of the collapse
     machinery: for each level of each D1 column, the rows at that level
     must place every D2 column's values one-per-window into the n/s
-    consecutive windows [vs, vs+s).  Agrees with check_mcd on any input."""
+    consecutive windows [vs, vs+s).  Agrees with check_mcd on any input.
+    A column's levels, ascending, are the entries of one np.sort of it
+    where the value changes.  np.unique lists the same levels, but on
+    numpy >= 2.3 its first call in a process imports numpy.ma: 11-15 ms,
+    against 1-2 ms for the rest of a cold call on a 256-run design."""
     checks = _structural_checks(d1, d2, s)
     n, k = d1.n, d2.k
     nlev = n // s
@@ -435,7 +439,9 @@ def check_mcd_by_slices(d1: OrthogonalArray, d2: LatinHypercube,
     cells[(d2.data < 0) | (d2.data >= n)] = k * nlev
     for i in range(d1.m):
         col = d1.data[:, i]
-        for level in np.unique(col).tolist():
+        ordered = np.sort(col)
+        starts = np.append(True, ordered[1:] != ordered[:-1])
+        for level in ordered[starts].tolist():
             counts = np.bincount(cells[col == level].ravel(),
                                  minlength=k * nlev + 1)[:-1]
             off = np.flatnonzero(counts != 1)

@@ -957,3 +957,58 @@ def test_file_cap_is_inclusive(tmp_path, monkeypatch):
     with pytest.raises(MalformedBundleError, match=(
             f"^d.json is {size} bytes, over the cap of {size - 1} bytes$")):
         read_bundle(path)
+
+
+def test_json_parsed_whole_is_refused_past_the_comma_cap(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    # json.loads makes a Python object per value: a 27.3 MB compact file
+    # of 2^20 x 11 cells, which the block reader declines, made verify
+    # peak at 454 MiB and run 6.2 s.  A text to be parsed whole (a
+    # declined file, a sidecar, a canonical file's metadata) is refused
+    # once it holds more than 2 * MAX_DESIGN_CELLS commas.  A canonical
+    # file's matrices are read in blocks, so only its metadata's commas
+    # count, until they send the whole file to the checked path
+    canonical = write_bundle(tmp_path / "canonical.json", _bundle())
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(canonical.read_text()),
+                                  separators=(",", ":")))
+    csv_path = write_bundle(tmp_path / "d.csv", _bundle())
+    side = sidecar_path(csv_path)
+    text = canonical.read_bytes()
+    tail = text[text.index(b'"format_version"'):].count(b",")
+    for path, counted, within in (
+            (compact, compact, compact.read_bytes().count(b",")),
+            (canonical, canonical, tail),
+            (csv_path, side, side.read_bytes().count(b","))):
+        commas = counted.read_bytes().count(b",")
+        monkeypatch.setattr(bundle, "MAX_DESIGN_CELLS", (within + 1) // 2)
+        assert read_bundle(path).s == 3
+        monkeypatch.setattr(bundle, "MAX_DESIGN_CELLS", (within - 1) // 2)
+        cap = 2 * ((within - 1) // 2)
+        with pytest.raises(MalformedBundleError, match=(
+                f"^{counted.name} has {commas} commas, over the cap of "
+                f"{cap}$")):
+            read_bundle(path)
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {counted.name} has {commas} commas, over the cap of "
+            f"{cap}\n")
+
+
+
+def test_a_value_longer_than_a_read_is_declined_whole(tmp_path, monkeypatch):
+    # the block reader gathers text until a row ends: a run of digits that
+    # spans many reads stays one value, which it declines as past its
+    # bound, and the checked path refuses it.  Read in cut pieces, the run
+    # would read as its last few digits
+    good = write_bundle(tmp_path / "good.csv", _bundle())
+    rows = good.read_text().splitlines()[1:]
+    long_row = "1" + "9" * 160 + "5," + rows[0].split(",", 1)[1]
+    path = _csv_with_body(tmp_path, [long_row] + rows[1:])
+    monkeypatch.setattr(bundle, "_READ_BYTES", 16)
+    _assert_same_reading(path, in_blocks=False)
+    with pytest.raises(MalformedBundleError,
+                       match="^CSV data has an entry outside int64$"):
+        read_bundle(path)

@@ -1,0 +1,114 @@
+"""No op loads a numpy submodule it does not use.
+
+Each op runs in a fresh interpreter, as a user's run does, and the test
+compares the child's ``sys.modules`` before and after the op.  On numpy
+>= 2.3 the first ``np.unique(a)`` in a process imports ``numpy.ma``
+(11-15 ms), and a seeded level expansion imports ``numpy.random`` for its
+PCG64 streams (about 12 ms).  On older numpy, ``import numpy`` loads both,
+so nothing is new after any op and the test checks nothing there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mcd_forge.bundle import read_bundle, write_bundle
+from mcd_forge.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: the child: imports the package, then runs one op, a CLI argv or
+#: ["oracle", path], and prints its exit code and the modules it loaded
+CHILD = """
+import contextlib, io, json, sys
+from mcd_forge import bundle, cli, verify
+op = json.loads(sys.argv[1])
+before = set(sys.modules)
+if op[0] == "oracle":
+    b = bundle.read_bundle(op[1])
+    d1, d2 = b.design_objects()
+    reports = (verify.check_mcd_by_slices(d1, d2, b.s),
+               verify.check_mcd(d1, d2, b.s))
+    rc = 0 if all(r.passed for r in reports) else 1
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(op)
+print(json.dumps([rc, sorted(set(sys.modules) - before)]))
+"""
+
+THEOREM1 = ("construct", "--method", "theorem1", "--s", "3", "--u", "3",
+            "--u1", "2")
+
+
+def _new_numpy_modules(argv):
+    """(exit code, the numpy modules first loaded during the op)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)],
+                         env=env, capture_output=True, text=True, check=True)
+    rc, new = json.loads(out.stdout)
+    return rc, [m for m in new if m.startswith("numpy.")]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    paths = {"json": str(tmp / "t.json"), "csv": str(tmp / "t.csv"),
+             "am": str(tmp / "am.json"), "tampered": str(tmp / "bad.json"),
+             "ii": str(tmp / "ii.json"), "out": str(tmp / "out")}
+    for name in ("json", "csv"):
+        assert main([*THEOREM1, "--seed", "identity",
+                     "--out", paths[name]]) == EXIT_OK
+    assert main(["construct", "--method", "anti-mirror", "--u", "4",
+                 "--u1", "2", "--out", paths["am"]]) == EXIT_OK
+    assert main(["construct", "--method", "theorem1", "--s", "2", "--u", "4",
+                 "--u1", "2", "--item", "ii", "--out", paths["ii"]]) == EXIT_OK
+    b = read_bundle(paths["json"])
+    b.d1[0, 0] = (b.d1[0, 0] + 1) % b.s
+    write_bundle(paths["tampered"], b)
+    return paths
+
+
+OPS = {
+    "verify-json": (("verify", "--in", "{json}", "--json"), EXIT_OK),
+    "verify-csv": (("verify", "--in", "{csv}", "--json"), EXIT_OK),
+    "strength-3": (("verify", "--in", "{ii}", "--strength", "3"),
+                   EXIT_OK),
+    "stratify": (("verify", "--in", "{am}", "--stratify", "2x2x2"),
+                 EXIT_OK),
+    "tampered": (("verify", "--in", "{tampered}"), EXIT_VERIFY_FAILED),
+    "oracle": (("oracle", "{json}"), EXIT_OK),
+    "construct-json": ((*THEOREM1, "--seed", "identity", "--out",
+                        "{out}.json"), EXIT_OK),
+    "construct-csv": ((*THEOREM1, "--seed", "identity", "--out",
+                       "{out}.csv"), EXIT_OK),
+    "catalog": (("catalog", "--s", "3", "--u-max", "3", "--materialize"),
+                EXIT_OK),
+}
+
+
+def _argv(template, files):
+    return [arg.format_map(files) for arg in template]
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_op_loads_no_numpy_submodule(op, files):
+    # the by-slices oracle listed each D1 column's levels with np.unique,
+    # whose first call imported numpy.ma: 85-90 % of a cold oracle op
+    template, code = OPS[op]
+    rc, new = _new_numpy_modules(_argv(template, files))
+    assert rc == code
+    assert new == [], op
+
+
+def test_a_seeded_construct_loads_only_numpy_random(files):
+    rc, new = _new_numpy_modules(
+        [*THEOREM1, "--seed", "7", "--out", files["out"] + ".json"])
+    assert rc == EXIT_OK
+    assert all(m == "numpy.random" or m.startswith("numpy.random.")
+               for m in new), new

@@ -236,7 +236,8 @@ def _loop_slice_coverage(d1, d2, s):
 
 def _tampered_copies(d1, d2, s, rng):
     """The design itself, then copies with one D2 swap, one D2 entry out of
-    0..n-1, one D1 entry out of 0..s-1, or one column replaced."""
+    0..n-1, one D1 entry out of 0..s-1 (the int64 extremes included, for
+    both), or one column replaced."""
     n, m, k = d1.n, d1.m, d2.k
     yield d1, d2
     int64 = np.iinfo(np.int64)
@@ -249,8 +250,8 @@ def _tampered_copies(d1, d2, s, rng):
         j, (a, b) = rng.integers(k), rng.choice(n, 2, replace=False)
         data[[a, b], j] = data[[b, a], j]
         yield d1, LatinHypercube(data)
-    for value in (-1, s):
-        data = d1.data.copy()
+    for value in (-1, s, int(int64.min), int(int64.max)):
+        data = d1.data.astype(np.int64)
         data[rng.integers(n), rng.integers(m)] = value
         yield OrthogonalArray(data, d1.levels), d2
     if k > 1:
