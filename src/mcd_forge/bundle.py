@@ -29,7 +29,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .construct import (
     MarginallyCoupledDesign,
     independent_prefix_bound,
 )
-from .designs import LatinHypercube, OrthogonalArray
+from .designs import LatinHypercube, OrthogonalArray, _narrow_type
 from .errors import MalformedBundleError
 
 FORMAT_VERSION = 1
@@ -69,6 +69,13 @@ _WIDEST_CELL = len("      " + str(np.iinfo(np.int64).min) + ",\n")
 #: the widest cell text for each cell a construction accepts, twice over,
 #: which leaves room for the row brackets and the provenance
 MAX_FILE_BYTES = 2 * _WIDEST_CELL * MAX_DESIGN_CELLS
+
+#: the most text a block reader gathers while it looks for a row end.  A
+#: design construct builds has pairwise non-proportional z's and x's, so
+#: m + k < 2n columns, and n(m + k) <= MAX_DESIGN_CELLS cells: fewer than
+#: 3,163 cells a row, at most 88.6 KB of canonical text.  A file with no
+#: row end, such as compact JSON, is declined after this much
+_PIECE_BYTES = 1 << 20
 
 #: a CSV data line's characters, and (seven times slower) its whole syntax
 _CSV_CHARS = re.compile(r"[ 0-9+,-]*")
@@ -272,7 +279,7 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
     _require(all(set(map(type, r)) <= {int} for r in rows),
              f"{what} entries must be integers")
     try:
-        return np.array(rows, dtype=np.int64)
+        return _narrowed(np.array(rows, dtype=np.int64))
     except OverflowError:
         raise MalformedBundleError(
             f"{what} has an entry outside int64") from None
@@ -377,28 +384,45 @@ def read_bundle(path) -> DesignBundle:
 
 def _pieces(fh, end: bytes):
     """The rest of the open binary file ``fh`` in pieces of about
-    _READ_BYTES, each ending just after an ``end``; the last piece ends
-    where the file does, and may be empty."""
-    parts = []
+    _READ_BYTES, each ending just after an ``end``, or cut where it has
+    passed _PIECE_BYTES without one; the last piece ends where the file
+    does, and may be empty.  A block reader declines a cut piece."""
+    parts, size = [], 0
     while more := fh.read(_READ_BYTES):
         cut = more.rfind(end) + len(end)
         if cut < len(end):
-            parts.append(more)
-            continue
+            if size <= _PIECE_BYTES:
+                parts.append(more)
+                size += len(more)
+                continue
+            cut = len(more)
         piece, parts = b"".join([*parts, more[:cut]]), [more[cut:]]
+        size = len(parts[0])
         del more  # one copy of the text while the piece is read
         yield piece
     yield b"".join(parts)
 
 
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    """A copy of the nonempty int array ``values`` in the narrowest signed
+    type that holds its entries."""
+    return values.astype(_narrow_type(max(int(values.max()),
+                                          -1 - int(values.min()))))
+
+
 def _append_rows(matrix: np.ndarray | None,
                  block: np.ndarray) -> np.ndarray:
-    """``matrix`` with the rows of ``block``, an array that owns its data,
-    after its own; the first block becomes the matrix, which then grows in
-    place.  realloc of a large block mostly moves no bytes, so the rows
-    read so far are held once, where a concatenation holds them twice."""
+    """``matrix`` with the rows of the nonempty int array ``block`` after
+    its own, in the narrowest signed type that holds both: the first block,
+    narrowed, becomes the matrix, which then grows in place, and a block
+    that does not fit the matrix's type widens the matrix first.  realloc
+    of a large block mostly moves no bytes, so the rows read so far are
+    held once, where a concatenation holds them twice."""
+    block = _narrowed(block)
     if matrix is None:
         return block
+    if block.dtype.itemsize > matrix.dtype.itemsize:
+        matrix = matrix.astype(block.dtype)
     start = len(matrix)
     matrix.resize((start + len(block), matrix.shape[1]), refcheck=False)
     matrix[start:] = block
@@ -474,7 +498,8 @@ def _json_matrix(pieces, buf: bytes, at: int, opening: bytes):
     while True:
         quote = buf.find(b'"', at)  # a matrix has none: the next key's
         if quote < 0:  # the matrix goes on in the next piece
-            block = _json_block(buf[at:], unit, False)
+            block = (_json_block(buf[at:], unit, False)
+                     if buf.endswith(b"\n    ],") else None)
         elif buf.endswith(b"\n  ],\n  ", at, quote):
             block = _json_block(buf[at:quote - 8], unit, True)
         else:
@@ -556,23 +581,27 @@ def _canonical_csv(path: Path):
             return None
         line, data = b"," * (len(names) - 1) + eol, None
         for piece in _pieces(fh, b"\n"):
+            if not piece:  # the file ends with a line end
+                break
             skeleton = piece.translate(None, _VALUE_BYTES)
             count, extra = divmod(len(skeleton), len(line))
-            if extra or skeleton != line * count:
+            # a piece without a line end, cut or at the end of the file,
+            # has no line in its skeleton
+            if extra or not count or skeleton != line * count:
                 return None
-            if count:
-                values = _int_block(piece[:-len(eol)].translate(
-                    _LINES_TO_COMMAS, b"\r"), count * len(names))
-                if values is None:
-                    return None
-                values.shape = (count, -1)
-                data = _append_rows(data, values)
+            values = _int_block(piece[:-len(eol)].translate(
+                _LINES_TO_COMMAS, b"\r"), count * len(names))
+            if values is None:
+                return None
+            values.shape = (count, -1)
+            data = _append_rows(data, values)
     return None if data is None else (data, m)
 
 
 def _checked_csv(path: Path) -> tuple[np.ndarray, int]:
-    """(data, m) of a CSV through numpy.loadtxt, each line checked on the
-    way; raises on the first fault."""
+    """(data, m) of a CSV through numpy.loadtxt, in chunks of lines of
+    about _READ_BYTES cells, each line checked on the way and each chunk
+    narrowed as it is appended; raises on the first fault."""
     with path.open(encoding="utf-8") as fh:
         header, start = fh.readline(), fh.tell()
         _require(bool(header), "empty CSV")
@@ -585,8 +614,13 @@ def _checked_csv(path: Path) -> tuple[np.ndarray, int]:
         try:  # numpy < 2 parses an int64 overflow as a float, with a warning
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
-                data = np.loadtxt(_csv_lines(fh, m + k), dtype=np.int64,
-                                  delimiter=",", ndmin=2)
+                # each chunk is pulled line by line as loadtxt parses it,
+                # so that the first faulty line is the one named
+                lines, data = _csv_lines(fh, m + k), None
+                while (line := next(lines, None)) is not None:
+                    data = _append_rows(data, np.loadtxt(
+                        chain([line], islice(lines, _READ_BYTES // (m + k))),
+                        dtype=np.int64, delimiter=",", ndmin=2))
         except (MalformedBundleError, UnicodeDecodeError):
             raise
         except (ValueError, DeprecationWarning):

@@ -66,6 +66,7 @@ from .designs import (
     LatinHypercube,
     OrthogonalArray,
     _floor_divided,
+    _narrow_type,
     _require_level_count,
     collapse_levels,
 )
@@ -472,22 +473,41 @@ def first_equal_pair(keys) -> tuple[int, int] | None:
 def check_noncascading(collapsed: CollapsedDesign) -> VerificationReport:
     """No two collapsed columns may be equal up to level relabeling, that
     is, replacing each entry by the row where its value first appears in
-    its column must give two different columns.  One stable argsort per
-    block of columns finds those rows."""
+    its column must give two different columns.  Columns go in blocks of
+    at most 2^16 cells, and each column's key is its row of first rows in
+    the narrowest type that holds n-1.  A block whose values all lie in
+    0..n-1 is relabeled in one pass: each cell's code is its value plus n
+    times its column's place in the block, one np.minimum.at of the row
+    numbers over the codes finds the first row of each code, and one
+    gather hands it back to every cell.  A block holding any other value
+    takes one stable argsort instead."""
     n, k = collapsed.data.shape
+    kind = _narrow_type(max(n - 1, 0))
+    runs = np.arange(n, dtype=kind)
     step, keys = max(1, (1 << 16) // max(n, 1)), []
     for a in range(0, k, step):
-        block = np.ascontiguousarray(collapsed.data[:, a:a + step].T)
-        order = np.argsort(block, axis=1, kind="stable").astype(np.int32)
-        ranked = np.take_along_axis(block, order, axis=1)
-        # sorted position of each run of equal values, holding its first row
-        start = np.zeros_like(order)
-        start[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1],
-                                np.arange(1, n), 0)
-        np.maximum.accumulate(start, axis=1, out=start)
-        rows = np.empty_like(order)
-        np.put_along_axis(rows, order,
-                          np.take_along_axis(order, start, axis=1), axis=1)
+        block = collapsed.data[:, a:a + step].T
+        if 0 <= block.min(initial=0) and block.max(initial=-1) < n:
+            codes = np.add(block, np.arange(0, len(block) * n, n)[:, None],
+                           dtype=np.intp).ravel()
+            first = np.full(codes.size, n - 1, dtype=kind)
+            # flat codes and row numbers in first's own type: numpy 2.4
+            # broadcast 1-D values over 2-D indices wrongly, and values of
+            # another type take ufunc.at's casting path, ten times slower
+            np.minimum.at(first, codes, np.tile(runs, len(block)))
+            rows = first[codes].reshape(block.shape)
+        else:
+            order = np.argsort(block, axis=1, kind="stable").astype(kind)
+            ranked = np.take_along_axis(block, order, axis=1)
+            # sorted position of each run of equal values, holding its
+            # first row
+            start = np.zeros_like(order)
+            start[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1],
+                                    runs[1:], 0)
+            np.maximum.accumulate(start, axis=1, out=start)
+            rows = np.empty_like(order)
+            np.put_along_axis(rows, order,
+                              np.take_along_axis(order, start, axis=1), axis=1)
         keys += map(np.ndarray.tobytes, rows)
     pair = first_equal_pair(keys)
     if pair:

@@ -8,6 +8,7 @@ import stat
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -710,6 +711,16 @@ def _non_ascii_provenance(text):
 
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
+#: each narrow type's extremes and the value one past each, with the type
+#: a matrix of small values and that one value is read in
+NARROW_EDGES = [
+    (-128, np.int8), (127, np.int8), (-129, np.int16), (128, np.int16),
+    (-32768, np.int16), (32767, np.int16), (-32769, np.int32),
+    (32768, np.int32), (-2 ** 31, np.int32), (2 ** 31 - 1, np.int32),
+    (-2 ** 31 - 1, np.int64), (2 ** 31, np.int64), (10 ** 18 - 1, np.int64),
+    (1 - 10 ** 18, np.int64),
+]
+
 #: edits of a canonical JSON file: (id, edit of its text, whether the block
 #: reader takes the result); each is read as the checked path reads it
 JSON_EDITS = [
@@ -717,6 +728,8 @@ JSON_EDITS = [
     ("negative", _in_d2("      1,\n", "      -1,\n"), True),
     ("eighteen-digits", _in_d2("      1,\n", f"      {10 ** 18 - 1},\n"),
      True),
+    *((f"edge{value}", _in_d2("      1,\n", f"      {value},\n"), True)
+      for value, _ in NARROW_EDGES),
     ("int64-max", _in_d2("      1,\n", f"      {INT64_MAX},\n"), False),
     ("int64-min", _in_d2("      1,\n", f"      {INT64_MIN},\n"), False),
     ("past-int64", _in_d2("      1,\n", f"      {2 ** 63},\n"), False),
@@ -814,6 +827,8 @@ CSV_EDITS = [
     ("leading-zeros", _csv_edit(3, _first_field("0007")), True),
     ("negative", _csv_edit(3, _first_field("-7")), True),
     ("minus-zero", _csv_edit(3, _first_field("-0")), True),
+    *((f"edge{value}", _csv_edit(3, _first_field(str(value))), True)
+      for value, _ in NARROW_EDGES),
     ("int64-max", _csv_edit(3, _first_field(str(INT64_MAX))), False),
     ("past-int64", _csv_edit(3, _first_field(str(2 ** 63))), False),
     ("nineteen-nines", _csv_edit(3, _first_field(str(10 ** 19 - 1))), False),
@@ -843,12 +858,46 @@ def test_edited_csv_reads_as_the_checked_path_reads_it(tmp_path, edit,
     _assert_same_reading(path, in_blocks)
 
 
+@pytest.mark.parametrize("value, kind", NARROW_EDGES,
+                         ids=[str(value) for value, _ in NARROW_EDGES])
+def test_matrices_are_read_in_their_narrowest_type(tmp_path, monkeypatch,
+                                                   value, kind):
+    # a JSON file's matrices are each read in the narrowest signed type
+    # that holds their values, a CSV's D1 and D2, views of one matrix, in
+    # one type, by the block reader and the checked path alike.  Read 64
+    # bytes at a time, the value in the last row widens the matrix that
+    # the earlier blocks made.  The checks report on what is read as on
+    # its int64 copy
+    from mcd_forge.verify import battery, check_mcd_by_slices
+
+    monkeypatch.setattr(bundle, "_READ_BYTES", 64)
+    for where in ("d1", "d2"):
+        tampered = _bundle(seed=11)
+        matrix = getattr(tampered, where).astype(np.int64)
+        matrix[-1, -1] = value
+        setattr(tampered, where, matrix)
+        for name in ("t.json", "t.csv"):
+            path = write_bundle(tmp_path / name, tampered)
+            _assert_same_reading(path, in_blocks=True)
+            again = read_bundle(path)
+            kinds = ((kind, kind) if name == "t.csv" else
+                     (kind, np.int8) if where == "d1" else (np.int8, kind))
+            assert (again.d1.dtype, again.d2.dtype) == kinds
+            assert (again.d1 == tampered.d1).all()
+            assert (again.d2 == tampered.d2).all()
+            wide = replace(again, d1=again.d1.astype(np.int64),
+                           d2=again.d2.astype(np.int64))
+            for check in (battery, check_mcd_by_slices):
+                assert check(*again.design_objects(), again.s) \
+                    == check(*wide.design_objects(), wide.s)
+
+
 def test_block_reader_holds_no_whole_file(tmp_path):
     # 1024 x 258 cells, 3.3 MB of JSON text and 1.0 MB of CSV: one
     # json.loads of the whole JSON text peaked at 11.1 MiB and loadtxt at
     # 2.9 MiB; the block reader holds its blocks of text and the parsed
-    # metadata, under 2 MiB, besides the 2.1 MB of int64 matrices it
-    # returns (the built D2 it reads back is int16)
+    # metadata, under 2 MiB, besides the matrices it returns (int8 D1 and
+    # int16 D2 from the JSON file, int16 both from the CSV)
     b = bundle_from_design(
         direct_construction(galois_field(2), 10, 2, "i", 7))
     for name in ("d.json", "d.csv"):
@@ -998,17 +1047,93 @@ def test_json_parsed_whole_is_refused_past_the_comma_cap(tmp_path,
 
 
 
+def test_compact_json_is_declined_after_a_bounded_piece(tmp_path,
+                                                       monkeypatch):
+    # compact JSON has no row end: the block reader gathered the whole
+    # text, twice over, before it declined the file, and verify of a 27.3
+    # MB one peaked at 81 MiB.  It now declines the file once a piece
+    # passes _PIECE_BYTES, and the comma count refuses it in blocks: 6.8
+    # MB of text, refused holding at most 2.3 MiB (13.0 MiB before)
+    rows = 1 << 18
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps({
+        "d1": [[0]] * rows, "d2": [[0] * 10] * rows, "format_version": 1,
+        "method": "theorem1", "s": 2, "seed": "identity", "u": 18},
+        separators=(",", ":")))
+    monkeypatch.setattr(bundle, "MAX_DESIGN_CELLS", rows)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedBundleError, match="commas, over the cap"):
+            read_bundle(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * bundle._PIECE_BYTES + (1 << 20), peak
+
+
+def test_a_csv_line_without_a_line_end_reads_as_the_checked_path(tmp_path):
+    # the block reader skipped a last line of digits alone, with no line
+    # end, and read the lines before it as the whole design, where the
+    # checked path names the short line
+    rows = write_bundle(tmp_path / "good.csv", _bundle()).read_text(
+        ).splitlines()[1:]
+    path = _csv_with_body(tmp_path, rows + ["5"])
+    path.write_bytes(path.read_bytes()[:-1])
+    _assert_same_reading(path, in_blocks=False)
+    with pytest.raises(MalformedBundleError,
+                       match="^line 29: expected 8 fields, got 1$"):
+        read_bundle(path)
+
+
+@pytest.mark.parametrize("read_bytes", [bundle._READ_BYTES, 16])
+def test_checked_csv_names_the_first_faulty_line(tmp_path, monkeypatch,
+                                                 read_bytes):
+    # the checked path parses in chunks of lines, each line checked as
+    # numpy.loadtxt takes it, so the first faulty line is named whatever
+    # follows it, in one chunk or across chunks of two lines
+    monkeypatch.setattr(bundle, "_READ_BYTES", read_bytes)
+    rows = write_bundle(tmp_path / "good.csv", _bundle()).read_text(
+        ).splitlines()[1:]
+    for edits, message in (
+            ({2: "1-2", 4: "1,1"}, "line 4: non-integer entry"),
+            ({2: "x", 4: "1-2"}, "line 4: non-integer entry"),
+            ({2: str(2 ** 63), 4: "1,1"}, "line 6: expected 8 fields, got 9"),
+            ({2: str(2 ** 63), 5: "1-2"}, "line 7: non-integer entry"),
+            ({2: str(2 ** 63)}, "CSV data has an entry outside int64")):
+        lines = list(rows)
+        for i, new in edits.items():
+            lines[i] = new + lines[i][lines[i].index(","):]
+        with pytest.raises(MalformedBundleError, match=f"^{message}$"):
+            read_bundle(_csv_with_body(tmp_path, lines))
+
+
+def test_metadata_cut_into_pieces_reads_in_blocks(tmp_path, monkeypatch):
+    # the metadata after a JSON file's matrices is read whole, whatever its
+    # pieces.  In this file at most 110 bytes lie between two row ends of
+    # the matrices (a row more where a row end is split across two reads),
+    # and 1.5 KB, most of it provenance, after the last: read 32 bytes at
+    # a time, that tail is cut into pieces of 256 bytes, and the matrices
+    # are not
+    monkeypatch.setattr(bundle, "_READ_BYTES", 32)
+    monkeypatch.setattr(bundle, "_PIECE_BYTES", 256)
+    path = write_bundle(tmp_path / "d.json", _bundle(seed=11))
+    _assert_same_reading(path, in_blocks=True)
+
+
 def test_a_value_longer_than_a_read_is_declined_whole(tmp_path, monkeypatch):
     # the block reader gathers text until a row ends: a run of digits that
     # spans many reads stays one value, which it declines as past its
     # bound, and the checked path refuses it.  Read in cut pieces, the run
-    # would read as its last few digits
+    # would read as its last few digits, so a piece cut at _PIECE_BYTES,
+    # with no row end, is declined too
     good = write_bundle(tmp_path / "good.csv", _bundle())
     rows = good.read_text().splitlines()[1:]
     long_row = "1" + "9" * 160 + "5," + rows[0].split(",", 1)[1]
     path = _csv_with_body(tmp_path, [long_row] + rows[1:])
     monkeypatch.setattr(bundle, "_READ_BYTES", 16)
-    _assert_same_reading(path, in_blocks=False)
-    with pytest.raises(MalformedBundleError,
-                       match="^CSV data has an entry outside int64$"):
-        read_bundle(path)
+    for bound in (bundle._PIECE_BYTES, 32):
+        monkeypatch.setattr(bundle, "_PIECE_BYTES", bound)
+        _assert_same_reading(path, in_blocks=False)
+        with pytest.raises(MalformedBundleError,
+                           match="^CSV data has an entry outside int64$"):
+            read_bundle(path)

@@ -912,6 +912,82 @@ def test_noncascading_matches_dict_relabel_reference():
         assert got.passed == (expected is None)
 
 
+def _relabeled(column, values):
+    """``column`` with its distinct levels, in order of first appearance,
+    replaced by ``values`` in order: a relabeling onto any ints."""
+    mapping = {}
+    for v in column.tolist():
+        if v not in mapping:
+            mapping[v] = values[len(mapping)]
+    return np.array([mapping[v] for v in column.tolist()], dtype=np.int64)
+
+
+def _noncascading_cases(rng):
+    """Collapsed designs with values in 0..n-1, which check_noncascading
+    relabels in one pass: built ones, random ones, and copies with a
+    relabeled or duplicated column, some across blocks of columns."""
+    # a second column whose classes start after row 0: np.minimum.at with
+    # 2-D codes and 1-D row numbers got these first rows wrong
+    yield np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
+    yield np.array([[0, 2, 2], [1, 2, 0], [1, 0, 0], [0, 0, 2]])
+    for mcd, s in ((direct_construction(galois_field(2), 6, 2), 2),
+                   (direct_construction(galois_field(3), 3, 2, "ii", 5), 3),
+                   (anti_mirror_construction(5, 2, seed=3), 2)):
+        data = (mcd.d2.data // s).astype(np.int64)
+        yield data
+        copy = data.copy()
+        copy[:, -1] = _relabeled(copy[:, 1], rng.permutation(mcd.d2.n // s))
+        yield copy
+    for _ in range(60):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        data = rng.integers(0, min(n, int(rng.integers(1, 5))), size=(n, k))
+        if k > 1:
+            i, j = rng.choice(k, 2, replace=False)
+            data[:, j] = _relabeled(data[:, i], rng.permutation(n))
+        yield data
+    # 2^14 runs: blocks of four columns; column 9 is column 2 relabeled,
+    # and column 6 a copy of column 9
+    n = 1 << 14
+    data = np.stack([rng.permutation(n) // 2 for _ in range(11)], axis=1)
+    data[:, 9] = _relabeled(data[:, 2], rng.permutation(n // 2))
+    data[:, 6] = data[:, 9]
+    yield data
+
+
+def test_noncascading_one_pass_matches_the_sort_path_and_a_dict_relabel():
+    # every block in 0..n-1 is relabeled in one pass; the same columns
+    # moved out of that range, by a shift or onto the int64 extremes, take
+    # the stable-argsort path, in one block or all of them.  A shift or a
+    # relabeling keeps every pair's verdict, so all must report as the
+    # pure-Python first-occurrence relabel does, in every signed type that
+    # holds the values
+    rng = np.random.default_rng(20261019)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    kinds = (np.int8, np.int16, np.int32, np.int64)
+    verdicts = []
+    for data in _noncascading_cases(rng):
+        n, k = data.shape
+        expected = _reference_noncascading_pair(data)
+        j = expected[1] if expected else int(rng.integers(k))
+        edge = data.copy()  # one column onto the extremes, >= n and < 0
+        edge[:, j] = _relabeled(edge[:, j], [lo, hi, n, -1, *range(
+            n + 1, 2 * n)])
+        variants = [data, data - n, data + n, edge]
+        reports = set()
+        for variant in variants:
+            for kind in kinds:
+                if np.iinfo(kind).min <= variant.min() \
+                        and variant.max() <= np.iinfo(kind).max:
+                    reports.add(check_noncascading(CollapsedDesign(
+                        2, variant.astype(kind))))
+        assert reports == {check_noncascading(CollapsedDesign(2, data))}
+        got = reports.pop().checks[0]
+        assert got.subject == (expected or ())
+        assert got.passed == (expected is None)
+        verdicts.append(got.passed)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_noncascading_reports_the_first_pair():
     data = [[5, 0, 9, -1, 0], [5, 1, 9, 7, 1], [6, 0, 8, -1, 0]]
     report = check_noncascading(CollapsedDesign(2, data))
