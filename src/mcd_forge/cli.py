@@ -11,6 +11,11 @@ Three subcommands:
 
 All three verify through the one battery, ``verify.battery``.
 
+A plain argv (the command, then options by their exact names, each with
+its value) is read straight from the option table ``COMMANDS``.  argparse,
+built from the same table, reads every other argv and prints every help,
+usage and error text.
+
 Exit codes: 0 success, 1 verification failure, 2 parameter/file error,
 3 internal error (a constructed design failed its own verification).
 
@@ -22,11 +27,11 @@ seed-invariant.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from .bundle import bundle_from_design, read_bundle, write_bundle
 from .catalog import all_rows, verify_row
@@ -168,9 +173,9 @@ def _parse_cells(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
+    cells = None if args.stratify is None else _parse_cells(args.stratify)
     b = read_bundle(args.infile)
     d1, d2 = b.design_objects()
-    cells = None if args.stratify is None else _parse_cells(args.stratify)
     report = battery(d1, d2, b.s, args.strength, cells)
     if args.json:
         payload = {"passed": report.passed,
@@ -246,7 +251,70 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The CLI's one definition: each command as (name, help line, handler,
+#: options), each option as (flag, the keyword arguments of argparse's
+#: ``add_argument``), in help order.  build_parser() builds argparse's tree
+#: from it, and _read_plain() reads the plain argv of a run from it, so the
+#: two cannot drift apart.  An option reads one value unless its action is
+#: "store_true" (no value) or "append" (one value per use, in a list).
+COMMANDS = (
+    ("construct", "build, verify, and write a design", cmd_construct, (
+        ("--method", {"required": True,
+                      "choices": ["theorem1", "theorem2", "anti-mirror",
+                                  "general"]}),
+        ("--s", {"type": int, "help": "number of levels (prime power)"}),
+        ("--u", {"type": int, "help": "run-count exponent: n = s^u"}),
+        ("--u1", {"type": int, "help": "constrained coordinate count"}),
+        ("--v", {"type": int, "help": "groups traded (theorem2)"}),
+        ("--item", {"choices": ["i", "ii"],
+                    "help": "which side gets the qualitative columns "
+                            "(theorem1/theorem2; default: i)"}),
+        ("--seed", {"help": "integer or 'identity' (default: "
+                            f"${SEED_ENV_VAR} or 'identity')"}),
+        ("--z", {"action": "append",
+                 "help": "qualitative generator vector, e.g. 1,2,0 "
+                         "(general; repeatable)"}),
+        ("--x", {"action": "append",
+                 "help": "quantitative generator vector (general; "
+                         "repeatable)"}),
+        ("--generator", {"action": "append", "metavar": "J=C1|C2|...",
+                         "help": "explicit null-space columns for x index J "
+                                 "(general; repeatable)"}),
+        ("--out", {"required": True,
+                   "help": "output path (.csv: CSV + sidecar, else JSON)"}),
+    )),
+    ("verify", "re-check a written design file", cmd_verify, (
+        ("--in", {"dest": "infile", "required": True, "help": "bundle path"}),
+        ("--strength", {"type": int,
+                        "help": "additionally check D1 at this strength"}),
+        ("--stratify", {"metavar": "AxB[xC]",
+                        "help": "check every matching D2 column subset on "
+                                "this grid"}),
+        ("--json", {"action": "store_true",
+                    "help": "machine-readable report"}),
+    )),
+    ("catalog", "print the parameter tables", cmd_catalog, (
+        ("--s", {"type": int, "required": True}),
+        ("--u-max", {"type": int, "required": True}),
+        ("--format", {"choices": ["md", "csv", "json"], "default": "md"}),
+        ("--materialize", {"action": "store_true",
+                           "help": "construct and verify every row"}),
+    )),
+)
+
+
+def _dest(flag: str, kwargs: dict) -> str:
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
+
+
+def build_parser():
+    """argparse's parser (an ``argparse.ArgumentParser``) for COMMANDS.
+    It prints every help, usage and error text, and parses each argv that
+    _read_plain declines.  argparse is imported here: with the ``gettext``
+    and ``locale`` imports its first message lookup makes, building and
+    running it costs 2-3 ms, more than reading and verifying a small file."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mcd-forge",
         description="Construct and verify marginally coupled designs: "
@@ -254,53 +322,67 @@ def build_parser() -> argparse.ArgumentParser:
                     "paired with a non-cascading Latin hypercube for "
                     "quantitative factors.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build, verify, and write a design")
-    c.add_argument("--method", required=True,
-                   choices=["theorem1", "theorem2", "anti-mirror", "general"])
-    c.add_argument("--s", type=int, help="number of levels (prime power)")
-    c.add_argument("--u", type=int, help="run-count exponent: n = s^u")
-    c.add_argument("--u1", type=int, help="constrained coordinate count")
-    c.add_argument("--v", type=int, help="groups traded (theorem2)")
-    c.add_argument("--item", choices=["i", "ii"],
-                   help="which side gets the qualitative columns "
-                        "(theorem1/theorem2; default: i)")
-    c.add_argument("--seed", help="integer or 'identity' (default: "
-                   f"${SEED_ENV_VAR} or 'identity')")
-    c.add_argument("--z", action="append",
-                   help="qualitative generator vector, e.g. 1,2,0 "
-                        "(general; repeatable)")
-    c.add_argument("--x", action="append",
-                   help="quantitative generator vector (general; repeatable)")
-    c.add_argument("--generator", action="append", metavar="J=C1|C2|...",
-                   help="explicit null-space columns for x index J "
-                        "(general; repeatable)")
-    c.add_argument("--out", required=True,
-                   help="output path (.csv: CSV + sidecar, else JSON)")
-    c.set_defaults(func=cmd_construct)
-
-    v = sub.add_parser("verify", help="re-check a written design file")
-    v.add_argument("--in", dest="infile", required=True, help="bundle path")
-    v.add_argument("--strength", type=int,
-                   help="additionally check D1 at this strength")
-    v.add_argument("--stratify", metavar="AxB[xC]",
-                   help="check every matching D2 column subset on this grid")
-    v.add_argument("--json", action="store_true",
-                   help="machine-readable report")
-    v.set_defaults(func=cmd_verify)
-
-    k = sub.add_parser("catalog", help="print the parameter tables")
-    k.add_argument("--s", type=int, required=True)
-    k.add_argument("--u-max", type=int, required=True)
-    k.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    k.add_argument("--materialize", action="store_true",
-                   help="construct and verify every row")
-    k.set_defaults(func=cmd_catalog)
+    for name, help_line, handler, options in COMMANDS:
+        command = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=handler)
     return parser
 
 
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser() would make of ``argv``, read straight
+    from COMMANDS, when ``argv`` has the plain form: the command first,
+    then options by their exact names, each value the next token and not
+    starting with "-", int values through ``int``, values among their
+    choices, only an append option more than once, every required option
+    present.  None for any other argv (help, abbreviations, --opt=value,
+    values starting with "-", every error), which argparse then parses,
+    prints or refuses as it always has."""
+    for name, _, handler, options in COMMANDS:
+        if argv[:1] == [name]:
+            break
+    else:
+        return None
+    table = dict(options)
+    args = SimpleNamespace(command=name, func=handler)
+    for flag, kwargs in options:
+        unset = False if kwargs.get("action") == "store_true" else None
+        setattr(args, _dest(flag, kwargs), kwargs.get("default", unset))
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = table.get(flag)
+        if kwargs is None:
+            return None
+        dest, action = _dest(flag, kwargs), kwargs.get("action")
+        if flag in seen and action != "append":
+            return None
+        seen.add(flag)
+        if action == "store_true":
+            setattr(args, dest, True)
+            continue
+        text = next(tokens, "-")  # no value declines as a "-" value does
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        if action == "append":
+            value = [*(getattr(args, dest) or ()), value]
+        setattr(args, dest, value)
+    if any(kwargs.get("required") and flag not in seen
+           for flag, kwargs in options):
+        return None
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit

@@ -330,17 +330,22 @@ def _require_runs(n: int) -> None:
         raise BadParamsError("the design has no runs")
 
 
+def _require_strength(t: int, m: int) -> None:
+    """A strength is 1..m, the column count."""
+    if t < 1:
+        raise BadParamsError("strength must be at least 1")
+    if t > m:
+        raise StrengthExceedsColumnsError(
+            f"strength {t} exceeds column count {m}")
+
+
 def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
     """Strength-t check by exhaustive counting: every t-subset of columns
     must contain each level combination exactly n / (product of levels)
     times.  Reports the lexicographically first violating subset and
     combination."""
     _require_runs(a.n)
-    if t < 1:
-        raise BadParamsError("strength must be at least 1")
-    if t > a.m:
-        raise StrengthExceedsColumnsError(
-            f"strength {t} exceeds column count {a.m}")
+    _require_strength(t, a.m)
     name = f"oa-strength({t})"
     hit = _first_unbalanced((a.data.T,), a.levels, (
         (h, h[-1] + 1 if h else 0, a.m)
@@ -581,12 +586,13 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
     catalog: check_mcd, check_noncascading on floor(D2 / s), then
     optionally D1 at ``strength`` and a grid-stratification sweep over
     every D2 column subset of the grid's arity, stopping at the first
-    failing subset.  Each check is sized first, so that an oversize one is
-    refused (TooLargeError) before any counting; the sweep, reported last,
-    runs first."""
+    failing subset.  A strength outside 1..m is refused, and each check is
+    sized, before any counting, so that an oversize one is refused
+    (TooLargeError) at once; the sweep, reported last, runs first."""
     _require_level_count(s)
     require_mcd_work(d1.n, d1.m, d2.k)
-    if strength is not None and strength > 0:
+    if strength is not None:
+        _require_strength(strength, d1.m)
         _require_work(d1.n * comb(d1.m, strength),
                       f"oa-strength({strength}) check counts", "run-subset")
     if stratify is not None:

@@ -1,8 +1,12 @@
 """End-to-end CLI behavior: construct, verify, catalog, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import resource
+import runpy
 import shutil
 import subprocess
 import sys
@@ -11,6 +15,7 @@ from time import perf_counter
 
 import pytest
 
+import mcd_forge.cli as cli
 import mcd_forge.construct as construct
 import mcd_forge.verify as verify
 from mcd_forge.bundle import (
@@ -32,6 +37,7 @@ from mcd_forge.cli import (
 from mcd_forge.construct import MAX_DESIGN_CELLS, direct_construction
 from mcd_forge.gf import galois_field
 from golden_data import EXAMPLE1_COLLAPSED, EXAMPLE1_QUALITATIVE
+from test_readme import _cli_commands
 
 
 def test_construct_theorem1_writes_verified_json(tmp_path, capsys):
@@ -261,6 +267,51 @@ def test_verify_strength_zero_is_param_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: strength must be at least 1\n"
     assert captured.out == ""
+
+
+def test_verify_refuses_a_bad_strength_before_counting(tmp_path, capsys,
+                                                      monkeypatch):
+    # the battery used to count everything before refusing the strength
+    out = _write_good_bundle(tmp_path)
+    m = read_bundle(out).m
+
+    def no_counting(*args):
+        raise AssertionError("counted before refusing the strength")
+
+    monkeypatch.setattr(verify, "_first_unbalanced", no_counting)
+    for text, message in (("0", "strength must be at least 1"),
+                          ("-1", "strength must be at least 1"),
+                          (str(m + 1),
+                           f"strength {m + 1} exceeds column count {m}"),
+                          ("999", f"strength 999 exceeds column count {m}")):
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out), "--strength", text,
+                     "--stratify", "3x3"]) == EXIT_PARAM_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
+def test_verify_parses_the_grid_before_reading_the_file(tmp_path, capsys,
+                                                        monkeypatch):
+    # a bad grid used to be found only after the whole file was read; with
+    # the file missing as well, the grid is now the error reported
+    missing = str(tmp_path / "missing.json")
+    assert main(["verify", "--in", missing, "--stratify",
+                 "2x"]) == EXIT_PARAM_ERROR
+    assert _one_error_line(capsys) == (
+        "error: bad grid '2x'; expected e.g. 2x2 or 3x3x3\n")
+    out = _write_good_bundle(tmp_path)
+    capsys.readouterr()
+
+    def no_read(path):
+        raise AssertionError("read the file before parsing the grid")
+
+    monkeypatch.setattr(cli, "read_bundle", no_read)
+    for grid in ("2x", "2xtwo", "0x2"):
+        assert main(["verify", "--in", str(out), "--stratify",
+                     grid]) == EXIT_PARAM_ERROR
+        assert f"bad grid '{grid}'" in _one_error_line(capsys)
 
 
 def test_verify_stratify_flag(tmp_path, capsys):
@@ -778,3 +829,212 @@ def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
     assert proc.returncode == EXIT_PARAM_ERROR
     assert proc.stderr == (f"error: [Errno 2] No such file or directory: "
                            f"'{out}'\n")
+
+
+# --- the direct argv reader against argparse -------------------------------
+
+def _reference_parser():
+    """build_parser as it stood before the option table, copied: the CLI's
+    help, usage and error texts and its parsed namespaces must not move."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="mcd-forge",
+        description="Construct and verify marginally coupled designs: "
+                    "an s-level orthogonal array for qualitative factors "
+                    "paired with a non-cascading Latin hypercube for "
+                    "quantitative factors.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("construct", help="build, verify, and write a design")
+    c.add_argument("--method", required=True,
+                   choices=["theorem1", "theorem2", "anti-mirror", "general"])
+    c.add_argument("--s", type=int, help="number of levels (prime power)")
+    c.add_argument("--u", type=int, help="run-count exponent: n = s^u")
+    c.add_argument("--u1", type=int, help="constrained coordinate count")
+    c.add_argument("--v", type=int, help="groups traded (theorem2)")
+    c.add_argument("--item", choices=["i", "ii"],
+                   help="which side gets the qualitative columns "
+                        "(theorem1/theorem2; default: i)")
+    c.add_argument("--seed", help="integer or 'identity' (default: "
+                   f"${SEED_ENV_VAR} or 'identity')")
+    c.add_argument("--z", action="append",
+                   help="qualitative generator vector, e.g. 1,2,0 "
+                        "(general; repeatable)")
+    c.add_argument("--x", action="append",
+                   help="quantitative generator vector (general; repeatable)")
+    c.add_argument("--generator", action="append", metavar="J=C1|C2|...",
+                   help="explicit null-space columns for x index J "
+                        "(general; repeatable)")
+    c.add_argument("--out", required=True,
+                   help="output path (.csv: CSV + sidecar, else JSON)")
+    c.set_defaults(func=cli.cmd_construct)
+
+    v = sub.add_parser("verify", help="re-check a written design file")
+    v.add_argument("--in", dest="infile", required=True, help="bundle path")
+    v.add_argument("--strength", type=int,
+                   help="additionally check D1 at this strength")
+    v.add_argument("--stratify", metavar="AxB[xC]",
+                   help="check every matching D2 column subset on this grid")
+    v.add_argument("--json", action="store_true",
+                   help="machine-readable report")
+    v.set_defaults(func=cli.cmd_verify)
+
+    k = sub.add_parser("catalog", help="print the parameter tables")
+    k.add_argument("--s", type=int, required=True)
+    k.add_argument("--u-max", type=int, required=True)
+    k.add_argument("--format", choices=["md", "csv", "json"], default="md")
+    k.add_argument("--materialize", action="store_true",
+                   help="construct and verify every row")
+    k.set_defaults(func=cli.cmd_catalog)
+    return parser
+
+
+def _parse(parser, argv):
+    """The namespace argparse makes of ``argv``, as a dict, or the exit
+    code and the stdout and stderr text with which it stopped."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _workload_argvs(directory):
+    """The argv of every CLI op and fixture of the benchmark's workloads."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                                   / "perfbench" / "workloads.py"))
+    argvs = []
+    for workload in workloads["WORKLOADS"].values():
+        seeds = workloads["draw_seeds"](workload, random.Random(1))
+        argvs += [workloads["op_argv"](op, directory, seeds)
+                  for op in workload.fixtures + workload.ops
+                  if op.kind != "oracle"]
+    return argvs
+
+
+def test_every_benchmark_and_readme_argv_takes_the_direct_reader(tmp_path):
+    argvs = _workload_argvs(tmp_path) + _cli_commands()
+    assert len(argvs) >= 23 + 10
+    reference = _reference_parser()
+    for argv in argvs:
+        args = cli._read_plain(argv)
+        assert args is not None, argv
+        assert vars(args) == _parse(reference, argv), argv
+
+
+def test_option_table_uses_only_what_the_reader_reads():
+    # an argparse keyword the reader does not interpret (nargs, const, a
+    # custom action or type) would let the two readers disagree
+    for _, _, _, options in cli.COMMANDS:
+        for flag, kwargs in options:
+            assert flag.startswith("--"), flag
+            assert set(kwargs) <= {"dest", "type", "action", "choices",
+                                   "required", "default", "help",
+                                   "metavar"}, flag
+            assert kwargs.get("type", str) in (int, str), flag
+            assert kwargs.get("action") in (None, "store_true",
+                                            "append"), flag
+
+
+#: values the reader declines or must parse exactly as argparse does
+ODD_VALUES = ("-5", "-", "", " 3", "3_0", "1e3", "--", "-h", "+3", "07",
+              " -2", "x", "3 ", "٣")
+GOOD_VALUES = {int: ("0", "1", "2", "3", "12"),
+               str: ("d.json", "x.csv", "1,2,0", "0=0,0,1|1,1,0", "identity",
+                     "2x2x2", "7")}
+ALL_FLAGS = sorted({flag for *_, options in cli.COMMANDS
+                    for flag, _ in options})
+
+
+def _plain_argv(rng):
+    """A command with its required options and a random sample of the
+    others, each once, with a value it accepts."""
+    name, _, _, options = rng.choice(cli.COMMANDS)
+    required = [option for option in options if option[1].get("required")]
+    rest = [option for option in options if option not in required]
+    picks = required + rng.sample(rest, rng.randint(0, len(rest)))
+    rng.shuffle(picks)
+    argv = [name]
+    for flag, kwargs in picks:
+        argv.append(flag)
+        if kwargs.get("action") != "store_true":
+            argv.append(rng.choice(kwargs.get("choices")
+                                   or GOOD_VALUES[kwargs.get("type", str)]))
+    return argv
+
+
+def _mutated(rng, argv):
+    """``argv`` with one random change of the kinds argparse reads
+    differently from the plain form, or refuses."""
+    at = rng.randrange(1, len(argv) + 1)
+    kind = rng.randrange(8)
+    if kind == 0:  # an abbreviated option
+        flags = [i for i, a in enumerate(argv) if a.startswith("--")
+                 and len(a) > 3]
+        if flags:
+            i = rng.choice(flags)
+            argv[i] = argv[i][:rng.randrange(3, len(argv[i]))]
+    elif kind == 1:  # --opt=value
+        pairs = [i for i in range(1, len(argv) - 1)
+                 if argv[i].startswith("--")
+                 and not argv[i + 1].startswith("--")]
+        if pairs:
+            i = rng.choice(pairs)
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif kind == 2:  # an odd value in place of any token
+        argv[min(at, len(argv) - 1)] = rng.choice(ODD_VALUES)
+    elif kind == 3:  # an odd token, help or another command's option
+        argv.insert(at, rng.choice(ODD_VALUES + ("-h", "--help", "--",
+                                                 *ALL_FLAGS)))
+    elif kind == 4:  # a token dropped: a missing value or required option
+        del argv[min(at, len(argv) - 1)]
+    elif kind == 5:  # out-of-choice values
+        argv.insert(at, rng.choice(("theorem3", "iii", "xml", "Theorem1")))
+        argv.insert(at, rng.choice(("--method", "--item", "--format")))
+    elif kind == 6:  # a command that is not one
+        argv[0] = rng.choice(("constr", "Verify", "-h", "--help", "",
+                              "catalogue", "--s"))
+    else:  # an option repeated
+        argv += argv[1:3]
+    return argv
+
+
+def test_direct_reader_agrees_with_argparse_on_a_seeded_corpus():
+    rng = random.Random(20261020)
+    reference, built = _reference_parser(), cli.build_parser()
+    corpus = [_plain_argv(rng) for _ in range(6000)]
+    for i, argv in enumerate(corpus):
+        for _ in range(i % 3):
+            argv = _mutated(rng, argv)
+        corpus[i] = argv
+    tokens = {token for argv in corpus for token in argv}
+    assert set(ALL_FLAGS) | set(ODD_VALUES) | {"-h", "--help", "--"} <= tokens
+    assert any("=" in t and t.startswith("--") for t in tokens)
+    taken = 0
+    for argv in corpus:
+        args = cli._read_plain(argv)
+        expected = _parse(reference, argv)
+        # the table's parser is today's parser, on every argv
+        assert _parse(built, argv) == expected, argv
+        if args is not None:
+            taken += 1
+            assert vars(args) == expected, argv
+    # each reader must see a good share of the corpus
+    assert len(corpus) // 4 < taken < len(corpus) * 3 // 4, taken
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["construct", "--help"], ["verify", "--help"],
+    ["catalog", "-h"], [], ["verify"], ["verify", "--in", "x", "--bogus"],
+    ["construct", "--method", "foo", "--out", "x"],
+    ["catalog", "--s", "3", "--u-max", "3", "--format", "xml"],
+    ["verify", "--in", "x", "--strength", "1e3"],
+    ["verify", "--in"], ["verify", "--in", "x", "--s", "3"]])
+def test_help_usage_and_errors_are_argparse_s_own(argv, capsys):
+    code, out, err = _parse(_reference_parser(), argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)

@@ -1,4 +1,5 @@
-"""No op loads a numpy submodule it does not use.
+"""No op loads a numpy submodule it does not use, and no plain CLI run
+loads argparse.
 
 Each op runs in a fresh interpreter, as a user's run does, and the test
 compares the child's ``sys.modules`` before and after the op.  On numpy
@@ -6,6 +7,8 @@ compares the child's ``sys.modules`` before and after the op.  On numpy
 (11-15 ms), and a seeded level expansion imports ``numpy.random`` for its
 PCG64 streams (about 12 ms).  On older numpy, ``import numpy`` loads both,
 so nothing is new after any op and the test checks nothing there.
+argparse, with the ``gettext`` and ``locale`` imports of its first message
+lookup, is built only for help, unusual argv forms and usage errors.
 """
 
 import json
@@ -44,14 +47,19 @@ THEOREM1 = ("construct", "--method", "theorem1", "--s", "3", "--u", "3",
             "--u1", "2")
 
 
-def _new_numpy_modules(argv):
-    """(exit code, the numpy modules first loaded during the op)."""
+def _run_child(script, argv):
+    """What the child ``script`` prints for ``argv``, parsed as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)],
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                          env=env, capture_output=True, text=True, check=True)
-    rc, new = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def _new_numpy_modules(argv):
+    """(exit code, the numpy modules first loaded during the op)."""
+    rc, new = _run_child(CHILD, argv)
     return rc, [m for m in new if m.startswith("numpy.")]
 
 
@@ -112,3 +120,28 @@ def test_a_seeded_construct_loads_only_numpy_random(files):
     assert rc == EXIT_OK
     assert all(m == "numpy.random" or m.startswith("numpy.random.")
                for m in new), new
+
+
+#: the child: runs one CLI argv and prints its exit code and which of
+#: argparse, gettext and locale it loaded, the package's import included;
+#: what numpy's own import loads is not the package's to save
+PARSER_CHILD = """
+import sys, numpy
+before = set(sys.modules)
+import contextlib, io, json
+from mcd_forge import cli
+op = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(op)
+print(json.dumps([rc, sorted({"argparse", "gettext", "locale"}
+                             & (set(sys.modules) - before))]))
+"""
+
+
+@pytest.mark.parametrize("op", ["verify-json", "strength-3", "stratify",
+                                "tampered", "construct-json", "catalog"])
+def test_a_plain_op_loads_no_argparse(op, files):
+    # building the argparse tree, and the locale import of its first
+    # gettext lookup, took 2.3-2.8 ms of a 4.4-5.5 ms small verify
+    template, code = OPS[op]
+    assert _run_child(PARSER_CHILD, _argv(template, files)) == [code, []]

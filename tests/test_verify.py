@@ -432,6 +432,34 @@ def test_battery_stratify_sweep():
         battery(mcd.d1, twin, 2, stratify=(2, 2, 2))
 
 
+def test_battery_refuses_a_strength_outside_1_to_m_before_counting(
+        monkeypatch):
+    # the whole battery, the sweep included, used to run before
+    # check_oa_strength refused the strength: 0.28-0.30 s on a 2^11-run
+    # design, for an answer known from m alone
+    mcd = _anti_mirror()
+    m = mcd.d1.m
+
+    def no_counting(*args):
+        raise AssertionError("counted before refusing the strength")
+
+    monkeypatch.setattr(verify, "_first_unbalanced", no_counting)
+    for strength, error, text in (
+            (0, BadParamsError, "strength must be at least 1"),
+            (-1, BadParamsError, "strength must be at least 1"),
+            (m + 1, StrengthExceedsColumnsError,
+             f"strength {m + 1} exceeds column count {m}"),
+            (999, StrengthExceedsColumnsError,
+             f"strength 999 exceeds column count {m}")):
+        with pytest.raises(error) as exc:
+            battery(mcd.d1, mcd.d2, 2, strength=strength, stratify=(2, 2))
+        assert str(exc.value) == text
+        # the strength is now refused before a grid wider than D2
+        with pytest.raises(error):
+            battery(mcd.d1, mcd.d2, 2, strength=strength,
+                    stratify=(2,) * (mcd.d2.k + 1))
+
+
 def _reference_first_failure(data, levels, subsets):
     """Per-subset reference for the counting kernel: divisibility, then the
     range of each column, then a Counter of row tuples, subset by subset."""
