@@ -174,6 +174,9 @@ def _parse_cells(text: str) -> tuple[int, ...]:
 
 def cmd_verify(args) -> int:
     cells = None if args.stratify is None else _parse_cells(args.stratify)
+    # no file makes a strength below 1 valid; one above m needs the file
+    _require(args.strength is None or args.strength >= 1,
+             "strength must be at least 1")
     b = read_bundle(args.infile)
     d1, d2 = b.design_objects()
     report = battery(d1, d2, b.s, args.strength, cells)

@@ -7,9 +7,10 @@ structure only -- shape and dtype -- never the combinatorial properties,
 so that files read back from disk can always be *loaded* and then checked;
 the verify module reports property violations instead of raising.  A
 container keeps a signed-integer array in its own type and holds anything
-else as int64; level expansion builds D2 in the narrowest signed type that
-holds n-1 (int8, int16 up to 32,768 runs, int32 beyond), and the collapse
-keeps D2's type.
+else as int64.  The constructions build D1 in int8, which holds every
+level s <= 32 allows; level expansion builds D2 in the narrowest signed
+type that holds n-1 (int8, int16 up to 32,768 runs, int32 beyond), and
+the collapse keeps D2's type.
 
 Level operations:
 

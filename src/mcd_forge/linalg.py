@@ -19,9 +19,10 @@ s^u-run array whose row r is lambda_r^T G.  It grows the array one
 coordinate at a time, each step expanding every row into s rows with one
 add-table gather, which gives the base-s row order for prime and
 extension fields alike.  Rows grow in uint8 (uint16 for s > 16), as a
-flat add-table index is below s^2 <= 1024.  Any m generator columns that are t-wise linearly
-independent make the result an orthogonal array of strength t;
-``verify.check_oa_strength`` counts it.
+flat add-table index is below s^2 <= 1024, and come back as int8, the
+type a bundle file's D1 is read in.  Any m generator columns that are
+t-wise linearly independent make the result an orthogonal array of
+strength t; ``verify.check_oa_strength`` counts it.
 
 Every rank question goes to ``_kept_rows``, one Gaussian elimination over
 a stack of matrices in lockstep.  The check rejects a vector of another
@@ -234,6 +235,7 @@ def generate_linear_array(field: GaloisField, columns: Sequence[Vector]) -> np.n
     s * u * m scaled generator entries c * g_i are looked up once, and
     each step makes one gather from the flat add table, at index
     r * s + c * g_i, in the narrowest unsigned dtype that holds s * s.
+    The array is returned as int8, which holds every element of GF(s).
     """
     gen = _field_rows(field, columns, "generator column").T  # u x m
     if not gen.shape[1]:
@@ -250,4 +252,4 @@ def generate_linear_array(field: GaloisField, columns: Sequence[Vector]) -> np.n
     for i in range(u):
         out = add.take((out * step)[:, None, :]
                        + scaled[:, i][None]).reshape(-1, m)
-    return out.astype(np.int64)
+    return out.astype(np.int8)

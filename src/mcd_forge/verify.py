@@ -176,10 +176,11 @@ def _first_unbalanced(blocks, levels, scans):
         tops += part.max(axis=1, initial=0).tolist()
     bad = [low < 0 or top >= lev
            for low, top, lev in zip(lows, tops, levels)]
-    # one row per column, codes formed in int64; a copy larger than the
-    # chunk buffer is held in the smallest type that holds every level up
-    # to n (below that, the mixed-type arithmetic costs more than it
-    # saves); a column of more levels does not divide n and is never coded
+    # one row per column, codes formed in int64, in one copy: counting the
+    # callers' rows uncopied, in their own types, made every battery slower.
+    # A copy past the chunk buffer's size holds the smallest type that holds
+    # every level up to n (below it, mixed-type arithmetic costs more than
+    # it saves); a column of more levels does not divide n and is never coded
     c, n = len(levels), np.shape(blocks[0])[1]
     cols = np.empty((c, n), dtype=np.min_scalar_type(min(max(levels), n) - 1)
                     if c * n > 1 << 16 else np.int64)
@@ -480,39 +481,30 @@ def check_noncascading(collapsed: CollapsedDesign) -> VerificationReport:
     is, replacing each entry by the row where its value first appears in
     its column must give two different columns.  Columns go in blocks of
     at most 2^16 cells, and each column's key is its row of first rows in
-    the narrowest type that holds n-1.  A block whose values all lie in
-    0..n-1 is relabeled in one pass: each cell's code is its value plus n
-    times its column's place in the block, one np.minimum.at of the row
-    numbers over the codes finds the first row of each code, and one
-    gather hands it back to every cell.  A block holding any other value
-    takes one stable argsort instead."""
+    the narrowest type that holds n-1.  A block holding any value outside
+    0..n-1 first has each column's values replaced by their ranks, one
+    np.searchsorted into the sorted column, which keeps equal values equal
+    and distinct ones distinct.  Every block is then relabeled in one
+    pass: each cell's code is its value plus n times its column's place in
+    the block, one np.minimum.at of the row numbers over the codes finds
+    the first row of each code, and one gather hands it back to every
+    cell."""
     n, k = collapsed.data.shape
     kind = _narrow_type(max(n - 1, 0))
     runs = np.arange(n, dtype=kind)
     step, keys = max(1, (1 << 16) // max(n, 1)), []
     for a in range(0, k, step):
         block = collapsed.data[:, a:a + step].T
-        if 0 <= block.min(initial=0) and block.max(initial=-1) < n:
-            codes = np.add(block, np.arange(0, len(block) * n, n)[:, None],
-                           dtype=np.intp).ravel()
-            first = np.full(codes.size, n - 1, dtype=kind)
-            # flat codes and row numbers in first's own type: numpy 2.4
-            # broadcast 1-D values over 2-D indices wrongly, and values of
-            # another type take ufunc.at's casting path, ten times slower
-            np.minimum.at(first, codes, np.tile(runs, len(block)))
-            rows = first[codes].reshape(block.shape)
-        else:
-            order = np.argsort(block, axis=1, kind="stable").astype(kind)
-            ranked = np.take_along_axis(block, order, axis=1)
-            # sorted position of each run of equal values, holding its
-            # first row
-            start = np.zeros_like(order)
-            start[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1],
-                                    runs[1:], 0)
-            np.maximum.accumulate(start, axis=1, out=start)
-            rows = np.empty_like(order)
-            np.put_along_axis(rows, order,
-                              np.take_along_axis(order, start, axis=1), axis=1)
+        if block.min(initial=0) < 0 or block.max(initial=-1) >= n:
+            block = np.array([np.sort(c).searchsorted(c) for c in block])
+        codes = np.add(block, np.arange(0, len(block) * n, n)[:, None],
+                       dtype=np.intp).ravel()
+        first = np.full(codes.size, n - 1, dtype=kind)
+        # flat codes and row numbers in first's own type: numpy 2.4
+        # broadcast 1-D values over 2-D indices wrongly, and values of
+        # another type take ufunc.at's casting path, ten times slower
+        np.minimum.at(first, codes, np.tile(runs, len(block)))
+        rows = first[codes].reshape(block.shape)
         keys += map(np.ndarray.tobytes, rows)
     pair = first_equal_pair(keys)
     if pair:

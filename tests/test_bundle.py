@@ -779,6 +779,9 @@ JSON_EDITS = [
     ("unknown-key-first", lambda t: t.replace("{\n", '{\n  "a": 1,\n', 1),
      False),
     ("unknown-key-last", lambda t: t[:-3] + ',\n  "zz": 1\n}\n', True),
+    ("key-before-format-version", lambda t: t.replace(
+        ',\n  "format_version": ', ',\n  "e": 1,\n  "format_version": ', 1),
+     False),
     ("bad-method", lambda t: t.replace('"theorem1"', '"theorem9"'), True),
     ("escaped-method", lambda t: t.replace('"theorem1"', '"\\u0074heorem1"'),
      True),

@@ -314,6 +314,30 @@ def test_verify_parses_the_grid_before_reading_the_file(tmp_path, capsys,
         assert f"bad grid '{grid}'" in _one_error_line(capsys)
 
 
+def test_verify_refuses_a_low_strength_before_reading_the_file(
+        tmp_path, capsys, monkeypatch):
+    # a strength below 1 used to be refused only after the whole file was
+    # read; a strength above m still needs the file for m
+    out = _write_good_bundle(tmp_path)
+    m = read_bundle(out).m
+    capsys.readouterr()
+
+    def no_read(path):
+        raise AssertionError("read the file before refusing the strength")
+
+    monkeypatch.setattr(cli, "read_bundle", no_read)
+    for text in ("0", "-1", "-999"):
+        assert main(["verify", "--in", str(out), "--strength",
+                     text]) == EXIT_PARAM_ERROR
+        assert _one_error_line(capsys) == (
+            "error: strength must be at least 1\n")
+    monkeypatch.undo()
+    assert main(["verify", "--in", str(out), "--strength",
+                 str(m + 1)]) == EXIT_PARAM_ERROR
+    assert _one_error_line(capsys) == (
+        f"error: strength {m + 1} exceeds column count {m}\n")
+
+
 def test_verify_stratify_flag(tmp_path, capsys):
     out = tmp_path / "strat.json"
     assert main(["construct", "--method", "anti-mirror",

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from mcd_forge import construct
+from mcd_forge.bundle import bundle_from_design, read_bundle, write_bundle
 from mcd_forge.construct import (
     MAX_DESIGN_CELLS,
     ConstructionParams,
+    PrefixSearch,
     admissible_set,
     anti_mirror_construction,
     common_nonorthogonal,
@@ -699,6 +701,39 @@ def test_subspace_construction_v_range():
     # refused before the closed form, which sums O(v) big-integer terms
     with pytest.raises(VOutOfRangeError):
         subspace_construction(F3, 4, 3, 10 ** 9)
+
+
+def test_constructions_refuse_u_below_two():
+    for build in (lambda: direct_construction(F3, 1, 1),
+                  lambda: subspace_construction(F3, 1, 1, 1)):
+        with pytest.raises(BadParamsError,
+                           match=r"^construction needs u >= 2$"):
+            build()
+
+
+def test_subspace_construction_refuses_v_past_the_prefix_set(monkeypatch):
+    # a prefix set below the bound: v between its size and the bound passes
+    # the bound check and is refused against the set itself
+    full = construct._cached_prefix_search(3, 2)
+    assert full.size == independent_prefix_bound(3, 2) == 2
+    short = PrefixSearch(3, 2, full.labels[:1], full.prefixes[:1],
+                         full.bound, "maximal-within-search")
+    monkeypatch.setattr(construct, "_cached_prefix_search",
+                        lambda s, u1: short)
+    with pytest.raises(VOutOfRangeError,
+                       match=r"^v=2 outside 1\.\.1 for s=3, u1=2$"):
+        subspace_construction(F3, 3, 2, 2)
+    assert subspace_construction(F3, 3, 2, 1).full_verification().passed
+
+
+def test_constructions_build_d1_in_the_type_a_json_file_gives_it(tmp_path):
+    for mcd in (direct_construction(F3, 3, 2),
+                subspace_construction(F3, 4, 3, 3),
+                anti_mirror_construction(4, 2)):
+        assert mcd.d1.data.dtype == np.int8
+        b = bundle_from_design(mcd)
+        path = write_bundle(tmp_path / "d.json", b)
+        assert b.d1.dtype == read_bundle(path).d1.dtype
 
 
 def test_anti_mirror_construction():

@@ -384,7 +384,7 @@ def test_generate_linear_array_rows_are_dot_products():
             cols = [tuple(int(v) for v in rng.integers(0, s, u))
                     for _ in range(3)]
             got = generate_linear_array(f, cols)
-            assert got.dtype == np.int64
+            assert got.dtype == np.int8
             assert (got == _linear_array_by_grid(f, cols)).all(), (s, u)
             u += 1
 

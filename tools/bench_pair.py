@@ -16,10 +16,12 @@ ranges, the number of pairs the change wins, and how much worse the
 change's median is than the base's, against the metric's bound in
 ``BENCHMARK.json``, are written to ``BENCH_<label>.json`` at the root of
 the working tree; each metric outside its bound is also printed.  After
-the timed pairs, one ``--trace 1`` run per side and workload, at the
-first seed, adds the per-layer metrics (self times, call and cell
-counts) under ``layers``.  ``environment`` names the BLAS numpy was
-built with and the thread-count variables the op processes ran with.
+the timed pairs, one ``--trace 1`` run per side and workload at each of
+the first ``TRACED_SEEDS`` seeds, again swapping which side goes first,
+adds the per-layer metrics (self times, call and cell counts) under
+``layers``, each as its median, quartiles and interquartile range.
+``environment`` names the BLAS numpy was built with and the thread-count
+variables the op processes ran with.
 
 Run it with no other benchmark running: ``perfbench/run.py`` pins itself and
 its children to one CPU.
@@ -42,6 +44,9 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: seeds with a traced run per side: one run cannot resolve a few ms
+TRACED_SEEDS = 3
 
 
 def export(rev: str, dest: Path) -> str:
@@ -157,10 +162,18 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"{pair[side]['metrics']}", file=sys.stderr)
                 runs[workload].append(pair)
-        layers = {w: {side: run_once(trees[side], w, args.seeds[0],
-                                     args.seconds, trace=1)["metrics"]
-                      for side in ("base", "change")}
-                  for w in args.workloads}
+        traced = {w: {"base": [], "change": []} for w in args.workloads}
+        for i, seed in enumerate(args.seeds[:TRACED_SEEDS]):
+            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+            for workload in args.workloads:
+                for side in order:
+                    traced[workload][side].append(run_once(
+                        trees[side], workload, seed, args.seconds,
+                        trace=1)["metrics"])
+        layers = {w: {side: {name: spread([r[name] for r in side_runs])
+                             for name in side_runs[0]}
+                      for side, side_runs in sides.items()}
+                  for w, sides in traced.items()}
         threads = child_threads(trees["change"])
     first = runs[args.workloads[0]][0]["change"]["environment"]
     bench = {
