@@ -25,6 +25,7 @@ from mcd_forge.bundle import (
     sidecar_path,
     write_bundle,
 )
+from mcd_forge.catalog import all_rows
 from mcd_forge.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
@@ -853,6 +854,47 @@ def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
     assert proc.returncode == EXIT_PARAM_ERROR
     assert proc.stderr == (f"error: [Errno 2] No such file or directory: "
                            f"'{out}'\n")
+
+
+def _cli_child(argv):
+    """``python -m mcd_forge.cli argv`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "mcd_forge.cli", *argv],
+                          env=env, capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("name", ["d.json", "d.csv"])
+def test_a_cli_process_writes_what_main_writes(tmp_path, name, capsys):
+    # the CLI freezes its import-time heap, so shutdown no longer collects
+    # it; every file must still be whole when the process has ended
+    argv = ["construct", "--method", "theorem1", "--s", "3", "--u", "3",
+            "--u1", "2", "--seed", "7", "--out"]
+    (tmp_path / "child").mkdir()
+    (tmp_path / "main").mkdir()
+    proc = _cli_child([*argv, str(tmp_path / "child" / name)])
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert main([*argv, str(tmp_path / "main" / name)]) == EXIT_OK
+    capsys.readouterr()
+    written = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "child").iterdir())
+    assert len(written) == (2 if name.endswith(".csv") else 1)
+    for file in written:
+        assert ((tmp_path / "child" / file).read_bytes()
+                == (tmp_path / "main" / file).read_bytes()), file
+
+
+def test_a_piped_catalog_arrives_whole(capsys):
+    # about 200 KB, many times a pipe's buffer, flushed before the process
+    # ends
+    argv = ["catalog", "--s", "32", "--u-max", "6", "--format", "json"]
+    proc = _cli_child(argv)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    rows = json.loads(proc.stdout)
+    assert len(proc.stdout) > 200_000
+    assert len(rows) == len(all_rows(32, 6)) == 514
+    assert main(argv) == EXIT_OK
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 # --- the direct argv reader against argparse -------------------------------

@@ -9,6 +9,8 @@ PCG64 streams (about 12 ms).  On older numpy, ``import numpy`` loads both,
 so nothing is new after any op and the test checks nothing there.
 argparse, with the ``gettext`` and ``locale`` imports of its first message
 lookup, is built only for help, unusual argv forms and usage errors.
+Only ``mcd_forge.cli`` freezes the collector's heap: a library module
+imported into a host process leaves the host's objects collectable.
 """
 
 import json
@@ -145,3 +147,28 @@ def test_a_plain_op_loads_no_argparse(op, files):
     # gettext lookup, took 2.3-2.8 ms of a 4.4-5.5 ms small verify
     template, code = OPS[op]
     assert _run_child(PARSER_CHILD, _argv(template, files)) == [code, []]
+
+
+#: the child: imports one module in a fresh interpreter and prints how many
+#: objects the collector has frozen
+FREEZE_CHILD = """
+import gc, importlib, json, sys
+importlib.import_module(json.loads(sys.argv[1]))
+print(gc.get_freeze_count())
+"""
+
+
+def test_the_cli_freezes_its_import_time_heap():
+    # the objects loaded with the CLI live until the process ends; frozen,
+    # shutdown's collection skipped them: 23.8 -> 7.6 ms per process
+    assert _run_child(FREEZE_CHILD, "mcd_forge.cli") > 0
+
+
+@pytest.mark.parametrize("module", [
+    "mcd_forge", *(f"mcd_forge.{name}" for name in (
+        "bundle", "verify", "construct", "catalog", "designs", "linalg",
+        "gf", "nstar", "errors"))])
+def test_a_library_import_leaves_the_collector_as_it_found_it(module):
+    # a library imported late in a host process must not freeze the host's
+    # objects for good
+    assert _run_child(FREEZE_CHILD, module) == 0

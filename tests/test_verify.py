@@ -984,11 +984,12 @@ def _noncascading_cases(rng):
 
 def test_noncascading_one_pass_matches_the_sort_path_and_a_dict_relabel():
     # every block in 0..n-1 is relabeled in one pass; the same columns
-    # moved out of that range, by a shift or onto the int64 extremes, take
-    # the stable-argsort path, in one block or all of them.  A shift or a
-    # relabeling keeps every pair's verdict, so all must report as the
-    # pure-Python first-occurrence relabel does, in every signed type that
-    # holds the values
+    # moved out of that range, by a shift or onto the int64 extremes, are
+    # first replaced by their ranks, one np.searchsorted into the sorted
+    # column, in one block or all of them.  A shift or a relabeling keeps
+    # every pair's verdict, so all must report as the pure-Python
+    # first-occurrence relabel does, in every signed type that holds the
+    # values
     rng = np.random.default_rng(20261019)
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     kinds = (np.int8, np.int16, np.int32, np.int64)
