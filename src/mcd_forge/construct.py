@@ -58,7 +58,6 @@ from .designs import (
     Seed,
     _narrow_type,
     expand_levels,
-    method_of_replacement,
 )
 from .errors import (
     BadParamsError,
@@ -563,30 +562,70 @@ def general_construction(field: GaloisField, z_list, x_list,
                      ConstructionParams(s=field.s, u=u, seed=seed))
 
 
+def _replaced_columns(field: GaloisField, gens: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapsed D2 of (k, u-1, u) generator matrices, as its (k, n)
+    transpose, with the distinct generator columns, (d, u), and the index
+    among them of each matrix's columns, (k, u-1).
+
+    Column j is the method of replacement over the linear array of
+    generator matrix j: the sum over i of s^(u-2-i) times the linear-array
+    column of its generator column i.  Few generator columns differ across
+    the x's (17 of 2,304 at theorem1 s=2 u=10), so each is coded as its
+    base-s integer, below n, and a mask over 0..n-1 lists the distinct
+    codes in order: np.unique would import numpy.ma on numpy >= 2.3, and
+    the first np.sort in a process paged in 320 KiB of sort code, which
+    raised a small construct's peak RSS.  ``generate_linear_array`` builds
+    each distinct column once, in blocks of ``BLOCK_CELLS`` cells, as an
+    int8 row of n bytes (1,043 rows for the 1,024 x's of anti-mirror u=12,
+    whose leads all differ; up to (u-1) k with explicit overrides).
+    Blocks of as many cells of the result are summed from row gathers of
+    those rows, in D2's type, with no whole-matrix temporary; a row of the
+    result is a column of the collapsed design, contiguous, as
+    ``expand_levels`` reads it."""
+    s = field.s
+    k, _, u = gens.shape
+    n = s ** u
+    place = s ** np.arange(u - 1, -1, -1)
+    codes = gens @ place
+    seen = np.zeros(n, dtype=bool)
+    seen[codes] = True
+    distinct = np.flatnonzero(seen)
+    which = distinct.searchsorted(codes)
+    columns = distinct[:, None] // place % s
+    width = max(1, BLOCK_CELLS // n)
+    digits = np.empty((len(columns), n), dtype=np.int8)
+    for lo in range(0, len(columns), width):
+        digits[lo:lo + width] = generate_linear_array(
+            field, columns[lo:lo + width]).T
+    tilde = np.empty((k, n), dtype=_narrow_type(n - 1))
+    for lo in range(0, k, width):
+        block, rows = tilde[lo:lo + width], which[lo:lo + width]
+        block[...] = digits[rows[:, 0]]
+        for i in range(1, u - 1):
+            block *= s
+            block += digits[rows[:, i]]
+    return tilde, columns, which
+
+
 def _assemble(field: GaloisField, zs: np.ndarray, xs: np.ndarray,
               gens: np.ndarray, method: str,
               params: ConstructionParams) -> MarginallyCoupledDesign:
     """D1, D2 (expanded with ``params.seed``) and the provenance of int
-    arrays of z's, x's and (k, u-1, u) null-space generators, unchecked."""
-    s, u = field.s, zs.shape[1]
+    arrays of z's, x's and (k, u-1, u) null-space generators, unchecked.
+    The provenance shares one tuple per distinct generator column."""
+    s = field.s
     d1 = OrthogonalArray(generate_linear_array(field, zs), (s,) * len(zs))
-    # base-s codes of each matrix's linear array, one array per block, in
-    # D2's type
-    n = s ** u
-    tilde = np.empty((n, len(xs)), dtype=_narrow_type(n - 1))
-    width = max(1, BLOCK_CELLS // (n * (u - 1)))
-    for lo in range(0, len(xs), width):
-        cols = gens[lo:lo + width].reshape(-1, u)
-        tilde[:, lo:lo + width] = method_of_replacement(
-            generate_linear_array(field, cols).reshape(-1, u - 1),
-            s).reshape(n, -1)
-    collapsed = CollapsedDesign(s, tilde)
+    tilde, columns, which = _replaced_columns(field, gens)
+    collapsed = CollapsedDesign(s, tilde.T)
     d2 = expand_levels(collapsed, s, params.seed)
+    shared = list(map(tuple, columns.tolist()))
     return MarginallyCoupledDesign(
         d1, d2, collapsed, params,
         Provenance(method, tuple(map(tuple, zs.tolist())),
                    tuple(map(tuple, xs.tolist())),
-                   tuple(tuple(map(tuple, g)) for g in gens.tolist())))
+                   tuple(tuple(map(shared.__getitem__, row))
+                         for row in which.tolist())))
 
 
 T = TypeVar("T")

@@ -10,7 +10,8 @@ container keeps a signed-integer array in its own type and holds anything
 else as int64.  The constructions build D1 in int8, which holds every
 level s <= 32 allows; level expansion builds D2 in the narrowest signed
 type that holds n-1 (int8, int16 up to 32,768 runs, int32 beyond), and
-the collapse keeps D2's type.
+the collapse keeps D2's type.  The constructions build collapsed D2 in
+that type too, each column contiguous: the transpose of a k x n array.
 
 Level operations:
 
@@ -27,7 +28,10 @@ Level operations:
   neither the block size nor parallel work could change the output.
 * ``method_of_replacement`` encodes the rows of an n x (u-1) s-level array
   as single base-s integers (ordinary positional notation, no field
-  arithmetic): column j carries weight s^(u-2-j).
+  arithmetic): column j carries weight s^(u-2-j).  The constructions sum
+  the same weights over row gathers of each distinct generator column's
+  linear array, built once, and never call it; it stays the reference
+  their collapsed D2 is tested against.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ IDENTITY_SEED = "identity"
 Seed = int | str
 
 #: cells each temporary of a blocked pass holds: a block of columns in
-#: level expansion and D2's build, of subsets in the prefix check
+#: level expansion and in collapsed D2's build, of distinct generator
+#: columns' linear arrays, of subsets in the prefix check
 BLOCK_CELLS = 1 << 17
 
 
@@ -68,12 +73,14 @@ def _narrow_type(top: int) -> np.dtype:
     return np.min_scalar_type(-top - 1)
 
 
-def _floor_divided(data: np.ndarray, q: int) -> np.ndarray:
+def _floor_divided(data: np.ndarray, q: int, out=None) -> np.ndarray:
     """data // q for q >= 1, in data's type or, when q does not fit it,
     the narrowest that holds q: never a wider copy than needed, and the
-    same values under every numpy's casting rules."""
+    same values under every numpy's casting rules.  Written into ``out``,
+    cast to its type whatever it is, when given."""
     kind = np.promote_types(data.dtype, _narrow_type(q))
-    return np.floor_divide(data, kind.type(q), dtype=kind)
+    return np.floor_divide(data, kind.type(q), out=out, dtype=kind,
+                           casting="unsafe")
 
 
 def _require_level_count(s) -> None:

@@ -20,8 +20,10 @@ first t-1 columns (the head), and returns the first unbalanced subset.
 Each column is range-checked once, on the caller's array in its own
 type, before the kernel copies it into the smallest unsigned type that
 holds every level up to n; a column of more levels does not divide n and
-is never counted.  A call's scans share one t.  Only bincount finds and words a
-failure; one-hot products only clear blocks of scans:
+is never counted.  A block the caller gives with a divisor, D2 for pair
+balance and the grid sweep, is floor-divided in that one copy.  A call's
+scans share one t.  Only bincount finds and words a failure; one-hot
+products only clear blocks of scans:
 
 * One-hot products, when the call has fewer than EXACT_FLOAT32 runs, no
   column out of range (so no level below 1) and its widest table, the
@@ -150,9 +152,10 @@ class VerificationReport:
         return [c.line() for c in self.checks]
 
 
-def _first_unbalanced(blocks, levels, scans):
+def _first_unbalanced(blocks, levels, scans, divisors=None):
     """The counting kernel over the rows of the integer 2-D ``blocks``,
-    stacked in order (``data.T`` for a design matrix), with level counts
+    stacked in order (``data.T`` for a design matrix), each floor-divided
+    by its entry of ``divisors`` (all 1 when None), with level counts
     ``levels``.  Each scan (head, lo, hi) asks whether every subset
     head + (j,), lo <= j < hi, holds every level combination n / (product
     of its levels) times.  Returns None when all of them do, else
@@ -167,24 +170,34 @@ def _first_unbalanced(blocks, levels, scans):
     if not block:
         return None
     levels = tuple(map(int, levels))
+    divisors = divisors or (1,) * len(blocks)
     # range-check the caller's arrays, in their own types, before the
     # narrowing copy below, so that no entry can wrap into range: one min
-    # and one max per column, compared as Python ints
+    # and one max per column, compared as Python ints.  Floor division by
+    # q >= 1 is monotone, so floor(min / q) and floor(max / q) are the
+    # least and greatest of the divided column
     lows, tops = [], []
-    for part in blocks:
-        lows += part.min(axis=1, initial=0).tolist()
-        tops += part.max(axis=1, initial=0).tolist()
+    for part, q in zip(blocks, divisors):
+        lows += [low // q for low in part.min(axis=1, initial=0).tolist()]
+        tops += [top // q for top in part.max(axis=1, initial=0).tolist()]
     bad = [low < 0 or top >= lev
            for low, top, lev in zip(lows, tops, levels)]
-    # one row per column, codes formed in int64, in one copy: counting the
-    # callers' rows uncopied, in their own types, made every battery slower.
-    # A copy past the chunk buffer's size holds the smallest type that holds
-    # every level up to n (below it, mixed-type arithmetic costs more than
-    # it saves); a column of more levels does not divide n and is never coded
+    # one row per column, codes formed in int64, in one copy, which also
+    # floor-divides: counting the callers' rows uncopied, in their own
+    # types, made every battery slower.  A copy past the chunk buffer's
+    # size holds the smallest type that holds every level up to n (below
+    # it, mixed-type arithmetic costs more than it saves); a column of more
+    # levels does not divide n and is never coded
     c, n = len(levels), np.shape(blocks[0])[1]
     cols = np.empty((c, n), dtype=np.min_scalar_type(min(max(levels), n) - 1)
                     if c * n > 1 << 16 else np.int64)
-    np.concatenate(blocks, out=cols, casting="unsafe")
+    row = 0
+    for part, q in zip(blocks, divisors):
+        out, row = cols[row:row + len(part)], row + len(part)
+        if q == 1:
+            np.copyto(out, part, casting="unsafe")
+        else:
+            _floor_divided(part, q, out)
     run_end = list(range(1, c + 1))  # end of j's chunk: level change or bad
     for j in range(c - 2, -1, -1):
         if levels[j + 1] == levels[j] and not bad[j + 1]:
@@ -385,9 +398,9 @@ def _pair_balance(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> CheckResul
     level) combination exactly once -- the collapsed form of marginal
     coupling."""
     m, k, n = d1.m, d2.k, d1.n
-    hit = _first_unbalanced((d1.data.T, _floor_divided(d2.data.T, s)),
+    hit = _first_unbalanced((d1.data.T, d2.data.T),
                             (s,) * m + (n // s,) * k,
-                            (((i,), m, m + k) for i in range(m)))
+                            (((i,), m, m + k) for i in range(m)), (1, s))
     if hit is None:
         return CheckResult("pair-balance", (), True)
     (i, j), found = hit
@@ -550,14 +563,16 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
     # row shift[i] + p of the stack holds column dims[p] in cells[i] cells
     sizes = sorted(set(cells))
     shift = [sizes.index(c) * places for c in cells]
-    selected = d2.data.T[list(dims)]
+    # the battery's sweep selects every column in order: a view, no copy
+    selected = (d2.data.T if list(dims) == list(range(d2.k))
+                else d2.data.T[list(dims)])
     tails = shift[-1]
     hit = _first_unbalanced(
-        [_floor_divided(selected, n // c) for c in sizes],
-        [c for c in sizes for _ in dims],
+        [selected] * len(sizes), [c for c in sizes for _ in dims],
         ((tuple(map(add, shift, h)), tails + (h[-1] + 1 if h else 0),
           tails + places)
-         for h in combinations(range(places - 1), r - 1)))
+         for h in combinations(range(places - 1), r - 1)),
+        [n // c for c in sizes])
     name = _grid_name(cells)
     if hit is None:
         return VerificationReport((CheckResult(name, tuple(dims), True),))

@@ -39,10 +39,13 @@ from mcd_forge.errors import (
     VOutOfRangeError,
     ZeroVectorError,
 )
+from mcd_forge.designs import method_of_replacement
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import (
     dot,
+    generate_linear_array,
     normalize_direction,
+    orthogonal_complement_basis,
     rank,
 )
 from mcd_forge.nstar import PREFIX_TABLE
@@ -612,6 +615,70 @@ def test_general_construction_has_no_method_or_params_knob():
     with pytest.raises(TypeError):
         general_construction(F3, [(1, 2, 0)], [(1, 2, 0)], 5,
                              params=ConstructionParams(s=3, u=3, seed=7))
+
+
+def _repeating_overrides(field, xs, shared):
+    """For each x orthogonal to the column ``shared``, a basis of O(x)
+    opening with it, completed by x's canonical columns in order."""
+    overrides = {}
+    for j, x in enumerate(xs):
+        if dot(field, shared, x):
+            continue
+        basis = [shared]
+        for c in orthogonal_complement_basis(field, x).vectors:
+            if (len(basis) < len(x) - 1
+                    and rank(field, [*basis, c]) == len(basis) + 1):
+                basis.append(c)
+        overrides[j] = tuple(basis)
+    return overrides
+
+
+def _matches_per_x_reference(field, mcd, overrides=None):
+    """Collapsed D2 column j is the method of replacement over the linear
+    array of x_j's own generator matrix, built alone, and the provenance
+    lists those matrices, one tuple per distinct generator column."""
+    gens = [(overrides or {}).get(j)
+            or orthogonal_complement_basis(field, x).vectors
+            for j, x in enumerate(mcd.provenance.x_vectors)]
+    columns = mcd.provenance.generator_columns
+    assert columns == tuple(tuple(map(tuple, g)) for g in gens)
+    for j, g in enumerate(gens):
+        want = method_of_replacement(generate_linear_array(field, g), field.s)
+        assert np.array_equal(mcd.collapsed.data[:, j], want), j
+    flat = [c for g in columns for c in g]
+    assert len({id(c) for c in flat}) == len(set(flat))
+    assert mcd.full_verification().passed
+
+
+def test_d2_from_distinct_columns_matches_the_per_x_reference():
+    # the assembler builds each distinct generator column's linear array
+    # once; the named grid of the pinned-output test holds no override, no
+    # u = 2 design and no field past GF(9)
+    xs = admissible_set(F3, 4, 2).vectors
+    overrides = _repeating_overrides(F3, xs, (0, 1, 1, 1))
+    assert len(overrides) == 6
+    _matches_per_x_reference(
+        F3, general_construction(F3, [(1, 0, 0, 0)], xs, 5, overrides),
+        overrides)
+    f5, f7 = galois_field(5), galois_field(7)
+    scaled = {0: ((0, 2),), 3: ((4, 2),)}
+    _matches_per_x_reference(
+        f5, general_construction(f5, [(1, 0)], [(1, t) for t in range(5)],
+                                 generator_overrides=scaled), scaled)
+    for item in ("i", "ii"):
+        _matches_per_x_reference(f7, direct_construction(f7, 2, 1, item, 3))
+    # a + b = 0 in characteristic 2 exactly when a = b: the tails (a, a)
+    # share the override column (0, 1, 1), and every other x takes the
+    # leads stratified_generator_choice picks
+    for s, tails in ((16, [(1, 0), (2, 3), (5, 5), (15, 7), (9, 9)]),
+                     (32, [(0, 1), (3, 3), (17, 4), (30, 30)])):
+        f = galois_field(s)
+        xs = [(1, *tail) for tail in tails]
+        overrides = {**dict(enumerate(stratified_generator_choice(f, xs))),
+                     **_repeating_overrides(f, xs, (0, 1, 1))}
+        _matches_per_x_reference(
+            f, general_construction(f, [(1, 0, 0)], xs, 1, overrides),
+            overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,16 @@ OPS = {
                         "{out}.json"), EXIT_OK),
     "construct-csv": ((*THEOREM1, "--seed", "identity", "--out",
                        "{out}.csv"), EXIT_OK),
+    "construct-theorem2": (("construct", "--method", "theorem2", "--s", "3",
+                            "--u", "4", "--u1", "2", "--v", "2", "--seed",
+                            "identity", "--out", "{out}-t2.json"), EXIT_OK),
+    "construct-anti-mirror": (("construct", "--method", "anti-mirror", "--u",
+                               "5", "--u1", "2", "--seed", "identity",
+                               "--out", "{out}-am.csv"), EXIT_OK),
+    "construct-general": (("construct", "--method", "general", "--s", "3",
+                           "--z", "1,2,0", "--x", "1,2,0", "--x", "1,0,1",
+                           "--generator", "0=0,0,1|1,1,0", "--seed",
+                           "identity", "--out", "{out}-g.json"), EXIT_OK),
     "catalog": (("catalog", "--s", "3", "--u-max", "3", "--materialize"),
                 EXIT_OK),
 }

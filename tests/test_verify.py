@@ -1180,3 +1180,28 @@ def test_built_designs_hold_narrow_matrices():
     assert report.passed
     assert mcd.d2.data.dtype == mcd.collapsed.data.dtype == np.int16
     assert peak < 6 << 20, peak
+
+
+def test_pair_balance_and_the_grid_sweep_hold_d2_once():
+    # theorem1 s=2 u=11, 2048 x (2 + 512) cells: the kernel floor-divides
+    # D2 in its one narrowing copy.  Dividing first made pair balance hold
+    # D2 three times (2.77 x its bytes, traced) and a one-axis sweep over
+    # every column 2.68 x; now 1.77 x (the copy and its chunk buffers)
+    # and 0.69 x (uint8 cells)
+    mcd = direct_construction(galois_field(2), 11, 2, "i")
+    d1, d2 = mcd.d1, mcd.d2
+    assert d2.n * (d1.m + d2.k) >= 1 << 20
+    peaks = []
+    tracemalloc.start()
+    try:
+        for check in (lambda: check_mcd(d1, d2, 2).checks[-1],
+                      lambda: check_grid_stratification(
+                          d2, tuple(range(d2.k)), (4,)).checks[0]):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert check().passed
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 2.25 * d2.data.nbytes, peaks
+    assert peaks[1] < 1.25 * d2.data.nbytes, peaks
