@@ -30,7 +30,6 @@ from .construct import (
     ConstructionParams,
     MarginallyCoupledDesign,
     NonorthogonalIntersection,
-    PrefixSearch,
     Provenance,
     admissible_set,
     anti_mirror_construction,
@@ -38,7 +37,6 @@ from .construct import (
     direct_construction,
     expected_intersection_size,
     general_construction,
-    max_independent_prefixes,
     orthogonal_witness,
     partition_admissible,
     stratified_generator_choice,
@@ -82,6 +80,7 @@ from .linalg import (
     orthogonal_complement_basis,
     rank,
 )
+from .nstar import PrefixSearch, max_independent_prefixes
 from .verify import (
     CheckResult,
     VerificationReport,

@@ -34,13 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .construct import (
-    MAX_DESIGN_CELLS,
-    MarginallyCoupledDesign,
-    independent_prefix_bound,
-)
+from .construct import MAX_DESIGN_CELLS, MarginallyCoupledDesign
 from .designs import LatinHypercube, OrthogonalArray, _narrow_type
 from .errors import MalformedBundleError
+from .nstar import independent_prefix_bound
 
 FORMAT_VERSION = 1
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import (
-    _cached_prefix_search,
     direct_construction,
     expected_intersection_size,
     subspace_construction,
 )
 from .errors import BadParamsError
 from .gf import galois_field
+from .nstar import prefix_set
 from .verify import CheckResult, VerificationReport, battery
 
 U_MAX_CAP = 6
@@ -73,7 +73,7 @@ def subspace_rows(s: int, u_max: int) -> list[CatalogRow]:
     for u in range(2, u_max + 1):
         n = s ** u
         for u1 in range(1, u + 1):
-            nstar = _cached_prefix_search(s, u1).size
+            nstar = prefix_set(s, u1).size
             for v in range(1, nstar + 1):
                 g = expected_intersection_size(s, u1, v) // (s - 1)
                 k = v * s ** (u - u1)

@@ -41,7 +41,6 @@ from types import SimpleNamespace
 from .bundle import bundle_from_design, read_bundle, write_bundle
 from .catalog import all_rows, verify_row
 from .construct import (
-    _cached_prefix_search,
     anti_mirror_construction,
     direct_construction,
     general_construction,
@@ -50,6 +49,7 @@ from .construct import (
 from .designs import IDENTITY_SEED
 from .errors import BadParamsError, McdForgeError, TooLargeError
 from .gf import galois_field
+from .nstar import prefix_set
 from .verify import battery
 
 SEED_ENV_VAR = "MCD_FORGE_SEED"
@@ -227,8 +227,7 @@ def cmd_catalog(args) -> int:
         print("|---|----|---|---|------|---|--------|--------|---------|---------|")
         for r in t2:
             # v* is n*; v+ is an arc's size, n* is at least that
-            proven = (_cached_prefix_search(r.s, r.u1).certified
-                      == "provably-maximal")
+            proven = prefix_set(r.s, r.u1).certified == "provably-maximal"
             vtxt = f"{r.v}{'*' if proven else '+'}" if r.star else f"{r.v}"
             print(f"| {r.u} | {r.u1} | {vtxt} | {r.g} | {r.free_coords} | "
                   f"{r.k} | OA{r.d1_i} | LHD{r.d2_i} | OA{r.d1_ii} | "

@@ -24,7 +24,8 @@ The named constructions differ only in which vectors they pick:
   into groups A_i by first-u1 prefix b_i; choosing v prefixes whose
   vectors are u1-wise independent leaves the common non-orthogonal set
   (the E members orthogonal to none of the chosen prefixes) as the other
-  side's generators.
+  side's generators.  How many prefixes can be traded, n*, and which,
+  ``nstar.prefix_set`` decides.
 * ``anti_mirror_construction`` (s=2 only): like the subspace construction
   at v=1, but the generator matrix of each O(x_i) is forced to lead with
   eta_i = (1, 1, 0...0, complement of the tail of x_i), which buys a
@@ -42,7 +43,6 @@ to ``_assemble`` unchecked; counting (``full_verification``) checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 from itertools import combinations, compress, islice, product
 from math import comb
 from typing import TypeVar
@@ -82,6 +82,8 @@ from .linalg import (
     _null_space_bases,
     generate_linear_array,
 )
+from .nstar import PrefixSearch, max_independent_prefixes  # re-exported
+from .nstar import independent_prefix_bound, prefix_set
 from .verify import battery, first_equal_pair, require_mcd_work
 
 # ---------------------------------------------------------------------------
@@ -225,153 +227,6 @@ def common_nonorthogonal(part: AdmissiblePartition,
         independent = bool(_kept_rows(f, rows[block]).all())
     return NonorthogonalIntersection(indices, members, normalized,
                                      independent)
-
-
-# ---------------------------------------------------------------------------
-# prefix capacity: how many groups can be traded at once
-# ---------------------------------------------------------------------------
-
-
-def independent_prefix_bound(s: int, u1: int) -> int:
-    """Upper bound on the number of prefixes with every u1 of them
-    linearly independent.  These prefixes are points of an arc in
-    PG(u1-1, s), so the bounds on arcs apply:
-
-    * u1 = 1 or s = 2: 1; u1 = 2: s - 1.  Both exact.
-    * s <= u1: u1 + 1 (Bush 1952).
-    * u1 = 3: s + 1 for odd s, s + 2 for even s (Bose 1947; Segre 1955).
-    * s + 1, the MDS bound, for u1 < s when s is prime (S. Ball, JEMS 14,
-      2012); when u1 = 4 and s > 4 (Segre 1955 for odd s, L. R. A. Casse
-      1979 for even s); when s = p^h and u1 <= 2p - 2 (S. Ball and
-      J. De Beule, Des. Codes Cryptogr. 65, 2012).
-    * (8, 6): 9.  An n-arc in PG(k-1, s) gives one in PG(n-k-1, s), the
-      dual MDS code, so a 10-arc in PG(5, 8) would give a 10-arc in
-      PG(3, 8), past the u1 = 4 bound of 9.
-    * otherwise s + u1 - 2 for odd s and s + u1 - 1 for even s.
-    """
-    if u1 < 1:
-        raise BadParamsError(f"u1 must be at least 1, got {u1}")
-    if u1 == 1 or s == 2:
-        return 1
-    if u1 == 2:
-        return s - 1
-    if s <= u1:
-        return u1 + 1
-    p = next(c for c in range(2, s + 1) if s % c == 0)
-    if p == s or u1 == 4 or u1 <= 2 * p - 2 or (s, u1) == (8, 6):
-        return s + 1
-    if s % 2 == 1:
-        return s + u1 - 2
-    return s + u1 - 1
-
-
-@dataclass(frozen=True)
-class PrefixSearch:
-    """A set of prefixes with every min(size, u1) of them independent.
-
-    ``labels`` index the partition prefixes (base-s order over the
-    nonzero tail digits), ascending.  ``certified`` is
-    "provably-maximal" when the size equals ``bound`` or the search
-    exhausted the whole candidate space; "maximal-within-search" when
-    the search ran out of budget; "arc-lower-bound" for an arc below
-    the bound, so that n* is at least its size.
-    """
-
-    s: int
-    u1: int
-    labels: tuple[int, ...]
-    prefixes: tuple[Vector, ...]
-    bound: int
-    certified: str
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-
-_SEARCH_NODE_BUDGET = 1 << 20
-
-
-def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
-    """Deterministic branch-and-bound for a maximum set of prefixes with
-    every min(size, u1)-subset linearly independent.
-
-    Candidates are scanned in label order, so the returned label set is
-    the first maximum found and is stable across runs.  The search prunes
-    with the closed-form bound and stops as soon as the bound is attained.
-
-    A candidate may join exactly when it lies in the span of no set of at
-    most u1-1 selected prefixes.  Such sets are independent, so this is
-    the rank test: with fewer than u1 selected the whole selection is one,
-    beyond that each (u1-1)-subset plus the candidate needs rank u1.
-    Each depth gets its ``blocked`` mask as a value: c joining copies it
-    and adds the span of c with each set of min(len(sel), u1-2) selected
-    prefixes, which holds the spans of all smaller sets, stacked in one
-    ``generate_linear_array`` call per block of ``BLOCK_CELLS`` cells.
-    """
-    s = field.s
-    if u1 < 1:
-        raise BadParamsError(f"u1 must be at least 1, got {u1}")
-    _enumeration_size(s - 1, u1 - 1)
-    cands = np.array([(1,) + tail for tail in
-                      product(range(1, s), repeat=u1 - 1)])
-    place = (s - 1) ** np.arange(u1 - 2, -1, -1)
-    bound = independent_prefix_bound(s, u1)
-    best: list[int] = []
-    nodes = 0
-    exhausted = True
-
-    def joined(blocked: np.ndarray, sel: list[int], c: int) -> np.ndarray:
-        blocked = blocked.copy()
-        size = min(len(sel), max(u1 - 2, 0))
-        subsets = combinations(sel, size)
-        width = max(1, BLOCK_CELLS // (s ** (size + 1) * u1))
-        while block := [(*sub, c) for sub in islice(subsets, width)]:
-            columns = cands[np.array(block)].transpose(0, 2, 1)
-            span = generate_linear_array(
-                field, columns.reshape(-1, size + 1)).reshape(-1, u1)
-            # each candidate in a span: leading 1, tail in base s-1
-            lead, *tail = span.T
-            inside = reduce(np.logical_and, tail, lead == 1)
-            blocked[(span[inside, 1:] - 1) @ place] = True
-        return blocked
-
-    def dfs(start: int, sel: list[int], blocked: np.ndarray) -> bool:
-        nonlocal best, nodes, exhausted
-        if len(sel) > len(best):
-            best = sel
-            if len(best) >= bound:
-                return True
-        for c in range(start, len(cands)):
-            nodes += 1
-            if nodes > _SEARCH_NODE_BUDGET:
-                exhausted = False
-                return True
-            if len(sel) + (len(cands) - c) <= len(best):
-                break
-            if not blocked[c] and dfs(c + 1, sel + [c],
-                                      joined(blocked, sel, c)):
-                return True
-        return False
-
-    dfs(0, [], np.zeros(len(cands), dtype=bool))
-    certified = ("provably-maximal" if len(best) == bound or exhausted
-                 else "maximal-within-search")
-    labels = tuple(best)
-    return PrefixSearch(s, u1, labels,
-                        tuple(map(tuple, cands[list(labels)].tolist())),
-                        bound, certified)
-
-
-@lru_cache(maxsize=None)
-def _cached_prefix_search(s: int, u1: int) -> PrefixSearch:
-    """The n* prefix set that constructions and the catalog use: the
-    search for s <= 7, u1 <= 2 and u1 > 6, ``nstar.prefix_set`` (a table
-    or an arc) for every other cell."""
-    if s <= 7 or not 3 <= u1 <= 6:
-        return max_independent_prefixes(galois_field(s), u1)
-    from .nstar import prefix_set  # off the import path of the other cells
-    return prefix_set(s, u1)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +520,7 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
                           seed: Seed = IDENTITY_SEED) -> MarginallyCoupledDesign:
     """Trade v admissible groups against the common non-orthogonal subset
     of E.  Uses the first v labels of the n* prefix set of
-    ``_cached_prefix_search``; v must lie in 1..n* (its size).
+    ``nstar.prefix_set``; v must lie in 1..n* (its size).
 
     item "i":  D1 from the g(v) normalized common members, D2 with
                v * s^(u-u1) columns.
@@ -686,7 +541,7 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
     _check_size(s, u, *_item_sides(
         item, expected_intersection_size(s, u1, v) // (s - 1),
         v * s ** (u - u1)))
-    search = _cached_prefix_search(s, u1)
+    search = prefix_set(s, u1)
     if v > search.size:
         raise VOutOfRangeError(
             f"v={v} outside 1..{search.size} for s={s}, u1={u1}")

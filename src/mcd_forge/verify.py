@@ -64,6 +64,7 @@ from operator import add
 import numpy as np
 
 from .designs import (
+    BLOCK_CELLS,
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
@@ -380,12 +381,19 @@ def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
 
 
 def _latin_check(d2: LatinHypercube) -> CheckResult:
-    ranked = np.array(d2.data.T, order="C")  # rows sort in contiguous memory
-    ranked.sort(axis=1)
-    wrong = (ranked != np.arange(d2.n)).any(axis=1)
-    if not wrong.any():
+    """Each column a permutation of 0..n-1: blocks of whole columns, at
+    most ``BLOCK_CELLS`` cells, are copied to contiguous rows and sorted,
+    so D2 is never copied whole."""
+    n, width = d2.n, max(1, BLOCK_CELLS // d2.n)
+    for lo in range(0, d2.k, width):
+        ranked = np.array(d2.data[:, lo:lo + width].T, order="C")
+        ranked.sort(axis=1)
+        wrong = (ranked != np.arange(n)).any(axis=1)
+        if wrong.any():
+            break
+    else:
         return CheckResult("latin-hypercube", (), True)
-    j = int(wrong.argmax())
+    j = lo + int(wrong.argmax())
     missing = sorted(set(range(d2.n)) - set(d2.data[:, j].tolist()))
     what = f"value {missing[0]} missing" if missing else "duplicate values"
     return CheckResult("latin-hypercube", (j,), False,

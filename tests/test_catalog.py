@@ -13,6 +13,7 @@ from mcd_forge.catalog import (
     verify_row,
 )
 from mcd_forge.errors import BadParamsError, NotPrimePowerError
+from mcd_forge.verify import CheckResult
 from golden_data import DIRECT_TABLE_S3, SUBSPACE_TABLE_S3
 
 
@@ -107,3 +108,25 @@ def test_verify_row_passes_for_small_sweep():
 def test_verify_row_covers_two_level_family():
     for row in all_rows(2, 4):
         assert verify_row(row).passed
+
+
+def test_verify_row_fails_advertised_dimensions_that_differ():
+    # the battery passes on the built designs; only the dimensions the
+    # row advertises for item i are wrong
+    row = next(r for r in direct_rows(3, 3) if (r.u, r.u1) == (3, 2))
+    assert row.d1_i == (27, 2, 3, 2) and row.d2_i == (27, 6)
+    report = verify_row(dataclasses.replace(row, d2_i=(27, 7)))
+    assert report.failures() == (CheckResult(
+        "advertised-parameters", ("i",), False,
+        "item i: got D1 (27, 2), D2 (27, 6), advertised (27, 2, 3, 2) / "
+        "(27, 7)"),)
+    assert [c.passed for c in report.checks
+            if c.name == "advertised-parameters"] == [False, True]
+
+
+def test_materialize_refuses_an_unknown_method():
+    row = dataclasses.replace(direct_rows(3, 2)[0], method="theorem3")
+    for item in ("i", "ii"):
+        with pytest.raises(BadParamsError,
+                           match=r"^row has unknown method 'theorem3'$"):
+            materialize(row, item)

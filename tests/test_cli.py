@@ -509,6 +509,40 @@ def test_construct_that_fails_leaves_no_file(tmp_path, capsys):
     assert side.is_dir() and not any(side.iterdir())
 
 
+
+def test_construct_whose_design_fails_verification_exits_3(tmp_path, capsys,
+                                                          monkeypatch):
+    # construction never emits an unverified design: a failing battery is
+    # an internal error, reported with its lines, and nothing is written
+    broken = verify.VerificationReport((
+        verify.CheckResult("oa-strength(2)", (), True),
+        verify.CheckResult("latin-hypercube", (3,), False,
+                           "column 3 is not a permutation of 0..26 "
+                           "(value 5 missing)")))
+    monkeypatch.setattr(construct.MarginallyCoupledDesign,
+                        "full_verification", lambda self: broken)
+    capsys.readouterr()
+    assert main(["construct", "--method", "theorem1", "--s", "3", "--u", "3",
+                 "--u1", "2", "--out", str(tmp_path / "d.json")]) \
+        == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "internal error: constructed design failed verification\n"
+        "[pass] oa-strength(2)\n"
+        "[FAIL] latin-hypercube (3,) -- column 3 is not a permutation of "
+        "0..26 (value 5 missing)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_general_refuses_a_bad_x_index(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["construct", "--method", "general", "--s", "3",
+                 "--z", "1,2,0", "--x", "1,2,0", "--generator", "x=0,0,1",
+                 "--out", str(tmp_path / "g.json")]) == EXIT_PARAM_ERROR
+    assert _one_error_line(capsys) == "error: bad x index in 'x=0,0,1'\n"
+    assert list(tmp_path.iterdir()) == []
+
 def test_files_read_as_utf8_under_an_ascii_locale(tmp_path):
     # a raw UTF-8 provenance note was decoded by the locale: under C, each
     # file exited 2 with "not UTF-8 text: 'ascii' codec can't decode byte
@@ -608,6 +642,32 @@ def test_catalog_materialize(capsys):
     assert "materialized 5 rows, 0 failure(s)" in text
     assert text.count("verified ") == 5
 
+
+
+def test_catalog_materialize_reports_a_failed_row(capsys, monkeypatch):
+    # a row whose check fails is printed with its check lines, indented,
+    # the run goes on, and the summary counts it: exit 1
+    real = cli.verify_row
+
+    def one_fails(row):
+        report = real(row)
+        if (row.method, row.u, row.u1) != ("theorem1", 2, 2):
+            return report
+        return verify.VerificationReport(report.checks[:1] + (
+            verify.CheckResult("pair-balance", (0, 1), False, "tampered"),))
+
+    monkeypatch.setattr(cli, "verify_row", one_fails)
+    assert main(["catalog", "--s", "3", "--u-max", "2", "--format", "csv",
+                 "--materialize"]) == EXIT_VERIFY_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("FAILED theorem1 u=2 u1=2")
+    assert lines[at - 1:at + 4] == [
+        "verified theorem1 u=2 u1=1",
+        "FAILED theorem1 u=2 u1=2",
+        "  [pass] oa-strength(2)",
+        "  [FAIL] pair-balance (0, 1) -- tampered",
+        "verified theorem2 u=2 u1=1 v=1"]
+    assert lines[-1] == "materialized 5 rows, 1 failure(s)"
 
 def test_catalog_materialize_skips_rows_over_a_cap(capsys, monkeypatch):
     # a row over a cap stopped the whole run with exit 2: no later row was

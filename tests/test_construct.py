@@ -48,7 +48,7 @@ from mcd_forge.linalg import (
     orthogonal_complement_basis,
     rank,
 )
-from mcd_forge.nstar import PREFIX_TABLE
+from mcd_forge.nstar import PREFIX_TABLE, prefix_set
 from mcd_forge.verify import (
     MAX_PAIR_WORK,
     check_grid_stratification,
@@ -353,7 +353,7 @@ def test_max_independent_prefixes_pinned(s, u1):
 @pytest.mark.parametrize("s, u1", sorted(PREFIX_TABLE))
 def test_prefix_table_holds_what_the_search_gives(s, u1):
     # the search's side is test_max_independent_prefixes_pinned
-    search = construct._cached_prefix_search(s, u1)
+    search = prefix_set(s, u1)
     assert PREFIX_TABLE[s, u1] == search.labels
     assert (search.labels, search.bound, search.certified) \
         == PINNED_PREFIX_SEARCHES[s, u1]
@@ -781,12 +781,11 @@ def test_constructions_refuse_u_below_two():
 def test_subspace_construction_refuses_v_past_the_prefix_set(monkeypatch):
     # a prefix set below the bound: v between its size and the bound passes
     # the bound check and is refused against the set itself
-    full = construct._cached_prefix_search(3, 2)
+    full = prefix_set(3, 2)
     assert full.size == independent_prefix_bound(3, 2) == 2
     short = PrefixSearch(3, 2, full.labels[:1], full.prefixes[:1],
                          full.bound, "maximal-within-search")
-    monkeypatch.setattr(construct, "_cached_prefix_search",
-                        lambda s, u1: short)
+    monkeypatch.setattr(construct, "prefix_set", lambda s, u1: short)
     with pytest.raises(VOutOfRangeError,
                        match=r"^v=2 outside 1\.\.1 for s=3, u1=2$"):
         subspace_construction(F3, 3, 2, 2)

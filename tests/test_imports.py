@@ -1,5 +1,5 @@
-"""No op loads a numpy submodule it does not use, and no plain CLI run
-loads argparse.
+"""No op loads a numpy submodule it does not use, no plain CLI run
+loads argparse, and ``nstar`` loads no construction.
 
 Each op runs in a fresh interpreter, as a user's run does, and the test
 compares the child's ``sys.modules`` before and after the op.  On numpy
@@ -182,3 +182,26 @@ def test_a_library_import_leaves_the_collector_as_it_found_it(module):
     # a library imported late in a host process must not freeze the host's
     # objects for good
     assert _run_child(FREEZE_CHILD, module) == 0
+
+
+#: the child: imports one submodule without the package's ``__init__``,
+#: which loads every module, and prints the package modules it loaded
+LAYER_CHILD = """
+import importlib, importlib.util, json, sys, types
+spec = importlib.util.find_spec("mcd_forge")
+package = types.ModuleType("mcd_forge")
+package.__path__ = list(spec.submodule_search_locations)
+sys.modules["mcd_forge"] = package
+importlib.import_module(json.loads(sys.argv[1]))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("mcd_forge."))))
+"""
+
+
+def test_nstar_loads_no_construction():
+    # n* (the bound, the search, the table and the arcs) sits below the
+    # constructions: nstar imported PrefixSearch and the bound back from
+    # construct, which construct hid by importing nstar inside a call
+    assert _run_child(LAYER_CHILD, "mcd_forge.nstar") == [
+        "mcd_forge.designs", "mcd_forge.errors", "mcd_forge.gf",
+        "mcd_forge.linalg", "mcd_forge.nstar"]

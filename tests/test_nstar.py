@@ -9,11 +9,6 @@ from math import comb
 import numpy as np
 import pytest
 
-from mcd_forge.construct import (
-    _cached_prefix_search,
-    independent_prefix_bound,
-    max_independent_prefixes,
-)
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import _kept_rows, rank
 from mcd_forge.nstar import (
@@ -21,6 +16,9 @@ from mcd_forge.nstar import (
     arc_labels,
     coordinate_forms,
     curve_points,
+    independent_prefix_bound,
+    max_independent_prefixes,
+    prefix_set,
 )
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -84,7 +82,7 @@ def test_arc_certificate(s, u1):
                        for i, x in enumerate(image[1:])))
     assert arc_labels(f, u1) == tuple(sorted(labels))
     assert len(labels) == s + 1 + hyperoval
-    search = _cached_prefix_search(s, u1)
+    search = prefix_set(s, u1)
     assert search.labels == tuple(sorted(labels))
     assert search.bound == independent_prefix_bound(s, u1)
     assert search.certified == ("arc-lower-bound" if (s, u1) in OPEN_CELLS
@@ -98,11 +96,11 @@ def test_arc_certificate(s, u1):
 
 @pytest.mark.parametrize("s, u1", sorted(
     cell for cell in ARC_CELLS + sorted(PREFIX_TABLE)
-    if comb(_cached_prefix_search(*cell).size, cell[1])
+    if comb(prefix_set(*cell).size, cell[1])
     <= EXHAUSTIVE_SUBSETS))
 def test_every_u1_subset_is_independent(s, u1):
     f = galois_field(s)
-    prefixes = np.array(_cached_prefix_search(s, u1).prefixes)
+    prefixes = np.array(prefix_set(s, u1).prefixes)
     subsets = np.array(list(combinations(range(len(prefixes)), u1)))
     for lo in range(0, len(subsets), _BLOCK):
         assert _kept_rows(f, prefixes[subsets[lo:lo + _BLOCK]]).all()
@@ -121,21 +119,21 @@ def test_each_cell_takes_its_source(monkeypatch):
     # cells, which it never searches; the arc every other cell
     calls = []
     real = max_independent_prefixes
-    monkeypatch.setattr("mcd_forge.construct.max_independent_prefixes",
+    monkeypatch.setattr("mcd_forge.nstar.max_independent_prefixes",
                         lambda f, u1: calls.append((f.s, u1)) or real(f, u1))
-    _cached_prefix_search.cache_clear()
+    prefix_set.cache_clear()
     try:
         for s in (2, 3, 4, 5, 7, 8, 9, 16, 32):
             for u1 in range(1, 7):
-                _cached_prefix_search(s, u1)
+                prefix_set(s, u1)
         assert calls == [(s, u1) for s in (2, 3, 4, 5, 7, 8, 9, 16, 32)
                          for u1 in range(1, 7)
                          if s <= 7 or u1 <= 2]
         calls.clear()
-        assert _cached_prefix_search(4, 7).size == 8
+        assert prefix_set(4, 7).size == 8
         assert calls == [(4, 7)]
     finally:
-        _cached_prefix_search.cache_clear()
+        prefix_set.cache_clear()
 
 
 def test_cells_proven_by_the_search_keep_their_labels():
@@ -146,7 +144,7 @@ def test_cells_proven_by_the_search_keep_their_labels():
                     if s <= 7 or u1 <= 2} | set(PREFIX_TABLE))
     text = "".join(f"{s},{u1}:{search.labels};{search.certified}\n"
                    for s, u1 in cells
-                   for search in [_cached_prefix_search(s, u1)])
+                   for search in [prefix_set(s, u1)])
     assert len(cells) == 60
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a71221ac8e52e922d33e74e7f89ba855b6473b353016cee4e974c3fd35c6094e")

@@ -14,12 +14,12 @@ import json
 from mcd_forge.catalog import all_rows, verify_row
 from mcd_forge.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from mcd_forge.construct import (
-    _cached_prefix_search,
     anti_mirror_construction,
     direct_construction,
     subspace_construction,
 )
 from mcd_forge.gf import galois_field
+from mcd_forge.nstar import prefix_set
 
 CONSTRUCT_LINE = ("wrote {out} (32 runs, 2 qualitative + 8 quantitative "
                   "columns, method anti-mirror)\n")
@@ -270,7 +270,7 @@ def _named_builds():
             for u1 in range(1, u + 1):
                 for item in ("i", "ii"):
                     yield direct_construction(field, u, u1, item)
-                    for v in range(1, _cached_prefix_search(s, u1).size + 1):
+                    for v in range(1, prefix_set(s, u1).size + 1):
                         yield subspace_construction(field, u, u1, v, item)
     for u in range(4, 8):
         for u1 in range(2, u - 1):

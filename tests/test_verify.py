@@ -1205,3 +1205,27 @@ def test_pair_balance_and_the_grid_sweep_hold_d2_once():
         tracemalloc.stop()
     assert peaks[0] < 2.25 * d2.data.nbytes, peaks
     assert peaks[1] < 1.25 * d2.data.nbytes, peaks
+
+
+def test_the_latin_check_holds_d2_once():
+    # theorem1 s=2 u=11, D2 2048 x 512 in int16: the check sorted a whole
+    # C-order copy of D2 beside a k x n bool, 1.57 x D2's bytes, traced;
+    # it now sorts blocks of whole columns of at most BLOCK_CELLS cells
+    d2 = direct_construction(galois_field(2), 11, 2, "i").d2
+    assert d2.data.dtype == np.int16 and d2.data.shape == (2048, 512)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert verify._latin_check(d2).passed
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * d2.data.nbytes, peak
+    # the first failing column is found past the first block, as before
+    data = d2.data.copy()
+    data[7, 300], data[9, 450] = data[8, 300], data[10, 450]
+    missing = min(set(range(2048)) - set(data[:, 300].tolist()))
+    result = verify._latin_check(LatinHypercube(data))
+    assert (result.passed, result.subject) == (False, (300,))
+    assert result.detail == ("column 300 is not a permutation of 0..2047 "
+                             f"(value {missing} missing)")
