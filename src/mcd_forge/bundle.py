@@ -31,13 +31,17 @@ import warnings
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .construct import MAX_DESIGN_CELLS, MarginallyCoupledDesign
 from .designs import LatinHypercube, OrthogonalArray, _narrow_type
 from .errors import MalformedBundleError
 from .nstar import independent_prefix_bound
+from .verify import MAX_DESIGN_CELLS
+
+if TYPE_CHECKING:
+    from .construct import MarginallyCoupledDesign
 
 FORMAT_VERSION = 1
 

@@ -38,6 +38,7 @@ The named constructions differ only in which vectors they pick:
 vectors: any vectors, any explicit generator overrides, every
 precondition checked.  The named constructions pass the arrays they derive
 to ``_assemble`` unchecked; counting (``full_verification``) checks them.
+Every build is sized first by ``verify.require_mcd_work``, as a read file is.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ from .linalg import (
 )
 from .nstar import PrefixSearch, max_independent_prefixes  # re-exported
 from .nstar import independent_prefix_bound, prefix_set
-from .verify import battery, first_equal_pair, require_mcd_work
+from .verify import MAX_DESIGN_CELLS, battery, first_equal_pair
+from .verify import require_mcd_work
 
 # ---------------------------------------------------------------------------
 # vector families
@@ -310,13 +312,6 @@ class MarginallyCoupledDesign:
         return battery(self.d1, self.d2, self.params.s)
 
 
-#: largest design a construction builds, in cells n * (m + k).  A whole
-#: construct run peaked at 21 bytes of RSS per cell at 4.2M cells and 49 at
-#: 1.05M (D2 in int16), as JSON or CSV alike, so the largest accepted
-#: design stays well under 1 GiB.
-MAX_DESIGN_CELLS = 5_000_000
-
-
 def _check_runs(s: int, u: int) -> None:
     """Fail closed on s^u runs alone over the cell cap without computing
     s^u, which for u = 20000 has more digits than Python will print."""
@@ -326,17 +321,10 @@ def _check_runs(s: int, u: int) -> None:
 
 
 def _check_size(s: int, u: int, m: int, k: int) -> None:
-    """Fail closed, before anything is enumerated, on a design with s^u
-    runs, m qualitative and k quantitative columns that is too large to
-    build or to verify."""
+    """Fail closed, before anything is enumerated, on a design of s^u runs
+    and m + k columns too large to build or to verify."""
     _check_runs(s, u)
-    n = s ** u
-    cells = n * (m + k)
-    if cells > MAX_DESIGN_CELLS:
-        raise TooLargeError(
-            f"{n} runs x {m} + {k} columns is {cells} cells, over the "
-            f"cap of {MAX_DESIGN_CELLS}")
-    require_mcd_work(n, m, k)
+    require_mcd_work(s ** u, m, k)
 
 
 def _check_u_u1(u: int, u1: int) -> None:

@@ -10,7 +10,8 @@ and no report holds a float.
 
 ``battery`` is the one battery that construct, verify and the catalog
 run: ``check_mcd``, ``check_noncascading``, and optionally a declared
-D1 strength and a grid-stratification sweep.
+D1 strength and a grid-stratification sweep.  ``require_mcd_work``, its
+first step, refuses a design over MAX_DESIGN_CELLS cells or MAX_PAIR_WORK.
 
 ``check_oa_strength``, the pair-balance step of ``check_mcd`` and the
 ``check_grid_stratification`` sweep all count through one kernel,
@@ -82,6 +83,11 @@ from .errors import (
     TooLargeError,
 )
 
+#: largest design construct builds or the battery checks, in n * (m + k)
+#: cells: a construct run peaked at 21 bytes of RSS a cell at 4.2M cells
+#: and 49 at 1.05M (D2 in int16), JSON or CSV alike, well under 1 GiB.
+MAX_DESIGN_CELLS = 5_000_000
+
 #: largest verification a construction may need, in n * (column pairs):
 #: pair balance counts n rows for each of the m * k (D1, D2) pairs, and
 #: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  At 1.2-20
@@ -118,8 +124,12 @@ def _require_work(work: int, what: str, unit: str) -> None:
 
 
 def require_mcd_work(n: int, m: int, k: int) -> None:
-    """Refuse a check_mcd of n runs, m D1 and k D2 columns that counts over
-    the cap: n * (m * k + m(m-1)/2) run-pair cells."""
+    """Refuse a design of n runs, m D1 and k D2 columns over either cap:
+    first its n(m + k) cells over MAX_DESIGN_CELLS, then a check_mcd that
+    counts n * (m * k + m(m-1)/2) run-pair cells over MAX_PAIR_WORK."""
+    if n * (m + k) > MAX_DESIGN_CELLS:
+        raise TooLargeError(f"{n} runs x {m} + {k} columns is {n * (m + k)} "
+                            f"cells, over the cap of {MAX_DESIGN_CELLS}")
     _require_work(n * (m * k + m * (m - 1) // 2),
                   f"verifying {n} runs x {m} + {k} columns counts", "run-pair")
 
@@ -163,13 +173,11 @@ def _first_unbalanced(blocks, levels, scans, divisors=None):
     (subset, found) for the first subset that does not, in scan order:
     found is None when its level count does not divide n, () when a
     column leaves its level range, else (combination, count, expected)
-    for its first off-count combination.  ``scans`` may be any iterable,
-    and all of them share one t.  _bincount_hit counts every block of
-    heads that _products_clear does not clear."""
+    for its first off-count combination.  ``scans`` may be any iterable
+    of at least one scan, all of one t.  _bincount_hit counts every block
+    of heads that _products_clear does not clear."""
     scans = iter(scans)
     block = list(islice(scans, 1))  # the first block, of one head, fixes t
-    if not block:
-        return None
     levels = tuple(map(int, levels))
     divisors = divisors or (1,) * len(blocks)
     # range-check the caller's arrays, in their own types, before the
@@ -383,7 +391,8 @@ def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
 def _latin_check(d2: LatinHypercube) -> CheckResult:
     """Each column a permutation of 0..n-1: blocks of whole columns, at
     most ``BLOCK_CELLS`` cells, are copied to contiguous rows and sorted,
-    so D2 is never copied whole."""
+    so D2 is never copied whole.  n entries that miss no value are a
+    permutation, so a failing column is named with the least it misses."""
     n, width = d2.n, max(1, BLOCK_CELLS // d2.n)
     for lo in range(0, d2.k, width):
         ranked = np.array(d2.data[:, lo:lo + width].T, order="C")
@@ -394,11 +403,10 @@ def _latin_check(d2: LatinHypercube) -> CheckResult:
     else:
         return CheckResult("latin-hypercube", (), True)
     j = lo + int(wrong.argmax())
-    missing = sorted(set(range(d2.n)) - set(d2.data[:, j].tolist()))
-    what = f"value {missing[0]} missing" if missing else "duplicate values"
+    missing = min(set(range(n)).difference(d2.data[:, j].tolist()))
     return CheckResult("latin-hypercube", (j,), False,
-                       f"column {j} is not a permutation of 0..{d2.n - 1} "
-                       f"({what})")
+                       f"column {j} is not a permutation of 0..{n - 1} "
+                       f"(value {missing} missing)")
 
 
 def _pair_balance(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> CheckResult:
@@ -601,9 +609,9 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
     catalog: check_mcd, check_noncascading on floor(D2 / s), then
     optionally D1 at ``strength`` and a grid-stratification sweep over
     every D2 column subset of the grid's arity, stopping at the first
-    failing subset.  A strength outside 1..m is refused, and each check is
-    sized, before any counting, so that an oversize one is refused
-    (TooLargeError) at once; the sweep, reported last, runs first."""
+    failing subset.  A strength outside 1..m is refused, and the design
+    and each check sized, before any counting (TooLargeError over a
+    cap); the sweep, reported last, runs first."""
     _require_level_count(s)
     require_mcd_work(d1.n, d1.m, d2.k)
     if strength is not None:

@@ -36,6 +36,7 @@ from mcd_forge.cli import (
     main,
 )
 from mcd_forge.construct import MAX_DESIGN_CELLS, direct_construction
+from mcd_forge.errors import TooLargeError
 from mcd_forge.gf import galois_field
 from golden_data import EXAMPLE1_COLLAPSED, EXAMPLE1_QUALITATIVE
 from test_readme import _cli_commands
@@ -672,7 +673,7 @@ def test_catalog_materialize_reports_a_failed_row(capsys, monkeypatch):
 def test_catalog_materialize_skips_rows_over_a_cap(capsys, monkeypatch):
     # a row over a cap stopped the whole run with exit 2: no later row was
     # built and no summary printed
-    monkeypatch.setattr(construct, "MAX_DESIGN_CELLS", 100)
+    monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", 100)
     assert main(["catalog", "--s", "2", "--u-max", "4", "--format", "csv",
                  "--materialize"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -871,6 +872,34 @@ def test_verify_sizes_check_mcd_before_counting(tmp_path, capsys,
         f"run-pair cells, over the cap of {work - 1}\n")
     monkeypatch.setattr(verify, "MAX_PAIR_WORK", work)
     assert main(["verify", "--in", str(out)]) == EXIT_OK
+
+
+def test_verify_holds_a_file_to_the_cell_cap_before_counting(tmp_path,
+                                                             capsys,
+                                                             monkeypatch):
+    # a file is held to the cell cap construct keeps: a hand-made CSV of
+    # 2^20 runs x (1 + 20) columns, 4.4 times the cap, was counted in full
+    # at a 208 MiB peak and exited 1
+    out = _write_good_bundle(tmp_path)
+    b = read_bundle(out)
+    cells = b.d1.shape[0] * (b.m + b.k)
+    monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", cells - 1)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == EXIT_PARAM_ERROR
+    assert capsys.readouterr().err == (
+        f"error: 81 runs x {b.m} + {b.k} columns is {cells} cells, over "
+        f"the cap of {cells - 1}\n")
+    # the cap is inclusive
+    monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", cells)
+    assert main(["verify", "--in", str(out)]) == EXIT_OK
+    # the battery itself refuses before the counting kernel runs
+    monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", cells - 1)
+    counted = []
+    monkeypatch.setattr(verify, "_first_unbalanced",
+                        lambda *args: counted.append(args))
+    with pytest.raises(TooLargeError, match=f"is {cells} cells, over"):
+        verify.battery(*b.design_objects(), b.s)
+    assert counted == []
 
 
 def test_verify_refuses_a_negative_seed(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """No op loads a numpy submodule it does not use, no plain CLI run
-loads argparse, and ``nstar`` loads no construction.
+loads argparse, and neither ``nstar`` nor ``bundle`` loads a construction.
 
 Each op runs in a fresh interpreter, as a user's run does, and the test
 compares the child's ``sys.modules`` before and after the op.  On numpy
@@ -205,3 +205,13 @@ def test_nstar_loads_no_construction():
     assert _run_child(LAYER_CHILD, "mcd_forge.nstar") == [
         "mcd_forge.designs", "mcd_forge.errors", "mcd_forge.gf",
         "mcd_forge.linalg", "mcd_forge.nstar"]
+
+
+def test_bundle_loads_no_construction():
+    # the file formats sit below the constructions: bundle imported
+    # construct only to size its byte and comma caps from the cell cap,
+    # which verify now keeps with the one check that applies it
+    assert _run_child(LAYER_CHILD, "mcd_forge.bundle") == [
+        "mcd_forge.bundle", "mcd_forge.designs", "mcd_forge.errors",
+        "mcd_forge.gf", "mcd_forge.linalg", "mcd_forge.nstar",
+        "mcd_forge.verify"]
