@@ -38,7 +38,7 @@ import numpy as np
 from .designs import LatinHypercube, OrthogonalArray, _narrow_type
 from .errors import MalformedBundleError
 from .nstar import independent_prefix_bound
-from .verify import MAX_DESIGN_CELLS
+from .verify import MAX_DESIGN_CELLS, _require_cells
 
 if TYPE_CHECKING:
     from .construct import MarginallyCoupledDesign
@@ -287,15 +287,16 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
 
 
 def _bundle_from_meta(meta, d1: np.ndarray | None = None,
-                      d2: np.ndarray | None = None) -> DesignBundle:
+                      d2: np.ndarray | None = None,
+                      csv: Path | None = None) -> DesignBundle:
     """The bundle a JSON file or a CSV sidecar describes.  A JSON bundle
-    carries its matrices; a sidecar gets them from its CSV and may not
-    carry any."""
+    carries its matrices; a sidecar may not carry any, and gets them from
+    its ``csv`` once every check of its own values has passed."""
     _require(isinstance(meta, dict), "top level must be an object")
-    unknown = set(meta) - (_SCHEMA_KEYS if d1 is None
+    unknown = set(meta) - (_SCHEMA_KEYS if d1 is None and csv is None
                            else _SCHEMA_KEYS - _MATRIX_KEYS)
     _require(not unknown, f"unknown keys {sorted(unknown)}")
-    if d1 is None:
+    if d1 is None and csv is None:
         _require("d1" in meta and "d2" in meta, "missing d1/d2 matrices")
         d1 = _as_int_matrix(meta["d1"], "d1")
         d2 = _as_int_matrix(meta["d2"], "d2")
@@ -317,6 +318,8 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
     _require(u1 is None or 1 <= u1 <= u, f"u1 = {u1} outside 1..u = {u}")
     _require(_is_int(seed) and seed >= 0 or seed == "identity",
              "seed must be a non-negative integer or \"identity\"")
+    if csv is not None:
+        d1, d2 = _csv_matrices(csv, s, u)
     n = d1.shape[0]
     _require(n == d2.shape[0], f"D1 has {n} rows but D2 has {d2.shape[0]}")
     # s^u >= 2^u > n from u = n.bit_length() on: never a huge power
@@ -562,9 +565,36 @@ def _read_csv_bundle(path: Path) -> DesignBundle:
     side = sidecar_path(path)
     _require(side.exists(), f"missing sidecar {side.name}")
     _require_size(side)
-    meta = _loads_whole(side, "sidecar ")
+    return _bundle_from_meta(_loads_whole(side, "sidecar "), csv=path)
+
+
+def _csv_header(fh) -> tuple[int, int]:
+    """(m, k) of the header q1..qm,x1..xk an open text CSV starts with."""
+    header = fh.readline()
+    _require(bool(header), "empty CSV")
+    header = header.rstrip("\n").split(",")
+    m = sum(1 for h in header if h.startswith("q"))
+    k = sum(1 for h in header if h.startswith("x"))
+    _require(m > 0 and k > 0 and header == [f"q{i + 1}" for i in range(m)]
+             + [f"x{j + 1}" for j in range(k)],
+             "header must be q1..qm followed by x1..xk")
+    return m, k
+
+
+def _csv_matrices(path: Path, s: int, u: int):
+    """D1 and D2 of the CSV at ``path``, whose sidecar gives s and u: a
+    design of s^u runs and the header's columns over MAX_DESIGN_CELLS is
+    refused before any data line is parsed.  A data line of m + k fields
+    takes at least 2(m + k) bytes, so a file too short for s^u of them,
+    which s^u past 2^64 always is, is read, and its rows name the
+    mismatch."""
+    with path.open(encoding="utf-8") as fh:
+        m, k = _csv_header(fh)
+    runs = s ** min(u, 64)
+    if path.stat().st_size >= 2 * (m + k) * runs:
+        _require_cells(runs, m, k)
     data, m = _canonical_csv(path) or _checked_csv(path)
-    return _bundle_from_meta(meta, data[:, :m], data[:, m:])
+    return data[:, :m], data[:, m:]
 
 
 def _canonical_csv(path: Path):
@@ -604,14 +634,8 @@ def _checked_csv(path: Path) -> tuple[np.ndarray, int]:
     about _READ_BYTES cells, each line checked on the way and each chunk
     narrowed as it is appended; raises on the first fault."""
     with path.open(encoding="utf-8") as fh:
-        header, start = fh.readline(), fh.tell()
-        _require(bool(header), "empty CSV")
-        header = header.rstrip("\n").split(",")
-        m = sum(1 for h in header if h.startswith("q"))
-        k = sum(1 for h in header if h.startswith("x"))
-        _require(m > 0 and k > 0 and header == [f"q{i + 1}" for i in range(m)]
-                 + [f"x{j + 1}" for j in range(k)],
-                 "header must be q1..qm followed by x1..xk")
+        m, k = _csv_header(fh)
+        start = fh.tell()
         try:  # numpy < 2 parses an int64 overflow as a float, with a warning
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)

@@ -18,7 +18,7 @@ from .construct import (
     subspace_construction,
 )
 from .errors import BadParamsError
-from .gf import galois_field
+from .gf import checked_order, galois_field
 from .nstar import prefix_set
 from .verify import CheckResult, VerificationReport, battery
 
@@ -44,7 +44,7 @@ class CatalogRow:
 
 
 def _check_sweep_params(s: int, u_max: int) -> None:
-    galois_field(s)  # validates s
+    checked_order(s)
     if not 2 <= u_max <= U_MAX_CAP:
         raise BadParamsError(f"u_max must lie in 2..{U_MAX_CAP}, got {u_max}")
 

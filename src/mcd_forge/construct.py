@@ -65,7 +65,6 @@ from .errors import (
     NotApplicableError,
     OrthogonalityViolationError,
     ProportionalVectorsError,
-    TooLargeError,
     TooManyColumnsError,
     VOutOfRangeError,
     ZeroVectorError,
@@ -85,8 +84,8 @@ from .linalg import (
 )
 from .nstar import PrefixSearch, max_independent_prefixes  # re-exported
 from .nstar import independent_prefix_bound, prefix_set
-from .verify import MAX_DESIGN_CELLS, battery, first_equal_pair
-from .verify import require_mcd_work
+from .verify import MAX_DESIGN_CELLS  # re-exported
+from .verify import _require_run_cap, battery, first_equal_pair, require_mcd_work
 
 # ---------------------------------------------------------------------------
 # vector families
@@ -312,18 +311,10 @@ class MarginallyCoupledDesign:
         return battery(self.d1, self.d2, self.params.s)
 
 
-def _check_runs(s: int, u: int) -> None:
-    """Fail closed on s^u runs alone over the cell cap without computing
-    s^u, which for u = 20000 has more digits than Python will print."""
-    if s ** min(u, 64) > MAX_DESIGN_CELLS:
-        raise TooLargeError(
-            f"{s}^{u} runs is over the cap of {MAX_DESIGN_CELLS} cells")
-
-
 def _check_size(s: int, u: int, m: int, k: int) -> None:
     """Fail closed, before anything is enumerated, on a design of s^u runs
     and m + k columns too large to build or to verify."""
-    _check_runs(s, u)
+    _require_run_cap(s, u)
     require_mcd_work(s ** u, m, k)
 
 
@@ -493,7 +484,7 @@ def direct_construction(field: GaloisField, u: int, u1: int, item: str = "i",
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
     s = field.s
-    _check_runs(s, u)  # before the closed forms in s^u below
+    _require_run_cap(s, u)  # before the closed forms in s^u below
     _check_size(s, u, *_item_sides(item, u1,
                                    (s - 1) ** (u1 - 1) * s ** (u - u1)))
     units = np.eye(u1, u, dtype=np.int64)
@@ -518,7 +509,7 @@ def subspace_construction(field: GaloisField, u: int, u1: int, v: int,
     if u < 2:
         raise BadParamsError("construction needs u >= 2")
     s = field.s
-    _check_runs(s, u)  # before the closed forms in s^u below
+    _require_run_cap(s, u)  # before the closed forms in s^u below
     # n* never exceeds the bound, so a larger v is refused before the
     # search, with the bound in the message
     bound = independent_prefix_bound(s, u1)
@@ -555,7 +546,7 @@ def anti_mirror_construction(u: int, u1: int,
         raise BadParamsError(
             f"anti-mirror arrangement needs 2 <= u1 < u-1, "
             f"got u1={u1}, u={u}")
-    _check_runs(2, u)  # before the closed forms in 2^u
+    _require_run_cap(2, u)  # before the closed forms in 2^u
     _check_size(2, u, 2 ** (u1 - 1), 2 ** (u - u1))
     tails = list(product(range(2), repeat=u - u1))
     xs = np.array([(1,) * u1 + tail for tail in tails])

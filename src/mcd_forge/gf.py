@@ -51,8 +51,13 @@ REDUCTION_POLYNOMIALS: dict[int, tuple[int, ...]] = {
 }
 
 
-def _factor_prime_power(s: int) -> tuple[int, int]:
-    """Return (p, t) with s = p^t, or raise NotPrimePowerError."""
+def checked_order(s: int) -> tuple[int, int]:
+    """(p, t) with s = p^t for a supported field order s, from no table:
+    UnsupportedOrderError above MAX_ORDER, then NotPrimePowerError for s
+    below 2 or not a prime power."""
+    if s > MAX_ORDER:
+        raise UnsupportedOrderError(
+            f"field order {s} exceeds the supported cap {MAX_ORDER}")
     if s < 2:
         raise NotPrimePowerError(f"field order must be at least 2, got {s}")
     p = next(c for c in range(2, s + 1) if s % c == 0)  # a prime
@@ -72,10 +77,7 @@ class GaloisField:
     """
 
     def __init__(self, s: int):
-        if s > MAX_ORDER:
-            raise UnsupportedOrderError(
-                f"field order {s} exceeds the supported cap {MAX_ORDER}")
-        p, t = _factor_prime_power(s)
+        p, t = checked_order(s)
         self.s, self.p, self.t = s, p, t
         self.reduction_polynomial: tuple[int, ...] = (
             REDUCTION_POLYNOMIALS[s] if t > 1 else ())

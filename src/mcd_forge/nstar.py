@@ -1,10 +1,13 @@
 """n*, the most prefix groups ``subspace_construction`` can trade: the
 size of the largest set of prefixes with every u1 of them independent, an
 arc of PG(u1-1, s).  ``independent_prefix_bound`` bounds it, and the cached
-``prefix_set`` answers every cell from one of three sources: the search
-``max_independent_prefixes`` for s <= 7, u1 <= 2 and u1 > 6; for four slow
-u1 = 3 cells, ``PREFIX_TABLE``, the labels that search gives; for the rest,
-an arc from the normal rational curve, in closed form.
+``prefix_set`` answers every cell (s, u1) from one of four sources:
+
+* u1 <= 2, every s: (1,), or the s - 1 prefixes (1, b), at the bound;
+* s <= 7, u1 >= 3: the search ``max_independent_prefixes``;
+* s > 7, u1 >= s: u1 + 1 prefixes in closed form, at Bush's bound;
+* s > 7, 3 <= u1 < s: on four slow u1 = 3 cells ``PREFIX_TABLE``, the
+  labels that search gives; else an arc from the normal rational curve.
 
 The arc has s + 1 points (s + 2 for even s and u1 = 3).  The curve is
 t -> (1, t, ..., t^(k-1)) for t in GF(s), plus (0, ..., 0, 1), with
@@ -16,6 +19,9 @@ f_1..f_k of degree k-1 with no root on PG(1, s): coordinate i of the
 curve point at t is f_i(t), of (0, ..., 0, 1) the leading coefficient of
 f_i and of the nucleus its coefficient of t.  A linear image of an arc
 is an arc, and each image point scaled to a leading 1 is a prefix.
+
+The u1 <= 2 closed form and the table build no GF(s): s is checked by
+``gf.checked_order`` alone.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .designs import BLOCK_CELLS
 from .errors import BadParamsError
-from .gf import GaloisField, galois_field
+from .gf import GaloisField, checked_order, galois_field
 from .linalg import (
     Vector,
     _enumeration_size,
@@ -95,16 +101,31 @@ class PrefixSearch:
         return len(self.labels)
 
 
+def _label(s: int, tail) -> int:
+    """A prefix's label: the digits of its tail, b read as b - 1, in base
+    s - 1, as a Python int, which past 64 bits numpy's are not."""
+    return reduce(lambda label, b: label * (s - 1) + b - 1, tail, 0)
+
+
+def _prefix(s: int, u1: int, label: int) -> Vector:
+    """The prefix of ``label``: a leading 1, then the label's u1 - 1
+    base-(s-1) digits, digit b as b + 1."""
+    tail = []
+    for _ in range(u1 - 1):
+        label, b = divmod(label, s - 1)
+        tail.append(b + 1)
+    return (1, *reversed(tail))
+
+
 def _decoded(s: int, u1: int, labels, short: str) -> PrefixSearch:
-    """The prefixes of ``labels``: a leading 1, then the label's base-(s-1)
-    digits, digit b as b + 1; "provably-maximal" when they reach
+    """The prefixes of ``labels``; "provably-maximal" when they reach
     ``independent_prefix_bound``, else ``short``."""
     bound = independent_prefix_bound(s, u1)
-    place = (s - 1) ** np.arange(u1 - 2, -1, -1)
-    prefixes = tuple((1,) + tuple((i // place % (s - 1) + 1).tolist())
-                     for i in labels)
-    return PrefixSearch(s, u1, tuple(labels), prefixes, bound,
-                        "provably-maximal" if len(labels) == bound else short)
+    labels = tuple(labels)
+    return PrefixSearch(s, u1, labels,
+                        tuple(_prefix(s, u1, label) for label in labels),
+                        bound, "provably-maximal" if len(labels) == bound
+                        else short)
 
 
 _SEARCH_NODE_BUDGET = 1 << 20
@@ -200,18 +221,42 @@ def curve_points(field: GaloisField, k: int) -> np.ndarray:
                            np.eye(k, dtype=np.int64)[extra]])
 
 
+def _products(field: GaloisField, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The product of each row of ``f`` with each row of ``g``, f's rows
+    outer, as polynomials over GF(s), constant coefficient first."""
+    add, mul = field.add_table, field.mul_table
+    width = f.shape[1]
+    out = np.zeros((len(f), len(g), width + g.shape[1] - 1), dtype=np.int64)
+    for j in range(g.shape[1]):
+        out[:, :, j:j + width] = add[out[:, :, j:j + width],
+                                     mul[f[:, None], g[None, :, j, None]]]
+    return out.reshape(-1, out.shape[-1])
+
+
 def coordinate_forms(field: GaloisField, k: int) -> np.ndarray:
     """k independent root-free forms of degree k-1, one per row, constant
     coefficient first; a pure function of (s, k).
 
-    The monic g of degree k-1 are taken with their lower coefficients in
-    base-s order, constant term nonzero and most significant.  The first
-    with no root in GF(s) gives its images g(lam t + a), lam = 1..s-1
-    outer and a = 0..s-1 inner.  These are root-free with leading
-    coefficient lam^(k-1), and each is kept when it raises the rank, in
-    one stacked elimination.  If they span too little, the next
-    root-free g continues.
+    For k <= 6 the monic g of degree k-1 are taken with their lower
+    coefficients in base-s order, constant term nonzero and most
+    significant.  The first with no root in GF(s) gives its images
+    g(lam t + a), lam = 1..s-1 outer and a = 0..s-1 inner.  These are
+    root-free with leading coefficient lam^(k-1), and each is kept when it
+    raises the rank, in one stacked elimination.  If they span too little,
+    the next root-free g continues.
+
+    Past k = 6 that scan can go on for seconds on an extension field,
+    whose images of one g span too little: 9.3 s at (16, 12).  There the
+    forms are the products of the forms for k - 2 with those for k = 3,
+    each kept when it raises the rank.  A product of root-free forms is
+    root-free, with a nonzero leading coefficient, and the products span:
+    forms spanning the degrees <= m times forms spanning the degrees <= 2
+    span the degrees <= m + 2.
     """
+    if k > 6:
+        rows = _products(field, coordinate_forms(field, k - 2),
+                         coordinate_forms(field, 3))
+        return rows[_kept_rows(field, rows[None])[0]]
     s, add, mul = field.s, field.add_table, field.mul_table
     lam, a = np.divmod(np.arange(s, s * s), s)
     rows = np.zeros((0, k), dtype=np.int64)
@@ -234,7 +279,7 @@ def coordinate_forms(field: GaloisField, k: int) -> np.ndarray:
 def arc_labels(field: GaloisField, k: int) -> tuple[int, ...]:
     """Labels of the arc's prefixes, ascending: each image point scaled
     to a leading 1, its tail read in base s-1 (digit b as b - 1)."""
-    s, add, mul = field.s, field.add_table, field.mul_table
+    add, mul = field.add_table, field.mul_table
     terms = mul[curve_points(field, k)[:, None, :],
                 coordinate_forms(field, k)[None]]
     image = terms[..., 0]
@@ -242,16 +287,45 @@ def arc_labels(field: GaloisField, k: int) -> tuple[int, ...]:
         image = add[image, terms[..., j]]
     assert image.all(), "a coordinate form has a root on the curve"
     image = _leading_one(field, image)
-    labels = (image[:, 1:] - 1) @ (s - 1) ** np.arange(k - 2, -1, -1)
-    return tuple(sorted(labels.tolist()))
+    return tuple(sorted(_label(field.s, row[1:]) for row in image.tolist()))
+
+
+def _bush_labels(field: GaloisField, u1: int) -> tuple[int, ...]:
+    """Labels of u1 + 1 prefixes with every u1 of them independent, the
+    bound for u1 >= s (Bush 1952), ascending.
+
+    They are the all-ones vector j and the u1 vectors j + (a - 1) e_i, for
+    a fixed a not in {0, 1, 1 - u1}, each scaled to a leading 1.  The u1
+    vectors without j form J + (a - 1) I, whose determinant is
+    (a - 1)^(u1 - 1) (a - 1 + u1), nonzero.  j with all of them but the
+    i-th has rank u1 too: their differences from j give e_l for l != i,
+    and j's i-th coordinate is 1.  No coordinate is 0, as a != 0.  1 - u1
+    lies in the prime field, whose element c < p has index c, so it is
+    the element (1 - u1) mod p, and a is 2, or 3 where that is 2.
+    """
+    a = 3 if (1 - u1) % field.p == 2 else 2
+    b = int(field.inv_table[a])  # (a, 1, ..., 1) scaled is (1, b, ..., b)
+    tails = [[1] * (u1 - 1), [b] * (u1 - 1)] + [
+        [a if j == i else 1 for j in range(u1 - 1)] for i in range(u1 - 1)]
+    return tuple(sorted(_label(field.s, tail) for tail in tails))
 
 
 @lru_cache(maxsize=None)
 def prefix_set(s: int, u1: int) -> PrefixSearch:
-    """The n* prefix set that constructions and the catalog use: the
-    search for s <= 7, u1 <= 2 and u1 > 6; else the table's labels for its
-    cells and the arc's for the rest, "arc-lower-bound" below the bound."""
-    if s <= 7 or not 3 <= u1 <= 6:
+    """The n* prefix set that constructions and the catalog use.  s is
+    checked first, by ``checked_order``, and the cell picks the source:
+    u1 <= 2 (each prefix is its own direction, so every one joins), the
+    search for s <= 7, ``_bush_labels`` for u1 >= s, and else the table's
+    labels for its cells and the arc's for the rest, "arc-lower-bound"
+    below the bound."""
+    checked_order(s)
+    if u1 <= 2:
+        return _decoded(s, u1, range(s - 1) if u1 == 2 else (0,),
+                        "provably-maximal")
+    if s <= 7:
         return max_independent_prefixes(galois_field(s), u1)
+    if u1 >= s:
+        return _decoded(s, u1, _bush_labels(galois_field(s), u1),
+                        "provably-maximal")
     labels = PREFIX_TABLE.get((s, u1)) or arc_labels(galois_field(s), u1)
     return _decoded(s, u1, labels, "arc-lower-bound")

@@ -123,13 +123,27 @@ def _require_work(work: int, what: str, unit: str) -> None:
                             f"{MAX_PAIR_WORK}")
 
 
+def _require_run_cap(s: int, u: int) -> None:
+    """Refuse s^u runs alone over MAX_DESIGN_CELLS without computing s^u,
+    which for u = 20000 has more digits than Python will print."""
+    if s ** min(u, 64) > MAX_DESIGN_CELLS:
+        raise TooLargeError(
+            f"{s}^{u} runs is over the cap of {MAX_DESIGN_CELLS} cells")
+
+
+def _require_cells(n: int, m: int, k: int) -> None:
+    """Refuse a design of n runs, m D1 and k D2 columns whose n(m + k)
+    cells are over MAX_DESIGN_CELLS."""
+    if n * (m + k) > MAX_DESIGN_CELLS:
+        raise TooLargeError(f"{n} runs x {m} + {k} columns is {n * (m + k)} "
+                            f"cells, over the cap of {MAX_DESIGN_CELLS}")
+
+
 def require_mcd_work(n: int, m: int, k: int) -> None:
     """Refuse a design of n runs, m D1 and k D2 columns over either cap:
     first its n(m + k) cells over MAX_DESIGN_CELLS, then a check_mcd that
     counts n * (m * k + m(m-1)/2) run-pair cells over MAX_PAIR_WORK."""
-    if n * (m + k) > MAX_DESIGN_CELLS:
-        raise TooLargeError(f"{n} runs x {m} + {k} columns is {n * (m + k)} "
-                            f"cells, over the cap of {MAX_DESIGN_CELLS}")
+    _require_cells(n, m, k)
     _require_work(n * (m * k + m * (m - 1) // 2),
                   f"verifying {n} runs x {m} + {k} columns counts", "run-pair")
 

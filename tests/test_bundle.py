@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mcd_forge import bundle
+from mcd_forge import bundle, verify
 from mcd_forge.bundle import (
     _BLOCK_CELLS,
     _meta_dict,
@@ -29,7 +29,7 @@ from mcd_forge.construct import (
     direct_construction,
     subspace_construction,
 )
-from mcd_forge.errors import MalformedBundleError
+from mcd_forge.errors import MalformedBundleError, TooLargeError
 from mcd_forge.gf import galois_field
 
 F3 = galois_field(3)
@@ -1072,6 +1072,25 @@ def test_compact_json_is_declined_after_a_bounded_piece(tmp_path,
     finally:
         tracemalloc.stop()
     assert peak < 2 * bundle._PIECE_BYTES + (1 << 20), peak
+
+
+def test_a_csv_over_the_cell_cap_is_refused_before_its_data(tmp_path,
+                                                            monkeypatch):
+    # the sidecar's s and u and the header size the design: 27 runs x 2 +
+    # 6 columns, over a cap of 100, is refused before either data reader
+    # runs, where the whole file was read and then refused by the battery
+    path = tmp_path / "d.csv"
+    write_bundle(path, _bundle())
+    monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", 100)
+
+    def unread(path):
+        raise AssertionError("a data line was parsed")
+
+    monkeypatch.setattr(bundle, "_canonical_csv", unread)
+    monkeypatch.setattr(bundle, "_checked_csv", unread)
+    with pytest.raises(TooLargeError, match=(
+            "^27 runs x 2 \\+ 6 columns is 216 cells, over the cap of 100$")):
+        read_bundle(path)
 
 
 def test_a_csv_line_without_a_line_end_reads_as_the_checked_path(tmp_path):

@@ -12,7 +12,10 @@ from mcd_forge.catalog import (
     subspace_rows,
     verify_row,
 )
+from mcd_forge.cli import EXIT_OK, main
 from mcd_forge.errors import BadParamsError, NotPrimePowerError
+from mcd_forge.gf import GaloisField, galois_field
+from mcd_forge.nstar import prefix_set
 from mcd_forge.verify import CheckResult
 from golden_data import DIRECT_TABLE_S3, SUBSPACE_TABLE_S3
 
@@ -130,3 +133,20 @@ def test_materialize_refuses_an_unknown_method():
         with pytest.raises(BadParamsError,
                            match=r"^row has unknown method 'theorem3'$"):
             materialize(row, item)
+
+
+def test_catalog_of_nine_builds_no_field(monkeypatch, capsys):
+    # s is checked without tables, (9, 1) and (9, 2) are closed forms and
+    # (9, 3) is a table cell, so printing the catalog needs no GF(9)
+    def refuse(self, s):
+        raise AssertionError(f"GF({s}) built")
+
+    monkeypatch.setattr(GaloisField, "__init__", refuse)
+    galois_field.cache_clear()
+    prefix_set.cache_clear()
+    try:
+        assert main(["catalog", "--s", "9", "--u-max", "3"]) == EXIT_OK
+    finally:
+        galois_field.cache_clear()
+        prefix_set.cache_clear()
+    assert "| 3 | 3 | 10* |" in capsys.readouterr().out

@@ -8,7 +8,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from mcd_forge import construct
+from mcd_forge import construct, verify
 from mcd_forge.bundle import bundle_from_design, read_bundle, write_bundle
 from mcd_forge.construct import (
     MAX_DESIGN_CELLS,
@@ -828,6 +828,20 @@ def test_anti_mirror_larger_case():
     assert mcd.full_verification().passed
     for dims in combinations(range(mcd.d2.k), 3):
         assert check_grid_stratification(mcd.d2, dims, (2, 2, 2)).passed
+
+
+def test_run_count_cap_is_the_one_in_verify(monkeypatch):
+    # construct compared s^u with its own binding of the cap, so a cap
+    # patched in verify moved the cell check but not the run-count check
+    monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", 8)
+    for build in (lambda: direct_construction(galois_field(3), 2, 1),
+                  lambda: subspace_construction(galois_field(3), 2, 1, 1)):
+        with pytest.raises(TooLargeError,
+                           match="^3\\^2 runs is over the cap of 8 cells$"):
+            build()
+    with pytest.raises(TooLargeError,
+                       match="^2\\^4 runs is over the cap of 8 cells$"):
+        anti_mirror_construction(4, 2)
 
 
 def test_size_caps_reject_before_building():

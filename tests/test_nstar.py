@@ -1,14 +1,16 @@
 """The n* prefix sets constructions use: the arc of the normal rational
-curve, checked by its certificate and exhaustively, and the choice of
-source per cell."""
+curve, checked by its certificate and exhaustively, Bush's vectors, the
+u1 <= 2 closed form, and the choice of source per cell."""
 
 import hashlib
 from itertools import combinations
 from math import comb
+from time import perf_counter
 
 import numpy as np
 import pytest
 
+from mcd_forge import nstar
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import _kept_rows, rank
 from mcd_forge.nstar import (
@@ -23,13 +25,19 @@ from mcd_forge.nstar import (
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
-#: every cell the arc serves: s > 7, 3 <= u1 <= 6, outside the table
-ARC_CELLS = [(s, u1) for s in SUPPORTED if s > 7 for u1 in range(3, 7)
-             if (s, u1) not in PREFIX_TABLE]
+#: the cells the arc serves, s > 7 and 3 <= u1 < s outside the table:
+#: every one to u1 = 8, and past it, where the forms are products, u1 =
+#: s - 1, (16, 12) and (32, 20)
+ARC_CELLS = [(s, u1) for s in SUPPORTED if s > 7 for u1 in range(3, s)
+             if (u1 <= 8 or u1 == s - 1 or (s, u1) in ((16, 12), (32, 20)))
+             and (s, u1) not in PREFIX_TABLE]
 
-#: the cells below the bound; their n* is open
+#: the cells below the bound; their n* is open.  Past u1 = 6 that is every
+#: extension field's arc but GF(25)'s to u1 = 8 = 2p - 2
 OPEN_CELLS = {(8, 5), (9, 5), (9, 6), (16, 5), (16, 6), (27, 5), (27, 6),
-              (32, 5), (32, 6)}
+              (32, 5), (32, 6)} | {
+    (s, u1) for s, u1 in ARC_CELLS if u1 > 6 and s in (8, 9, 16, 25, 27, 32)
+    and (s, u1) not in ((25, 7), (25, 8))}
 
 #: the most u1-subsets the exhaustive check eliminates on one cell, and
 #: how many it holds at a time
@@ -115,25 +123,67 @@ def test_arc_labels_are_a_pure_function_of_the_cell():
 
 
 def test_each_cell_takes_its_source(monkeypatch):
-    # the search serves s <= 7, u1 <= 2 and u1 > 6; the table its four
-    # cells, which it never searches; the arc every other cell
-    calls = []
-    real = max_independent_prefixes
-    monkeypatch.setattr("mcd_forge.nstar.max_independent_prefixes",
-                        lambda f, u1: calls.append((f.s, u1)) or real(f, u1))
+    # the search serves s <= 7 with u1 >= 3, the table its four cells, the
+    # Bush vectors s > 7 with u1 >= s and the arc every other s > 7 cell;
+    # u1 <= 2 takes none of them
+    calls = {"search": [], "arc": [], "bush": []}
+    for name, key in (("max_independent_prefixes", "search"),
+                      ("arc_labels", "arc"), ("_bush_labels", "bush")):
+        real = getattr(nstar, name)
+        monkeypatch.setattr(nstar, name, lambda f, u1, real=real, key=key:
+                            calls[key].append((f.s, u1)) or real(f, u1))
+    cells = [(s, u1) for s in (2, 3, 4, 5, 7, 8, 9, 11, 16, 32)
+             for u1 in range(1, 14)
+             if s > 7 or u1 <= 6 or (s, u1) in ((3, 7), (4, 7))]
     prefix_set.cache_clear()
     try:
-        for s in (2, 3, 4, 5, 7, 8, 9, 16, 32):
-            for u1 in range(1, 7):
-                prefix_set(s, u1)
-        assert calls == [(s, u1) for s in (2, 3, 4, 5, 7, 8, 9, 16, 32)
-                         for u1 in range(1, 7)
-                         if s <= 7 or u1 <= 2]
-        calls.clear()
+        for s, u1 in cells:
+            prefix_set(s, u1)
+        assert calls == {
+            "search": [(s, u1) for s, u1 in cells if s <= 7 and u1 >= 3],
+            "arc": [(s, u1) for s, u1 in cells if s > 7 and 3 <= u1 < s
+                    and (s, u1) not in PREFIX_TABLE],
+            "bush": [(s, u1) for s, u1 in cells if u1 >= s > 7]}
         assert prefix_set(4, 7).size == 8
-        assert calls == [(4, 7)]
     finally:
         prefix_set.cache_clear()
+
+
+@pytest.mark.parametrize("s", SUPPORTED)
+def test_two_or_fewer_columns_match_the_search(s):
+    # every prefix is its own direction, so the search takes them all
+    for u1 in (1, 2):
+        search = max_independent_prefixes(galois_field(s), u1)
+        closed = prefix_set(s, u1)
+        assert (closed.labels, closed.prefixes, closed.bound,
+                closed.certified) == (search.labels, search.prefixes,
+                                      search.bound, search.certified)
+
+
+@pytest.mark.parametrize("s, u1", [(8, 8), (8, 9), (9, 11), (9, 12),
+                                   (11, 11), (16, 16), (27, 28), (32, 32)])
+def test_bush_vectors_reach_the_bound(s, u1):
+    # u1 + 1 prefixes, every u1 of them independent; (9, 11) has
+    # 1 - u1 = 2 in GF(9), so a = 3 there
+    f = galois_field(s)
+    search = prefix_set(s, u1)
+    assert search.size == search.bound == u1 + 1
+    assert search.certified == "provably-maximal"
+    prefixes = np.array(search.prefixes)
+    assert prefixes.all() and (prefixes[:, 0] == 1).all()
+    subsets = np.array(list(combinations(range(u1 + 1), u1)))
+    assert _kept_rows(f, prefixes[subsets]).all()
+
+
+def test_cells_past_six_columns_are_answered_in_closed_form():
+    # the search gave (11, 7) 10 prefixes "maximal-within-search" after
+    # 18 s, and refused (8, 9) after 4.4 s
+    prefix_set.cache_clear()
+    for cell, size in (((11, 7), 12), ((8, 9), 10)):
+        start = perf_counter()
+        search = prefix_set(*cell)
+        assert perf_counter() - start < 1
+        assert (search.size, search.certified) == (size, "provably-maximal")
 
 
 def test_cells_proven_by_the_search_keep_their_labels():
