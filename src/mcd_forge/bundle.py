@@ -59,8 +59,10 @@ _READ_BYTES = 1 << 16
 _VALUE_BYTES = b"-0123456789"
 _FAST_BOUND = 10 ** 18
 
-#: a CSV block's line ends, each made the comma between two values
+#: a CSV block's line ends, each made the comma between two values, and
+#: a JSON block's, each made a space around a value
 _LINES_TO_COMMAS = bytes.maketrans(b"\n", b",")
+_LINES_TO_SPACES = bytes.maketrans(b"\n", b" ")
 
 #: the longest line a matrix cell takes in canonical JSON: six spaces of
 #: indent, the most negative int64, a comma and a newline
@@ -113,11 +115,12 @@ class DesignBundle:
 
 
 def bundle_from_design(mcd: MarginallyCoupledDesign) -> DesignBundle:
+    """The bundle of a built design, sharing its D1 and D2 arrays."""
     p, prov = mcd.params, mcd.provenance
     return DesignBundle(
         method=prov.method,
         s=p.s, u=p.u, u1=p.u1, v=p.v, item=p.item, seed=p.seed,
-        d1=mcd.d1.data.copy(), d2=mcd.d2.data.copy(),
+        d1=mcd.d1.data, d2=mcd.d2.data,
         provenance={
             "z_vectors": [list(z) for z in prov.z_vectors],
             "x_vectors": [list(x) for x in prov.x_vectors],
@@ -435,13 +438,15 @@ def _append_rows(matrix: np.ndarray | None,
 
 def _int_block(text: bytes, count: int) -> np.ndarray | None:
     """The ``count`` integers of ``text``, which must be values
-    -?[0-9]+ joined by commas, each below 10^18 in magnitude; None for any
-    other text.  numpy's text parser reads a lone "-" as 0 and clamps a
+    -?[0-9]+ joined by commas, each below 10^18 in magnitude, with spaces
+    around a value but none in it; None for any other text.  numpy's text
+    parser reads a lone "-" as 0, skips spaces after a sign and clamps a
     value past int64, so the signs are checked first and the magnitude
     bound, which every clamp reaches, after."""
-    minus = text.count(b"-")
-    if minus and (minus != text.count(b",-") + text.startswith(b"-")
-                  or b"-," in text or text.endswith(b"-")):
+    if b"-" in text and (
+            text.count(b"-") != text.count(b",-") + text.count(b" -")
+            + text.startswith(b"-") or b"- " in text or b"-," in text
+            or text.endswith(b"-")):
         return None
     try:  # numpy < 2 warns on a short read where numpy 2 raises
         with warnings.catch_warnings():
@@ -472,27 +477,34 @@ def _json_block(rows: bytes, unit: bytes, last: bool) -> np.ndarray | None:
     followed by a comma unless it is the matrix's ``last``, where ``unit``
     is one row's text with its values left out and its comma kept; None
     for any other text, a value written as json.dumps would not (a leading
-    zero, -0) included."""
+    zero, -0) included.  A value line is six spaces, a value, then a comma
+    or a line end: only the brackets are deleted before the parse, and
+    line ends become spaces, so that a value byte anywhere else (in an
+    indent, after a bracket or a comma) stands apart from its value, and
+    a value split by a space stays split, which the parser refuses."""
     skeleton = rows.translate(None, _VALUE_BYTES)
     count, extra = divmod(len(skeleton) + last, len(unit))
     if extra or not count or skeleton != (unit * count)[:len(skeleton)]:
         return None
+    value_bytes = len(rows) - len(skeleton)
     del skeleton
-    text = rows.translate(None, b" []\n")
+    text = rows.translate(_LINES_TO_SPACES, b"[]")
     if not last:
         text = text[:-1]
     values = _int_block(text, count * unit.count(b","))
-    if values is None or _text_bytes(values) != len(text) + 1 - values.size:
+    if values is None or _text_bytes(values) != value_bytes:
         return None
     values.shape = (count, -1)
     return values
 
 
-def _json_matrix(pieces, buf: bytes, at: int, opening: bytes):
+def _json_matrix(pieces, buf: bytes, at: int, opening: bytes, before: int):
     """The matrix whose canonical text, from ``opening`` to its closing
     bracket, starts at ``buf[at]`` and goes on in ``pieces``, then the
     piece it ends in and the place of the comma after it; None for any
-    other text."""
+    other text.  Refused by the size gate once its rows read so far, times
+    its width and the ``before`` columns of D1 when it is D2, pass the
+    cell cap."""
     if not buf.startswith(opening, at):
         return None
     at += len(opening)
@@ -511,6 +523,8 @@ def _json_matrix(pieces, buf: bytes, at: int, opening: bytes):
         if block is None:
             return None
         matrix = _append_rows(matrix, block)
+        # D1's rows, or D2's beside D1's columns, through the one size gate
+        _require_cells(len(matrix), before or width, before and width)
         if quote >= 0:
             return matrix, buf, quote - 4
         buf, at = next(pieces), 0
@@ -523,7 +537,8 @@ def _canonical_json(fh):
     pieces = _pieces(fh, b"\n    ],")
     buf, at, matrices = next(pieces), 0, []
     for opening in (b'{\n  "d1": [', b',\n  "d2": ['):
-        read = _json_matrix(pieces, buf, at, opening)
+        read = _json_matrix(pieces, buf, at, opening,
+                            sum(x.shape[1] for x in matrices))
         if read is None:
             return None
         matrix, buf, at = read
@@ -587,20 +602,36 @@ def _csv_matrices(path: Path, s: int, u: int):
     refused before any data line is parsed.  A data line of m + k fields
     takes at least 2(m + k) bytes, so a file too short for s^u of them,
     which s^u past 2^64 always is, is read, and its rows name the
-    mismatch."""
+    mismatch; past s^u data lines, its lines are counted, not parsed."""
     with path.open(encoding="utf-8") as fh:
         m, k = _csv_header(fh)
     runs = s ** min(u, 64)
     if path.stat().st_size >= 2 * (m + k) * runs:
         _require_cells(runs, m, k)
-    data, m = _canonical_csv(path) or _checked_csv(path)
+    runs = min(runs, MAX_FILE_BYTES)  # no readable file has more lines
+    data, m = _canonical_csv(path, runs) or _checked_csv(path, runs,
+                                                         f"{s}^{u}")
     return data[:, :m], data[:, m:]
 
 
-def _canonical_csv(path: Path):
+def _past_claim(path: Path, claim: str) -> None:
+    """Refuse the CSV at ``path``, whose data lines pass its sidecar's s^u,
+    ``claim``, with the message read_bundle gives a file of too few runs:
+    its lines are counted in text of _READ_BYTES at a time, as the line
+    reader splits them, and not parsed."""
+    with path.open(encoding="utf-8") as fh:
+        lines, end = 0, ""
+        for text in iter(lambda: fh.read(_READ_BYTES), ""):
+            lines, end = lines + text.count("\n"), text[-1]
+    runs = lines - 1 + (end != "\n")  # less the header, plus an unended line
+    raise MalformedBundleError(f"{runs} runs, not {claim}")
+
+
+def _canonical_csv(path: Path, runs: int | None = None):
     """(data, m) of a CSV with header q1..qm,x1..xk and data fields
     -?[0-9]+, every line ended as the header is (\\r\\n or \\n), read in
-    blocks of lines; None for any other file."""
+    blocks of lines; None for any other file, and for one of more than
+    ``runs`` data lines, when given, once a block passes them."""
     with path.open("rb") as fh:
         header = fh.readline()
         eol = header[-2:] if header.endswith(b"\r\n") else b"\n"
@@ -617,8 +648,9 @@ def _canonical_csv(path: Path):
             skeleton = piece.translate(None, _VALUE_BYTES)
             count, extra = divmod(len(skeleton), len(line))
             # a piece without a line end, cut or at the end of the file,
-            # has no line in its skeleton
-            if extra or not count or skeleton != line * count:
+            # has no line in its skeleton; a CR may stand only before a LF
+            if extra or not count or skeleton != line * count or (
+                    eol == b"\r\n" and piece.count(eol) != count):
                 return None
             values = _int_block(piece[:-len(eol)].translate(
                 _LINES_TO_COMMAS, b"\r"), count * len(names))
@@ -626,13 +658,17 @@ def _canonical_csv(path: Path):
                 return None
             values.shape = (count, -1)
             data = _append_rows(data, values)
+            if runs is not None and len(data) > runs:
+                return None
     return None if data is None else (data, m)
 
 
-def _checked_csv(path: Path) -> tuple[np.ndarray, int]:
+def _checked_csv(path: Path, runs: int, claim: str) -> tuple[np.ndarray, int]:
     """(data, m) of a CSV through numpy.loadtxt, in chunks of lines of
     about _READ_BYTES cells, each line checked on the way and each chunk
-    narrowed as it is appended; raises on the first fault."""
+    narrowed as it is appended; raises on the first fault, a checked line
+    past ``runs`` data lines included, whose run count is refused as not
+    ``claim``."""
     with path.open(encoding="utf-8") as fh:
         m, k = _csv_header(fh)
         start = fh.tell()
@@ -642,10 +678,13 @@ def _checked_csv(path: Path) -> tuple[np.ndarray, int]:
                 # each chunk is pulled line by line as loadtxt parses it,
                 # so that the first faulty line is the one named
                 lines, data = _csv_lines(fh, m + k), None
-                while (line := next(lines, None)) is not None:
-                    data = _append_rows(data, np.loadtxt(
-                        chain([line], islice(lines, _READ_BYTES // (m + k))),
+                claimed = islice(lines, runs)
+                while (line := next(claimed, None)) is not None:
+                    data = _append_rows(data, np.loadtxt(chain(
+                        [line], islice(claimed, _READ_BYTES // (m + k))),
                         dtype=np.int64, delimiter=",", ndmin=2))
+                if next(lines, None) is not None:
+                    _past_claim(path, claim)
         except (MalformedBundleError, UnicodeDecodeError):
             raise
         except (ValueError, DeprecationWarning):

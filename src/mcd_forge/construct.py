@@ -58,6 +58,7 @@ from .designs import (
     OrthogonalArray,
     Seed,
     _narrow_type,
+    collapse_levels,
     expand_levels,
 )
 from .errors import (
@@ -298,14 +299,19 @@ class Provenance:
 
 @dataclass(eq=False)
 class MarginallyCoupledDesign:
-    """A verified-or-verifiable bundle: s-level D1, Latin hypercube D2,
-    and the collapsed form of D2 the construction actually built."""
+    """A verified-or-verifiable bundle: s-level D1 and Latin hypercube D2,
+    each held once."""
 
     d1: OrthogonalArray
     d2: LatinHypercube
-    collapsed: CollapsedDesign
     params: ConstructionParams
     provenance: Provenance
+
+    @property
+    def collapsed(self) -> CollapsedDesign:
+        """floor(D2 / s), the collapsed form the construction built and
+        expanded into D2, made again from D2 on each access."""
+        return collapse_levels(self.d2, self.params.s)
 
     def full_verification(self):
         return battery(self.d1, self.d2, self.params.s)
@@ -451,11 +457,11 @@ def _assemble(field: GaloisField, zs: np.ndarray, xs: np.ndarray,
     s = field.s
     d1 = OrthogonalArray(generate_linear_array(field, zs), (s,) * len(zs))
     tilde, columns, which = _replaced_columns(field, gens)
-    collapsed = CollapsedDesign(s, tilde.T)
-    d2 = expand_levels(collapsed, s, params.seed)
+    d2 = expand_levels(CollapsedDesign(s, tilde.T), s, params.seed)
+    del tilde  # the design holds D2 alone
     shared = list(map(tuple, columns.tolist()))
     return MarginallyCoupledDesign(
-        d1, d2, collapsed, params,
+        d1, d2, params,
         Provenance(method, tuple(map(tuple, zs.tolist())),
                    tuple(map(tuple, xs.tolist())),
                    tuple(tuple(map(shared.__getitem__, row))

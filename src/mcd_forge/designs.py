@@ -53,9 +53,16 @@ IDENTITY_SEED = "identity"
 Seed = int | str
 
 #: cells each temporary of a blocked pass holds: a block of columns in
-#: level expansion and in collapsed D2's build, of distinct generator
-#: columns' linear arrays, of subsets in the prefix check
+#: collapsed D2's build, of distinct generator columns' linear arrays, of
+#: subsets in the prefix check
 BLOCK_CELLS = 1 << 17
+
+#: bytes each int64 index or code array of a blocked pass over D2 holds:
+#: the sort and scatter indices of level expansion, the codes and counts
+#: of the counting kernel and of the non-cascading relabel.  Blocks of
+#: BLOCK_CELLS cells made expansion peak 3.0 MiB above its input and
+#: output, and the battery 2.6 MiB above its inputs, at 1,024 x 256
+INDEX_BYTES = 1 << 18
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -189,10 +196,11 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
     raises BadParamsError: a design built from 1.5 as seed 1 would be
     written with a seed ``read_bundle`` refuses.
 
-    Columns go in blocks of ``BLOCK_CELLS`` cells.  One stable argsort
-    per block groups each column's rows: row v of the (n/s, s) reshape
-    holds the rows carrying level v, in row order, and the sorted levels
-    must read 0 (s times), 1 (s times), and so on.  The seeded offsets
+    Columns go in blocks whose int64 indices hold ``INDEX_BYTES`` (one
+    column at least).  One stable argsort per block groups each column's
+    rows: row v of the (n/s, s) reshape holds the rows carrying level v,
+    in row order, and the sorted levels must read 0 (s times), 1 (s
+    times), and so on.  The seeded offsets
     come from one ``permuted(..., axis=1)`` call per column over n/s
     copies of 0..s-1, which draws from the stream exactly as n/s
     successive ``permutation(s)`` calls would.  So the stream is still
@@ -210,20 +218,21 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
         raise NotDivisibleError(f"run count {n} not divisible by s={s}")
     nlev = n // s
     kind = _narrow_type(n - 1)
+    # in range, levels fit the narrowest dtype, which numpy radix-sorts
+    keys_type = np.min_scalar_type(nlev - 1)
     out = np.empty((n, k), dtype=kind)
     tiles = np.tile(np.arange(s, dtype=kind), (nlev, 1))
     starts = np.arange(0, n, s, dtype=kind)[:, None]
-    width = max(1, BLOCK_CELLS // max(n, 1))
+    order = np.repeat(np.arange(nlev, dtype=keys_type), s)  # sorted levels
+    width = max(1, INDEX_BYTES // 8 // max(n, 1))
     for lo in range(0, k, width):
         block = collapsed.data[:, lo:lo + width].T
         b = len(block)
         bad = ((block.min(axis=1, initial=0) < 0)
                | (block.max(axis=1, initial=-1) >= nlev))
-        # in range, levels fit the narrowest dtype, which numpy radix-sorts
-        keys = block.astype(np.min_scalar_type(nlev - 1))
+        keys = block.astype(keys_type)
         rows = np.argsort(keys, axis=1, kind="stable")
-        bad |= (np.take_along_axis(keys, rows, axis=1)
-                != np.repeat(np.arange(nlev), s)).any(axis=1)
+        bad |= (np.take_along_axis(keys, rows, axis=1) != order).any(axis=1)
         if bad.any():
             raise MalformedCollapsedDesignError(
                 f"column {lo + bad.argmax()} does not take each level "

@@ -5,7 +5,8 @@ arc of PG(u1-1, s).  ``independent_prefix_bound`` bounds it, and the cached
 
 * u1 <= 2, every s: (1,), or the s - 1 prefixes (1, b), at the bound;
 * s <= 7, u1 >= 3: the search ``max_independent_prefixes``;
-* s > 7, u1 >= s: u1 + 1 prefixes in closed form, at Bush's bound;
+* s > 7, s <= u1 <= MAX_BUSH_U1: u1 + 1 prefixes in closed form, at
+  Bush's bound;
 * s > 7, 3 <= u1 < s: on four slow u1 = 3 cells ``PREFIX_TABLE``, the
   labels that search gives; else an arc from the normal rational curve.
 
@@ -33,7 +34,7 @@ from itertools import combinations, islice, product
 import numpy as np
 
 from .designs import BLOCK_CELLS
-from .errors import BadParamsError
+from .errors import BadParamsError, TooLargeError
 from .gf import GaloisField, checked_order, galois_field
 from .linalg import (
     Vector,
@@ -310,14 +311,22 @@ def _bush_labels(field: GaloisField, u1: int) -> tuple[int, ...]:
     return tuple(sorted(_label(field.s, tail) for tail in tails))
 
 
+#: the largest u1 ``_bush_labels`` answers: its u1 + 1 labels of u1 - 1
+#: base-(s-1) digits, as Python ints, cost about u1^3 digit operations,
+#: 1.6 ms at (9, 64) and 0.37 s at (9, 1000).  Twice the u1 = 32 the
+#: catalog's orders are timed to; no construction passes u1 = 22 under
+#: the run cap
+MAX_BUSH_U1 = 64
+
+
 @lru_cache(maxsize=None)
 def prefix_set(s: int, u1: int) -> PrefixSearch:
     """The n* prefix set that constructions and the catalog use.  s is
     checked first, by ``checked_order``, and the cell picks the source:
     u1 <= 2 (each prefix is its own direction, so every one joins), the
-    search for s <= 7, ``_bush_labels`` for u1 >= s, and else the table's
-    labels for its cells and the arc's for the rest, "arc-lower-bound"
-    below the bound."""
+    search for s <= 7, ``_bush_labels`` for s <= u1 <= MAX_BUSH_U1
+    (TooLargeError past it), and else the table's labels for its cells
+    and the arc's for the rest, "arc-lower-bound" below the bound."""
     checked_order(s)
     if u1 <= 2:
         return _decoded(s, u1, range(s - 1) if u1 == 2 else (0,),
@@ -325,6 +334,9 @@ def prefix_set(s: int, u1: int) -> PrefixSearch:
     if s <= 7:
         return max_independent_prefixes(galois_field(s), u1)
     if u1 >= s:
+        if u1 > MAX_BUSH_U1:
+            raise TooLargeError(f"n* for s={s}, u1={u1}: u1 is over the cap "
+                                f"of {MAX_BUSH_U1}")
         return _decoded(s, u1, _bush_labels(galois_field(s), u1),
                         "provably-maximal")
     labels = PREFIX_TABLE.get((s, u1)) or arc_labels(galois_field(s), u1)

@@ -39,10 +39,10 @@ products only clear blocks of scans:
 * Bincount, for every block the products do not clear (an off count, or
   fewer than PRODUCT_CELLS run-subset cells) and every scan of any other
   call: each last column (tail) is coded into a block of its own, in
-  place in one int64 buffer, and one bincount counts a chunk of up to
-  2^16 codes.  A tail that is out of range or does not divide n ends the
-  chunk unencoded, so no entry can alias into a valid combination or
-  another subset's block.
+  place in one int64 buffer of at most INDEX_BYTES (one column at least),
+  and one bincount counts a chunk of those codes.  A tail that is out of
+  range or does not divide n ends the chunk unencoded, so no entry can
+  alias into a valid combination or another subset's block.
 
 ``check_mcd`` tests the marginal-coupling property through the collapsed
 pair condition: every (D1 column, collapsed D2 column) pair must be a
@@ -66,13 +66,13 @@ import numpy as np
 
 from .designs import (
     BLOCK_CELLS,
+    INDEX_BYTES,
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
     _floor_divided,
     _narrow_type,
     _require_level_count,
-    collapse_levels,
 )
 from .errors import (
     BadGridError,
@@ -84,8 +84,8 @@ from .errors import (
 )
 
 #: largest design construct builds or the battery checks, in n * (m + k)
-#: cells: a construct run peaked at 21 bytes of RSS a cell at 4.2M cells
-#: and 49 at 1.05M (D2 in int16), JSON or CSV alike, well under 1 GiB.
+#: cells: a construct run peaked at 13.5 bytes of RSS a cell at 4.2M cells
+#: and 41 at 1.05M (D2 in int16), JSON or CSV alike, well under 1 GiB.
 MAX_DESIGN_CELLS = 5_000_000
 
 #: largest verification a construction may need, in n * (column pairs):
@@ -207,8 +207,8 @@ def _first_unbalanced(blocks, levels, scans, divisors=None):
            for low, top, lev in zip(lows, tops, levels)]
     # one row per column, codes formed in int64, in one copy, which also
     # floor-divides: counting the callers' rows uncopied, in their own
-    # types, made every battery slower.  A copy past the chunk buffer's
-    # size holds the smallest type that holds every level up to n (below
+    # types, made every battery slower.  A copy of more than 2^16 cells
+    # holds the smallest type that holds every level up to n (below
     # it, mixed-type arithmetic costs more than it saves); a column of more
     # levels does not divide n and is never coded
     c, n = len(levels), np.shape(blocks[0])[1]
@@ -317,11 +317,12 @@ def _sliced_product(h, t):
 
 def _bincount_hit(cols, levels, bad, run_end, scans):
     """The kernel's answer on ``scans`` by bincount: each tail is coded
-    into a block of its own, in place in one int64 buffer, and one
-    bincount counts a chunk of up to 2^16 codes; a chunk ends where
-    ``run_end`` says, at a level change or a column out of range."""
+    into a block of its own, in place in one int64 buffer of at most
+    INDEX_BYTES, and one bincount counts a chunk of those codes, into no
+    more counts than codes; a chunk ends where ``run_end`` says, at a
+    level change or a column out of range."""
     n = cols.shape[1]
-    width = max(1, (1 << 16) // max(n, 1))  # tails per chunk
+    width = max(1, INDEX_BYTES // 8 // max(n, 1))  # tails per chunk
     buf = np.empty((min(width, len(levels)), n), dtype=np.int64)
     for head, lo, hi in scans:
         full = prod(levels[j] for j in head)
@@ -356,7 +357,7 @@ def _bincount_hit(cols, levels, bad, run_end, scans):
                 combo = tuple(map(int, np.unravel_index(hit, block.shape)))
                 return head + (a + i,), (combo, int(block.flat[hit]),
                                          n // size)
-            a = b
+            a, counts = b, None  # one chunk's counts at a time
     return None
 
 
@@ -519,37 +520,73 @@ def first_equal_pair(keys) -> tuple[int, int] | None:
     return pair
 
 
-def check_noncascading(collapsed: CollapsedDesign) -> VerificationReport:
-    """No two collapsed columns may be equal up to level relabeling, that
-    is, replacing each entry by the row where its value first appears in
-    its column must give two different columns.  Columns go in blocks of
-    at most 2^16 cells, and each column's key is its row of first rows in
-    the narrowest type that holds n-1.  A block holding any value outside
-    0..n-1 first has each column's values replaced by their ranks, one
-    np.searchsorted into the sorted column, which keeps equal values equal
-    and distinct ones distinct.  Every block is then relabeled in one
-    pass: each cell's code is its value plus n times its column's place in
-    the block, one np.minimum.at of the row numbers over the codes finds
-    the first row of each code, and one gather hands it back to every
-    cell."""
-    n, k = collapsed.data.shape
+#: a column key's fixed-size digest: equal keys give equal digests, and
+#: the columns of each digest met twice are compared again by their keys
+_digest = hash
+
+
+def _relabeled_blocks(data: np.ndarray, q: int, columns=None):
+    """The columns of the integer n x k ``data`` (those of the list
+    ``columns``, else all), each floor-divided by q >= 1 and relabeled:
+    each entry replaced by the row where its value first appears in its
+    column.  One (b, n) array per block of b columns, in the narrowest type
+    that holds n-1, whose int64 codes hold at most INDEX_BYTES (one column
+    at least).  A block holding any value outside 0..n-1 first has each
+    column's values replaced by their ranks, one np.searchsorted into the
+    sorted column, which keeps equal values equal and distinct ones
+    distinct.  Every block is then relabeled in one pass: each cell's code
+    is its value plus n times its column's place in the block, one
+    np.minimum.at of the row numbers over the codes finds the first row of
+    each code, and one gather hands it back to every cell."""
+    n = data.shape[0]
     kind = _narrow_type(max(n - 1, 0))
     runs = np.arange(n, dtype=kind)
-    step, keys = max(1, (1 << 16) // max(n, 1)), []
-    for a in range(0, k, step):
-        block = collapsed.data[:, a:a + step].T
-        if block.min(initial=0) < 0 or block.max(initial=-1) >= n:
-            block = np.array([np.sort(c).searchsorted(c) for c in block])
-        codes = np.add(block, np.arange(0, len(block) * n, n)[:, None],
-                       dtype=np.intp).ravel()
+    step = max(1, INDEX_BYTES // 8 // max(n, 1))
+    count = data.shape[1] if columns is None else len(columns)
+    for a in range(0, count, step):
+        part = (data[:, a:a + step] if columns is None
+                else data[:, columns[a:a + step]]).T
+        codes = np.empty(part.shape, dtype=np.intp)
+        _floor_divided(part, q, codes)
+        if codes.min(initial=0) < 0 or codes.max(initial=-1) >= n:
+            for c in codes:
+                c[...] = np.sort(c).searchsorted(c)
+        codes += np.arange(0, len(codes) * n, n)[:, None]
         first = np.full(codes.size, n - 1, dtype=kind)
         # flat codes and row numbers in first's own type: numpy 2.4
         # broadcast 1-D values over 2-D indices wrongly, and values of
         # another type take ufunc.at's casting path, ten times slower
-        np.minimum.at(first, codes, np.tile(runs, len(block)))
-        rows = first[codes].reshape(block.shape)
-        keys += map(np.ndarray.tobytes, rows)
-    pair = first_equal_pair(keys)
+        np.minimum.at(first, codes.ravel(), np.tile(runs, len(codes)))
+        yield first[codes]
+
+
+def check_noncascading(collapsed: CollapsedDesign | LatinHypercube,
+                       divisor: int = 1) -> VerificationReport:
+    """No two columns of floor(``collapsed.data`` / divisor) may be equal
+    up to level relabeling, that is, replacing each entry by the row where
+    its value first appears in its column must give two different columns;
+    the lexicographically first equal pair is reported.  The battery passes
+    D2 with divisor s, so that D2 is collapsed block by block, never whole.
+
+    Each column's key, its row of first rows, is kept only as a fixed-size
+    digest, and the columns of every digest met more than once are
+    relabeled again and compared by their keys, so that a digest collision
+    changes no answer: the first equal pair is the least of those groups'
+    first pairs."""
+    first, groups = {}, {}
+    digests = (_digest(row.tobytes()) for rows in _relabeled_blocks(
+        collapsed.data, divisor) for row in rows)
+    for j, digest in enumerate(digests):
+        i = first.setdefault(digest, j)
+        if i != j:
+            groups.setdefault(i, [i]).append(j)
+    pairs = []
+    for cols in groups.values():
+        pair = first_equal_pair(row.tobytes() for rows in _relabeled_blocks(
+            collapsed.data, divisor, cols) for row in rows)
+        if pair:
+            pairs.append((cols[pair[0]], cols[pair[1]]))
+    pair = min(pairs, default=None)
     if pair:
         i, j = pair
         result = CheckResult(
@@ -637,8 +674,7 @@ def battery(d1: OrthogonalArray, d2: LatinHypercube, s: int,
             raise BadParamsError(
                 f"grid arity {len(stratify)} exceeds the {d2.k} columns")
         sweep = check_grid_stratification(d2, tuple(range(d2.k)), stratify)
-    checks = [*check_mcd(d1, d2, s).checks,
-              *check_noncascading(collapse_levels(d2, s)).checks]
+    checks = [*check_mcd(d1, d2, s).checks, *check_noncascading(d2, s).checks]
     if strength is not None:
         # check_mcd opens with this very check: list it again, not rerun
         checks += (checks[:1] if strength == min(2, d1.m)

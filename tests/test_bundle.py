@@ -27,6 +27,7 @@ from mcd_forge.construct import (
     MAX_DESIGN_CELLS,
     anti_mirror_construction,
     direct_construction,
+    general_construction,
     subspace_construction,
 )
 from mcd_forge.errors import MalformedBundleError, TooLargeError
@@ -621,7 +622,7 @@ def _checked_outcome(path):
     only one json.loads of a whole JSON file and numpy.loadtxt for a CSV."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bundle, "_canonical_json", lambda fh: None)
-        patch.setattr(bundle, "_canonical_csv", lambda path: None)
+        patch.setattr(bundle, "_canonical_csv", lambda path, *claim: None)
         return _outcome(path)
 
 
@@ -1083,7 +1084,7 @@ def test_a_csv_over_the_cell_cap_is_refused_before_its_data(tmp_path,
     write_bundle(path, _bundle())
     monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", 100)
 
-    def unread(path):
+    def unread(path, *claim):
         raise AssertionError("a data line was parsed")
 
     monkeypatch.setattr(bundle, "_canonical_csv", unread)
@@ -1159,3 +1160,151 @@ def test_a_value_longer_than_a_read_is_declined_whole(tmp_path, monkeypatch):
         with pytest.raises(MalformedBundleError,
                            match="^CSV data has an entry outside int64$"):
             read_bundle(path)
+
+
+def _theorem2_files(tmp_path):
+    """``construct --method theorem2 --s 3 --u 3 --u1 2 --v 1 --seed 3``
+    written as JSON and as CSV."""
+    paths = tmp_path / "t2.json", tmp_path / "t2.csv"
+    for out in paths:
+        assert main(["construct", "--method", "theorem2", "--s", "3",
+                     "--u", "3", "--u1", "2", "--v", "1", "--seed", "3",
+                     "--out", str(out)]) == 0
+    return paths
+
+
+def test_a_split_value_or_a_bare_cr_is_refused_as_the_checked_path(
+        tmp_path, capsys):
+    # a JSON value split by a space, and a CSV line with a CR inside it,
+    # read as the value and the line they were: verify printed PASS
+    json_path, csv_path = _theorem2_files(tmp_path)
+    text = json_path.read_bytes()
+    assert text.count(b"\n      11,\n") == 2
+    json_path.write_bytes(text.replace(b"\n      11,\n", b"\n     1 1,\n", 1))
+    text = csv_path.read_bytes()
+    assert b"\r\n0,0,0,6,6,8\r\n" in text
+    csv_path.write_bytes(text.replace(b"0,0,0,6,6,8\r\n",
+                                      b"0,0,0,6,6,\r8\n", 1))
+    capsys.readouterr()
+    for path, error in (
+            (json_path, "error: not valid JSON: Expecting ',' delimiter: "
+                        "line 156 "),
+            (csv_path, "error: line 4: non-integer entry\n")):
+        _assert_same_reading(path, in_blocks=False)
+        assert main(["verify", "--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(error), err
+
+
+#: the bytes the mutants below are edited with
+_MUTANT_BYTES = b"0123456789-+, \n[]{}\":\r\t.e"
+
+
+def _mutant(rng, text: bytes) -> bytes:
+    """``text`` with 1 to 3 edits, each a byte of _MUTANT_BYTES put in
+    place of a byte or between two, or a byte deleted."""
+    text = bytearray(text)
+    for _ in range(rng.integers(1, 4)):
+        op, byte = rng.integers(3), _MUTANT_BYTES[rng.integers(
+            len(_MUTANT_BYTES))]
+        at = int(rng.integers(len(text) + (op == 1)))
+        if op == 0:
+            text[at] = byte
+        elif op == 1:
+            text.insert(at, byte)
+        else:
+            del text[at]
+    return bytes(text)
+
+
+def test_block_readers_read_seeded_mutants_as_the_checked_path(tmp_path):
+    # every method, JSON, CSV with either line end, and the sidecar: the
+    # block reader either declines a mutant or reads it as the checked
+    # path does, values and dtype.  Six of these 800 were misread before
+    # each value's text was checked where it sits
+    F2 = galois_field(2)
+    builds = [bundle_from_design(mcd) for mcd in (
+        direct_construction(F3, 3, 2, "ii", 5),
+        subspace_construction(F3, 3, 2, 1, "i", seed=3),
+        anti_mirror_construction(5, 2, seed=3),
+        general_construction(F2, [(1, 0, 0)], [(1, 0, 0), (1, 1, 0),
+                                               (1, 0, 1)], 7))]
+    rng = np.random.default_rng(20261020)
+    for t in range(800):
+        b, kind = builds[t % len(builds)], t // len(builds) % 4
+        path = write_bundle(tmp_path / ("m.json" if kind == 0 else "m.csv"), b)
+        if kind == 2:
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        target = sidecar_path(path) if kind == 3 else path
+        target.write_bytes(_mutant(rng, target.read_bytes()))
+        _assert_same_reading(path)
+
+
+def test_a_csv_past_its_claim_is_counted_not_parsed(tmp_path, monkeypatch):
+    # a 27-run design's lines, 40 times over, with its sidecar's s = 3,
+    # u = 3: both data readers parsed every line before the run count was
+    # compared.  Each now stops at the first line past 27 and counts the
+    # rest, CRLF or LF, with the last line ended or not
+    monkeypatch.setattr(bundle, "_READ_BYTES", 256)
+    parsed = []
+    real_block, real_lines = bundle._int_block, bundle._csv_lines
+
+    def block(text, count):
+        parsed.append(count)
+        return real_block(text, count)
+
+    def lines(*args, **kwargs):
+        for line in real_lines(*args, **kwargs):
+            parsed.append(1)
+            yield line
+
+    monkeypatch.setattr(bundle, "_int_block", block)
+    monkeypatch.setattr(bundle, "_csv_lines", lines)
+    good = write_bundle(tmp_path / "good.csv", _bundle())
+    header, body = good.read_bytes().split(b"\r\n", 1)
+    width = header.count(b",") + 1
+    for eol, spaced, ended in ((b"\r\n", False, True), (b"\n", False, False),
+                               (b"\r\n", True, True), (b"\n", True, False)):
+        text = header + b"\r\n" + body * 40
+        text = text.replace(b"\r\n", eol)
+        if spaced:  # which the block reader declines
+            text = header + eol + text.split(eol, 1)[1].replace(b",", b", ")
+        path = tmp_path / "long.csv"
+        path.write_bytes(text if ended else text[:-len(eol)])
+        sidecar_path(path).write_text(sidecar_path(good).read_text())
+        parsed.clear()
+        with pytest.raises(MalformedBundleError, match="^1080 runs, not 3\\^3$"):
+            read_bundle(path)
+        cells = sum(parsed) * (1 if not spaced else width)
+        assert 27 * width <= cells < 60 * width, (eol, spaced, cells)
+    # the checked path, past its claim and short of one past 2^64 runs
+    path.write_bytes(header + b"\r\n" + body.replace(b",", b", "))
+    for u in (2, 20000):
+        sidecar_path(path).write_text(json.dumps(dict(json.loads(
+            sidecar_path(good).read_text()), u=u)))
+        with pytest.raises(MalformedBundleError, match=f"^27 runs, not 3\\^{u}$"):
+            read_bundle(path)
+
+
+def test_a_canonical_json_over_the_cell_cap_is_refused_in_blocks(
+        tmp_path, monkeypatch):
+    # 27 runs x 2 + 6 columns under a cap of 100 cells: the block reader
+    # read both matrices whole before the battery refused the design; it
+    # now refuses once the rows read so far pass the cap
+    path = write_bundle(tmp_path / "d.json", _bundle())
+    monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", 100)
+    monkeypatch.setattr(bundle, "_READ_BYTES", 256)
+    rows = []
+    real = bundle._json_block
+
+    def block(text, unit, last):
+        values = real(text, unit, last)
+        rows.append(len(values))
+        return values
+
+    monkeypatch.setattr(bundle, "_json_block", block)
+    with pytest.raises(TooLargeError, match=(
+            "^[0-9]+ runs x 2 \\+ 6 columns is [0-9]+ cells, over the cap "
+            "of 100$")):
+        read_bundle(path)
+    assert 27 + 12 <= sum(rows) < 27 + 27, rows

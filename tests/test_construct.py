@@ -1001,3 +1001,27 @@ def test_seeded_construction_reproducible():
     assert (a.collapsed.data == c.collapsed.data).all()
     assert a.full_verification().passed
     assert c.full_verification().passed
+
+
+def test_a_built_design_holds_d2_once():
+    # theorem1 s=2 u=10, D2 1024 x 256 in int16 (0.5 MiB): the design kept
+    # the collapsed D2 it expanded, a second D2-sized array, and the bundle
+    # written from it copied D1 and D2 again; it now keeps D2 alone and
+    # makes its collapsed form from D2 when asked
+    F2 = galois_field(2)
+    direct_construction(F2, 4, 2, "i", 7)  # warm
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mcd = direct_construction(F2, 10, 2, "i", 7)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    d2 = mcd.d2.data
+    assert d2.nbytes == 1 << 19
+    assert held < d2.nbytes + mcd.d1.data.nbytes + (1 << 18), held
+    collapsed = mcd.collapsed
+    assert collapsed.data.dtype == d2.dtype
+    assert (collapsed.data == d2 // 2).all()
+    bundle = bundle_from_design(mcd)
+    assert bundle.d1 is mcd.d1.data and bundle.d2 is d2

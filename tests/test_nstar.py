@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mcd_forge import nstar
+from mcd_forge.errors import TooLargeError
 from mcd_forge.gf import galois_field
 from mcd_forge.linalg import _kept_rows, rank
 from mcd_forge.nstar import (
@@ -198,3 +199,18 @@ def test_cells_proven_by_the_search_keep_their_labels():
     assert len(cells) == 60
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a71221ac8e52e922d33e74e7f89ba855b6473b353016cee4e974c3fd35c6094e")
+
+
+def test_bush_cells_past_the_u1_cap_are_refused_at_once():
+    # Bush's u1 + 1 labels cost about u1^3 digit operations: (9, 2000)
+    # took 2.0 s, with no cap
+    start = perf_counter()
+    with pytest.raises(TooLargeError, match=(
+            f"^n\\* for s=9, u1=2000: u1 is over the cap of "
+            f"{nstar.MAX_BUSH_U1}$")):
+        prefix_set(9, 2000)
+    assert perf_counter() - start < 0.1
+    at_cap = prefix_set(9, nstar.MAX_BUSH_U1)
+    assert at_cap.size == nstar.MAX_BUSH_U1 + 1
+    assert at_cap.certified == "provably-maximal"
+    assert nstar.MAX_BUSH_U1 >= 32

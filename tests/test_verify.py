@@ -1017,6 +1017,71 @@ def test_noncascading_one_pass_matches_the_sort_path_and_a_dict_relabel():
     assert any(verdicts) and not all(verdicts)
 
 
+def _whole_key_pair(collapsed):
+    """The first equal pair as check_noncascading found it when it kept
+    every column's whole key: blocks of 2^16 cells relabeled in one pass
+    each, out-of-range blocks first ranked, keys compared as bytes."""
+    n, k = collapsed.shape
+    kind = np.min_scalar_type(-max(n - 1, 0) - 1)
+    runs = np.arange(n, dtype=kind)
+    step, keys = max(1, (1 << 16) // max(n, 1)), []
+    for a in range(0, k, step):
+        block = collapsed[:, a:a + step].T
+        if block.min(initial=0) < 0 or block.max(initial=-1) >= n:
+            block = np.array([np.sort(c).searchsorted(c) for c in block])
+        codes = np.add(block, np.arange(0, len(block) * n, n)[:, None],
+                       dtype=np.intp).ravel()
+        first = np.full(codes.size, n - 1, dtype=kind)
+        np.minimum.at(first, codes, np.tile(runs, len(block)))
+        keys += map(np.ndarray.tobytes, first[codes].reshape(block.shape))
+    return verify.first_equal_pair(keys)
+
+
+def test_noncascading_digests_report_as_whole_keys(monkeypatch):
+    # the battery relabels D2 block by block, dividing by s in each, and
+    # keeps a digest per column; it must report the first equal pair the
+    # whole keys of the collapsed design gave, on random and relabeled
+    # inputs, on built designs and their tampered copies (values out of
+    # range, the int64 extremes included), and when every digest, or
+    # every digest of one last byte, collides
+    rng = np.random.default_rng(20261020)
+    cases = [(data, q) for data in _noncascading_cases(rng) for q in (1, 2, 3)]
+    for mcd in (direct_construction(galois_field(2), 6, 2),
+                direct_construction(galois_field(3), 3, 2, "ii", 5),
+                anti_mirror_construction(5, 2, seed=3)):
+        s = mcd.params.s
+        cases += [(d2.data, s) for _, d2 in _tampered_copies(
+            mcd.d1, mcd.d2, s, rng)]
+    expected = [_whole_key_pair(np.floor_divide(data, q)) for data, q in cases]
+    assert any(expected) and not all(expected)
+    for digest in (hash, lambda key: 0, lambda key: key[-1]):
+        monkeypatch.setattr(verify, "_digest", digest)
+        for (data, q), pair in zip(cases, expected):
+            for report in (check_noncascading(LatinHypercube(data), q),
+                           check_noncascading(CollapsedDesign(
+                               q, np.floor_divide(data, q)))):
+                assert report.checks[0].subject == (pair or ())
+                assert report.passed == (pair is None)
+
+
+def test_the_battery_holds_one_block_beyond_its_inputs():
+    # theorem1 s=2 u=10, 1024 x (2 + 256), D2 in int16 (0.5 MiB): the
+    # battery collapsed D2 whole and kept every column's key, and the
+    # kernel's codes and counts took 0.5 MiB each, 2.6 MiB traced above
+    # the design; now D2 is relabeled in blocks, and the kernel's pair
+    # balance holds its one narrowing copy and two INDEX_BYTES buffers
+    mcd = direct_construction(galois_field(2), 10, 2, "i", 7)
+    assert mcd.d2.data.nbytes == 1 << 19
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert mcd.full_verification().passed
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * (1 << 20), peak
+
+
 def test_noncascading_reports_the_first_pair():
     data = [[5, 0, 9, -1, 0], [5, 1, 9, 7, 1], [6, 0, 8, -1, 0]]
     report = check_noncascading(CollapsedDesign(2, data))
