@@ -13,13 +13,13 @@ Writing: each text goes whole to a temporary file beside its target, and
 the temporary files replace the targets only once all are written, so a
 write that fails leaves the files that were there as they were.
 
-Reading: a file in the layout the writers write has its matrices parsed in
-blocks of rows straight from its bytes, by one helper for both formats;
-the block reader declines anything else, and the checked path (json.loads
-of the whole JSON text, numpy.loadtxt for CSV) reads it and words every
-error.  Text is UTF-8 whatever the locale.  No file over MAX_FILE_BYTES
-is opened, and no JSON text with more than 2 * MAX_DESIGN_CELLS commas
-is parsed whole.
+Reading: a JSON file in the canonical layout, and each CSV text of whole
+lines in the writer's layout, is parsed in blocks straight from its bytes
+by one helper; any other JSON file is read by one json.loads, which words
+every error, and any other CSV text is checked line by line first.  A
+line ends at a LF, less one CR before it.  Text is UTF-8 whatever the
+locale.  No file over MAX_FILE_BYTES is opened, and no JSON text with
+more than 2 * MAX_DESIGN_CELLS commas is parsed whole.
 """
 
 from __future__ import annotations
@@ -27,16 +27,17 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import warnings
 from dataclasses import dataclass, fields
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .designs import LatinHypercube, OrthogonalArray, _narrow_type
-from .errors import MalformedBundleError
+from .errors import MalformedBundleError, TooLargeError
 from .nstar import independent_prefix_bound
 from .verify import MAX_DESIGN_CELLS, _require_cells
 
@@ -81,8 +82,8 @@ MAX_FILE_BYTES = 2 * _WIDEST_CELL * MAX_DESIGN_CELLS
 _PIECE_BYTES = 1 << 20
 
 #: a CSV data line's characters, and (seven times slower) its whole syntax
-_CSV_CHARS = re.compile(r"[ 0-9+,-]*")
-_CSV_LINE = re.compile(r" *[+-]?[0-9]+ *(?:, *[+-]?[0-9]+ *)*")
+_CSV_CHARS = re.compile(rb"[ 0-9+,-]*")
+_CSV_LINE = re.compile(rb" *[+-]?[0-9]+ *(?:, *[+-]?[0-9]+ *)*")
 
 
 @dataclass(eq=False)
@@ -283,7 +284,7 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
     _require(all(set(map(type, r)) <= {int} for r in rows),
              f"{what} entries must be integers")
     try:
-        return _narrowed(np.array(rows, dtype=np.int64))
+        return _append_rows(None, np.array(rows, dtype=np.int64))
     except OverflowError:
         raise MalformedBundleError(
             f"{what} has an entry outside int64") from None
@@ -356,30 +357,36 @@ def _loads_whole(path: Path, what: str = "") -> object:
     cap = 2 * MAX_DESIGN_CELLS
     _require(commas <= cap,
              f"{path.name} has {commas} commas, over the cap of {cap}")
+    text = path.read_text(encoding="utf-8")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedBundleError(f"{what}not valid JSON: {exc}") from exc
+    except ValueError:  # int() refuses a value past its digit limit
+        raise MalformedBundleError(
+            f"{what}not readable JSON: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:  # json.loads recurses once per nesting level
         raise MalformedBundleError(
             f"{what}not valid JSON: nested too deeply to read") from None
 
 
 def read_bundle(path) -> DesignBundle:
-    """Read a JSON bundle, or a CSV + .meta.json sidecar pair.  A file in
-    the layout write_bundle writes has its matrices parsed in blocks of
-    rows straight from its bytes; any other file, and every error, goes
-    through the checked path: one json.loads of a whole JSON file, or the
-    line-by-line CSV reader.  A JSON text to be parsed whole, a sidecar
-    included, is refused first when it holds more than 2 *
-    MAX_DESIGN_CELLS commas."""
+    """Read a JSON bundle, or a CSV + .meta.json sidecar pair.  A JSON file
+    in the layout write_bundle writes has its matrices parsed in blocks of
+    rows straight from its bytes, and any other goes through one json.loads
+    of its whole text, once its commas are at most 2 * MAX_DESIGN_CELLS, as
+    a sidecar does; a CSV is read by _csv_matrices."""
     path = Path(path)
     if not path.exists():
         raise MalformedBundleError(f"no such file: {path}")
     _require_size(path)
     try:
         if path.suffix == ".csv":
-            return _read_csv_bundle(path)
+            side = sidecar_path(path)
+            _require(side.exists(), f"missing sidecar {side.name}")
+            _require_size(side)
+            return _bundle_from_meta(_loads_whole(side, "sidecar "), csv=path)
         with path.open("rb") as fh:
             canonical = _canonical_json(fh)
         if canonical is not None:
@@ -393,7 +400,7 @@ def _pieces(fh, end: bytes):
     """The rest of the open binary file ``fh`` in pieces of about
     _READ_BYTES, each ending just after an ``end``, or cut where it has
     passed _PIECE_BYTES without one; the last piece ends where the file
-    does, and may be empty.  A block reader declines a cut piece."""
+    does, and may be empty."""
     parts, size = [], 0
     while more := fh.read(_READ_BYTES):
         cut = more.rfind(end) + len(end)
@@ -410,29 +417,23 @@ def _pieces(fh, end: bytes):
     yield b"".join(parts)
 
 
-def _narrowed(values: np.ndarray) -> np.ndarray:
-    """A copy of the nonempty int array ``values`` in the narrowest signed
-    type that holds its entries."""
-    return values.astype(_narrow_type(max(int(values.max()),
-                                          -1 - int(values.min()))))
-
-
-def _append_rows(matrix: np.ndarray | None,
-                 block: np.ndarray) -> np.ndarray:
-    """``matrix`` with the rows of the nonempty int array ``block`` after
-    its own, in the narrowest signed type that holds both: the first block,
-    narrowed, becomes the matrix, which then grows in place, and a block
-    that does not fit the matrix's type widens the matrix first.  realloc
-    of a large block mostly moves no bytes, so the rows read so far are
-    held once, where a concatenation holds them twice."""
-    block = _narrowed(block)
+def _append_rows(matrix: np.ndarray | None, block: np.ndarray,
+                 start: int | None = None, reserve: int = 0) -> np.ndarray:
+    """``matrix`` with the nonempty int array ``block`` written from row
+    ``start`` (after its rows by default), in the narrowest signed type
+    that holds both: the first block makes it, with room for ``reserve``
+    rows, and one past its end grows it in place, mostly by a realloc."""
+    kind = _narrow_type(max(int(block.max()), -1 - int(block.min())))
+    if start is None:
+        start = 0 if matrix is None else len(matrix)
+    end = start + len(block)
     if matrix is None:
-        return block
-    if block.dtype.itemsize > matrix.dtype.itemsize:
-        matrix = matrix.astype(block.dtype)
-    start = len(matrix)
-    matrix.resize((start + len(block), matrix.shape[1]), refcheck=False)
-    matrix[start:] = block
+        matrix = np.empty((max(end, reserve), block.shape[1]), kind)
+    elif kind.itemsize > matrix.dtype.itemsize:
+        matrix = matrix.astype(kind)
+    if end > len(matrix):
+        matrix.resize((end, matrix.shape[1]), refcheck=False)
+    matrix[start:end] = block
     return matrix
 
 
@@ -561,135 +562,133 @@ def _canonical_json(fh):
     return meta, *matrices
 
 
-def _csv_lines(fh, width: int, pattern: re.Pattern = _CSV_CHARS):
-    """The data lines of an open CSV after its header, each checked for
-    ``width`` fields that match ``pattern`` on the way to the parser."""
-    lineno = 1
-    for lineno, line in enumerate(fh, start=2):
-        text = line.rstrip("\n")
-        got = text.count(",") + 1 if text else 0
-        _require(got == width,
-                 f"line {lineno}: expected {width} fields, got {got}")
-        _require(pattern.fullmatch(text) is not None,
-                 f"line {lineno}: non-integer entry")
-        yield line
-    _require(lineno > 1, "CSV has no data rows")
+def _line_texts(fh, bound: int):
+    """The open binary file ``fh`` as texts of whole lines from _pieces,
+    a line cut across pieces carried into the next and a last line given
+    its end; a first line unended past ``bound`` bytes ends the texts."""
+    carry = []
+    for piece in _pieces(fh, b"\n"):
+        cut = piece.rfind(b"\n") + 1
+        if cut:  # a text of one piece is that piece, not a copy
+            yield b"".join([*carry, piece[:cut]])
+            carry, bound = [], MAX_FILE_BYTES  # no file is longer
+        if cut < len(piece):
+            carry.append(piece[cut:])
+        if sum(map(len, carry)) > bound:
+            yield b"".join(carry)
+            return
+    if any(carry):
+        yield b"".join([*carry, b"\n"])
 
 
-def _read_csv_bundle(path: Path) -> DesignBundle:
-    side = sidecar_path(path)
-    _require(side.exists(), f"missing sidecar {side.name}")
-    _require_size(side)
-    return _bundle_from_meta(_loads_whole(side, "sidecar "), csv=path)
-
-
-def _csv_header(fh) -> tuple[int, int]:
-    """(m, k) of the header q1..qm,x1..xk an open text CSV starts with."""
-    header = fh.readline()
-    _require(bool(header), "empty CSV")
-    header = header.rstrip("\n").split(",")
-    m = sum(1 for h in header if h.startswith("q"))
-    k = sum(1 for h in header if h.startswith("x"))
-    _require(m > 0 and k > 0 and header == [f"q{i + 1}" for i in range(m)]
-             + [f"x{j + 1}" for j in range(k)],
-             "header must be q1..qm followed by x1..xk")
+def _header_columns(names: bytes) -> tuple[int, int]:
+    """(m, k) of ``names`` q1,...,qm,x1,...,xk, m + k > 0, read without a
+    Python object per name; (0, 0) for any other bytes."""
+    skeleton = names.translate(None, b"0123456789")
+    m, k = skeleton.count(b"q"), skeleton.count(b"x")
+    if m + k < 1 or skeleton != (b"q," * m + b"x," * k)[:-1]:
+        return 0, 0
+    values = _int_block(names.translate(None, b"qx"), m + k)
+    if values is None or _text_bytes(values) != len(names) - len(skeleton) \
+            or (values != np.r_[1:m + 1, 1:k + 1]).any():
+        return 0, 0
     return m, k
 
 
+def _check_lines(lines, lineno: int, width: int, pattern=_CSV_LINE):
+    """Refuse the first of ``lines``, numbered from ``lineno``, that has
+    not ``width`` fields or does not match ``pattern``."""
+    for lineno, line in enumerate(lines, start=lineno):
+        got = line.count(b",") + 1 if line else 0
+        _require(got == width,
+                 f"line {lineno}: expected {width} fields, got {got}")
+        _require(pattern.fullmatch(line) is not None,
+                 f"line {lineno}: non-integer entry")
+
+
+def _parsed_lines(lines, width: int) -> np.ndarray | None:
+    """The values of checked data ``lines``, None if one is past int64:
+    past 10^18 in magnitude, by int() of at most 20 digits past the
+    leading zeros (it refuses over 4,300, and 20 are past int64)."""
+    text = b",".join(lines).translate(None, b" +")
+    values = _int_block(text, len(lines) * width)
+    try:
+        return np.array([int(b"-" * v.startswith(b"-") + (
+            v.lstrip(b"-0")[:20] or b"0")) for v in text.split(b",")],
+            dtype=np.int64) if values is None else values
+    except OverflowError:
+        return None
+
+
 def _csv_matrices(path: Path, s: int, u: int):
-    """D1 and D2 of the CSV at ``path``, whose sidecar gives s and u: a
-    design of s^u runs and the header's columns over MAX_DESIGN_CELLS is
-    refused before any data line is parsed.  A data line of m + k fields
-    takes at least 2(m + k) bytes, so a file too short for s^u of them,
-    which s^u past 2^64 always is, is read, and its rows name the
-    mismatch; past s^u data lines, its lines are counted, not parsed."""
-    with path.open(encoding="utf-8") as fh:
-        m, k = _csv_header(fh)
-    runs = s ** min(u, 64)
-    if path.stat().st_size >= 2 * (m + k) * runs:
-        _require_cells(runs, m, k)
-    runs = min(runs, MAX_FILE_BYTES)  # no readable file has more lines
-    data, m = _canonical_csv(path, runs) or _checked_csv(path, runs,
-                                                         f"{s}^{u}")
-    return data[:, :m], data[:, m:]
-
-
-def _past_claim(path: Path, claim: str) -> None:
-    """Refuse the CSV at ``path``, whose data lines pass its sidecar's s^u,
-    ``claim``, with the message read_bundle gives a file of too few runs:
-    its lines are counted in text of _READ_BYTES at a time, as the line
-    reader splits them, and not parsed."""
-    with path.open(encoding="utf-8") as fh:
-        lines, end = 0, ""
-        for text in iter(lambda: fh.read(_READ_BYTES), ""):
-            lines, end = lines + text.count("\n"), text[-1]
-    runs = lines - 1 + (end != "\n")  # less the header, plus an unended line
-    raise MalformedBundleError(f"{runs} runs, not {claim}")
-
-
-def _canonical_csv(path: Path, runs: int | None = None):
-    """(data, m) of a CSV with header q1..qm,x1..xk and data fields
-    -?[0-9]+, every line ended as the header is (\\r\\n or \\n), read in
-    blocks of lines; None for any other file, and for one of more than
-    ``runs`` data lines, when given, once a block passes them."""
+    """D1 and D2 of the CSV at ``path``, whose sidecar gives s and u, each
+    in its narrowest type, in one pass over texts of whole lines: one in
+    the writer's layout is parsed as a block, any other checked line by
+    line first.  The header is read to _PIECE_BYTES, or to the length of
+    one of as many columns as s^u runs hold under MAX_DESIGN_CELLS.  See
+    README "File formats"."""
+    runs, claim = s ** min(u, 64), f"{s}^{u}"
+    most = MAX_DESIGN_CELLS // runs  # columns
+    bound = max(_PIECE_BYTES, most * (2 + len(str(most))))
     with path.open("rb") as fh:
-        header = fh.readline()
-        eol = header[-2:] if header.endswith(b"\r\n") else b"\n"
-        names = header[:-len(eol)].split(b",")
-        m = sum(name.startswith(b"q") for name in names)
-        if not 0 < m < len(names) or header != b",".join(
-                [b"q%d" % i for i in range(1, m + 1)]
-                + [b"x%d" % j for j in range(1, len(names) - m + 1)]) + eol:
-            return None
-        line, data = b"," * (len(names) - 1) + eol, None
-        for piece in _pieces(fh, b"\n"):
-            if not piece:  # the file ends with a line end
-                break
-            skeleton = piece.translate(None, _VALUE_BYTES)
-            count, extra = divmod(len(skeleton), len(line))
-            # a piece without a line end, cut or at the end of the file,
-            # has no line in its skeleton; a CR may stand only before a LF
-            if extra or not count or skeleton != line * count or (
-                    eol == b"\r\n" and piece.count(eol) != count):
-                return None
-            values = _int_block(piece[:-len(eol)].translate(
-                _LINES_TO_COMMAS, b"\r"), count * len(names))
+        # a text that is not ASCII must decode as UTF-8, or this raises
+        texts = (text for text in _line_texts(fh, bound)
+                 if text.isascii() or text.decode("utf-8"))
+        first = next(texts, b"")
+        _require(bool(first), "empty CSV")
+        end = first.find(b"\n") + 1
+        eol = b"\r\n" if first.endswith(b"\r\n", 0, end) else b"\n"
+        over = not 0 < end <= bound  # checked to its last comma read
+        m, k = _header_columns(first[:first.rfind(b",", 0, end or None)]
+                               if over else first[:end - len(eol)])
+        if over and m:
+            raise TooLargeError(
+                f"header has more than {most} columns, the most a design of "
+                f"{claim} runs has under the cap of {MAX_DESIGN_CELLS} cells")
+        _require(m > 0 and k > 0 and not over,
+                 "header must be q1..qm followed by x1..xk")
+        size = os.fstat(fh.fileno()).st_size
+        reserve = runs if size >= 2 * (m + k) * runs else 0
+        if reserve:  # a file long enough for s^u rows is held to the cap
+            _require_cells(runs, m, k)
+        width, unit = m + k, b"," * (m + k - 1) + eol
+        rows, lineno, wide, d1, d2 = 0, 2, False, None, None
+        for text in chain([first[end:]], texts):
+            # a block's fields may have spaces around them; a CR stands
+            # only before a LF; past a value over int64, lines are checked
+            skeleton = text.translate(None, _VALUE_BYTES + b" ")
+            count, values = len(skeleton) // len(unit), None
+            if count and not wide and rows + count <= runs \
+                    and skeleton == unit * count \
+                    and (eol == b"\n" or text.count(eol) == count):
+                body = text.translate(_LINES_TO_COMMAS, b"\r")[:-1]
+                if b" " in body:  # let through beside a comma or a line end
+                    body = body.replace(b", ", b",").replace(b" ,", b",") \
+                        .strip(b" ")
+                if b" " not in body:
+                    values = _int_block(body, count * width)
             if values is None:
-                return None
-            values.shape = (count, -1)
-            data = _append_rows(data, values)
-            if runs is not None and len(data) > runs:
-                return None
-    return None if data is None else (data, m)
-
-
-def _checked_csv(path: Path, runs: int, claim: str) -> tuple[np.ndarray, int]:
-    """(data, m) of a CSV through numpy.loadtxt, in chunks of lines of
-    about _READ_BYTES cells, each line checked on the way and each chunk
-    narrowed as it is appended; raises on the first fault, a checked line
-    past ``runs`` data lines included, whose run count is refused as not
-    ``claim``."""
-    with path.open(encoding="utf-8") as fh:
-        m, k = _csv_header(fh)
-        start = fh.tell()
-        try:  # numpy < 2 parses an int64 overflow as a float, with a warning
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                # each chunk is pulled line by line as loadtxt parses it,
-                # so that the first faulty line is the one named
-                lines, data = _csv_lines(fh, m + k), None
-                claimed = islice(lines, runs)
-                while (line := next(claimed, None)) is not None:
-                    data = _append_rows(data, np.loadtxt(chain(
-                        [line], islice(claimed, _READ_BYTES // (m + k))),
-                        dtype=np.int64, delimiter=",", ndmin=2))
-                if next(lines, None) is not None:
-                    _past_claim(path, claim)
-        except (MalformedBundleError, UnicodeDecodeError):
-            raise
-        except (ValueError, DeprecationWarning):
-            fh.seek(start)  # a misshapen field, like "1-2", fails this pass
-            all(_csv_lines(fh, m + k, _CSV_LINE))
-            raise MalformedBundleError(
-                "CSV data has an entry outside int64") from None
-    return data, m
+                lines = [line[:-1] if line.endswith(b"\r") else line
+                         for line in text.split(b"\n")[:-1]]
+                count, head = len(lines), lines if wide \
+                    else lines[:runs - rows]
+                _check_lines(head, lineno, width)
+                if head and not wide:
+                    values = _parsed_lines(head, width)
+                    wide = values is None
+                # past the claim, one line is checked and the rest counted
+                past = lines[len(head):]
+                _check_lines(past if wide else past[:1], lineno + len(head),
+                             width, _CSV_LINE if wide else _CSV_CHARS)
+                if past and not wide:
+                    total = rows + count + sum(t.count(b"\n") for t in texts)
+                    raise MalformedBundleError(f"{total} runs, not {claim}")
+            lineno += count
+            if values is not None:
+                values.shape = (-1, width)
+                d1 = _append_rows(d1, values[:, :m], rows, reserve)
+                d2 = _append_rows(d2, values[:, m:], rows, reserve)
+                rows += len(values)
+    _require(not wide, "CSV data has an entry outside int64")
+    _require(rows > 0, "CSV has no data rows")
+    return d1[:rows], d2[:rows]

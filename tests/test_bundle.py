@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import os
+import re
 import stat
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -617,27 +619,111 @@ def _outcome(path):
     return _meta_dict(b), [(x.dtype, x.shape, x.tolist()) for x in (b.d1, b.d2)]
 
 
-def _checked_outcome(path):
-    """_outcome with the block readers declining, as at a reader that had
-    only one json.loads of a whole JSON file and numpy.loadtxt for a CSV."""
+#: README's CSV field, and the characters a line past the claim may hold
+_SPEC_FIELD = re.compile(rb" *[+-]?[0-9]+ *")
+_SPEC_CHARS = re.compile(rb"[ 0-9+,-]*")
+
+
+def _spec_narrowed(values):
+    for kind in (np.int8, np.int16, np.int32, np.int64):
+        if np.iinfo(kind).min <= values.min() and values.max() <= np.iinfo(
+                kind).max:
+            return values.astype(kind)
+
+
+def _spec_int(field):
+    """int(field), past Python's limit of 4,300 digits too (Python 3.10.7
+    on)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return int(field)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _spec_csv_matrices(path, s, u):
+    """D1 and D2 of a CSV as README words its format, one step at a time:
+    its lines split on \\n with one \\r stripped, each field matched by
+    README's regex, then int(), then range-checked.  The first faulty line
+    is named first, and a value past int64 only after every line has
+    passed.  Past the sidecar's s^u lines, the first line has its field
+    count and characters checked and the rest are counted."""
+    text = path.read_bytes()
+    if not text:
+        raise MalformedBundleError("empty CSV")
+    lines = text.split(b"\n")
+    if lines[-1] == b"":  # the last line's end
+        lines.pop()
+    lines = [line[:-1] if line.endswith(b"\r") else line for line in lines]
+    names = lines[0].split(b",")
+    m = sum(name.startswith(b"q") for name in names)
+    k = len(names) - m
+    if not (m and k and names == [b"q%d" % i for i in range(1, m + 1)]
+            + [b"x%d" % j for j in range(1, k + 1)]):
+        raise MalformedBundleError("header must be q1..qm followed by x1..xk")
+    runs = s ** min(u, 64)
+    if len(text) >= 2 * (m + k) * runs:
+        verify._require_cells(runs, m, k)
+    claim = min(runs, bundle.MAX_FILE_BYTES)
+    rows, wide = [], False
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(b",") if line else []
+        if len(fields) != m + k:
+            raise MalformedBundleError(
+                f"line {lineno}: expected {m + k} fields, got {len(fields)}")
+        past = lineno - 2 == claim and not wide
+        if not all((_SPEC_CHARS if past else _SPEC_FIELD).fullmatch(field)
+                   for field in fields):
+            raise MalformedBundleError(f"line {lineno}: non-integer entry")
+        if past:
+            raise MalformedBundleError(f"{len(lines) - 1} runs, not {s}^{u}")
+        if not wide:
+            rows.append(list(map(_spec_int, fields)))
+            wide = not all(INT64_MIN <= v <= INT64_MAX for v in rows[-1])
+    if wide:
+        raise MalformedBundleError("CSV data has an entry outside int64")
+    if not rows:
+        raise MalformedBundleError("CSV has no data rows")
+    data = np.array(rows, dtype=np.int64)
+    return _spec_narrowed(data[:, :m]), _spec_narrowed(data[:, m:])
+
+
+def _reference_outcome(path):
+    """_outcome with a JSON file read by one json.loads of its whole text,
+    and a CSV by _spec_csv_matrices."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bundle, "_canonical_json", lambda fh: None)
-        patch.setattr(bundle, "_canonical_csv", lambda path, *claim: None)
+        patch.setattr(bundle, "_csv_matrices", _spec_csv_matrices)
         return _outcome(path)
 
 
 def _read_in_blocks(path) -> bool:
-    if path.suffix == ".csv":
-        return bundle._canonical_csv(path) is not None
-    with path.open("rb") as fh:
-        return bundle._canonical_json(fh) is not None
+    """Whether the block reader read every matrix row of ``path``: a CSV's
+    rows each parsed in a block of lines, none checked line by line."""
+    if path.suffix != ".csv":
+        with path.open("rb") as fh:
+            return bundle._canonical_json(fh) is not None
+    calls = []
+
+    def spy(name):
+        real = getattr(bundle, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_append_rows", "_check_lines"):
+            patch.setattr(bundle, name, spy(name))
+        _outcome(path)
+    return "_append_rows" in calls and "_check_lines" not in calls
 
 
 def _assert_same_reading(path, in_blocks=None):
-    """read_bundle gives the bundle, or the error text, the checked path
-    gives; ``in_blocks``, when set, says whether the block reader took
-    the file."""
-    assert _outcome(path) == _checked_outcome(path)
+    """read_bundle gives the bundle, or the error text, the reference
+    reader gives; ``in_blocks``, when set, says whether the block reader
+    took the file."""
+    assert _outcome(path) == _reference_outcome(path)
     if in_blocks is not None:
         assert _read_in_blocks(path) is in_blocks
 
@@ -647,11 +733,14 @@ def test_block_reader_reads_every_pinned_build_as_the_checked_path(tmp_path,
     from test_pinned_output import SEEDED_DIGESTS, _named_builds
 
     for flags, name, _ in SEEDED_DIGESTS:
+        twins = []
         for suffix in (".json", ".csv"):
             out = tmp_path / (name[0] + suffix)
             assert main(["construct", *flags, "--seed", "7",
                          "--out", str(out)]) == 0
             _assert_same_reading(out, in_blocks=True)
+            twins.append(_outcome(out))
+        assert twins[0] == twins[1]  # values and dtypes
     capsys.readouterr()
     for mcd in _named_builds():  # 428 designs, s = 2 to 9
         path = write_bundle(tmp_path / "named.json", bundle_from_design(mcd))
@@ -723,7 +812,7 @@ NARROW_EDGES = [
 ]
 
 #: edits of a canonical JSON file: (id, edit of its text, whether the block
-#: reader takes the result); each is read as the checked path reads it
+#: reader takes the result); each is read as the reference reader reads it
 JSON_EDITS = [
     ("canonical", lambda t: t, True),
     ("negative", _in_d2("      1,\n", "      -1,\n"), True),
@@ -837,7 +926,7 @@ CSV_EDITS = [
     ("past-int64", _csv_edit(3, _first_field(str(2 ** 63))), False),
     ("nineteen-nines", _csv_edit(3, _first_field(str(10 ** 19 - 1))), False),
     ("plus-sign", _csv_edit(3, _first_field("+1")), False),
-    ("spaces", _csv_edit(3, _first_field(" 1 ")), False),
+    ("spaces", _csv_edit(3, _first_field(" 1 ")), True),
     ("lone-minus", _csv_edit(3, _first_field("-")), False),
     ("inner-minus", _csv_edit(3, _first_field("1-2")), False),
     ("empty-field", _csv_edit(3, _first_field("")), False),
@@ -866,12 +955,11 @@ def test_edited_csv_reads_as_the_checked_path_reads_it(tmp_path, edit,
                          ids=[str(value) for value, _ in NARROW_EDGES])
 def test_matrices_are_read_in_their_narrowest_type(tmp_path, monkeypatch,
                                                    value, kind):
-    # a JSON file's matrices are each read in the narrowest signed type
-    # that holds their values, a CSV's D1 and D2, views of one matrix, in
-    # one type, by the block reader and the checked path alike.  Read 64
-    # bytes at a time, the value in the last row widens the matrix that
-    # the earlier blocks made.  The checks report on what is read as on
-    # its int64 copy
+    # each matrix, of a JSON file or a CSV alike, is read in the narrowest
+    # signed type that holds its values, by the block reader and the
+    # reference reader alike.  Read 64 bytes at a time, the value in the
+    # last row widens the matrix that the earlier blocks made.  The checks
+    # report on what is read as on its int64 copy
     from mcd_forge.verify import battery, check_mcd_by_slices
 
     monkeypatch.setattr(bundle, "_READ_BYTES", 64)
@@ -884,8 +972,7 @@ def test_matrices_are_read_in_their_narrowest_type(tmp_path, monkeypatch,
             path = write_bundle(tmp_path / name, tampered)
             _assert_same_reading(path, in_blocks=True)
             again = read_bundle(path)
-            kinds = ((kind, kind) if name == "t.csv" else
-                     (kind, np.int8) if where == "d1" else (np.int8, kind))
+            kinds = (kind, np.int8) if where == "d1" else (np.int8, kind)
             assert (again.d1.dtype, again.d2.dtype) == kinds
             assert (again.d1 == tampered.d1).all()
             assert (again.d2 == tampered.d2).all()
@@ -898,10 +985,10 @@ def test_matrices_are_read_in_their_narrowest_type(tmp_path, monkeypatch,
 
 def test_block_reader_holds_no_whole_file(tmp_path):
     # 1024 x 258 cells, 3.3 MB of JSON text and 1.0 MB of CSV: one
-    # json.loads of the whole JSON text peaked at 11.1 MiB and loadtxt at
-    # 2.9 MiB; the block reader holds its blocks of text and the parsed
-    # metadata, under 2 MiB, besides the matrices it returns (int8 D1 and
-    # int16 D2 from the JSON file, int16 both from the CSV)
+    # json.loads of the whole JSON text peaked at 11.1 MiB; the block
+    # reader holds its blocks of text and the parsed metadata, under 2
+    # MiB, besides the matrices it returns (int8 D1 and int16 D2 from
+    # either file)
     b = bundle_from_design(
         direct_construction(galois_field(2), 10, 2, "i", 7))
     for name in ("d.json", "d.csv"):
@@ -1078,26 +1165,33 @@ def test_compact_json_is_declined_after_a_bounded_piece(tmp_path,
 def test_a_csv_over_the_cell_cap_is_refused_before_its_data(tmp_path,
                                                             monkeypatch):
     # the sidecar's s and u and the header size the design: 27 runs x 2 +
-    # 6 columns, over a cap of 100, is refused before either data reader
-    # runs, where the whole file was read and then refused by the battery
+    # 6 columns, over a cap of 100, is refused once the header is parsed
+    # and before any data line is, where the whole file was read and then
+    # refused by the battery
     path = tmp_path / "d.csv"
     write_bundle(path, _bundle())
     monkeypatch.setattr(verify, "MAX_DESIGN_CELLS", 100)
+    parsed, real = [], bundle._int_block
 
-    def unread(path, *claim):
-        raise AssertionError("a data line was parsed")
+    def block(text, count):
+        parsed.append(text)
+        return real(text, count)
 
-    monkeypatch.setattr(bundle, "_canonical_csv", unread)
-    monkeypatch.setattr(bundle, "_checked_csv", unread)
+    def unread(*args):
+        raise AssertionError("a data line was checked")
+
+    monkeypatch.setattr(bundle, "_int_block", block)
+    monkeypatch.setattr(bundle, "_check_lines", unread)
     with pytest.raises(TooLargeError, match=(
             "^27 runs x 2 \\+ 6 columns is 216 cells, over the cap of 100$")):
         read_bundle(path)
+    assert parsed == [b"1,2,1,2,3,4,5,6"]  # the header's column numbers
 
 
 def test_a_csv_line_without_a_line_end_reads_as_the_checked_path(tmp_path):
     # the block reader skipped a last line of digits alone, with no line
-    # end, and read the lines before it as the whole design, where the
-    # checked path names the short line
+    # end, and read the lines before it as the whole design: the line is
+    # given its end, checked line by line and named as short
     rows = write_bundle(tmp_path / "good.csv", _bundle()).read_text(
         ).splitlines()[1:]
     path = _csv_with_body(tmp_path, rows + ["5"])
@@ -1111,9 +1205,10 @@ def test_a_csv_line_without_a_line_end_reads_as_the_checked_path(tmp_path):
 @pytest.mark.parametrize("read_bytes", [bundle._READ_BYTES, 16])
 def test_checked_csv_names_the_first_faulty_line(tmp_path, monkeypatch,
                                                  read_bytes):
-    # the checked path parses in chunks of lines, each line checked as
-    # numpy.loadtxt takes it, so the first faulty line is named whatever
-    # follows it, in one chunk or across chunks of two lines
+    # a text of lines the block parse declines is checked line by line
+    # before it is parsed, and a value past int64 reported only once every
+    # line has passed, so the first faulty line is named whatever follows
+    # it, in one text or across texts of two lines
     monkeypatch.setattr(bundle, "_READ_BYTES", read_bytes)
     rows = write_bundle(tmp_path / "good.csv", _bundle()).read_text(
         ).splitlines()[1:]
@@ -1145,10 +1240,10 @@ def test_metadata_cut_into_pieces_reads_in_blocks(tmp_path, monkeypatch):
 
 def test_a_value_longer_than_a_read_is_declined_whole(tmp_path, monkeypatch):
     # the block reader gathers text until a row ends: a run of digits that
-    # spans many reads stays one value, which it declines as past its
-    # bound, and the checked path refuses it.  Read in cut pieces, the run
-    # would read as its last few digits, so a piece cut at _PIECE_BYTES,
-    # with no row end, is declined too
+    # spans many reads stays one value, which the block parse declines as
+    # past its bound, and the line check refuses.  Read in cut pieces, the
+    # run would read as its last few digits, so a piece cut at
+    # _PIECE_BYTES, with no row end, is carried whole into the next
     good = write_bundle(tmp_path / "good.csv", _bundle())
     rows = good.read_text().splitlines()[1:]
     long_row = "1" + "9" * 160 + "5," + rows[0].split(",", 1)[1]
@@ -1218,10 +1313,11 @@ def _mutant(rng, text: bytes) -> bytes:
 
 
 def test_block_readers_read_seeded_mutants_as_the_checked_path(tmp_path):
-    # every method, JSON, CSV with either line end, and the sidecar: the
-    # block reader either declines a mutant or reads it as the checked
-    # path does, values and dtype.  Six of these 800 were misread before
-    # each value's text was checked where it sits
+    # every method, JSON, CSV with either line end, and the sidecar: each
+    # mutant reads, values and dtype, or is refused, in the words of the
+    # reference readers (one json.loads of a whole JSON text, and
+    # _spec_csv_matrices).  Six of these 800 were misread before each
+    # value's text was checked where it sits
     F2 = galois_field(2)
     builds = [bundle_from_design(mcd) for mcd in (
         direct_construction(F3, 3, 2, "ii", 5),
@@ -1230,6 +1326,7 @@ def test_block_readers_read_seeded_mutants_as_the_checked_path(tmp_path):
         general_construction(F2, [(1, 0, 0)], [(1, 0, 0), (1, 1, 0),
                                                (1, 0, 1)], 7))]
     rng = np.random.default_rng(20261020)
+    bare = 0
     for t in range(800):
         b, kind = builds[t % len(builds)], t // len(builds) % 4
         path = write_bundle(tmp_path / ("m.json" if kind == 0 else "m.csv"), b)
@@ -1238,46 +1335,128 @@ def test_block_readers_read_seeded_mutants_as_the_checked_path(tmp_path):
         target = sidecar_path(path) if kind == 3 else path
         target.write_bytes(_mutant(rng, target.read_bytes()))
         _assert_same_reading(path)
+        text = path.read_bytes()
+        at = text.replace(b"\r\n", b"  ").find(b"\r")
+        if kind in (1, 2) and 0 <= at < len(text) - 1:
+            # a CR not before a LF (nor ending the file) is no line end:
+            # the line it stands in is refused, or an earlier one, or the
+            # header, or, past the claim, the run count
+            bare += 1
+            line = text.count(b"\n", 0, at) + 1
+            error = _outcome(path)
+            assert isinstance(error, str), text
+            named = re.match("line ([0-9]+): ", error)
+            assert (int(named[1]) <= line if named else error in (
+                "header must be q1..qm followed by x1..xk",
+                "CSV data has an entry outside int64")
+                or " runs, not " in error), (error, line)
+    assert bare > 20
+
+
+def test_a_csv_value_past_int_s_digit_limit_is_outside_int64(tmp_path):
+    # int() refuses a value of more than 4,300 digits, leading zeros
+    # included: such a value reads as outside int64, and its zeros alone
+    # as what they lead
+    rows = write_bundle(tmp_path / "good.csv", _bundle()).read_text(
+        ).splitlines()[1:]
+    for field, value in (("9" * 5000, None), ("0" * 5000 + "7", 7),
+                         ("-" + "0" * 5000 + "1", -1),
+                         (" +" + "0" * 5000 + "2 ", 2)):
+        path = _csv_with_body(tmp_path, rows[:3] + [
+            field + rows[3][rows[3].index(","):]] + rows[4:])
+        _assert_same_reading(path)
+        if value is None:
+            with pytest.raises(MalformedBundleError,
+                               match="^CSV data has an entry outside int64$"):
+                read_bundle(path)
+        else:
+            assert read_bundle(path).d1[3, 0] == value
+
+
+def test_a_csv_header_is_read_to_a_bound(tmp_path):
+    # a header was read and split whole: a 100 MB line of "1,1,...,1" held
+    # 512 MiB before it was refused.  The header is read to at most
+    # _PIECE_BYTES, or the length of a header of as many columns as s^u
+    # runs hold under MAX_DESIGN_CELLS (185,185 columns at 27 runs, 1.5
+    # MB), and the read of a 32 MB line holds a few copies of that
+    good = write_bundle(tmp_path / "good.csv", _bundle())
+    path = tmp_path / "long.csv"
+    sidecar_path(path).write_text(sidecar_path(good).read_text())
+    columns = [f"q{i}" for i in range(1, 200_001)] + ["x1"]
+    for text, error in (
+            (b"1," * 16_000_000 + b"1\n", "^header must be q1..qm followed by "
+                                        "x1..xk$"),
+            (",".join(columns).encode() + b"\n1\n", "^header has more than "
+             "185185 columns, the most a design of 3\\^3 runs has under the "
+             "cap of 5000000 cells$")):
+        path.write_bytes(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedBundleError if text[0] == ord("1")
+                               else TooLargeError, match=error):
+                read_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20, peak
+    # a header of that many columns is read whole, and its data lines too
+    path.write_bytes(",".join(columns[:185_184] + ["x1"]).encode() + b"\n1\n")
+    with pytest.raises(MalformedBundleError,
+                       match="^line 2: expected 185185 fields, got 1$"):
+        read_bundle(path)
+
+
+def test_a_csv_not_utf8_names_the_byte_from_the_file_start(tmp_path):
+    path = write_bundle(tmp_path / "d.csv", _bundle())
+    text = path.read_bytes()
+    at = text.index(b"\r\n", 100) + 2
+    path.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+    with pytest.raises(MalformedBundleError, match=(
+            "^not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+            f"position {at}: invalid start byte$")):
+        read_bundle(path)
 
 
 def test_a_csv_past_its_claim_is_counted_not_parsed(tmp_path, monkeypatch):
     # a 27-run design's lines, 40 times over, with its sidecar's s = 3,
-    # u = 3: both data readers parsed every line before the run count was
-    # compared.  Each now stops at the first line past 27 and counts the
-    # rest, CRLF or LF, with the last line ended or not
+    # u = 3: every line was parsed before the run count was compared.  The
+    # read now stops at the first line past 27 and counts the rest, CRLF or
+    # LF, with the last line ended or not, whether its lines are parsed in
+    # blocks or (with plus signs, which the block parse declines) checked
+    # line by line first
     monkeypatch.setattr(bundle, "_READ_BYTES", 256)
-    parsed = []
-    real_block, real_lines = bundle._int_block, bundle._csv_lines
+    cells = []
+    real_block, real_lines = bundle._int_block, bundle._check_lines
 
     def block(text, count):
-        parsed.append(count)
+        cells.append(count)
         return real_block(text, count)
 
-    def lines(*args, **kwargs):
-        for line in real_lines(*args, **kwargs):
-            parsed.append(1)
-            yield line
+    def lines(lines, lineno, width, *pattern):
+        cells.append(len(lines) * width)
+        return real_lines(lines, lineno, width, *pattern)
 
     monkeypatch.setattr(bundle, "_int_block", block)
-    monkeypatch.setattr(bundle, "_csv_lines", lines)
+    monkeypatch.setattr(bundle, "_check_lines", lines)
     good = write_bundle(tmp_path / "good.csv", _bundle())
     header, body = good.read_bytes().split(b"\r\n", 1)
     width = header.count(b",") + 1
-    for eol, spaced, ended in ((b"\r\n", False, True), (b"\n", False, False),
+    for eol, signed, ended in ((b"\r\n", False, True), (b"\n", False, False),
                                (b"\r\n", True, True), (b"\n", True, False)):
         text = header + b"\r\n" + body * 40
         text = text.replace(b"\r\n", eol)
-        if spaced:  # which the block reader declines
-            text = header + eol + text.split(eol, 1)[1].replace(b",", b", ")
+        if signed:
+            text = header + eol + text.split(eol, 1)[1].replace(b",", b",+")
         path = tmp_path / "long.csv"
         path.write_bytes(text if ended else text[:-len(eol)])
         sidecar_path(path).write_text(sidecar_path(good).read_text())
-        parsed.clear()
+        cells.clear()
         with pytest.raises(MalformedBundleError, match="^1080 runs, not 3\\^3$"):
             read_bundle(path)
-        cells = sum(parsed) * (1 if not spaced else width)
-        assert 27 * width <= cells < 60 * width, (eol, spaced, cells)
-    # the checked path, past its claim and short of one past 2^64 runs
+        work = sum(cells[1:])  # less the header's column numbers
+        assert 27 * width <= work < 60 * width, (eol, signed, work)
+    # lines checked one by one, past the claim and short of one past 2^64
+    # runs
     path.write_bytes(header + b"\r\n" + body.replace(b",", b", "))
     for u in (2, 20000):
         sidecar_path(path).write_text(json.dumps(dict(json.loads(

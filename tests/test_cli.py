@@ -468,6 +468,33 @@ def test_verify_deeply_nested_json_is_malformed(tmp_path, capsys):
             f"error: {prefix}not valid JSON: nested too deeply to read\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit limit before Python 3.10.7")
+def test_verify_json_integer_past_the_digit_limit_is_malformed(tmp_path,
+                                                              capsys):
+    # json.loads raises a plain ValueError on an integer of more than
+    # 4,300 digits: verify printed a traceback and exited 1, from a bundle
+    # read whole, a canonical file's metadata and a CSV sidecar alike
+    huge = "1" * 5000
+    bundle_path = tmp_path / "huge.json"
+    bundle_path.write_text('{"d1": [[' + huge + "]]}")
+    canonical, csv_path = (_write_good_bundle(tmp_path, name)
+                           for name in ("seed.json", "seed.csv"))
+    for path, meta in ((bundle_path, None), (canonical, canonical),
+                       (csv_path, sidecar_path(csv_path))):
+        if meta is not None:
+            text = meta.read_text()
+            assert '"seed": "identity"' in text
+            meta.write_text(text.replace('"seed": "identity"',
+                                         f'"seed": {huge}'))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == EXIT_PARAM_ERROR
+        prefix = "sidecar " if path.suffix == ".csv" else ""
+        assert _one_error_line(capsys) == (
+            f"error: {prefix}not readable JSON: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits\n")
+
+
 def test_verify_rejects_metadata_that_is_not_an_object(tmp_path, capsys):
     # a sidecar that parses to a number or null, and a JSON bool where
     # the format version goes, are malformed files, not a traceback or a
