@@ -13,13 +13,13 @@ Writing: each text goes whole to a temporary file beside its target, and
 the temporary files replace the targets only once all are written, so a
 write that fails leaves the files that were there as they were.
 
-Reading: a JSON file in the canonical layout, and each CSV text of whole
-lines in the writer's layout, is parsed in blocks straight from its bytes
-by one helper; any other JSON file is read by one json.loads, which words
-every error, and any other CSV text is checked line by line first.  A
-line ends at a LF, less one CR before it.  Text is UTF-8 whatever the
-locale.  No file over MAX_FILE_BYTES is opened, and no JSON text with
-more than 2 * MAX_DESIGN_CELLS commas is parsed whole.
+Reading: each file is opened once, only a regular file of at most
+MAX_FILE_BYTES.  A JSON file in the canonical layout, and each CSV text of
+whole lines in the writer's layout, is parsed in blocks straight from its
+bytes by one helper; any other JSON file is read by one json.loads, which
+words every error, once it has at most 2 * MAX_DESIGN_CELLS commas, and
+any other CSV text is checked line by line first.  A line ends at a LF,
+less one CR before it.  Text is UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
@@ -220,19 +221,14 @@ def sidecar_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 
 
-def write_bundle(path, b: DesignBundle, fmt: str | None = None) -> Path:
+def write_bundle(path, b: DesignBundle) -> Path:
     """Write the bundle as CSV + sidecar to a .csv path, else as canonical
-    JSON: the suffix rule read_bundle reads by.  A ``fmt`` that names the
-    other format raises before anything is written.  Each text is written
+    JSON: the suffix rule read_bundle reads by.  Each text is written
     whole to a temporary file beside its target, and only then do they
     replace the targets, the sidecar before the CSV: a write that fails
     removes its temporary files and leaves the targets as they were."""
     path = Path(path)
     is_csv = path.suffix == ".csv"
-    if fmt is not None and fmt != ("csv" if is_csv else "json"):
-        raise MalformedBundleError(
-            f"format {fmt!r} does not match {path.name}: a .csv path is "
-            "written as CSV, any other path as JSON")
     texts = {sidecar_path(path) if is_csv else path: chain(
         _json_pieces(_meta_dict(b, matrices=not is_csv)), ["\n"])}
     if is_csv:  # the csv module's default dialect: \r\n, nothing quoted
@@ -292,10 +288,10 @@ def _as_int_matrix(rows, what: str) -> np.ndarray:
 
 def _bundle_from_meta(meta, d1: np.ndarray | None = None,
                       d2: np.ndarray | None = None,
-                      csv: Path | None = None) -> DesignBundle:
+                      csv: BinaryIO | None = None) -> DesignBundle:
     """The bundle a JSON file or a CSV sidecar describes.  A JSON bundle
     carries its matrices; a sidecar may not carry any, and gets them from
-    its ``csv`` once every check of its own values has passed."""
+    the open ``csv`` once every check of its own values has passed."""
     _require(isinstance(meta, dict), "top level must be an object")
     unknown = set(meta) - (_SCHEMA_KEYS if d1 is None and csv is None
                            else _SCHEMA_KEYS - _MATRIX_KEYS)
@@ -337,27 +333,34 @@ def _bundle_from_meta(meta, d1: np.ndarray | None = None,
         d1=d1, d2=d2, provenance=meta.get("provenance", {}))
 
 
-def _require_size(path: Path) -> None:
-    size = path.stat().st_size
-    _require(size <= MAX_FILE_BYTES, f"{path.name} is {size} bytes, over "
-             f"the cap of {MAX_FILE_BYTES} bytes")
+def _opened(path: Path, absent: str) -> BinaryIO:
+    """``path`` open for binary reads once it is a regular file of at most
+    MAX_FILE_BYTES, else refused before any open (opening a FIFO waits for
+    a writer); ``absent`` words the refusal when Path.exists() is False."""
+    try:
+        info = path.stat()
+    except (OSError, ValueError):
+        _require(path.exists(), absent)  # the errors it reads as no file
+        raise
+    _require(stat.S_ISREG(info.st_mode), f"{path.name} is not a regular file")
+    _require(info.st_size <= MAX_FILE_BYTES, f"{path.name} is {info.st_size} "
+             f"bytes, over the cap of {MAX_FILE_BYTES} bytes")
+    return path.open("rb")
 
 
-def _loads_whole(path: Path, what: str = "") -> object:
-    """json.loads of the whole UTF-8 text at ``path`` (``what`` names a
-    sidecar in its messages), once its commas, counted in blocks of
-    _READ_BYTES, are at most 2 * MAX_DESIGN_CELLS.  json.loads makes a
-    Python object per value, 14-18 bytes of RSS per byte of a compact
-    file.  Each comma sits between two values; a design at the cell cap
-    has MAX_DESIGN_CELLS values, and the second half of the cap leaves
-    room for the row brackets and the provenance."""
-    with path.open("rb") as fh:
-        commas = sum(block.count(b",")
-                     for block in iter(lambda: fh.read(_READ_BYTES), b""))
+def _loads_whole(fh: BinaryIO, what: str = "") -> object:
+    """json.loads of the whole UTF-8 text of the open binary file ``fh``,
+    newlines read as text mode reads them (``what`` names a sidecar in its
+    messages), once its commas, counted in blocks of _READ_BYTES, are at
+    most 2 * MAX_DESIGN_CELLS (see README "Limits")."""
+    fh.seek(0)
+    commas = sum(block.count(b",")
+                 for block in iter(lambda: fh.read(_READ_BYTES), b""))
     cap = 2 * MAX_DESIGN_CELLS
-    _require(commas <= cap,
-             f"{path.name} has {commas} commas, over the cap of {cap}")
-    text = path.read_text(encoding="utf-8")
+    _require(commas <= cap, f"{Path(fh.name).name} has {commas} commas, "
+             f"over the cap of {cap}")
+    fh.seek(0)
+    text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -372,26 +375,19 @@ def _loads_whole(path: Path, what: str = "") -> object:
 
 
 def read_bundle(path) -> DesignBundle:
-    """Read a JSON bundle, or a CSV + .meta.json sidecar pair.  A JSON file
-    in the layout write_bundle writes has its matrices parsed in blocks of
-    rows straight from its bytes, and any other goes through one json.loads
-    of its whole text, once its commas are at most 2 * MAX_DESIGN_CELLS, as
-    a sidecar does; a CSV is read by _csv_matrices."""
+    """Read a JSON bundle, or a CSV + .meta.json sidecar pair, each file
+    opened once, by _opened: a JSON file by _canonical_json, or when that
+    declines it by _loads_whole, as a sidecar is; a CSV by _csv_matrices."""
     path = Path(path)
-    if not path.exists():
-        raise MalformedBundleError(f"no such file: {path}")
-    _require_size(path)
     try:
-        if path.suffix == ".csv":
-            side = sidecar_path(path)
-            _require(side.exists(), f"missing sidecar {side.name}")
-            _require_size(side)
-            return _bundle_from_meta(_loads_whole(side, "sidecar "), csv=path)
-        with path.open("rb") as fh:
-            canonical = _canonical_json(fh)
-        if canonical is not None:
-            return _bundle_from_meta(*canonical)
-        return _bundle_from_meta(_loads_whole(path))
+        with _opened(path, f"no such file: {path}") as fh:
+            if path.suffix == ".csv":
+                side = sidecar_path(path)
+                with _opened(side, f"missing sidecar {side.name}") as sf:
+                    meta = _loads_whole(sf, "sidecar ")
+                return _bundle_from_meta(meta, csv=fh)
+            return _bundle_from_meta(*(_canonical_json(fh)
+                                       or [_loads_whole(fh)]))
     except UnicodeDecodeError as exc:
         raise MalformedBundleError(f"not UTF-8 text: {exc}") from exc
 
@@ -548,10 +544,9 @@ def _canonical_json(fh):
         return None
     tail = b"".join([b"{", buf[at + 1:], *pieces])
     del buf, read
-    if tail.count(b",") > 2 * MAX_DESIGN_CELLS:  # the checked path refuses it
-        return None
-    if not tail.isascii():  # json.loads of bytes lets encoded surrogates
-        # through; the whole-file path words them as not UTF-8
+    # the checked path refuses too many commas, and words as not UTF-8 the
+    # encoded surrogates that json.loads of bytes lets through
+    if tail.count(b",") > 2 * MAX_DESIGN_CELLS or not tail.isascii():
         return None
     try:
         meta = json.loads(tail)
@@ -620,8 +615,8 @@ def _parsed_lines(lines, width: int) -> np.ndarray | None:
         return None
 
 
-def _csv_matrices(path: Path, s: int, u: int):
-    """D1 and D2 of the CSV at ``path``, whose sidecar gives s and u, each
+def _csv_matrices(fh: BinaryIO, s: int, u: int):
+    """D1 and D2 of the CSV open in ``fh``, whose sidecar gives s and u, each
     in its narrowest type, in one pass over texts of whole lines: one in
     the writer's layout is parsed as a block, any other checked line by
     line first.  The header is read to _PIECE_BYTES, or to the length of
@@ -630,65 +625,62 @@ def _csv_matrices(path: Path, s: int, u: int):
     runs, claim = s ** min(u, 64), f"{s}^{u}"
     most = MAX_DESIGN_CELLS // runs  # columns
     bound = max(_PIECE_BYTES, most * (2 + len(str(most))))
-    with path.open("rb") as fh:
-        # a text that is not ASCII must decode as UTF-8, or this raises
-        texts = (text for text in _line_texts(fh, bound)
-                 if text.isascii() or text.decode("utf-8"))
-        first = next(texts, b"")
-        _require(bool(first), "empty CSV")
-        end = first.find(b"\n") + 1
-        eol = b"\r\n" if first.endswith(b"\r\n", 0, end) else b"\n"
-        over = not 0 < end <= bound  # checked to its last comma read
-        m, k = _header_columns(first[:first.rfind(b",", 0, end or None)]
-                               if over else first[:end - len(eol)])
-        if over and m:
-            raise TooLargeError(
-                f"header has more than {most} columns, the most a design of "
-                f"{claim} runs has under the cap of {MAX_DESIGN_CELLS} cells")
-        _require(m > 0 and k > 0 and not over,
-                 "header must be q1..qm followed by x1..xk")
-        size = os.fstat(fh.fileno()).st_size
-        reserve = runs if size >= 2 * (m + k) * runs else 0
-        if reserve:  # a file long enough for s^u rows is held to the cap
-            _require_cells(runs, m, k)
-        width, unit = m + k, b"," * (m + k - 1) + eol
-        rows, lineno, wide, d1, d2 = 0, 2, False, None, None
-        for text in chain([first[end:]], texts):
-            # a block's fields may have spaces around them; a CR stands
-            # only before a LF; past a value over int64, lines are checked
-            skeleton = text.translate(None, _VALUE_BYTES + b" ")
-            count, values = len(skeleton) // len(unit), None
-            if count and not wide and rows + count <= runs \
-                    and skeleton == unit * count \
-                    and (eol == b"\n" or text.count(eol) == count):
-                body = text.translate(_LINES_TO_COMMAS, b"\r")[:-1]
-                if b" " in body:  # let through beside a comma or a line end
-                    body = body.replace(b", ", b",").replace(b" ,", b",") \
-                        .strip(b" ")
-                if b" " not in body:
-                    values = _int_block(body, count * width)
-            if values is None:
-                lines = [line[:-1] if line.endswith(b"\r") else line
-                         for line in text.split(b"\n")[:-1]]
-                count, head = len(lines), lines if wide \
-                    else lines[:runs - rows]
-                _check_lines(head, lineno, width)
-                if head and not wide:
-                    values = _parsed_lines(head, width)
-                    wide = values is None
-                # past the claim, one line is checked and the rest counted
-                past = lines[len(head):]
-                _check_lines(past if wide else past[:1], lineno + len(head),
-                             width, _CSV_LINE if wide else _CSV_CHARS)
-                if past and not wide:
-                    total = rows + count + sum(t.count(b"\n") for t in texts)
-                    raise MalformedBundleError(f"{total} runs, not {claim}")
-            lineno += count
-            if values is not None:
-                values.shape = (-1, width)
-                d1 = _append_rows(d1, values[:, :m], rows, reserve)
-                d2 = _append_rows(d2, values[:, m:], rows, reserve)
-                rows += len(values)
+    # a text that is not ASCII must decode as UTF-8, or this raises
+    texts = (text for text in _line_texts(fh, bound)
+             if text.isascii() or text.decode("utf-8"))
+    first = next(texts, b"")
+    _require(bool(first), "empty CSV")
+    end = first.find(b"\n") + 1
+    eol = b"\r\n" if first.endswith(b"\r\n", 0, end) else b"\n"
+    over = not 0 < end <= bound  # checked to its last comma read
+    m, k = _header_columns(first[:first.rfind(b",", 0, end or None)]
+                           if over else first[:end - len(eol)])
+    if over and m:
+        raise TooLargeError(
+            f"header has more than {most} columns, the most a design of "
+            f"{claim} runs has under the cap of {MAX_DESIGN_CELLS} cells")
+    _require(m > 0 and k > 0 and not over,
+             "header must be q1..qm followed by x1..xk")
+    width, unit = m + k, b"," * (m + k - 1) + eol
+    reserve = runs if os.fstat(fh.fileno()).st_size >= 2 * width * runs else 0
+    if reserve:  # a file long enough for s^u rows is held to the cap
+        _require_cells(runs, m, k)
+    rows, lineno, wide, d1, d2 = 0, 2, False, None, None
+    for text in chain([first[end:]], texts):
+        # a block's fields may have spaces around them; a CR stands
+        # only before a LF; past a value over int64, lines are checked
+        skeleton = text.translate(None, _VALUE_BYTES + b" ")
+        count, values = len(skeleton) // len(unit), None
+        if count and not wide and rows + count <= runs \
+                and skeleton == unit * count \
+                and (eol == b"\n" or text.count(eol) == count):
+            body = text.translate(_LINES_TO_COMMAS, b"\r")[:-1]
+            if b" " in body:  # let through beside a comma or a line end
+                body = body.replace(b", ", b",").replace(b" ,", b",") \
+                    .strip(b" ")
+            if b" " not in body:
+                values = _int_block(body, count * width)
+        if values is None:
+            lines = [line[:-1] if line.endswith(b"\r") else line
+                     for line in text.split(b"\n")[:-1]]
+            count, head = len(lines), lines if wide else lines[:runs - rows]
+            _check_lines(head, lineno, width)
+            if head and not wide:
+                values = _parsed_lines(head, width)
+                wide = values is None
+            # past the claim, one line is checked and the rest counted
+            past = lines[len(head):]
+            _check_lines(past if wide else past[:1], lineno + len(head),
+                         width, _CSV_LINE if wide else _CSV_CHARS)
+            if past and not wide:
+                total = rows + count + sum(t.count(b"\n") for t in texts)
+                raise MalformedBundleError(f"{total} runs, not {claim}")
+        lineno += count
+        if values is not None:
+            values.shape = (-1, width)
+            d1 = _append_rows(d1, values[:, :m], rows, reserve)
+            d2 = _append_rows(d2, values[:, m:], rows, reserve)
+            rows += len(values)
     _require(not wide, "CSV data has an entry outside int64")
     _require(rows > 0, "CSV has no data rows")
     return d1[:rows], d2[:rows]

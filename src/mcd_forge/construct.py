@@ -81,6 +81,7 @@ from .linalg import (
     _kept_rows,
     _leading_one,
     _null_space_bases,
+    _require_entries,
     generate_linear_array,
 )
 from .nstar import PrefixSearch, max_independent_prefixes  # re-exported
@@ -97,7 +98,7 @@ def unit_combinations(field: GaloisField, u: int, u1: int) -> list[Vector]:
     """E: all s^u1 linear combinations of e_1..e_u1, as length-u vectors,
     coefficients in base-s order."""
     _check_u_u1(u, u1)
-    _enumeration_size(field.s, u1)
+    _require_entries(_enumeration_size(field.s, u1), u)
     return [lam + (0,) * (u - u1)
             for lam in product(range(field.s), repeat=u1)]
 
@@ -121,10 +122,10 @@ def admissible_set(field: GaloisField, u: int, u1: int) -> AdmissibleSet:
     _check_u_u1(u, u1)
     s = field.s
     _enumeration_size(s, u)
+    _require_entries((s - 1) ** (u1 - 1) * s ** (u - u1), u)
     # digit by digit (1, then u1-1 nonzero, then u-u1 free): base-s order
-    vecs = tuple(product((1,), *[range(1, s)] * (u1 - 1),
-                         *[range(s)] * (u - u1)))
-    return AdmissibleSet(field, u, u1, vecs)
+    return AdmissibleSet(field, u, u1, tuple(product(
+        (1,), *[range(1, s)] * (u1 - 1), *[range(s)] * (u - u1))))
 
 
 @dataclass(frozen=True)

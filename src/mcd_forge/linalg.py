@@ -43,7 +43,7 @@ from .gf import GaloisField
 
 Vector = tuple[int, ...]
 
-#: hard cap on any enumeration (number of vectors)
+#: hard cap on any enumeration: its vectors, and a vector family's entries
 ENUMERATION_CAP = 10_000_000
 
 #: the entry types a vector given as a sequence may hold; bools are not ints
@@ -60,6 +60,13 @@ def _enumeration_size(s: int, u: int) -> int:
         raise TooLargeError(
             f"{s}^{u}{value} exceeds the enumeration cap of {ENUMERATION_CAP}")
     return n
+
+
+def _require_entries(count: int, width: int) -> None:
+    """TooLargeError past the cap on ``count`` vectors of ``width`` entries."""
+    if count * width > ENUMERATION_CAP:
+        raise TooLargeError(f"{count} vectors of {width} entries exceed the "
+                            f"enumeration cap of {ENUMERATION_CAP} entries")
 
 
 def _field_rows(field: GaloisField, vectors: Iterable[Sequence[int]],

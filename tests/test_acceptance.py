@@ -402,7 +402,7 @@ def test_criterion_14_round_trip_determinism(capsys, tmp_path):
         mcd = subspace_construction(F3, 4, 3, 2, "i", seed=31)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        write_bundle(p1, bundle_from_design(mcd), "json")
+        write_bundle(p1, bundle_from_design(mcd))
         rb = read_bundle(p1)
         d1, d2 = rb.design_objects()
         if not check_mcd(d1, d2, rb.s).passed:
@@ -410,7 +410,7 @@ def test_criterion_14_round_trip_determinism(capsys, tmp_path):
         if not check_noncascading(collapse_levels(d2, rb.s)).passed:
             return False
         again = subspace_construction(F3, 4, 3, 2, "i", seed=31)
-        write_bundle(p2, bundle_from_design(again), "json")
+        write_bundle(p2, bundle_from_design(again))
         if p1.read_bytes() != p2.read_bytes():
             return False
         rng = np.random.default_rng(606)

@@ -11,6 +11,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,10 +71,10 @@ def test_design_objects_round_trip_verification():
 def test_json_round_trip_is_byte_identical(tmp_path):
     b = _bundle(seed=11)
     path = tmp_path / "design.json"
-    write_bundle(path, b, "json")
+    write_bundle(path, b)
     text1 = path.read_text()
     again = read_bundle(path)
-    write_bundle(path, again, "json")
+    write_bundle(path, again)
     assert path.read_text() == text1
     assert (again.d1 == b.d1).all()
     assert (again.d2 == b.d2).all()
@@ -93,7 +94,7 @@ def test_json_text_is_sorted_and_integer(tmp_path):
 def test_csv_round_trip(tmp_path):
     b = bundle_from_design(subspace_construction(F3, 4, 3, 2, "ii", seed=5))
     path = tmp_path / "design.csv"
-    write_bundle(path, b, "csv")
+    write_bundle(path, b)
     side = sidecar_path(path)
     assert side.exists()
     header = path.read_text().splitlines()[0]
@@ -106,19 +107,45 @@ def test_csv_round_trip(tmp_path):
     assert again.provenance == b.provenance
 
 
-def test_write_bundle_rejects_unknown_format(tmp_path):
-    with pytest.raises(MalformedBundleError):
-        write_bundle(tmp_path / "x.bin", _bundle(), "parquet")
-    # the suffix picks the format; a contradicting one writes nothing
-    for name, fmt in (("x.json", "csv"), ("y.csv", "json")):
-        with pytest.raises(MalformedBundleError, match="does not match"):
-            write_bundle(tmp_path / name, _bundle(), fmt)
-    assert not any(tmp_path.iterdir())
-
-
 def test_read_bundle_missing_file(tmp_path):
-    with pytest.raises(MalformedBundleError):
-        read_bundle(tmp_path / "nope.json")
+    # every error Path.exists() reads as no file keeps its refusal: a
+    # missing name, a file taken as a directory and a link loop
+    good = write_bundle(tmp_path / "good.csv", _bundle())
+    loop = tmp_path / "loop.json"
+    loop.symlink_to(loop)
+    for path in (tmp_path / "nope.json", good / "d.json", loop):
+        with pytest.raises(MalformedBundleError,
+                           match=f"^no such file: {re.escape(str(path))}$"):
+            read_bundle(path)
+    side = sidecar_path(good)
+    side.unlink()
+    side.symlink_to(side)
+    with pytest.raises(MalformedBundleError,
+                       match="^missing sidecar good.meta.json$"):
+        read_bundle(good)
+
+
+def test_read_bundle_opens_each_file_once(tmp_path, monkeypatch):
+    # a JSON file the block reader declines was opened three times (the
+    # block reader, the comma count, the whole-text read) and a sidecar
+    # twice; each file is now opened once and read again from its start
+    canonical = write_bundle(tmp_path / "canonical.json", _bundle())
+    compact = _write_obj(tmp_path, json.loads(canonical.read_text()),
+                         "compact.json")
+    with compact.open("rb") as fh:
+        assert bundle._canonical_json(fh) is None  # declined
+    csv_path = write_bundle(tmp_path / "d.csv", _bundle())
+    opened, real = [], Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: (
+        opened.append(self.name) or real(self, *args, **kwargs)))
+    for path, names in ((compact, ["compact.json"]),
+                        (canonical, ["canonical.json"]),
+                        (csv_path, ["d.csv", "d.meta.json"])):
+        opened.clear()
+        again = read_bundle(path)
+        assert opened == names
+        assert (again.d1 == _bundle().d1).all()
+        assert (again.d2 == _bundle().d2).all()
 
 
 def _write_obj(tmp_path, obj, name="b.json"):
@@ -225,7 +252,7 @@ def test_read_bundle_refuses_a_provenance_that_is_not_an_object(tmp_path):
 def test_read_csv_bundle_malformed(tmp_path):
     b = _bundle()
     path = tmp_path / "d.csv"
-    write_bundle(path, b, "csv")
+    write_bundle(path, b)
     good_lines = path.read_text().splitlines()
 
     # missing sidecar
@@ -238,7 +265,7 @@ def test_read_csv_bundle_malformed(tmp_path):
     sidecar_path(path).write_text("{oops")
     with pytest.raises(MalformedBundleError, match="sidecar"):
         read_bundle(path)
-    write_bundle(path, b, "csv")  # restore
+    write_bundle(path, b)  # restore
 
     # header out of shape
     bad_header = tmp_path / "h.csv"
@@ -390,7 +417,7 @@ def test_csv_bytes_equal_row_by_row_writer(tmp_path):
                            rng.integers(lo, hi, size=(rows, 3)))
         b.s, b.u, b.u1 = s, u, 1
         path = tmp_path / f"d{rows}.csv"
-        write_bundle(path, b, "csv")
+        write_bundle(path, b)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["q1", "q2", "x1", "x2", "x3"])
@@ -410,7 +437,7 @@ def test_csv_write_holds_one_block_of_rows(tmp_path):
         direct_construction(galois_field(2), 10, 2, "i", 7))
     tracemalloc.start()
     try:
-        write_bundle(tmp_path / "d.csv", b, "csv")
+        write_bundle(tmp_path / "d.csv", b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -644,14 +671,15 @@ def _spec_int(field):
             sys.set_int_max_str_digits(limit)
 
 
-def _spec_csv_matrices(path, s, u):
-    """D1 and D2 of a CSV as README words its format, one step at a time:
-    its lines split on \\n with one \\r stripped, each field matched by
-    README's regex, then int(), then range-checked.  The first faulty line
+def _spec_csv_matrices(fh, s, u):
+    """D1 and D2 of the CSV open in ``fh`` as README words its format,
+    one step at a time: its lines split on \\n with one \\r stripped, each
+    field matched by README's regex, then int(), then range-checked.  The
+    first faulty line
     is named first, and a value past int64 only after every line has
     passed.  Past the sidecar's s^u lines, the first line has its field
     count and characters checked and the rest are counted."""
-    text = path.read_bytes()
+    text = fh.read()
     if not text:
         raise MalformedBundleError("empty CSV")
     lines = text.split(b"\n")

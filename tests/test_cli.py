@@ -972,12 +972,38 @@ def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
                            f"'{out}'\n")
 
 
-def _cli_child(argv):
+def _cli_child(argv, timeout=60):
     """``python -m mcd_forge.cli argv`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "mcd_forge.cli", *argv],
-                          env=env, capture_output=True, timeout=60)
+                          env=env, capture_output=True, timeout=timeout)
+
+
+def test_verify_refuses_what_is_not_a_regular_file(tmp_path, capsys):
+    # a device or a pipe has size 0, so it passed the file cap: verify of
+    # /dev/zero counted its commas without end, a FIFO with no writer
+    # blocked in its open, and so did a CSV whose sidecar links to
+    # /dev/zero.  Each runs in a child under a timeout, so that a read
+    # that never ends fails here
+    good = tmp_path / "good.csv"
+    assert main(["construct", "--method", "theorem1", "--s", "3", "--u",
+                 "3", "--u1", "2", "--out", str(good)]) == EXIT_OK
+    side = sidecar_path(good)
+    side.unlink()
+    side.symlink_to("/dev/zero")
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    for path, name in (("/dev/zero", "zero"), (fifo, "fifo.json"),
+                       (good, side.name)):
+        proc = _cli_child(["verify", "--in", str(path)], timeout=20)
+        assert proc.returncode == EXIT_PARAM_ERROR, proc.stderr
+        assert proc.stderr == f"error: {name} is not a regular file\n".encode()
+    # a directory was opened, and refused with "[Errno 21] Is a directory"
+    capsys.readouterr()
+    assert main(["verify", "--in", str(tmp_path)]) == EXIT_PARAM_ERROR
+    assert _one_error_line(capsys) == (
+        f"error: {tmp_path.name} is not a regular file\n")
 
 
 @pytest.mark.parametrize("name", ["d.json", "d.csv"])

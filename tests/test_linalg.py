@@ -112,6 +112,30 @@ def test_enumeration_cap_never_computes_a_huge_power():
         unit_combinations(f2, 64, 64)
 
 
+def test_vector_families_are_sized_by_their_entries(monkeypatch):
+    # admissible_set(GF(2), 21, 1) built 2^20 tuples of 21 entries (248
+    # MiB) under the cap on its 2^21 vectors, and unit_combinations had no
+    # cap on u (2^16 tuples of 400 entries, 232 MiB): tuples x u entries
+    # are now held to the cap, which is inclusive
+    f2 = galois_field(2)
+    monkeypatch.setattr("mcd_forge.linalg.ENUMERATION_CAP", 80)
+    assert admissible_set(f2, 5, 1).size == 16  # 80 entries
+    with pytest.raises(TooLargeError, match=(
+            "^32 vectors of 6 entries exceed the enumeration cap of 80 "
+            "entries$")):
+        admissible_set(f2, 6, 1)  # 2^6 = 64 vectors under the cap
+    assert len(unit_combinations(f2, 10, 3)) == 8
+    with pytest.raises(TooLargeError, match="^8 vectors of 11 entries"):
+        unit_combinations(f2, 11, 3)
+    monkeypatch.undo()
+    with pytest.raises(TooLargeError, match=(
+            "^1048576 vectors of 21 entries exceed the enumeration cap of "
+            "10000000 entries$")):
+        admissible_set(f2, 21, 1)
+    with pytest.raises(TooLargeError, match="^65536 vectors of 400 entries"):
+        unit_combinations(f2, 400, 16)
+
+
 def test_dot():
     f3 = galois_field(3)
     assert dot(f3, (1, 2, 0), (1, 1, 0)) == 0
