@@ -216,9 +216,12 @@ def orthogonal_complement_basis(field: GaloisField, x: Sequence[int]) -> Subspac
 
 def enumerate_span(basis: SubspaceBasis) -> list[Vector]:
     """All s^dim vectors of the span, coefficients in base-s order: the
-    linear array generated by the transposed basis."""
+    linear array generated by the transposed basis.  Sized before it is
+    built: s^dim vectors of ambient_dim entries at most."""
     if basis.dim == 0:
         return [(0,) * basis.ambient_dim]
+    _require_entries(_enumeration_size(basis.field.s, basis.dim),
+                     basis.ambient_dim)
     columns = list(zip(*basis.vectors))
     return [tuple(row) for row in
             generate_linear_array(basis.field, columns).tolist()]

@@ -32,10 +32,15 @@ products only clear blocks of scans:
   scans go in blocks of heads, the first of one head and each next twice
   as large, so that an early failure costs little: onehot(head codes)
   times onehot(tails)^T, float32 products of 0/1 matrices summed over
-  blocks of runs.  Each operand and each product holds at most
-  ONEHOT_BYTES, and the path at most five of them at once.  Each product
-  is made in pieces of at most 2^18 multiply-adds, which a threaded BLAS
-  runs on one thread, so that a busy core cannot stall it.
+  blocks of runs.  When every (t-1)-subset of the call's columns is
+  uniform (always at t = 1; else asked of the kernel one level down),
+  the one-hots leave each column's last level out: a table whose
+  (t-1)-way margins are uniform is uniform exactly when its cells on
+  levels 0..L-2 are, so a 2 x 2 x 2 grid takes one row per column and 1
+  cell of 8.  Each operand and each product holds at most ONEHOT_BYTES,
+  and the path at most five of them at once.  Each product is made in
+  pieces of at most 2^18 multiply-adds, which a threaded BLAS runs on
+  one thread, so that a busy core cannot stall it.
 * Bincount, for every block the products do not clear (an off count, or
   fewer than PRODUCT_CELLS run-subset cells) and every scan of any other
   call: each last column (tail) is coded into a block of its own, in
@@ -82,6 +87,7 @@ from .errors import (
     StrengthExceedsColumnsError,
     TooLargeError,
 )
+from .linalg import _INTEGER_TYPES
 
 #: largest design construct builds or the battery checks, in n * (m + k)
 #: cells: a construct run peaked at 13.5 bytes of RSS a cell at 4.2M cells
@@ -90,19 +96,20 @@ MAX_DESIGN_CELLS = 5_000_000
 
 #: largest verification a construction may need, in n * (column pairs):
 #: pair balance counts n rows for each of the m * k (D1, D2) pairs, and
-#: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  At 1.2-20
+#: the D1 strength-2 check for each of the m(m-1)/2 D1 pairs.  At 0.7-20
 #: ns per unit (m = 2 to 144, n = 625 to 4096; the low end is D1's check
-#: as one-hot products) one check_mcd takes at most about 0.4-6 s.  A
+#: as one-hot products) one check_mcd takes at most about 0.2-6 s.  A
 #: strength-t check, n * C(m, t) cells, and a --stratify sweep, n * C(k,
-#: arity) cells, have the same cap: 1-5.5 ns a cell as products, 4.5-8
+#: arity) cells, have the same cap: 0.15-3 ns a cell as products, 4.5-8
 #: ns by bincount.
 MAX_PAIR_WORK = 300_000_000
 
 #: a call whose widest table, the product of its t largest levels, has
 #: at most this many cells is counted by one-hot products, whose work
-#: grows with the table: strength-2 checks of 57 to 150 columns took
-#: 0.15-0.3 of bincount's time with tables of 4 and 9 cells, 0.45 with
-#: 16, 0.5-0.85 with 25 and 1.35 with 49
+#: grows with the table: strength-2 checks of 57 to 150 columns, each
+#: column's last level left out, took 0.06-0.15 of bincount's time with
+#: tables of 4 and 9 cells, 0.24 with 16, 0.43-0.48 with 25 and 0.95-1.1
+#: with 49
 NARROW_TABLE = 25
 #: float32 holds every integer below this exactly, so products count
 #: only designs of fewer runs
@@ -190,8 +197,6 @@ def _first_unbalanced(blocks, levels, scans, divisors=None):
     for its first off-count combination.  ``scans`` may be any iterable
     of at least one scan, all of one t.  _bincount_hit counts every block
     of heads that _products_clear does not clear."""
-    scans = iter(scans)
-    block = list(islice(scans, 1))  # the first block, of one head, fixes t
     levels = tuple(map(int, levels))
     divisors = divisors or (1,) * len(blocks)
     # range-check the caller's arrays, in their own types, before the
@@ -225,6 +230,20 @@ def _first_unbalanced(blocks, levels, scans, divisors=None):
     for j in range(c - 2, -1, -1):
         if levels[j + 1] == levels[j] and not bad[j + 1]:
             run_end[j] = run_end[j + 1]
+    return _counted(cols, levels, bad, run_end, scans)
+
+
+def _counted(cols, levels, bad, run_end, scans):
+    """The kernel's answer on its copied rows ``cols``: by bincount alone
+    when the call cannot take products, else in blocks of heads that the
+    products clear or bincount recounts.  The products leave each
+    column's last level out when every (t-1)-subset of the call's columns
+    is uniform (Moebius inversion over the margins, the contrast form of
+    OA strength): always at t = 1, else asked of this function one level
+    down."""
+    scans = iter(scans)
+    block = list(islice(scans, 1))  # the first block, of one head, fixes t
+    (c, n), t = cols.shape, len(block[0][0]) + 1
     # one-hot rows per operand: as many as keep an operand of all n runs
     # and a square product under the byte bound, but at least 64 (with
     # ONEHOT_BYTES / 256 runs at a time past that)
@@ -232,12 +251,24 @@ def _first_unbalanced(blocks, levels, scans, divisors=None):
     width = min(isqrt(ONEHOT_BYTES // 4), max(isqrt(ONEHOT_BYTES // 64), fit))
     # no scan's table is wider than the product of the t largest levels;
     # a level below 1 always marks its column bad
-    top = sorted(levels, reverse=True)[:len(block[0][0]) + 1]
+    top = sorted(levels, reverse=True)[:t]
     if n >= EXACT_FLOAT32 or any(bad) or prod(top) > min(NARROW_TABLE, width):
         return _bincount_hit(cols, levels, bad, run_end, chain(block, scans))
-    size, most = 1, width // prod(top[:-1])  # heads whose one-hots fit
+    # heads whose one-hots fit, gathered from a copy in the narrowest type
+    # (bincount's copy of at most 2^16 cells is int64), so that a block's
+    # gathered head columns hold at most ONEHOT_BYTES
+    size, most, cut = 1, width // prod(top[:-1]), None
+    narrow = cols.astype(np.min_scalar_type(top[0] - 1), copy=False)
     while block:
-        if not _products_clear(cols, levels, block, width):
+        # asked once, at the first block large enough for products, so that
+        # a call too small for them never pays for the question
+        if cut is None and n * sum(hi - lo for _, lo, hi in block) >= (
+                PRODUCT_CELLS):
+            cut = int(t == 1 or _counted(cols, levels, bad, run_end, (
+                (h, h[-1] + 1 if h else 0, c)
+                for h in combinations(range(c - 1), t - 2))) is None)
+            most = width // max(1, prod(lev - cut for lev in top[:-1]))
+        if not _products_clear(narrow, levels, block, width, cut or 0):
             hit = _bincount_hit(cols, levels, bad, run_end, block)
             if hit:
                 return hit
@@ -257,45 +288,56 @@ def _one_hot(codes, widths):
     return hot.reshape(int(widths.sum()), codes.shape[1]).astype(np.float32)
 
 
-def _products_clear(cols, levels, scans, width: int) -> bool:
+def _products_clear(cols, levels, scans, width: int, cut: int) -> bool:
     """True when every subset of the in-range ``scans`` holds each level
-    combination n / (product of its levels) times; False at the first off
-    count, and on fewer than PRODUCT_CELLS run-subset cells.  One-hots of
-    the heads' level combinations and of the tails' levels, at most
-    ``width`` rows each, meet in float32 products summed over blocks of
-    ONEHOT_BYTES / (4 width) runs, each count exact below EXACT_FLOAT32."""
+    combination n / (product of its levels) times, on levels 0..L-1-cut
+    of each column; False at the first off count, and on fewer than
+    PRODUCT_CELLS run-subset cells.  One-hots of the heads' level
+    combinations, the elementwise products of their columns' indicator
+    rows, and of the tails' levels, at most ``width`` rows each, meet in
+    float32 products summed over blocks of ONEHOT_BYTES / (4 width) runs,
+    each count exact below EXACT_FLOAT32."""
     n, runs = cols.shape[1], ONEHOT_BYTES // (4 * width)
     if n * sum(hi - lo for _, lo, hi in scans) < PRODUCT_CELLS:
         return False
     levels = np.array(levels, dtype=np.int32)
-    heads = np.array([h for h, _, _ in scans], dtype=np.intp)
-    lo, hi = np.array([scan[1:] for scan in scans]).T
-    full = levels[heads].prod(axis=1)
+    heads, lo, hi = map(np.array, zip(*scans))
+    heads = heads.astype(np.intp)  # an empty head reads as float
+    full, hot = levels[heads].prod(axis=1), (levels - cut)[heads].prod(axis=1)
     t0, t1 = int(lo.min()), int(hi.max())
     tails = levels[t0:t1]
+    # the level combinations on levels 0..L-1-cut of the block's largest
+    # levels, head position by head position, the first slowest; each
+    # head keeps those within its own levels
+    box = (levels[heads] - cut).max(axis=0, initial=0)
+    digits = np.indices(box).reshape(len(box), int(prod(box)))
+    keep = (digits < (levels[heads] - cut)[:, :, None]).all(axis=1)
 
     def head_hot(r):  # the heads' one-hot over runs r to r + runs - 1
-        codes = np.zeros((len(scans), min(n - r, runs)), dtype=np.int32)
-        for j in heads.T[::-1]:
-            codes = codes * levels[j, None] + cols[j, r:r + runs]
-        return _one_hot(codes, full)
+        on = np.ones((len(scans), 1, min(n - r, runs)), dtype=bool)
+        for j, b in zip(heads.T, box.tolist()):  # products of indicators
+            rows = cols[j, None, r:r + runs] == np.arange(
+                b, dtype=cols.dtype)[:, None]
+            on = (on[:, :, None] & rows[:, None]).reshape(
+                len(scans), on.shape[1] * b, on.shape[2])
+        return on[keep].astype(np.float32)
 
     once = head_hot(0) if n <= runs else None  # one block of runs
-    step = width // int(tails.max())  # tails a product
+    step = width // max(1, int(tails.max()) - cut)  # tails a product
     for a in range(0, t1 - t0, step):
         b, counts = min(t1 - t0, a + step), 0
         for r in range(0, max(n, 1), runs):
             counts += _sliced_product(
                 head_hot(r) if once is None else once,
-                _one_hot(cols[t0 + a:t0 + b, r:r + runs], tails[a:b]))
+                _one_hot(cols[t0 + a:t0 + b, r:r + runs], tails[a:b] - cut))
         # count x head levels x tail level is n exactly when the count is
         # n / size; a float32 product past 2^24 rounds to one above n
-        counts *= full.repeat(full)[:, None]
-        counts *= tails[a:b].repeat(tails[a:b])
+        counts *= full.repeat(hot)[:, None]
+        counts *= tails[a:b].repeat(tails[a:b] - cut)
         i, q = np.nonzero(counts != n)
         # each off count's scan and tail; a head meets tails past its scan
-        i = np.repeat(np.arange(len(scans)), full)[i]
-        q = np.repeat(np.arange(t0 + a, t0 + b), tails[a:b])[q]
+        i = np.repeat(np.arange(len(scans)), hot)[i]
+        q = np.repeat(np.arange(t0 + a, t0 + b), tails[a:b] - cut)[q]
         if ((lo[i] <= q) & (q < hi[i])).any():
             return False
     return True
@@ -369,7 +411,10 @@ def _require_runs(n: int) -> None:
 
 
 def _require_strength(t: int, m: int) -> None:
-    """A strength is 1..m, the column count."""
+    """A strength is an integer in 1..m, the column count; a bool is
+    not an integer."""
+    if type(t) not in _INTEGER_TYPES:
+        raise BadParamsError(f"strength must be an integer, not {t!r}")
     if t < 1:
         raise BadParamsError("strength must be at least 1")
     if t > m:
@@ -618,6 +663,9 @@ def check_grid_stratification(d2: LatinHypercube, dims: tuple[int, ...],
     if not cells or places < r:
         raise BadGridError("need a cell count per grid axis and at least "
                            "one selected column per cell count")
+    for what, values in (("column selection", dims), ("cell counts", cells)):
+        if not {*map(type, values)} <= _INTEGER_TYPES:  # bools are not ints
+            raise BadGridError(f"{what} {values} must be integers")
     if any(not 0 <= d < d2.k for d in dims):
         raise BadGridError(f"column selection {dims} outside 0..{d2.k - 1}")
     if any(c < 1 or n % c != 0 for c in cells):

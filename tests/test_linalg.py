@@ -321,6 +321,21 @@ def test_enumerate_span_order_and_degenerate_dim():
     assert enumerate_span(empty) == [(0, 0, 0)]
 
 
+def test_enumerate_span_is_sized_by_its_entries(monkeypatch):
+    # the span was capped on its s^dim vectors alone, yet built s^dim
+    # tuples of ambient_dim entries each: the span of the 18 unit vectors
+    # of GF(2)^18 peaked at 141 MiB.  Vectors x ambient entries are now
+    # held to the cap, which is inclusive
+    f2 = galois_field(2)
+    units = tuple(tuple(int(i == j) for j in range(5)) for i in range(3))
+    monkeypatch.setattr("mcd_forge.linalg.ENUMERATION_CAP", 20)
+    assert len(enumerate_span(SubspaceBasis(f2, 5, units[:2]))) == 4
+    with pytest.raises(TooLargeError, match=(
+            "^8 vectors of 5 entries exceed the enumeration cap of 20 "
+            "entries$")):
+        enumerate_span(SubspaceBasis(f2, 5, units))  # 2^3 = 8 under the cap
+
+
 def _completed(field, x, forced):
     """``_completed_bases`` for one x, as a tuple of column tuples."""
     xs = np.array([x], dtype=np.int64)

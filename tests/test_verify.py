@@ -343,6 +343,45 @@ def test_grid_stratification_parameter_validation():
         check_grid_stratification(two, (0, 1), (4, 4))
 
 
+@pytest.mark.parametrize("check, error, message", [
+    # passed, and printed oa-strength(True)
+    (lambda d1, d2: check_oa_strength(d1, True), BadParamsError,
+     "strength must be an integer, not True"),
+    # a bare TypeError from the subset scan
+    (lambda d1, d2: check_oa_strength(d1, 2.0), BadParamsError,
+     "strength must be an integer, not 2.0"),
+    # a 1 x 2 x 2 grid named Truex2x2
+    (lambda d1, d2: check_grid_stratification(d2, (0, 1, 2), (True, 2, 2)),
+     BadGridError, r"cell counts \(True, 2, 2\) must be integers"),
+    (lambda d1, d2: check_grid_stratification(d2, (0, 1, 2), (2.0, 2, 2)),
+     BadGridError, r"cell counts \(2.0, 2, 2\) must be integers"),
+    # passed as the columns 0, 1 and 2
+    (lambda d1, d2: check_grid_stratification(d2, (0, True, 2), (2, 2, 2)),
+     BadGridError, r"column selection \(0, True, 2\) must be integers"),
+    # an IndexError from the column selection
+    (lambda d1, d2: check_grid_stratification(d2, (0, 1.0, 2), (2, 2, 2)),
+     BadGridError, r"column selection \(0, 1.0, 2\) must be integers"),
+], ids=["strength-bool", "strength-float", "cells-bool", "cells-float",
+        "dims-bool", "dims-float"])
+def test_checks_refuse_bools_and_non_integers(check, error, message):
+    # the integer rule of the vector checks: ints and numpy integers, never
+    # a bool; the battery passes its strength and grid through the same
+    mcd = anti_mirror_construction(6, 2, 1)
+    with pytest.raises(error, match=f"^{message}$"):
+        check(mcd.d1, mcd.d2)
+    stratify = (2, 2, 2) if error is BadParamsError else (True, 2, 2)
+    strength = True if error is BadParamsError else None
+    with pytest.raises(error):
+        battery(mcd.d1, mcd.d2, 2, strength=strength, stratify=stratify)
+
+
+def test_checks_take_numpy_integers():
+    mcd = anti_mirror_construction(6, 2, 1)
+    assert check_oa_strength(mcd.d1, np.int64(2)).passed
+    assert check_grid_stratification(
+        mcd.d2, tuple(np.arange(3)), (np.int32(2), 2, 2)).passed
+
+
 def test_oa_strength_out_of_range_in_later_column():
     # a 3 in column 1 must not alias into a valid (level, level) cell
     data = [[0, 3], [0, 1], [0, 2], [0, 0], [1, 1], [1, 2],
@@ -853,26 +892,117 @@ def test_a_declined_block_costs_time_never_a_verdict(monkeypatch):
 def test_products_only_clear_in_range_blocks(monkeypatch):
     # a call holding an out-of-range column never reaches the predicate;
     # with one entry moved, it clears every block before the failure and
-    # declines the block that holds it
+    # declines the block that holds it.  Only the t-way calls are recorded,
+    # not the kernel's own check of the (t-1)-subsets one level down
     answers = []
     real = verify._products_clear
 
-    def recorded(cols, levels, scans, width):
-        answers.append((scans, real(cols, levels, scans, width)))
-        return answers[-1][1]
+    def recorded(cols, levels, scans, *rest):
+        found = real(cols, levels, scans, *rest)
+        if len(scans[0][0]) == t - 1:
+            answers.append((scans, found))
+        return found
 
     monkeypatch.setattr(verify, "_products_clear", recorded)
     cases = _product_path_cases()
-    for case in cases[4:]:  # out of range
+    for t, case in zip((2, 3), cases[4:]):  # out of range
         assert case().checks[0].detail == (
             "entries outside the declared level range")
         assert answers == []
-    for case in cases[2:4]:  # moved
+    for t, case in zip((2, 3), cases[2:4]):  # moved
         *head, j = case().checks[0].subject
         *cleared, (scans, clear) = answers
         assert all(ok for _, ok in cleared) and not clear
         assert any(tuple(head) == h and lo <= j < hi for h, lo, hi in scans)
         answers.clear()
+
+
+def _recorded_cuts(monkeypatch, t):
+    """The ``cut`` of each t-way product call from here on, with whether
+    it cleared its block, in call order."""
+    answers = []
+    real = verify._products_clear
+
+    def recorded(cols, levels, scans, width, cut):
+        found = real(cols, levels, scans, width, cut)
+        if len(scans[0][0]) == t - 1:
+            answers.append((cut, found))
+        return found
+
+    monkeypatch.setattr(verify, "_products_clear", recorded)
+    return answers
+
+
+def _xor_column_d2(u):
+    """An anti-mirror D2 whose last column is relabeled so that its top
+    half is where column 0 and column 1 are in different halves: every
+    pair stays uniform on a 2 x 2 grid, and (0, 1, last) is not on 2 x 2 x
+    2."""
+    data = anti_mirror_construction(u, 2, 1).d2.data.copy()
+    half = data // (len(data) // 2)
+    data[np.argsort(half[:, 0] ^ half[:, 1], kind="stable"), -1] = np.arange(
+        len(data))
+    return data
+
+
+def test_reduced_rows_decline_a_table_only_its_cells_break(count_path,
+                                                            monkeypatch):
+    # the t-way table is off where every (t-1)-way margin is uniform: the
+    # products over levels 0..L-2 alone must decline its block
+    for u in (4, 6):
+        data = _xor_column_d2(u)
+        k = data.shape[1]
+        answers = _recorded_cuts(monkeypatch, 3)
+        d2 = LatinHypercube(data)
+        assert check_grid_stratification(d2, tuple(range(k)), (2, 2)).passed
+        got = check_grid_stratification(d2, tuple(range(k)), (2, 2, 2))
+        expected = _grid_reference(data.tolist(), tuple(range(k)), (2, 2, 2))
+        assert expected[0] == (0, 1, k - 1)
+        assert (got.checks[0].subject, got.checks[0].detail) == expected
+        if u == 4:  # the one triple that is not uniform
+            assert [cols for cols in combinations(range(k), 3)
+                    if _grid_reference(data.tolist(), cols, (2, 2, 2))] == [
+                (0, 1, 3)]
+        if count_path == "product":
+            assert answers and {cut for cut, _ in answers} == {1}
+            assert not answers[-1][1]
+
+
+def test_full_rows_count_a_table_whose_margin_is_off(count_path,
+                                                     monkeypatch):
+    # the non-last cells of each table hold n / (product of its levels),
+    # but a margin does not: the kernel's check one level down fails, so
+    # the products count every level
+    counts = {(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 2}  # n = 8, t = 2
+    pairs = np.array([c for c, times in counts.items() for _ in range(times)])
+    counts = {(0, 0, 0): 2, (0, 0, 1): 4, (0, 1, 0): 2, (0, 1, 1): 0,
+              (1, 0, 0): 2, (1, 0, 1): 2, (1, 1, 0): 2, (1, 1, 1): 2}
+    triples = np.array([c for c, times in counts.items()
+                        for _ in range(times)])  # n = 16, t = 3
+    for data in (pairs, triples):
+        n, t = data.shape
+        answers = _recorded_cuts(monkeypatch, t)
+        got = check_oa_strength(OrthogonalArray(data, (2,) * t), t).checks[0]
+        expected = _reference_first_failure(data.tolist(), (2,) * t,
+                                            [tuple(range(t))])
+        assert (got.subject, got.detail) == expected
+        if count_path == "product":
+            assert answers == [(0, False)]
+            # the reduced rows alone would have cleared it
+            scans = [(tuple(range(t - 1)), t - 1, t)]
+            assert verify._products_clear(data.T, (2,) * t, scans, 64, 1)
+
+
+def test_the_benchmark_product_checks_take_the_reduced_rows(monkeypatch):
+    # the m144 strength-2 check and the anti8 2x2x2 sweep: every (t-1)-way
+    # table of each is uniform, so every block the t-way products clear
+    # leaves each column's last level out (blocks under PRODUCT_CELLS
+    # decline before the question is asked)
+    for t, case in zip((2, 3), _product_path_cases()[:2]):
+        answers = _recorded_cuts(monkeypatch, t)
+        assert case().passed
+        cleared = [cut for cut, clear in answers if clear]
+        assert len(cleared) > 3 and set(cleared) == {1}
 
 
 def test_product_path_holds_its_byte_bound(monkeypatch):
