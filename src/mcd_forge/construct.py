@@ -51,12 +51,12 @@ from typing import TypeVar
 import numpy as np
 
 from .designs import (
-    BLOCK_CELLS,
     IDENTITY_SEED,
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
     Seed,
+    _block_width,
     _narrow_type,
     collapse_levels,
     expand_levels,
@@ -226,7 +226,7 @@ def common_nonorthogonal(part: AdmissiblePartition,
     subsets = combinations(range(len(rows)), k)
     independent = True
     while independent and (block := list(
-            islice(subsets, max(1, BLOCK_CELLS // (k * part.u1))))):
+            islice(subsets, _block_width(8, k * part.u1)))):
         independent = bool(_kept_rows(f, rows[block]).all())
     return NonorthogonalIntersection(indices, members, normalized,
                                      independent)
@@ -417,11 +417,11 @@ def _replaced_columns(field: GaloisField, gens: np.ndarray,
     codes in order: np.unique would import numpy.ma on numpy >= 2.3, and
     the first np.sort in a process paged in 320 KiB of sort code, which
     raised a small construct's peak RSS.  ``generate_linear_array`` builds
-    each distinct column once, in blocks of ``BLOCK_CELLS`` cells, as an
+    each distinct column once, in blocks as wide as the result's, as an
     int8 row of n bytes (1,043 rows for the 1,024 x's of anti-mirror u=12,
     whose leads all differ; up to (u-1) k with explicit overrides).
-    Blocks of as many cells of the result are summed from row gathers of
-    those rows, in D2's type, with no whole-matrix temporary; a row of the
+    Blocks of the result, ``BLOCK_BYTES`` in D2's type, are summed from
+    row gathers of those rows, with no whole-matrix temporary; a row of the
     result is a column of the collapsed design, contiguous, as
     ``expand_levels`` reads it."""
     s = field.s
@@ -434,12 +434,12 @@ def _replaced_columns(field: GaloisField, gens: np.ndarray,
     distinct = np.flatnonzero(seen)
     which = distinct.searchsorted(codes)
     columns = distinct[:, None] // place % s
-    width = max(1, BLOCK_CELLS // n)
+    tilde = np.empty((k, n), dtype=_narrow_type(n - 1))
+    width = _block_width(tilde.itemsize, n)
     digits = np.empty((len(columns), n), dtype=np.int8)
     for lo in range(0, len(columns), width):
         digits[lo:lo + width] = generate_linear_array(
             field, columns[lo:lo + width]).T
-    tilde = np.empty((k, n), dtype=_narrow_type(n - 1))
     for lo in range(0, k, width):
         block, rows = tilde[lo:lo + width], which[lo:lo + width]
         block[...] = digits[rows[:, 0]]

@@ -52,17 +52,17 @@ IDENTITY_SEED = "identity"
 
 Seed = int | str
 
-#: cells each temporary of a blocked pass holds: a block of columns in
-#: collapsed D2's build, of distinct generator columns' linear arrays, of
-#: subsets in the prefix check
-BLOCK_CELLS = 1 << 17
+#: the most bytes one temporary of a blocked pass holds, each pass sizing
+#: its block by its own element size through ``_block_width``: so that
+#: building and checking a design holds it once, plus a few blocks
+BLOCK_BYTES = 1 << 18
 
-#: bytes each int64 index or code array of a blocked pass over D2 holds:
-#: the sort and scatter indices of level expansion, the codes and counts
-#: of the counting kernel and of the non-cascading relabel.  Blocks of
-#: BLOCK_CELLS cells made expansion peak 3.0 MiB above its input and
-#: output, and the battery 2.6 MiB above its inputs, at 1,024 x 256
-INDEX_BYTES = 1 << 18
+
+def _block_width(itemsize: int, cells: int = 1) -> int:
+    """How many columns of ``cells`` elements of ``itemsize`` bytes one
+    block holds under BLOCK_BYTES, one at least: with ``cells`` left at
+    1, how many elements."""
+    return max(1, BLOCK_BYTES // (itemsize * max(cells, 1)))
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -196,7 +196,7 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
     raises BadParamsError: a design built from 1.5 as seed 1 would be
     written with a seed ``read_bundle`` refuses.
 
-    Columns go in blocks whose int64 indices hold ``INDEX_BYTES`` (one
+    Columns go in blocks whose int64 indices hold ``BLOCK_BYTES`` (one
     column at least).  One stable argsort per block groups each column's
     rows: row v of the (n/s, s) reshape holds the rows carrying level v,
     in row order, and the sorted levels must read 0 (s times), 1 (s
@@ -224,7 +224,7 @@ def expand_levels(collapsed: CollapsedDesign, s: int,
     tiles = np.tile(np.arange(s, dtype=kind), (nlev, 1))
     starts = np.arange(0, n, s, dtype=kind)[:, None]
     order = np.repeat(np.arange(nlev, dtype=keys_type), s)  # sorted levels
-    width = max(1, INDEX_BYTES // 8 // max(n, 1))
+    width = _block_width(8, n)
     for lo in range(0, k, width):
         block = collapsed.data[:, lo:lo + width].T
         b = len(block)

@@ -33,7 +33,7 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .designs import BLOCK_CELLS
+from .designs import _block_width
 from .errors import BadParamsError, TooLargeError
 from .gf import GaloisField, checked_order, galois_field
 from .linalg import (
@@ -147,15 +147,19 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
     Each depth gets its ``blocked`` mask as a value: c joining copies it
     and adds the span of c with each set of min(len(sel), u1-2) selected
     prefixes, which holds the spans of all smaller sets, stacked in one
-    ``generate_linear_array`` call per block of ``BLOCK_CELLS`` cells.
+    ``generate_linear_array`` call per block of ``BLOCK_BYTES`` of int8.
     """
     s = field.s
     if u1 < 1:
         raise BadParamsError(f"u1 must be at least 1, got {u1}")
-    _enumeration_size(s - 1, u1 - 1)
-    cands = np.array([(1,) + tail for tail in
-                      product(range(1, s), repeat=u1 - 1)])
+    count = _enumeration_size(s - 1, u1 - 1)
     place = (s - 1) ** np.arange(u1 - 2, -1, -1)
+    # candidate c is the prefix of label c: a leading 1, then the u1 - 1
+    # base-(s-1) digits of c, the first slowest, digit b as b + 1
+    cands = np.ones((count, u1), dtype=np.int8)
+    for j, weight in enumerate(place.tolist(), 1):
+        cands[:, j] = np.resize(np.arange(1, s, dtype=np.int8).repeat(weight),
+                                count)
     bound = independent_prefix_bound(s, u1)
     best: list[int] = []
     nodes = 0
@@ -165,7 +169,7 @@ def max_independent_prefixes(field: GaloisField, u1: int) -> PrefixSearch:
         blocked = blocked.copy()
         size = min(len(sel), max(u1 - 2, 0))
         subsets = combinations(sel, size)
-        width = max(1, BLOCK_CELLS // (s ** (size + 1) * u1))
+        width = _block_width(1, s ** (size + 1) * u1)  # int8 spans
         while block := [(*sub, c) for sub in islice(subsets, width)]:
             columns = cands[np.array(block)].transpose(0, 2, 1)
             span = generate_linear_array(
@@ -247,12 +251,12 @@ def coordinate_forms(field: GaloisField, k: int) -> np.ndarray:
     the next root-free g continues.
 
     Past k = 6 that scan can go on for seconds on an extension field,
-    whose images of one g span too little: 9.3 s at (16, 12).  There the
-    forms are the products of the forms for k - 2 with those for k = 3,
-    each kept when it raises the rank.  A product of root-free forms is
-    root-free, with a nonzero leading coefficient, and the products span:
-    forms spanning the degrees <= m times forms spanning the degrees <= 2
-    span the degrees <= m + 2.
+    whose images of one g span too little.  There the forms are the
+    products of the forms for k - 2 with those for k = 3, each kept when
+    it raises the rank.  A product of root-free forms is root-free, with a
+    nonzero leading coefficient, and the products span: forms spanning
+    the degrees <= m times forms spanning the degrees <= 2 span the
+    degrees <= m + 2.
     """
     if k > 6:
         rows = _products(field, coordinate_forms(field, k - 2),

@@ -37,14 +37,14 @@ products only clear blocks of scans:
   the one-hots leave each column's last level out: a table whose
   (t-1)-way margins are uniform is uniform exactly when its cells on
   levels 0..L-2 are, so a 2 x 2 x 2 grid takes one row per column and 1
-  cell of 8.  Each operand and each product holds at most ONEHOT_BYTES,
+  cell of 8.  Each operand and each product holds at most BLOCK_BYTES,
   and the path at most five of them at once.  Each product is made in
   pieces of at most 2^18 multiply-adds, which a threaded BLAS runs on
   one thread, so that a busy core cannot stall it.
 * Bincount, for every block the products do not clear (an off count, or
   fewer than PRODUCT_CELLS run-subset cells) and every scan of any other
   call: each last column (tail) is coded into a block of its own, in
-  place in one int64 buffer of at most INDEX_BYTES (one column at least),
+  place in one int64 buffer of at most BLOCK_BYTES (one column at least),
   and one bincount counts a chunk of those codes.  A tail that is out of
   range or does not divide n ends the chunk unencoded, so no entry can
   alias into a valid combination or another subset's block.
@@ -55,9 +55,10 @@ strength-2 mixed orthogonal array.  ``check_mcd_by_slices`` is the
 independent definitional oracle: within each level-slice of each D1
 column, every D2 column must put exactly one point into each of the n/s
 consecutive length-s value windows.  It counts each (column, level) slice
-once, with one bincount over every D2 column's windows, and uses neither
-the kernel nor the collapse.  The two must agree on any input; the
-acceptance suite holds them to that on random and constructed designs.
+with one bincount per block of whole D2 columns, each block's int64 cell
+indices at most BLOCK_BYTES, and uses neither the kernel nor the
+collapse.  The two must agree on any input; the acceptance suite holds
+them to that on random and constructed designs.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ from operator import add
 import numpy as np
 
 from .designs import (
-    BLOCK_CELLS,
-    INDEX_BYTES,
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
+    _block_width,
     _floor_divided,
     _narrow_type,
     _require_level_count,
@@ -114,8 +114,6 @@ NARROW_TABLE = 25
 #: float32 holds every integer below this exactly, so products count
 #: only designs of fewer runs
 EXACT_FLOAT32 = 1 << 24
-#: the largest one-hot operand or product, in bytes
-ONEHOT_BYTES = 1 << 18
 #: the fewest run-subset cells, one bincount chunk, a block of scans
 #: must hold to be counted by products: below it, on designs of 9
 #: to 81 runs, products took 1.1-2 times as long as bincount
@@ -244,11 +242,11 @@ def _counted(cols, levels, bad, run_end, scans):
     scans = iter(scans)
     block = list(islice(scans, 1))  # the first block, of one head, fixes t
     (c, n), t = cols.shape, len(block[0][0]) + 1
-    # one-hot rows per operand: as many as keep an operand of all n runs
-    # and a square product under the byte bound, but at least 64 (with
-    # ONEHOT_BYTES / 256 runs at a time past that)
-    fit = ONEHOT_BYTES // (4 * max(n, 1))
-    width = min(isqrt(ONEHOT_BYTES // 4), max(isqrt(ONEHOT_BYTES // 64), fit))
+    # one-hot rows per operand: as many as keep a float32 operand of all n
+    # runs and a square product within one block, but at least 64 (with
+    # 1,024 runs at a time past that)
+    cells = _block_width(4)
+    width = min(isqrt(cells), max(isqrt(cells // 16), _block_width(4, n)))
     # no scan's table is wider than the product of the t largest levels;
     # a level below 1 always marks its column bad
     top = sorted(levels, reverse=True)[:t]
@@ -256,7 +254,7 @@ def _counted(cols, levels, bad, run_end, scans):
         return _bincount_hit(cols, levels, bad, run_end, chain(block, scans))
     # heads whose one-hots fit, gathered from a copy in the narrowest type
     # (bincount's copy of at most 2^16 cells is int64), so that a block's
-    # gathered head columns hold at most ONEHOT_BYTES
+    # gathered head columns hold at most BLOCK_BYTES
     size, most, cut = 1, width // prod(top[:-1]), None
     narrow = cols.astype(np.min_scalar_type(top[0] - 1), copy=False)
     while block:
@@ -295,9 +293,9 @@ def _products_clear(cols, levels, scans, width: int, cut: int) -> bool:
     PRODUCT_CELLS run-subset cells.  One-hots of the heads' level
     combinations, the elementwise products of their columns' indicator
     rows, and of the tails' levels, at most ``width`` rows each, meet in
-    float32 products summed over blocks of ONEHOT_BYTES / (4 width) runs,
+    float32 products summed over blocks of BLOCK_BYTES / (4 width) runs,
     each count exact below EXACT_FLOAT32."""
-    n, runs = cols.shape[1], ONEHOT_BYTES // (4 * width)
+    n, runs = cols.shape[1], _block_width(4, width)
     if n * sum(hi - lo for _, lo, hi in scans) < PRODUCT_CELLS:
         return False
     levels = np.array(levels, dtype=np.int32)
@@ -360,11 +358,11 @@ def _sliced_product(h, t):
 def _bincount_hit(cols, levels, bad, run_end, scans):
     """The kernel's answer on ``scans`` by bincount: each tail is coded
     into a block of its own, in place in one int64 buffer of at most
-    INDEX_BYTES, and one bincount counts a chunk of those codes, into no
+    BLOCK_BYTES, and one bincount counts a chunk of those codes, into no
     more counts than codes; a chunk ends where ``run_end`` says, at a
     level change or a column out of range."""
     n = cols.shape[1]
-    width = max(1, INDEX_BYTES // 8 // max(n, 1))  # tails per chunk
+    width = _block_width(8, n)  # tails per chunk
     buf = np.empty((min(width, len(levels)), n), dtype=np.int64)
     for head, lo, hi in scans:
         full = prod(levels[j] for j in head)
@@ -450,10 +448,11 @@ def check_oa_strength(a: OrthogonalArray, t: int) -> VerificationReport:
 
 def _latin_check(d2: LatinHypercube) -> CheckResult:
     """Each column a permutation of 0..n-1: blocks of whole columns, at
-    most ``BLOCK_CELLS`` cells, are copied to contiguous rows and sorted,
-    so D2 is never copied whole.  n entries that miss no value are a
-    permutation, so a failing column is named with the least it misses."""
-    n, width = d2.n, max(1, BLOCK_CELLS // d2.n)
+    most ``BLOCK_BYTES`` in D2's type, are copied to contiguous rows and
+    sorted, so D2 is never copied whole.  n entries that miss no value
+    are a permutation, so a failing column is named with the least it
+    misses."""
+    n, width = d2.n, _block_width(d2.data.itemsize, d2.n)
     for lo in range(0, d2.k, width):
         ranked = np.array(d2.data[:, lo:lo + width].T, order="C")
         ranked.sort(axis=1)
@@ -516,40 +515,60 @@ def check_mcd(d1: OrthogonalArray, d2: LatinHypercube, s: int) -> VerificationRe
     return VerificationReport(tuple(checks))
 
 
+def _level_slices(d1: OrthogonalArray):
+    """(D1 column, level) for each level of each D1 column, in order.  A
+    column's levels, ascending, are the entries of one np.sort of it where
+    the value changes.  np.unique lists the same levels, but on numpy >=
+    2.3 its first call in a process imports numpy.ma: 11-15 ms, against
+    1-2 ms for the rest of a cold oracle call on a 256-run design."""
+    for i, col in enumerate(d1.data.T):
+        ordered = np.sort(col)
+        starts = np.append(True, ordered[1:] != ordered[:-1])
+        yield from ((i, level) for level in ordered[starts].tolist())
+
+
 def check_mcd_by_slices(d1: OrthogonalArray, d2: LatinHypercube,
                         s: int) -> VerificationReport:
     """Definitional marginal-coupling oracle, independent of the collapse
     machinery: for each level of each D1 column, the rows at that level
     must place every D2 column's values one-per-window into the n/s
     consecutive windows [vs, vs+s).  Agrees with check_mcd on any input.
-    A column's levels, ascending, are the entries of one np.sort of it
-    where the value changes.  np.unique lists the same levels, but on
-    numpy >= 2.3 its first call in a process imports numpy.ma: 11-15 ms,
-    against 1-2 ms for the rest of a cold call on a 256-run design."""
+
+    D2 is counted in blocks of whole columns whose int64 cell indices hold
+    BLOCK_BYTES, each slice of a block with one bincount.  The first block
+    counts every slice up to its first failure; each later block recounts
+    only the slices before the first failure found so far, so the report
+    names the first failure in (D1 column, level, D2 column, window)
+    order, as one count over all of D2 would."""
     checks = _structural_checks(d1, d2, s)
     n, k = d1.n, d2.k
-    nlev = n // s
-    # cell j * nlev + v counts column j's points in window v; a value
-    # outside 0..n-1 goes to the spare last cell, which is no window
-    cells = _floor_divided(d2.data, s) + np.arange(k) * nlev
-    cells[(d2.data < 0) | (d2.data >= n)] = k * nlev
-    for i in range(d1.m):
-        col = d1.data[:, i]
-        ordered = np.sort(col)
-        starts = np.append(True, ordered[1:] != ordered[:-1])
-        for level in ordered[starts].tolist():
-            counts = np.bincount(cells[col == level].ravel(),
-                                 minlength=k * nlev + 1)[:-1]
+    nlev, width = n // s, _block_width(8, n)
+    slices, failure = _level_slices(d1), None
+    for lo in range(0, k, width):
+        part = d2.data[:, lo:lo + width]
+        b = part.shape[1]
+        # cell j * nlev + v counts the block's column j's points in window
+        # v; a value outside 0..n-1 goes to the spare last cell, no window
+        cells = np.empty(part.shape, dtype=np.intp)
+        _floor_divided(part, s, cells)
+        cells += np.arange(0, b * nlev, nlev)
+        cells[(part < 0) | (part >= n)] = b * nlev
+        passed = []
+        for i, level in slices:
+            counts = np.bincount(cells[d1.data[:, i] == level].ravel(),
+                                 minlength=b * nlev + 1)[:-1]
             off = np.flatnonzero(counts != 1)
             if off.size:
                 j, v = divmod(int(off[0]), nlev)
-                checks.append(CheckResult(
-                    "slice-coverage", (i, j), False,
-                    f"D1 column {i} level {level}: D2 column {j} has "
+                failure = CheckResult(
+                    "slice-coverage", (i, lo + j), False,
+                    f"D1 column {i} level {level}: D2 column {lo + j} has "
                     f"{int(counts[off[0]])} points in window "
-                    f"[{v * s}, {(v + 1) * s - 1}], expected 1"))
-                return VerificationReport(tuple(checks))
-    checks.append(CheckResult("slice-coverage", (), True))
+                    f"[{v * s}, {(v + 1) * s - 1}], expected 1")
+                break
+            passed.append((i, level))
+        slices = passed
+    checks.append(failure or CheckResult("slice-coverage", (), True))
     return VerificationReport(tuple(checks))
 
 
@@ -575,7 +594,7 @@ def _relabeled_blocks(data: np.ndarray, q: int, columns=None):
     ``columns``, else all), each floor-divided by q >= 1 and relabeled:
     each entry replaced by the row where its value first appears in its
     column.  One (b, n) array per block of b columns, in the narrowest type
-    that holds n-1, whose int64 codes hold at most INDEX_BYTES (one column
+    that holds n-1, whose int64 codes hold at most BLOCK_BYTES (one column
     at least).  A block holding any value outside 0..n-1 first has each
     column's values replaced by their ranks, one np.searchsorted into the
     sorted column, which keeps equal values equal and distinct ones
@@ -586,7 +605,7 @@ def _relabeled_blocks(data: np.ndarray, q: int, columns=None):
     n = data.shape[0]
     kind = _narrow_type(max(n - 1, 0))
     runs = np.arange(n, dtype=kind)
-    step = max(1, INDEX_BYTES // 8 // max(n, 1))
+    step = _block_width(8, n)
     count = data.shape[1] if columns is None else len(columns)
     for a in range(0, count, step):
         part = (data[:, a:a + step] if columns is None

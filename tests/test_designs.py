@@ -10,8 +10,8 @@ import pytest
 
 import mcd_forge
 from mcd_forge.designs import (
+    BLOCK_BYTES,
     IDENTITY_SEED,
-    INDEX_BYTES,
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
@@ -261,9 +261,9 @@ def _expand_by_column(collapsed, s, seed):
 
 def _collapsed_spanning_two_blocks(rng, n, s):
     """A valid collapsed design with a few more columns than one block of
-    expansion holds, int64 indices of ``INDEX_BYTES``, and that block's
+    expansion holds, int64 indices of ``BLOCK_BYTES``, and that block's
     width."""
-    width = INDEX_BYTES // 8 // n
+    width = BLOCK_BYTES // 8 // n
     levels = np.repeat(np.arange(n // s), s)[:, None]
     data = rng.permuted(np.tile(levels, (1, width + 7)), axis=0)
     return CollapsedDesign(s, data), width
@@ -283,9 +283,9 @@ def test_expand_levels_across_a_block_boundary(seed):
 @pytest.mark.parametrize("seed", [IDENTITY_SEED, 7])
 def test_expand_levels_holds_one_block_beyond_its_input_and_output(seed):
     # theorem1 s=2 u=10's collapsed D2, 1024 x 256 in int16: blocks of
-    # BLOCK_CELLS cells, whose int64 argsort and scatter indices were 1 MiB
-    # each, peaked 2.5 MiB above D2's 0.5 MiB (traced); a block's indices
-    # now hold INDEX_BYTES
+    # 2^17 cells, whose int64 argsort and scatter indices were 1 MiB each,
+    # peaked 2.5 MiB above D2's 0.5 MiB (traced); a block's indices now
+    # hold BLOCK_BYTES
     collapsed = direct_construction(galois_field(2), 10, 2).collapsed
     expand_levels(CollapsedDesign(2, [[0], [0], [1], [1]]), 2, seed)  # warm
     tracemalloc.start()
@@ -296,7 +296,7 @@ def test_expand_levels_holds_one_block_beyond_its_input_and_output(seed):
     finally:
         tracemalloc.stop()
     assert d2.data.nbytes == 1 << 19
-    assert peak - d2.data.nbytes <= 3 * INDEX_BYTES, peak
+    assert peak - d2.data.nbytes <= 3 * BLOCK_BYTES, peak
     assert (collapse_levels(d2, 2).data == collapsed.data).all()
 
 

@@ -11,6 +11,7 @@ import pytest
 import mcd_forge.verify as verify
 from mcd_forge.construct import anti_mirror_construction, direct_construction
 from mcd_forge.designs import (
+    BLOCK_BYTES,
     CollapsedDesign,
     LatinHypercube,
     OrthogonalArray,
@@ -774,7 +775,7 @@ def count_path(request, monkeypatch):
         monkeypatch.setattr(verify, "NARROW_TABLE", 1 << 30)
         monkeypatch.setattr(verify, "PRODUCT_CELLS", 0)
         # one-hots of 1024 rows, so that a table of 800 cells fits one
-        monkeypatch.setattr(verify, "ONEHOT_BYTES", 1 << 25)
+        monkeypatch.setattr("mcd_forge.designs.BLOCK_BYTES", 1 << 25)
     else:
         monkeypatch.setattr(verify, "NARROW_TABLE", 0)
     yield request.param
@@ -1027,7 +1028,7 @@ def test_product_path_holds_its_byte_bound(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(peaks) > 10
-    assert max(peaks) <= 5 * verify.ONEHOT_BYTES
+    assert max(peaks) <= 5 * BLOCK_BYTES
 
 
 def test_grid_stratification_call_is_sized_before_it_runs(monkeypatch):
@@ -1199,7 +1200,7 @@ def test_the_battery_holds_one_block_beyond_its_inputs():
     # battery collapsed D2 whole and kept every column's key, and the
     # kernel's codes and counts took 0.5 MiB each, 2.6 MiB traced above
     # the design; now D2 is relabeled in blocks, and the kernel's pair
-    # balance holds its one narrowing copy and two INDEX_BYTES buffers
+    # balance holds its one narrowing copy and two BLOCK_BYTES buffers
     mcd = direct_construction(galois_field(2), 10, 2, "i", 7)
     assert mcd.d2.data.nbytes == 1 << 19
     tracemalloc.start()
@@ -1405,7 +1406,7 @@ def test_pair_balance_and_the_grid_sweep_hold_d2_once():
 def test_the_latin_check_holds_d2_once():
     # theorem1 s=2 u=11, D2 2048 x 512 in int16: the check sorted a whole
     # C-order copy of D2 beside a k x n bool, 1.57 x D2's bytes, traced;
-    # it now sorts blocks of whole columns of at most BLOCK_CELLS cells
+    # it now sorts blocks of whole columns of at most BLOCK_BYTES
     d2 = direct_construction(galois_field(2), 11, 2, "i").d2
     assert d2.data.dtype == np.int16 and d2.data.shape == (2048, 512)
     tracemalloc.start()
@@ -1424,3 +1425,43 @@ def test_the_latin_check_holds_d2_once():
     assert (result.passed, result.subject) == (False, (300,))
     assert result.detail == ("column 300 is not a permutation of 0..2047 "
                              f"(value {missing} missing)")
+
+
+def test_the_oracle_counts_d2_in_blocks():
+    # theorem1 s=2 u=10, D2 1024 x 256 in int16 (0.5 MiB): the oracle
+    # built int64 cell indices of all of D2 beside bool masks of it, and
+    # gathered each slice over every column, 5.0 MiB traced above the
+    # design; it now counts blocks of 32 whole columns
+    mcd = direct_construction(galois_field(2), 10, 2, "i", 7)
+    d1, d2 = mcd.d1.data, mcd.d2.data
+    assert d2.dtype == np.int16 and d2.shape == (1024, 256)
+    check_mcd_by_slices(mcd.d1, mcd.d2, 2)  # warm
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert check_mcd_by_slices(mcd.d1, mcd.d2, 2).passed
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20), peak
+    # column 3, in the first block, swaps rows within D1 column 0's
+    # slices, so only D1 column 1's slices fail there; column 200, six
+    # blocks later, fails D1 column 0's, and comes first in (D1 column,
+    # level, D2 column, window) order
+    rows = np.arange(1, 1024)
+    moved = d2[rows] // 2 != d2[0] // 2
+    same = d1[rows, 0] == d1[0, 0]
+    data = d2.copy()
+    expected = []
+    for j, b in ((3, rows[same & (d1[rows, 1] != d1[0, 1]) & moved[:, 3]][0]),
+                 (200, rows[~same & moved[:, 200]][0])):
+        data[[0, b], j] = data[[b, 0], j]
+        expected.append(check_mcd_by_slices(
+            mcd.d1, LatinHypercube(data), 2).lines())
+    assert expected == [
+        ["[pass] oa-strength(2)", "[pass] latin-hypercube",
+         "[FAIL] slice-coverage (1, 3) -- D1 column 1 level 0: D2 column 3 "
+         "has 0 points in window [0, 1], expected 1"],
+        ["[pass] oa-strength(2)", "[pass] latin-hypercube",
+         "[FAIL] slice-coverage (0, 200) -- D1 column 0 level 0: D2 column "
+         "200 has 0 points in window [0, 1], expected 1"]]
